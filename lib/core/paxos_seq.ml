@@ -8,13 +8,20 @@ module Time = Crane_sim.Time
 module Engine = Crane_sim.Engine
 module Trace = Crane_trace.Trace
 
+(* A queued entry carries its global consensus index (0 = unknown, e.g.
+   checkpoint replay before indices were threaded through): the trace id
+   request spans are joined on.  In pool mode it also carries its
+   conflict footprint, classified on its first admission-scan visit, so a
+   command stuck behind a conflict is not re-classified on every scan;
+   the footprint leaves with its entry. *)
+type entry = { index : int; ev : Event.t; mutable fp : footprint }
+
+and footprint = Unclassified | Classified of Api.footprint option
+
 type t = {
   eng : Engine.t;
   node : string;  (** replica name for trace attribution *)
-  q : (int * Event.t) Queue.t;
-      (* Entries carry their global consensus index (0 = unknown, e.g.
-         checkpoint replay before indices were threaded through): the
-         trace id request spans are joined on. *)
+  q : entry Queue.t;
   mutable bubble_left : int;
       (* Remaining logical clocks of a bubble currently at the head
          (0 = the head is whatever [q] starts with). *)
@@ -48,7 +55,7 @@ let create ?(node = "") eng =
   }
 
 let append t ?(index = 0) ?(view = 0) ev =
-  Queue.add (index, ev) t.q;
+  Queue.add { index; ev; fp = Unclassified } t.q;
   if view > t.depth_view then begin
     t.depth_view <- view;
     t.max_depth <- Queue.length t.q
@@ -71,7 +78,7 @@ let append t ?(index = 0) ?(view = 0) ev =
 let normalize t =
   if t.bubble_left = 0 then
     match Queue.peek_opt t.q with
-    | Some (_, Event.Time_bubble { nclock }) ->
+    | Some { ev = Event.Time_bubble { nclock }; _ } ->
       ignore (Queue.pop t.q);
       t.bubble_left <- nclock
     | Some _ | None -> ()
@@ -79,7 +86,7 @@ let normalize t =
 let head t =
   normalize t;
   if t.bubble_left > 0 then Some (Event.Time_bubble { nclock = t.bubble_left })
-  else Option.map snd (Queue.peek_opt t.q)
+  else Option.map (fun e -> e.ev) (Queue.peek_opt t.q)
 
 (* Shared admission bookkeeping for an entry leaving the queue, whether
    popped from the head or plucked mid-queue by the pool-mode scan. *)
@@ -112,45 +119,56 @@ let drop_head_ix t =
   normalize t;
   if t.bubble_left > 0 then invalid_arg "Paxos_seq.drop_head: head is a bubble"
   else begin
-    let index, ev = Queue.pop t.q in
-    note_admitted t index ev;
-    index
+    let e = Queue.pop t.q in
+    note_admitted t e.index e.ev;
+    e.index
   end
 
 let drop_head t = ignore (drop_head_ix t)
 
 (* Pool-mode admission scan: visit queued entries in index order, letting
-   [f ix ev] admit (remove, with the same bookkeeping and trace events as
-   [drop_head_ix]), skip (leave queued, keep scanning) or stop.  The scan
-   never crosses a time bubble — bubbles are barriers drained by the gate
-   at the head, exactly as in 1-lane mode — and visits at most [limit]
-   entries.  [f] must not touch the sequence.  Relative order of the kept
-   entries is preserved, so the queue stays index-sorted and
-   [lowest_index] remains the oldest unadmitted index. *)
-let scan_admit t ~limit f =
+   [f ix ev fp] admit (remove, with the same bookkeeping and trace events
+   as [drop_head_ix]), skip (leave queued, keep scanning) or stop.  [fp]
+   is a [Send]'s footprint under [classify], computed once per entry (it
+   is [None] for other calls).  The scan never crosses a time bubble —
+   bubbles are barriers drained by the gate at the head, exactly as in
+   1-lane mode — and visits at most [limit] entries.  [f] must not touch
+   the sequence.  Relative order of the kept entries is preserved, so the
+   queue stays index-sorted and [lowest_index] remains the oldest
+   unadmitted index.  Entries past the point where the scan stops are
+   not touched, so a scan costs O(visited). *)
+let scan_admit t ~limit ~classify f =
   normalize t;
   if t.bubble_left = 0 then begin
-    let n = Queue.length t.q in
-    let kept = ref [] in
+    let kept = Queue.create () in
     let visited = ref 0 in
     let stopped = ref false in
-    for _ = 1 to n do
-      let ((index, ev) as entry) = Queue.pop t.q in
-      if !stopped || !visited >= limit || Event.is_bubble ev then begin
-        stopped := true;
-        kept := entry :: !kept
-      end
+    while (not !stopped) && not (Queue.is_empty t.q) do
+      let e = Queue.peek t.q in
+      if !visited >= limit || Event.is_bubble e.ev then stopped := true
       else begin
+        ignore (Queue.pop t.q);
         incr visited;
-        match f index ev with
-        | `Admit -> note_admitted t index ev
-        | `Skip -> kept := entry :: !kept
+        let fp =
+          match (e.fp, e.ev) with
+          | Classified fp, _ -> fp
+          | Unclassified, Event.Send { payload; _ } ->
+            let fp = classify payload in
+            e.fp <- Classified fp;
+            fp
+          | Unclassified, (Event.Connect _ | Event.Close _ | Event.Time_bubble _) -> None
+        in
+        match f e.index e.ev fp with
+        | `Admit -> note_admitted t e.index e.ev
+        | `Skip -> Queue.add e kept
         | `Stop ->
           stopped := true;
-          kept := entry :: !kept
+          Queue.add e kept
       end
     done;
-    List.iter (fun e -> Queue.add e t.q) (List.rev !kept)
+    (* kept ++ unvisited, back into [q]; both transfers are O(1). *)
+    Queue.transfer t.q kept;
+    Queue.transfer kept t.q
   end
 
 let is_empty t =
@@ -196,7 +214,7 @@ let clear t =
    at or past this index has been decided but not yet admitted. *)
 let lowest_index t =
   normalize t;
-  Option.map fst (Queue.peek_opt t.q)
+  Option.map (fun e -> e.index) (Queue.peek_opt t.q)
 
 let length t = Queue.length t.q + if t.bubble_left > 0 then 1 else 0
 let max_depth t = t.max_depth

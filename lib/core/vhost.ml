@@ -260,7 +260,8 @@ let pool_scan t dmt =
     skipped_any := true;
     `Skip
   in
-  Paxos_seq.scan_admit t.seq ~limit:pool_scan_limit (fun ix ev ->
+  Paxos_seq.scan_admit t.seq ~limit:pool_scan_limit ~classify:t.pool_fp
+    (fun ix ev fp ->
       match ev with
       | Event.Time_bubble _ -> `Stop (* unreachable: the scan stops at bubbles *)
       | Event.Connect { conn; port } ->
@@ -276,7 +277,7 @@ let pool_scan t dmt =
           | None -> skip_conn conn (* server not listening yet *))
       | Event.Send { conn; payload } -> (
         if Hashtbl.mem blocked conn then begin
-          (match t.pool_fp payload with
+          (match fp with
           | Some fp -> skipped_fps := fp :: !skipped_fps
           | None -> skipped_barrier := true);
           skipped_any := true;
@@ -289,13 +290,13 @@ let pool_scan t dmt =
               Hashtbl.mem t.pool_active conn
               || !barrier_live || !skipped_barrier
             then begin
-              (match t.pool_fp payload with
+              (match fp with
               | Some fp -> skipped_fps := fp :: !skipped_fps
               | None -> skipped_barrier := true);
               skip_conn conn
             end
             else
-              match t.pool_fp payload with
+              match fp with
               | None ->
                 if Hashtbl.length t.pool_active = 0 && not !skipped_any then begin
                   (* barrier admitted alone, in strict log order *)
@@ -391,7 +392,7 @@ let gate t =
   | None -> ()
   | Some (Event.Time_bubble _) -> (
     match t.clocking with
-    | Clocked dmt when Dmt.run_queue_length dmt = 1 ->
+    | Clocked dmt when Dmt.only_one_runnable dmt ->
       (* Only the idle thread is runnable.  Drain the bubble at a paced
          rate rather than instantly: a bubble must outlive the short
          quiet gaps between request arrivals (that is its whole job —

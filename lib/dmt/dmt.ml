@@ -22,13 +22,21 @@ type lane = {
   mutable lsig : int; (* insertion point for signalled threads *)
 }
 
+(* Engine tids are small sequential ints: hash them as themselves.
+   [me] runs on every turn. *)
+module Tids = Hashtbl.Make (struct
+  include Int
+
+  let hash t = t land max_int
+end)
+
 type t = {
   eng : Engine.t;
   turn_cost : Time.t;
   idle_period : Time.t;
   lanes : lane array; (* lane 0 hosts the idle thread and fresh spawns *)
   waitq : (int, dthread Queue.t) Hashtbl.t;
-  threads : (int, dthread) Hashtbl.t; (* engine tid -> dthread *)
+  threads : dthread Tids.t; (* engine tid -> dthread *)
   mutable clock : int;
   mutable next_obj : int;
   mutable gate : (unit -> unit) option;
@@ -46,8 +54,16 @@ let set_label t node = t.label <- node
 let lane_count t = Array.length t.lanes
 let lane_of t th = t.lanes.(th.lane)
 
-let run_queue_length t =
-  Array.fold_left (fun acc l -> acc + List.length l.lq) 0 t.lanes
+(* O(lanes): stops counting a lane at its second thread. *)
+let only_one_runnable t =
+  let n = ref 0 in
+  for i = 0 to Array.length t.lanes - 1 do
+    match t.lanes.(i).lq with
+    | [] -> ()
+    | [ _ ] -> incr n
+    | _ :: _ :: _ -> n := 2
+  done;
+  !n = 1
 
 let run_queue_names t =
   List.concat_map
@@ -58,13 +74,15 @@ let new_obj t =
   t.next_obj <- o + 1;
   o
 
+let self t = Tids.find_opt t.threads (Engine.self_tid t.eng)
+
 let me t =
-  match Hashtbl.find_opt t.threads (Engine.self_tid t.eng) with
+  match self t with
   | Some th -> th
   | None -> failwith "Dmt: calling thread is not registered with this scheduler"
 
-let is_thread t = Hashtbl.mem t.threads (Engine.self_tid t.eng)
-let current_lane t = if is_thread t then (me t).lane else 0
+let is_thread t = Tids.mem t.threads (Engine.self_tid t.eng)
+let current_lane t = match self t with Some th -> th.lane | None -> 0
 
 (* Sanitizer hook: stream a "sync" event through the engine's recorder. *)
 let ev t name args =
@@ -197,7 +215,7 @@ let signal ?lane t ~obj =
       let target =
         match lane with
         | Some l -> l mod Array.length t.lanes
-        | None -> if is_thread t then (me t).lane else 0
+        | None -> current_lane t
       in
       th.lane <- target;
       let l = t.lanes.(target) in
@@ -268,18 +286,13 @@ let spawn t ~name body =
           get_turn t;
           ev t "thread_exit" [];
           leave_runq t th;
-          Hashtbl.remove t.threads th.dtid
+          Tids.remove t.threads th.dtid
         in
         match body () with () -> cleanup () | exception e -> cleanup (); raise e)
   in
-  let parent_lane =
-    match Hashtbl.find_opt t.threads (Engine.self_tid t.eng) with
-    | Some p -> p.lane
-    | None -> 0
-  in
-  let th = { dtid = tid; dname = name; parked = None; lane = parent_lane } in
-  Hashtbl.replace t.threads tid th;
-  if Hashtbl.mem t.threads (Engine.self_tid t.eng) then begin
+  let th = { dtid = tid; dname = name; parked = None; lane = current_lane t } in
+  Tids.replace t.threads tid th;
+  if is_thread t then begin
     (* Spawned from a registered DMT thread: schedule the insertion. *)
     get_turn t;
     let l = lane_of t th in
@@ -305,7 +318,7 @@ let idle_loop t =
       if t.stopped then leave_runq t th
       else begin
         run_gate t;
-        let alone = run_queue_length t = 1 in
+        let alone = only_one_runnable t in
         put_turn t;
         if alone && t.gate = None then Engine.sleep t.eng t.idle_period;
         loop ()
@@ -325,7 +338,7 @@ let create ?(turn_cost = Time.ns 150) ?(idle_period = Time.us 10) ?(lanes = 1)
       idle_period;
       lanes = Array.init (max 1 lanes) (fun _ -> { lq = []; lsig = 1 });
       waitq = Hashtbl.create 64;
-      threads = Hashtbl.create 64;
+      threads = Tids.create 64;
       clock = 0;
       next_obj = 1;
       gate = None;

@@ -122,7 +122,9 @@ val block_external : t -> (unit -> 'a) -> 'a
     run [f] (which may block on the engine), rejoin at the tail in
     completion order. *)
 
-val run_queue_length : t -> int
+val only_one_runnable : t -> bool
+(** Exactly one thread sits in the run queues, across all lanes: the
+    idle thread is alone.  O(lanes). *)
 
 val run_queue_names : t -> string list
 (** Names of run-queue members, head first (debugging and tests). *)

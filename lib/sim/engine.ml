@@ -7,7 +7,18 @@ type thread = { tid : int; name : string; tgroup : group option }
 type t = {
   mutable clock : Time.t;
   mutable seq : int;
+  (* The event queue has two tiers that together run events in exact
+     [(time, seq)] order.  [events] holds events due after the instant
+     they were scheduled at.  [ready] is a FIFO ring of events scheduled
+     for the current instant (waker resumes, spawns, yields): about half
+     of all events, and O(1) to queue.  A heap event due now was pushed
+     before the clock reached now, so it was scheduled before anything
+     in [ready] and runs first.  [ready] is in schedule order already,
+     so only heap events take a [seq]. *)
   events : (unit -> unit) Pheap.t;
+  mutable ready : (unit -> unit) array; (* capacity is a power of two *)
+  mutable ready_head : int;
+  mutable ready_len : int;
   mutable current : thread option;
   mutable next_group : int;
   mutable next_tid : int;
@@ -29,6 +40,9 @@ let create () =
     clock = Time.zero;
     seq = 0;
     events = Pheap.create ();
+    ready = Array.make 64 ignore;
+    ready_head = 0;
+    ready_len = 0;
     current = None;
     next_group = 0;
     next_tid = 0;
@@ -78,15 +92,37 @@ let kill_group t g =
 
 let alive t = function None -> true | Some g -> group_alive t g
 
+let ready_push t fn =
+  let cap = Array.length t.ready in
+  if t.ready_len = cap then begin
+    let a = Array.make (2 * cap) ignore in
+    for i = 0 to cap - 1 do
+      a.(i) <- t.ready.((t.ready_head + i) land (cap - 1))
+    done;
+    t.ready <- a;
+    t.ready_head <- 0
+  end;
+  t.ready.((t.ready_head + t.ready_len) land (Array.length t.ready - 1)) <- fn;
+  t.ready_len <- t.ready_len + 1
+
+let ready_pop t =
+  let fn = t.ready.(t.ready_head) in
+  t.ready.(t.ready_head) <- ignore;
+  t.ready_head <- (t.ready_head + 1) land (Array.length t.ready - 1);
+  t.ready_len <- t.ready_len - 1;
+  fn
+
 let schedule t ?group time fn =
-  let time = if time < t.clock then t.clock else time in
-  let seq = t.seq in
-  t.seq <- seq + 1;
   let fn = match group with
     | None -> fn
     | Some g -> fun () -> if group_alive t g then fn ()
   in
-  Pheap.push t.events ~time ~seq fn
+  if time <= t.clock then ready_push t fn
+  else begin
+    let seq = t.seq in
+    t.seq <- seq + 1;
+    Pheap.push t.events ~time ~seq fn
+  end
 
 let at t ?group time fn = schedule t ?group time fn
 let after t ?group delay fn = schedule t ?group (t.clock + delay) fn
@@ -171,26 +207,40 @@ let self_name t = match t.current with Some th -> th.name | None -> "-"
 let self_tid t = match t.current with Some th -> th.tid | None -> -1
 let self_group t = match t.current with Some th -> th.tgroup | None -> None
 
+(* [run ~until] below the current instant moves the clock back.  The
+   ready events keep their instant, so they join the heap behind every
+   heap event due then, which is where their order puts them. *)
+let spill_ready t =
+  while t.ready_len > 0 do
+    let fn = ready_pop t in
+    let seq = t.seq in
+    t.seq <- seq + 1;
+    Pheap.push t.events ~time:t.clock ~seq fn
+  done
+
 let run ?until ?(limit = 200_000_000) t =
+  let stop = match until with Some s -> s | None -> max_int in
   let steps = ref 0 in
   let continue_ = ref true in
   while !continue_ do
-    match Pheap.peek_time t.events with
-    | None -> continue_ := false
-    | Some time -> (
-      match until with
-      | Some stop when time > stop ->
-        t.clock <- stop;
-        continue_ := false
-      | _ -> (
-        incr steps;
-        if !steps > limit then raise Limit_exceeded;
-        match Pheap.pop t.events with
-        | None -> continue_ := false
-        | Some (time, _, fn) ->
-          t.clock <- time;
-          fn ()))
+    let heap_time = Pheap.min_time t.events in
+    let heap_now = heap_time = t.clock && not (Pheap.is_empty t.events) in
+    if t.ready_len = 0 && Pheap.is_empty t.events then continue_ := false
+    else if (if t.ready_len > 0 then t.clock else heap_time) > stop then begin
+      spill_ready t;
+      t.clock <- stop;
+      continue_ := false
+    end
+    else begin
+      incr steps;
+      if !steps > limit then raise Limit_exceeded;
+      if t.ready_len > 0 && not heap_now then (ready_pop t) ()
+      else begin
+        t.clock <- heap_time;
+        (Pheap.pop_min t.events) ()
+      end
+    end
   done
 
 let failures t = t.failed
-let pending_events t = Pheap.length t.events
+let pending_events t = Pheap.length t.events + t.ready_len

@@ -1,9 +1,10 @@
 (** Deterministic discrete-event engine with green threads.
 
-    The engine owns a single priority queue of events keyed by
-    [(virtual time, sequence number)], so execution order is a pure
-    function of the event insertion order: a whole distributed run is
-    reproducible from its seed.
+    The engine runs events in [(virtual time, sequence number)] order, so
+    execution order is a pure function of the event insertion order: a
+    whole distributed run is reproducible from its seed.  The queue has
+    two tiers: a FIFO for events due at the current instant and a binary
+    heap for later ones.  Together they keep that exact order.
 
     Simulated threads are OCaml 5 effect-based fibers.  A thread blocks by
     performing {!suspend}, which hands a one-shot [waker] to the caller;
@@ -117,3 +118,4 @@ val failures : t -> (string * exn) list
 (** Threads that died with an uncaught exception, oldest first. *)
 
 val pending_events : t -> int
+(** Events queued and not yet run, in both tiers. *)

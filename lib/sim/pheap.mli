@@ -1,8 +1,9 @@
 (** Mutable binary min-heap keyed by [(time, sequence-number)].
 
-    The event queue of the simulator.  The sequence number breaks ties
-    between events scheduled for the same virtual instant, making the run
-    order fully deterministic. *)
+    The future-event tier of the simulator's queue.  The sequence number
+    breaks ties between events scheduled for the same virtual instant,
+    making the run order fully deterministic.  Keys are stored unboxed:
+    [push] and [pop_min] allocate nothing. *)
 
 type 'a t
 
@@ -13,8 +14,9 @@ val length : 'a t -> int
 
 val push : 'a t -> time:Time.t -> seq:int -> 'a -> unit
 
-val pop : 'a t -> (Time.t * int * 'a) option
-(** Removes and returns the minimum element, ordered by time then seq. *)
+val min_time : 'a t -> Time.t
+(** The time of the minimum element, or [max_int] when the heap is empty. *)
 
-val peek_time : 'a t -> Time.t option
-(** The timestamp of the minimum element, without removing it. *)
+val pop_min : 'a t -> 'a
+(** Removes and returns the value of the minimum element, ordered by time
+    then seq.  @raise Invalid_argument on an empty heap. *)

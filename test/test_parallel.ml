@@ -119,10 +119,8 @@ let pool_cfg workers =
 
 (* Drive a seeded closed-loop ledger workload and give the backups time
    to replay; returns the cluster plus the client's acked-write record. *)
-let run_pool_workload ?trace ~seed ~workers () =
-  let cluster =
-    Cluster.create ~seed ~cfg:(pool_cfg workers) ?trace ~server:Ledger.server ()
-  in
+let run_pool_workload ?trace ?(server = Ledger.server) ~seed ~workers () =
+  let cluster = Cluster.create ~seed ~cfg:(pool_cfg workers) ?trace ~server () in
   Cluster.start ~checkpoints:false cluster;
   let eng = Cluster.engine cluster in
   let target = Target.cluster cluster ~port:80 in
@@ -199,6 +197,57 @@ let test_pool_state_equivalent_across_widths () =
   let pooled = content ~workers:4 in
   Alcotest.(check (list string)) "same committed content, pool on vs off"
     serial pooled
+
+(* The pool gate classifies each decided command once, however many
+   admission scans see it wait: the server's [footprint] runs exactly
+   once per decided Send on every replica.  Counting the calls changes
+   nothing the cluster computes. *)
+let test_pool_footprint_once () =
+  let counts = ref [] in
+  let counted =
+    {
+      Ledger.server with
+      Crane_core.Api.boot =
+        (fun api ->
+          let h = Ledger.server.Crane_core.Api.boot api in
+          let n = ref 0 in
+          counts := n :: !counts;
+          {
+            h with
+            Crane_core.Api.footprint =
+              (fun line ->
+                incr n;
+                h.Crane_core.Api.footprint line);
+          });
+    }
+  in
+  let trace = Trace.create () in
+  let cluster, _, load =
+    run_pool_workload ~trace ~server:counted ~seed:23 ~workers:4 ()
+  in
+  let plain_trace = Trace.create () in
+  let plain, _, _ = run_pool_workload ~trace:plain_trace ~seed:23 ~workers:4 () in
+  Alcotest.(check int) "no hard errors" 0 load.Loadgen.errors;
+  let sends =
+    List.length
+      (List.filter
+         (fun (e : Trace.ev) ->
+           e.Trace.cat = "req" && e.Trace.name = "proposed"
+           && Trace.find_str e "kind" = Some "send")
+         (Trace.events trace))
+  in
+  Alcotest.(check bool) "sends decided" true (sends > 0);
+  Alcotest.(check (list int)) "one footprint call per decided send, per replica"
+    [ sends; sends; sends ] (List.rev_map ( ! ) !counts);
+  Alcotest.(check (list (pair string string))) "same replica states" (states plain)
+    (states cluster);
+  let verdict tr =
+    let r = Certifier.check tr in
+    (Certifier.certified r, r.Certifier.windows, r.Certifier.commands)
+  in
+  Alcotest.(check (triple bool int int)) "same certifier verdict" (verdict plain_trace)
+    (verdict trace);
+  Alcotest.(check bool) "certified" true (Certifier.certified (Certifier.check trace))
 
 (* ------------------------------------------------------------------ *)
 (* Certifier verdicts on synthetic schedules *)
@@ -326,6 +375,8 @@ let suite =
           test_pool_convergence_certified;
         Alcotest.test_case "state equivalent across pool widths" `Slow
           test_pool_state_equivalent_across_widths;
+        Alcotest.test_case "footprint classified once per send" `Slow
+          test_pool_footprint_once;
         Alcotest.test_case "certifier true negative" `Quick
           test_certifier_true_negative;
         Alcotest.test_case "certifier true positive + confinement" `Quick

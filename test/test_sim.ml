@@ -23,27 +23,26 @@ let test_pheap_order () =
   Pheap.push h ~time:5 ~seq:2 "c";
   Pheap.push h ~time:0 ~seq:3 "d";
   let order = ref [] in
-  let rec drain () =
-    match Pheap.pop h with
-    | None -> ()
-    | Some (_, _, v) ->
-      order := v :: !order;
-      drain ()
-  in
-  drain ();
+  while not (Pheap.is_empty h) do
+    order := Pheap.pop_min h :: !order
+  done;
   Alcotest.(check (list string)) "time then seq" [ "d"; "b"; "a"; "c" ]
-    (List.rev !order)
+    (List.rev !order);
+  Alcotest.(check int) "empty min_time" max_int (Pheap.min_time h)
 
 let prop_pheap_sorted =
   QCheck.Test.make ~name:"pheap pops sorted by (time, seq)" ~count:200
     QCheck.(list (pair small_nat small_nat))
     (fun entries ->
       let h = Pheap.create () in
-      List.iteri (fun i (t, _) -> Pheap.push h ~time:t ~seq:i ~-i |> ignore) entries;
+      List.iteri (fun i (t, _) -> Pheap.push h ~time:t ~seq:i (t, i)) entries;
       let rec drain acc =
-        match Pheap.pop h with
-        | None -> List.rev acc
-        | Some (t, s, _) -> drain ((t, s) :: acc)
+        if Pheap.is_empty h then List.rev acc
+        else
+          let t = Pheap.min_time h in
+          let ((t', _) as key) = Pheap.pop_min h in
+          if t <> t' then QCheck.Test.fail_report "min_time disagrees with pop_min";
+          drain (key :: acc)
       in
       let popped = drain [] in
       let sorted = List.sort compare popped in
@@ -241,6 +240,249 @@ let prop_engine_deterministic =
     QCheck.small_nat
     (fun seed -> run_noise_trace seed = run_noise_trace seed)
 
+(* Two-tier queue: a heap event queued earlier for instant T runs before
+   the same-instant events queued once the clock has reached T. *)
+let test_tiers_heap_before_ready () =
+  let eng = Engine.create () in
+  let log = ref [] in
+  let pending = ref 0 in
+  Engine.at eng (Time.ms 1) (fun () ->
+      log := "x" :: !log;
+      Engine.at eng (Engine.now eng) (fun () -> log := "z" :: !log);
+      Engine.spawn eng ~name:"w" (fun () -> log := "w" :: !log);
+      pending := Engine.pending_events eng);
+  Engine.at eng (Time.ms 1) (fun () -> log := "y" :: !log);
+  Engine.run eng;
+  Alcotest.(check (list string)) "heap first, then ready in order" [ "x"; "y"; "z"; "w" ]
+    (List.rev !log);
+  Alcotest.(check int) "pending counts both tiers" 3 !pending
+
+(* The order reference: a naive engine that keeps every pending event in
+   a list and runs the least [(time, seq)] one.  Same scheduling rules as
+   {!Engine}: times below now are clamped to now, a spawn starts now, a
+   waker schedules its resume now, [sleep d] is a wake-up event at
+   [now + d], and [run ~until] sets the clock to [until] when the next
+   event lies beyond it. *)
+module Ref_engine = struct
+  type t = {
+    mutable clock : int;
+    mutable seq : int;
+    mutable q : (int * int * (unit -> unit)) list;
+  }
+
+  type _ Effect.t += Wait : ((int -> bool) -> unit) -> int Effect.t
+
+  let create () = { clock = 0; seq = 0; q = [] }
+
+  let schedule t time fn =
+    t.q <- (max time t.clock, t.seq, fn) :: t.q;
+    t.seq <- t.seq + 1
+
+  let spawn t body =
+    let open Effect.Deep in
+    schedule t t.clock (fun () ->
+        match_with body ()
+          {
+            retc = Fun.id;
+            exnc = raise;
+            effc =
+              (fun (type a) (e : a Effect.t) ->
+                match e with
+                | Wait f ->
+                  Some
+                    (fun (k : (a, unit) continuation) ->
+                      let fired = ref false in
+                      f (fun v ->
+                          if !fired then false
+                          else begin
+                            fired := true;
+                            schedule t t.clock (fun () -> continue k v);
+                            true
+                          end))
+                | _ -> None);
+          })
+
+  let suspend f = Effect.perform (Wait f)
+
+  let sleep t d = ignore (suspend (fun wake -> schedule t (t.clock + d) (fun () -> ignore (wake 0))))
+
+  let timer t d fn =
+    let cancelled = ref false in
+    schedule t (t.clock + d) (fun () -> if not !cancelled then fn ());
+    fun () -> cancelled := true
+
+  let run ?(until = max_int) t =
+    let rec loop () =
+      match List.sort (fun (a, b, _) (c, d, _) -> compare (a, b) (c, d)) t.q with
+      | [] -> ()
+      | (time, _, _) :: _ when time > until -> t.clock <- until
+      | (time, seq, fn) :: _ ->
+        t.q <- List.filter (fun (_, s, _) -> s <> seq) t.q;
+        t.clock <- time;
+        fn ();
+        loop ()
+    in
+    loop ()
+end
+
+(* The operations a random program uses, over either engine. *)
+type sim_api = {
+  now : unit -> int;
+  at : int -> (unit -> unit) -> unit;
+  timer : int -> (unit -> unit) -> unit -> unit;
+  spawn : (unit -> unit) -> unit;
+  sleep : int -> unit;
+  yield : unit -> unit;
+  suspend : ((int -> bool) -> unit) -> int;
+  run : int option -> unit;
+  pending : unit -> int;
+}
+
+let real_api () =
+  let eng = Engine.create () in
+  {
+    now = (fun () -> Engine.now eng);
+    at = (fun time fn -> Engine.at eng time fn);
+    timer = (fun d fn -> Engine.timer eng d fn);
+    spawn = (fun body -> Engine.spawn eng ~name:"t" body);
+    sleep = (fun d -> Engine.sleep eng d);
+    yield = (fun () -> Engine.yield eng);
+    suspend = (fun f -> Engine.suspend eng f);
+    run = (fun until -> Engine.run ?until eng);
+    pending = (fun () -> Engine.pending_events eng);
+  }
+
+let ref_api () =
+  let e = Ref_engine.create () in
+  {
+    now = (fun () -> e.Ref_engine.clock);
+    at = (fun time fn -> Ref_engine.schedule e time fn);
+    timer = (fun d fn -> Ref_engine.timer e d fn);
+    spawn = (fun body -> Ref_engine.spawn e body);
+    sleep = (fun d -> Ref_engine.sleep e d);
+    yield = (fun () -> Ref_engine.sleep e 0);
+    suspend = Ref_engine.suspend;
+    run = (fun until -> Ref_engine.run ?until e);
+    pending = (fun () -> List.length e.Ref_engine.q);
+  }
+
+(* Delays are tiny so that many events share an instant, and a delay of
+   0 schedules at now: both tiers are busy at once. *)
+type op =
+  | Log of int
+  | At of int * op list  (** a callback at now + d *)
+  | Spawn of op list
+  | Sleep of int
+  | Yield
+  | Park of int * int option  (** suspend, waker in a slot, maybe a timeout *)
+  | Wake of int * int  (** fire the waker in a slot *)
+  | Timer of int * int * op list  (** a timer, its canceller in a slot *)
+  | Cancel of int
+
+let slots = 3
+
+let rec pp_op = function
+  | Log i -> Printf.sprintf "log%d" i
+  | At (d, ops) -> Printf.sprintf "at+%d[%s]" d (pp_ops ops)
+  | Spawn ops -> Printf.sprintf "spawn[%s]" (pp_ops ops)
+  | Sleep d -> Printf.sprintf "sleep%d" d
+  | Yield -> "yield"
+  | Park (s, t) ->
+    Printf.sprintf "park%d%s" s (match t with Some d -> Printf.sprintf "/%d" d | None -> "")
+  | Wake (s, v) -> Printf.sprintf "wake%d=%d" s v
+  | Timer (s, d, ops) -> Printf.sprintf "timer%d+%d[%s]" s d (pp_ops ops)
+  | Cancel s -> Printf.sprintf "cancel%d" s
+
+and pp_ops ops = String.concat ";" (List.map pp_op ops)
+
+let gen_ops =
+  let open QCheck.Gen in
+  let delay = int_bound 3 and slot = int_bound (slots - 1) in
+  let leaf =
+    frequency
+      [
+        (3, map (fun i -> Log i) (int_bound 99));
+        (2, map (fun d -> Sleep d) delay);
+        (1, return Yield);
+        (2, map2 (fun s t -> Park (s, t)) slot (opt delay));
+        (2, map2 (fun s v -> Wake (s, v)) slot (int_bound 99));
+        (1, map (fun s -> Cancel s) slot);
+      ]
+  in
+  fix
+    (fun self depth ->
+      let op =
+        if depth = 0 then leaf
+        else
+          frequency
+            [
+              (5, leaf);
+              (2, map2 (fun d ops -> At (d, ops)) delay (self (depth - 1)));
+              (2, map (fun ops -> Spawn ops) (self (depth - 1)));
+              (1, map3 (fun s d ops -> Timer (s, d, ops)) slot delay (self (depth - 1)));
+            ]
+      in
+      list_size (int_bound 5) op)
+    3
+
+(* A program: top-level ops, then rounds of [run ~until] (stops may lie
+   behind the clock), each followed by more top-level ops; then a final
+   unbounded run. *)
+let gen_program =
+  QCheck.Gen.(pair gen_ops (list_size (int_bound 4) (pair (int_bound 12) gen_ops)))
+
+let pp_program (ops, rounds) =
+  pp_ops ops
+  ^ String.concat ""
+      (List.map (fun (u, ops) -> Printf.sprintf " | until %d: %s" u (pp_ops ops)) rounds)
+
+(* Run a program and return its observable log: every [Log] with the
+   pending-event count, every waker verdict and resume value, each with
+   the virtual instant it happened at. *)
+let run_program api (ops, rounds) =
+  let out = Buffer.create 256 in
+  let note fmt = Printf.ksprintf (fun s -> Buffer.add_string out (Printf.sprintf "%s@%d " s (api.now ()))) fmt in
+  let wakers = Array.make slots None and cancels = Array.make slots None in
+  let rec exec ~thread ops = List.iter (step ~thread) ops
+  and step ~thread = function
+    | Log i -> note "L%d:%d" i (api.pending ())
+    | At (d, ops) -> api.at (api.now () + d) (fun () -> exec ~thread:false ops)
+    | Spawn ops -> api.spawn (fun () -> exec ~thread:true ops)
+    | Sleep d -> if thread then api.sleep d
+    | Yield -> if thread then api.yield ()
+    | Park (s, timeout) ->
+      if thread then begin
+        let v =
+          api.suspend (fun wake ->
+              wakers.(s) <- Some wake;
+              match timeout with
+              | Some d -> api.at (api.now () + d) (fun () -> note "T%d:%b" s (wake (-1)))
+              | None -> ())
+        in
+        note "R%d:%d" s v
+      end
+    | Wake (s, v) -> (
+      match wakers.(s) with Some w -> note "W%d:%b" s (w v) | None -> note "W%d:-" s)
+    | Timer (s, d, ops) ->
+      cancels.(s) <- Some (api.timer d (fun () -> exec ~thread:false ops))
+    | Cancel s -> Option.iter (fun c -> c ()) cancels.(s)
+  in
+  exec ~thread:false ops;
+  List.iter
+    (fun (until, ops) ->
+      api.run (Some until);
+      note "U%d:%d" until (api.pending ());
+      exec ~thread:false ops)
+    rounds;
+  api.run None;
+  note "end:%d" (api.pending ());
+  Buffer.contents out
+
+let prop_engine_matches_reference =
+  QCheck.Test.make ~name:"engine runs in (time, seq) reference order" ~count:500
+    (QCheck.make ~print:pp_program gen_program)
+    (fun prog -> run_program (real_api ()) prog = run_program (ref_api ()) prog)
+
 (* ------------------------------------------------------------------ *)
 (* Cores *)
 
@@ -315,6 +557,9 @@ let suite =
         Alcotest.test_case "event limit" `Quick test_limit;
         Alcotest.test_case "deterministic replay" `Quick test_deterministic_replay;
         qcheck prop_engine_deterministic;
+        Alcotest.test_case "heap before ready at one instant" `Quick
+          test_tiers_heap_before_ready;
+        qcheck prop_engine_matches_reference;
       ] );
     ( "sim.cores",
       [
