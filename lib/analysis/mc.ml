@@ -151,8 +151,11 @@ let instance_config cfg =
        log hole heals at the next commit movement, and with bubbling on
        commits never stop moving.  Plan II (§7.2) keeps DMT + PAXOS
        semantics with bubbling off.  Without the bubbling gate to park
-       it, the DMT idle thread spins at turn_cost; raise it so an idle
-       replica costs ~20k events per virtual second instead of ~6.7M. *)
+       it, the DMT idle thread spins at turn_cost on a gate with nothing
+       to do.  The engine applies those idle steps in closed form, so the
+       spin no longer costs host time.  turn_cost stays at 50 us because
+       it times every handoff of every explored schedule: changing it
+       would change the schedules and their recorded counterexamples. *)
     mode = Instance.No_bubbling;
     turn_cost = Time.us 50;
     usleep = Time.us 100;

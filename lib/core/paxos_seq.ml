@@ -38,6 +38,9 @@ type t = {
          depth, so a report never shows a stale peak from a previous
          primary's burst regime. *)
   mutable depth_view : int; (* view the current high-water mark belongs to *)
+  mutable version : int;
+      (* Bumped by every change to what the sequence holds, so the pool
+         gate can tell that a scan would see what the last one saw. *)
 }
 
 let create ?(node = "") eng =
@@ -52,10 +55,15 @@ let create ?(node = "") eng =
     queued_calls = 0;
     max_depth = 0;
     depth_view = 0;
+    version = 0;
   }
+
+let bump t = t.version <- t.version + 1
+let version t = t.version
 
 let append t ?(index = 0) ?(view = 0) ev =
   Queue.add { index; ev; fp = Unclassified } t.q;
+  bump t;
   if view > t.depth_view then begin
     t.depth_view <- view;
     t.max_depth <- Queue.length t.q
@@ -80,6 +88,7 @@ let normalize t =
     match Queue.peek_opt t.q with
     | Some { ev = Event.Time_bubble { nclock }; _ } ->
       ignore (Queue.pop t.q);
+      bump t;
       t.bubble_left <- nclock
     | Some _ | None -> ()
 
@@ -88,9 +97,24 @@ let head t =
   if t.bubble_left > 0 then Some (Event.Time_bubble { nclock = t.bubble_left })
   else Option.map (fun e -> e.ev) (Queue.peek_opt t.q)
 
+(* Allocation-free views of the head, for the gate's every-turn check. *)
+
+(* Clocks left of the bubble being drained at the head (0: none). *)
+let bubble_left t =
+  normalize t;
+  t.bubble_left
+
+let head_is_bubble t =
+  normalize t;
+  t.bubble_left > 0 || ((not (Queue.is_empty t.q)) && Event.is_bubble (Queue.peek t.q).ev)
+
+(* The head of a sequence that is neither empty nor headed by a bubble. *)
+let head_call t = (Queue.peek t.q).ev
+
 (* Shared admission bookkeeping for an entry leaving the queue, whether
    popped from the head or plucked mid-queue by the pool-mode scan. *)
 let note_admitted t index ev =
+  bump t;
   if not (Event.is_bubble ev) then begin
     t.queued_calls <- t.queued_calls - 1;
     let tr = Engine.trace t.eng in
@@ -183,18 +207,25 @@ let drain_bubble t =
   normalize t;
   let n = t.bubble_left in
   t.bubble_left <- 0;
+  bump t;
   n
 
 (* Consume one logical clock from the bubble at the head. *)
 let decrement_bubble t =
   normalize t;
-  if t.bubble_left > 0 then t.bubble_left <- t.bubble_left - 1
+  if t.bubble_left > 0 then begin
+    t.bubble_left <- t.bubble_left - 1;
+    bump t
+  end
   else invalid_arg "Paxos_seq.decrement_bubble: head is not a bubble"
 
 (* Consume up to [n] logical clocks from the bubble at the head. *)
 let drain_bubble_upto t n =
   normalize t;
-  if t.bubble_left > 0 then t.bubble_left <- max 0 (t.bubble_left - n)
+  if t.bubble_left > 0 then begin
+    t.bubble_left <- max 0 (t.bubble_left - n);
+    bump t
+  end
   else invalid_arg "Paxos_seq.drain_bubble_upto: head is not a bubble"
 
 (* Discard everything pending: a snapshot install supersedes any decided
@@ -204,6 +235,7 @@ let drain_bubble_upto t n =
    boundary, so nothing mid-conversation is lost. *)
 let clear t =
   Queue.clear t.q;
+  bump t;
   t.bubble_left <- 0;
   t.queued_calls <- 0;
   t.last_nonempty <- Engine.now t.eng

@@ -124,6 +124,14 @@ type t = {
      onto one lane. *)
   mutable pool_rr : int;
   mutable last_gate_clock : int;
+  (* Pool gate: [epoch] is bumped by every change a scan reads outside
+     the sequence (listeners, connections, retirements).  A scan that
+     admits nothing records the sequence version and epoch it saw; while
+     both hold, the next scan would admit nothing too. *)
+  mutable epoch : int;
+  mutable scan_version : int;
+  mutable scan_epoch : int;
+  scan_blocked : (int, unit) Hashtbl.t; (* per-scan scratch, reused *)
   (* gate statistics *)
   mutable bulk_drains : int;
   mutable delta_drained : int;
@@ -143,6 +151,7 @@ let make_vconn t vid =
   in
   Hashtbl.replace t.conns vid c;
   t.open_conns <- t.open_conns + 1;
+  t.epoch <- t.epoch + 1;
   c
 
 let signal_one ?lane t obj =
@@ -185,7 +194,10 @@ let pool_has_barrier t =
    read watermark may advance past it. *)
 let pool_retire t (c : vconn) =
   Hashtbl.remove t.inflight c.vid;
-  Hashtbl.remove t.pool_active c.vid
+  if Hashtbl.mem t.pool_active c.vid then begin
+    Hashtbl.remove t.pool_active c.vid;
+    t.epoch <- t.epoch + 1
+  end
 
 (* Execute-window brackets for the conflict-serializability certifier:
    [begin] when recv hands admitted bytes to server code, [end] when the
@@ -242,7 +254,8 @@ let pool_scan_limit = 128
    index order.  Undeclared commands ([footprint] = None) are barriers:
    admitted only alone, blocking everything behind them. *)
 let pool_scan t dmt =
-  let blocked = Hashtbl.create 8 in
+  let blocked = t.scan_blocked in
+  Hashtbl.clear blocked;
   let skipped_fps = ref [] in
   let skipped_any = ref false in
   let skipped_barrier = ref false in
@@ -349,96 +362,150 @@ let pool_scan t dmt =
           | Some _ | None -> `Admit))
 
 (* The gate — paper Figure 10, [check_add_timebubble].  Runs with the DMT
-   turn held (from lock wrappers and the idle thread). *)
-let gate t =
-  if t.cfg.bubbling && Paxos_seq.is_empty t.seq then begin
-    let t0 = Engine.now t.eng in
-    t.gate_blocks <- t.gate_blocks + 1;
-    let tr = Engine.trace t.eng in
-    let traced = Trace.enabled tr in
-    if traced then
-      Trace.span_begin tr ~ts:t0 ~tid:(Engine.self_tid t.eng) ~node:t.node
-        ~cat:"gate" ~name:"block" [];
-    while Paxos_seq.is_empty t.seq && not t.stopped do
-      let now = Engine.now t.eng in
-      if
-        Paxos_seq.empty_for t.seq >= t.cfg.wtimeout
-        && now - t.last_bubble_request >= t.cfg.wtimeout
-      then begin
-        t.last_bubble_request <- now;
-        t.handlers.request_bubble ()
-      end;
-      Engine.sleep t.eng t.cfg.usleep
-    done;
-    if traced then
-      Trace.span_end tr ~ts:(Engine.now t.eng) ~tid:(Engine.self_tid t.eng)
-        ~node:t.node ~cat:"gate" ~name:"block" [];
-    t.gate_block_time <- t.gate_block_time + (Engine.now t.eng - t0)
-  end;
+   turn held (from lock wrappers and the idle thread).  One reading of
+   the gate's state decides what the gate does, whether it would block,
+   and how many idle-cycle calls ahead are pure, so the three cannot
+   drift apart. *)
+type gate_state =
+  | Wait_entries  (** bubbling on, nothing queued: sleep until a delivery *)
+  | Bulk_drain  (** bubble at the head, idle thread alone: paced drain (sleeps) *)
+  | Delta_drain  (** bubble at the head: drain the ticks since the last call *)
+  | Scan  (** pool mode: admission scan *)
+  | Rescan  (** pool mode: nothing changed since a scan that admitted nothing *)
+  | Dispatch  (** 1-lane: signal the thread the head entry is for *)
+  | Nothing  (** nothing queued, bubbling off *)
+
+let gate_state t dmt =
+  if Paxos_seq.head_is_bubble t.seq then
+    if Dmt.only_one_runnable dmt then Bulk_drain else Delta_drain
+  else if Paxos_seq.is_empty t.seq then if t.cfg.bubbling then Wait_entries else Nothing
+  else if pool_mode t then
+    if Paxos_seq.version t.seq = t.scan_version && t.epoch = t.scan_epoch then Rescan
+    else Scan
+  else Dispatch
+
+(* Block while the sequence is empty (logical clocks only tick when it is
+   not), requesting a time bubble after Wtimeout of emptiness. *)
+let wait_entries t =
+  let t0 = Engine.now t.eng in
+  t.gate_blocks <- t.gate_blocks + 1;
+  let tr = Engine.trace t.eng in
+  let traced = Trace.enabled tr in
+  if traced then
+    Trace.span_begin tr ~ts:t0 ~tid:(Engine.self_tid t.eng) ~node:t.node
+      ~cat:"gate" ~name:"block" [];
+  while Paxos_seq.is_empty t.seq && not t.stopped do
+    let now = Engine.now t.eng in
+    if
+      Paxos_seq.empty_for t.seq >= t.cfg.wtimeout
+      && now - t.last_bubble_request >= t.cfg.wtimeout
+    then begin
+      t.last_bubble_request <- now;
+      t.handlers.request_bubble ()
+    end;
+    Engine.sleep t.eng t.cfg.usleep
+  done;
+  if traced then
+    Trace.span_end tr ~ts:(Engine.now t.eng) ~tid:(Engine.self_tid t.eng)
+      ~node:t.node ~cat:"gate" ~name:"block" [];
+  t.gate_block_time <- t.gate_block_time + (Engine.now t.eng - t0)
+
+(* Everything but [wait_entries]: only [Bulk_drain] sleeps. *)
+let gate_act t dmt state =
   (* A bubble promises Nclock *synchronizations* (every turn handoff
      ticks the logical clock), but this hook only runs on lock wrappers
      and idle cycles: charge the ticks elapsed since the previous gate
      call so bubbles drain at the scheduler's real synchronization rate. *)
-  let tick_delta =
-    match t.clocking with
-    | Clocked dmt ->
-      let now_clock = Dmt.clock dmt in
-      let delta = max 1 (now_clock - t.last_gate_clock) in
-      t.last_gate_clock <- now_clock;
-      delta
-    | Immediate -> 1
-  in
-  match Paxos_seq.head t.seq with
-  | None -> ()
-  | Some (Event.Time_bubble _) -> (
-    match t.clocking with
-    | Clocked dmt when Dmt.only_one_runnable dmt ->
-      (* Only the idle thread is runnable.  Drain the bubble at a paced
-         rate rather than instantly: a bubble must outlive the short
-         quiet gaps between request arrivals (that is its whole job —
-         §4's bursts), while still being exhausted "rapidly" relative to
-         request processing times.  One pacing sleep drains a few clocks,
-         so a default bubble spans ~1 ms of true quiescence. *)
-      t.bulk_drains <- t.bulk_drains + 1;
-      (* Chunked pacing (10x usleep per chunk) keeps the idle event rate
-         low without changing the ~1 us/clock drain rate. *)
-      let chunk = t.cfg.usleep * 10 in
-      Engine.sleep t.eng chunk;
-      let per_cycle = max 1 (chunk / Time.us 1) in
-      (let tr = Engine.trace t.eng in
-       if Trace.enabled tr then
-         Trace.instant tr ~ts:(Engine.now t.eng) ~tid:(Engine.self_tid t.eng)
-           ~node:t.node ~cat:"gate" ~name:"bubble_drain"
-           [ ("clocks", Trace.Int per_cycle); ("bulk", Trace.Int 1) ]);
-      Paxos_seq.drain_bubble_upto t.seq per_cycle;
-      Dmt.advance_clock dmt (per_cycle - 1)
-    | Clocked _ ->
-      t.delta_drained <- t.delta_drained + 1;
-      (let tr = Engine.trace t.eng in
-       if Trace.enabled tr then
-         Trace.instant tr ~ts:(Engine.now t.eng) ~tid:(Engine.self_tid t.eng)
-           ~node:t.node ~cat:"gate" ~name:"bubble_drain"
-           [ ("clocks", Trace.Int tick_delta); ("bulk", Trace.Int 0) ]);
-      Paxos_seq.drain_bubble_upto t.seq tick_delta
-    | Immediate -> Paxos_seq.decrement_bubble t.seq)
-  | Some _ when pool_mode t -> (
+  let now_clock = Dmt.clock dmt in
+  let tick_delta = max 1 (now_clock - t.last_gate_clock) in
+  t.last_gate_clock <- now_clock;
+  match state with
+  | Wait_entries | Rescan | Nothing -> ()
+  | Bulk_drain ->
+    (* Only the idle thread is runnable.  Drain the bubble at a paced
+       rate rather than instantly: a bubble must outlive the short
+       quiet gaps between request arrivals (that is its whole job —
+       §4's bursts), while still being exhausted "rapidly" relative to
+       request processing times.  One pacing sleep drains a few clocks,
+       so a default bubble spans ~1 ms of true quiescence. *)
+    t.bulk_drains <- t.bulk_drains + 1;
+    (* Chunked pacing (10x usleep per chunk) keeps the idle event rate
+       low without changing the ~1 us/clock drain rate. *)
+    let chunk = t.cfg.usleep * 10 in
+    Engine.sleep t.eng chunk;
+    let per_cycle = max 1 (chunk / Time.us 1) in
+    (let tr = Engine.trace t.eng in
+     if Trace.enabled tr then
+       Trace.instant tr ~ts:(Engine.now t.eng) ~tid:(Engine.self_tid t.eng)
+         ~node:t.node ~cat:"gate" ~name:"bubble_drain"
+         [ ("clocks", Trace.Int per_cycle); ("bulk", Trace.Int 1) ]);
+    Paxos_seq.drain_bubble_upto t.seq per_cycle;
+    Dmt.advance_clock dmt (per_cycle - 1)
+  | Delta_drain ->
+    t.delta_drained <- t.delta_drained + 1;
+    (let tr = Engine.trace t.eng in
+     if Trace.enabled tr then
+       Trace.instant tr ~ts:(Engine.now t.eng) ~tid:(Engine.self_tid t.eng)
+         ~node:t.node ~cat:"gate" ~name:"bubble_drain"
+         [ ("clocks", Trace.Int tick_delta); ("bulk", Trace.Int 0) ]);
+    Paxos_seq.drain_bubble_upto t.seq tick_delta
+  | Scan ->
     (* Dependency-aware admission: scan past the head, admitting every
        decided command whose footprint conflicts with nothing earlier
        still unretired. *)
-    match t.clocking with
-    | Clocked dmt -> pool_scan t dmt
-    | Immediate -> ())
-  | Some (Event.Connect { port; _ }) -> (
-    match Hashtbl.find_opt t.listeners port with
-    | Some l -> signal_one t l.lobj
-    | None -> () (* server not listening yet: leave at head *))
-  | Some (Event.Send { conn; _ } | Event.Close { conn }) -> (
-    match Hashtbl.find_opt t.conns conn with
-    | Some c when not c.vclosed -> signal_one t c.cobj
-    | Some _ | None ->
-      (* The server already closed this connection (or never had it):
-         discard, or the sequence would jam. *)
-      Paxos_seq.drop_head t.seq)
+    let version = Paxos_seq.version t.seq and epoch = t.epoch in
+    pool_scan t dmt;
+    if Paxos_seq.version t.seq = version && t.epoch = epoch then begin
+      t.scan_version <- version;
+      t.scan_epoch <- epoch
+    end
+  | Dispatch -> (
+    match Paxos_seq.head_call t.seq with
+    | Event.Connect { port; _ } -> (
+      match Hashtbl.find_opt t.listeners port with
+      | Some l -> signal_one t l.lobj
+      | None -> () (* server not listening yet: leave at head *))
+    | Event.Send { conn; _ } | Event.Close { conn } -> (
+      match Hashtbl.find_opt t.conns conn with
+      | Some c when not c.vclosed -> signal_one t c.cobj
+      | Some _ | None ->
+        (* The server already closed this connection (or never had it):
+           discard, or the sequence would jam. *)
+        Paxos_seq.drop_head t.seq)
+    | Event.Time_bubble _ -> assert false (* [gate_state] said no bubble *))
+
+let gate t dmt =
+  if t.cfg.bubbling && Paxos_seq.is_empty t.seq then wait_entries t;
+  gate_act t dmt (gate_state t dmt)
+
+let try_gate t dmt =
+  match gate_state t dmt with
+  | Wait_entries | Bulk_drain -> false
+  | state ->
+    gate_act t dmt state;
+    true
+
+(* The gate's closed form, for the idle thread alone in its lane: each
+   cycle ticks the clock once, then calls the gate. *)
+let gate_ahead t dmt =
+  match gate_state t dmt with
+  | Delta_drain ->
+    (* The first call drains the ticks since the last one, each later
+       call one tick, until the bubble is gone. *)
+    let left = Paxos_seq.bubble_left t.seq in
+    let first = max 1 (Dmt.clock dmt + 1 - t.last_gate_clock) in
+    if left = 0 then 0 else 1 + max 0 (left - first)
+  | Rescan | Nothing -> max_int
+  | Wait_entries | Bulk_drain | Scan | Dispatch -> 0
+
+let gate_skip t dmt n =
+  let now_clock = Dmt.clock dmt in
+  (match gate_state t dmt with
+  | Delta_drain ->
+    t.delta_drained <- t.delta_drained + n;
+    Paxos_seq.drain_bubble_upto t.seq (now_clock - t.last_gate_clock)
+  | Wait_entries | Bulk_drain | Scan | Rescan | Dispatch | Nothing -> ());
+  t.last_gate_clock <- now_clock
 
 let create ?(node = "") eng ~cfg ~clocking =
   let t =
@@ -461,6 +528,10 @@ let create ?(node = "") eng ~cfg ~clocking =
       inflight = Hashtbl.create 64;
       pool_rr = 0;
       last_gate_clock = 0;
+      epoch = 0;
+      scan_version = -1;
+      scan_epoch = -1;
+      scan_blocked = Hashtbl.create 8;
       bulk_drains = 0;
       delta_drained = 0;
       gate_blocks = 0;
@@ -468,7 +539,14 @@ let create ?(node = "") eng ~cfg ~clocking =
     }
   in
   (match clocking with
-  | Clocked dmt -> Dmt.set_gate dmt (fun () -> gate t)
+  | Clocked dmt ->
+    Dmt.set_gate dmt
+      {
+        Dmt.run = (fun () -> gate t dmt);
+        try_run = (fun () -> try_gate t dmt);
+        ahead = (fun () -> gate_ahead t dmt);
+        skip = (fun n -> gate_skip t dmt n);
+      }
   | Immediate -> ());
   t
 
@@ -537,6 +615,7 @@ let listen t ~port =
     invalid_arg (Printf.sprintf "Vhost.listen: port %d taken" port);
   let l = { lport = port; lobj = new_signal_obj t; pending = Queue.create () } in
   Hashtbl.replace t.listeners port l;
+  t.epoch <- t.epoch + 1;
   l
 
 let head_is_connect_for t l =
@@ -706,6 +785,7 @@ let close t (c : vconn) =
     if not c.vclosed then begin
       c.vclosed <- true;
       t.open_conns <- t.open_conns - 1;
+      t.epoch <- t.epoch + 1;
       Hashtbl.remove t.inflight c.vid;
       Hashtbl.remove t.pool_active c.vid;
       t.handlers.on_server_close c.vid
@@ -745,7 +825,9 @@ let read_watermark t ~applied =
 
 let set_handlers t handlers = t.handlers <- handlers
 
-let set_footprint t f = t.pool_fp <- f
+let set_footprint t f =
+  t.pool_fp <- f;
+  t.epoch <- t.epoch + 1
 (** Install the server's conflict-footprint classifier (pool mode). *)
 
 let nclock t = t.cfg.nclock

@@ -30,6 +30,18 @@ module Tids = Hashtbl.Make (struct
   let hash t = t land max_int
 end)
 
+(* CRANE's gate hook, see [set_gate] in the interface. *)
+type gate = {
+  run : unit -> unit;
+  try_run : unit -> bool;
+  ahead : unit -> int;
+  skip : int -> unit;
+}
+
+(* Where the idle thread picks up when its spin ends: pace with
+   [idle_period], re-take the turn, or run a gate that blocks. *)
+type idle_resume = Pace | Loop | Gate
+
 type t = {
   eng : Engine.t;
   turn_cost : Time.t;
@@ -39,11 +51,13 @@ type t = {
   threads : dthread Tids.t; (* engine tid -> dthread *)
   mutable clock : int;
   mutable next_obj : int;
-  mutable gate : (unit -> unit) option;
+  mutable gate : gate option;
   mutable tick_hooks : (int * (unit -> unit)) list;
   mutable switches : int;
   mutable stopped : bool;
   mutable label : string; (* replica name for trace attribution *)
+  mutable idle_alone : bool; (* idle thread alone when it last ran the gate *)
+  mutable idle_resume : idle_resume;
 }
 
 let engine t = t.eng
@@ -152,17 +166,21 @@ let advance_clock t n =
 let rotate t lane =
   let l = t.lanes.(lane) in
   match l.lq with
-  | [] -> ()
+  | [] | [ _ ] -> ()
   | h :: rest -> l.lq <- rest @ [ h ]
 
-let put_turn t =
-  let th = me t in
-  assert (is_head t th);
-  if t.turn_cost > 0 then Engine.sleep t.eng t.turn_cost;
+(* What [put_turn] does once its [turn_cost] has elapsed. *)
+let pass_turn t th =
   rotate t th.lane;
   (lane_of t th).lsig <- 1;
   tick t;
   wake_head t th.lane
+
+let put_turn t =
+  let th = me t in
+  assert (is_head t th);
+  Engine.sleep t.eng t.turn_cost;
+  pass_turn t th
 
 (* Remove the head (the caller) from the run queue and hand the turn over
    without rotating the caller to the tail. *)
@@ -304,26 +322,67 @@ let spawn t ~name body =
     l.lq <- l.lq @ [ th ]
   end
 
-let run_gate t = match t.gate with Some g -> g () | None -> ()
+let run_gate t = match t.gate with Some g -> g.run () | None -> ()
 
 (* The idle thread (§3.1): keeps the run queue non-empty and the logical
    clock ticking when all server threads block, and runs CRANE's gate so
-   admissions progress while the server computes.  Paced so that an idle
-   server does not flood the event queue. *)
+   admissions progress while the server computes.  Each cycle is: take
+   the turn, run the gate, [put_turn].  Cycles that need not block run as
+   one engine spinner: its step is the rest of [put_turn] after the
+   [turn_cost] sleep, then the next cycle up to the gate, and it hands
+   back to this fiber wherever that cycle would block.  Without a gate,
+   an idle scheduler paces itself with [idle_period] so it does not flood
+   the event queue. *)
 let idle_loop t =
   let th = me t in
+  let step () =
+    pass_turn t th;
+    if t.idle_alone && t.gate = None then begin
+      t.idle_resume <- Pace;
+      false
+    end
+    else if t.stopped || not (is_head t th) then begin
+      t.idle_resume <- Loop;
+      false
+    end
+    else
+      match t.gate with
+      | Some g when not (g.try_run ()) ->
+        t.idle_resume <- Gate;
+        false
+      | Some _ | None ->
+        t.idle_alone <- only_one_runnable t;
+        true
+  in
+  (* Closed form: alone in its lane, the idle thread's [pass_turn] only
+     ticks the clock, and no soft-barrier timeout can fire; the gate
+     says how many of its calls are pure. *)
+  let ahead () =
+    match (t.gate, (lane_of t th).lq, t.tick_hooks) with
+    | Some g, [ h ], [] when h == th && not t.stopped -> g.ahead ()
+    | _ -> 0
+  in
+  let skip n =
+    t.clock <- t.clock + n;
+    (lane_of t th).lsig <- 1;
+    t.idle_alone <- only_one_runnable t;
+    match t.gate with Some g -> g.skip n | None -> ()
+  in
   let rec loop () =
     if not t.stopped then begin
       get_turn t;
-      if t.stopped then leave_runq t th
-      else begin
-        run_gate t;
-        let alone = only_one_runnable t in
-        put_turn t;
-        if alone && t.gate = None then Engine.sleep t.eng t.idle_period;
-        loop ()
-      end
+      if t.stopped then leave_runq t th else cycle ()
     end
+  and cycle () =
+    run_gate t;
+    t.idle_alone <- only_one_runnable t;
+    Engine.spin t.eng ~period:t.turn_cost ~ahead ~skip step;
+    match t.idle_resume with
+    | Pace ->
+      Engine.sleep t.eng t.idle_period;
+      loop ()
+    | Loop -> loop ()
+    | Gate -> cycle ()
   in
   loop ()
 
@@ -331,6 +390,7 @@ let stop t = t.stopped <- true
 
 let create ?(turn_cost = Time.ns 150) ?(idle_period = Time.us 10) ?(lanes = 1)
     eng =
+  if turn_cost <= 0 then invalid_arg "Dmt.create: turn_cost must be > 0";
   let t =
     {
       eng;
@@ -346,6 +406,8 @@ let create ?(turn_cost = Time.ns 150) ?(idle_period = Time.us 10) ?(lanes = 1)
       switches = 0;
       stopped = false;
       label = "";
+      idle_alone = false;
+      idle_resume = Loop;
     }
   in
   spawn t ~name:"dmt-idle" (fun () -> idle_loop t);

@@ -28,7 +28,8 @@ val create :
   ?turn_cost:Crane_sim.Time.t -> ?idle_period:Crane_sim.Time.t ->
   ?lanes:int -> Crane_sim.Engine.t -> t
 (** [turn_cost] is virtual time charged per turn handoff (default 150 ns:
-    PARROT's optimized spin-then-block handoff); [idle_period] paces the
+    PARROT's optimized spin-then-block handoff); it must be > 0, or the
+    idle thread would never let virtual time pass; [idle_period] paces the
     internal idle thread when the run queue is otherwise empty (default
     10 us, the paper's usleep in Figure 10).  [lanes] (default 1) is the
     number of independent run queues: the 1-lane scheduler is classic
@@ -60,12 +61,31 @@ val set_label : t -> string -> unit
 (** Replica name used to attribute this scheduler's trace events (DMT
     [turn_wait] spans) to a process in the flight recorder. *)
 
-val set_gate : t -> (unit -> unit) -> unit
-(** Install CRANE's [check_add_timebubble] hook (Figure 10).  It runs
-    with the turn held: in every {!Mutex.lock} and on every idle-thread
-    cycle.  It may block (virtual time passes, the logical clock does
-    not), which is how "tick only when the PAXOS sequence is non-empty"
-    is enforced. *)
+type gate = {
+  run : unit -> unit;
+      (** CRANE's [check_add_timebubble] (Figure 10).  It runs with the
+          turn held: in every {!Mutex.lock} and on every idle-thread
+          cycle.  It may block (virtual time passes, the logical clock
+          does not), which is how "tick only when the PAXOS sequence is
+          non-empty" is enforced. *)
+  try_run : unit -> bool;
+      (** [run ()] when it would not block; otherwise [false], having
+          done nothing. *)
+  ahead : unit -> int;
+      (** How many upcoming idle-cycle gate calls are pure, given one
+          logical tick before each and no other event in between: each
+          changes only state no other thread can observe until the next
+          event, and none would block. *)
+  skip : int -> unit;
+      (** Apply [n <= ahead ()] such calls, after the clock has ticked
+          [n] times. *)
+}
+
+val set_gate : t -> gate -> unit
+(** Install CRANE's gate.  The idle thread runs its cycles as an engine
+    spinner ({!Crane_sim.Engine.spin}): [try_run] on every cycle, [run]
+    where that would block, and [ahead]/[skip] as the closed form of the
+    cycles nobody else can observe. *)
 
 val stop : t -> unit
 (** Shut the idle thread down (end of an experiment). *)

@@ -87,9 +87,6 @@ val at : t -> ?group:group -> Time.t -> (unit -> unit) -> unit
 val after : t -> ?group:group -> Time.t -> (unit -> unit) -> unit
 (** Schedule a callback after a relative delay. *)
 
-val timer : t -> ?group:group -> Time.t -> (unit -> unit) -> unit -> unit
-(** [timer t d f] schedules [f] after delay [d] and returns a canceller. *)
-
 val suspend : t -> ('a waker -> unit) -> 'a
 (** Block the current thread.  [suspend t f] calls [f waker] immediately
     (still on the current thread's stack) and returns when the waker is
@@ -100,6 +97,40 @@ val sleep : t -> Time.t -> unit
 
 val yield : t -> unit
 (** Reschedule behind already-queued same-instant events. *)
+
+val spin :
+  t -> period:Time.t -> ?ahead:(unit -> int) -> ?skip:(int -> unit) ->
+  (unit -> bool) -> unit
+(** [spin t ~period step] means exactly
+    [let rec go () = sleep t period; if step () then go () in go ()]:
+    same events, same [(time, seq)] order, same {!pending_events} (an
+    armed spinner counts as the one event its sleep would be), same
+    [blocked] spans.  Each step costs two events, as a sleep's timer and
+    resume would, but runs on the engine without switching fibers or
+    allocating; the first step that returns [false] resumes the calling
+    thread in that same event.  [period] must be > 0.
+
+    The optional closed form lets the engine apply steps nobody else can
+    observe without running them.  [ahead ()] returns how many upcoming
+    steps would each return [true] and can be applied by [skip n] instead
+    of running [step]: such steps schedule nothing and read no state
+    that another event could change in between.  When the ready queue is
+    empty and the earliest spinner step comes strictly before the next
+    heap event and [run]'s [until], the engine applies, for every armed
+    spinner, each step that falls strictly before the next heap event
+    and the first step some spinner cannot take in closed form.  The
+    clock moves to the last applied step, and the spinners get fresh
+    seqs in exactly the order their re-arming would have taken.
+
+    {b Commutation rule.} Closed-form steps of different spinners must
+    touch disjoint state: the engine applies each spinner's batch in one
+    [skip], in no particular order relative to the others.
+
+    Traced runs take every step: with the recorder enabled, the trace
+    needs one [blocked] span per step.  A killed group's spinner takes
+    no closed-form step.  Applied steps count two events each against
+    [run]'s [limit], and a batch that would cross it is stepped instead,
+    so {!Limit_exceeded} fires at the same step as without batching. *)
 
 val self_name : t -> string
 (** Name of the running thread ("-" outside any thread). *)
@@ -118,4 +149,14 @@ val failures : t -> (string * exn) list
 (** Threads that died with an uncaught exception, oldest first. *)
 
 val pending_events : t -> int
-(** Events queued and not yet run, in both tiers. *)
+(** Events queued and not yet run, in both tiers, plus armed spinners. *)
+
+type stats = {
+  events_run : int;  (** events executed (batched spinner steps excluded) *)
+  spin_steps : int;  (** spinner steps executed by running the step *)
+  spin_skipped : int;  (** spinner steps applied in closed form *)
+}
+
+val stats : t -> stats
+(** Lifetime counters.  A run without closed forms would have executed
+    [events_run + 2 * spin_skipped] events. *)

@@ -48,6 +48,7 @@ let push t ~time ~seq value =
   t.size <- t.size + 1
 
 let min_time t = if t.size = 0 then max_int else t.times.(0)
+let min_seq t = if t.size = 0 then max_int else t.seqs.(0)
 
 let pop_min t =
   if t.size = 0 then invalid_arg "Pheap.pop_min: empty heap";

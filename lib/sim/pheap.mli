@@ -17,6 +17,10 @@ val push : 'a t -> time:Time.t -> seq:int -> 'a -> unit
 val min_time : 'a t -> Time.t
 (** The time of the minimum element, or [max_int] when the heap is empty. *)
 
+val min_seq : 'a t -> int
+(** The sequence number of the minimum element, or [max_int] when the
+    heap is empty. *)
+
 val pop_min : 'a t -> 'a
 (** Removes and returns the value of the minimum element, ordered by time
     then seq.  @raise Invalid_argument on an empty heap. *)

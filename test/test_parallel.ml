@@ -1,9 +1,10 @@
 (* Tests for dependency-aware parallel delivery: DMT lane routing
    (signal ?lane re-laning and relane self-migration), pool-mode cluster
    convergence with the conflict-serializability certifier run on the
-   realized trace, state equivalence across pool widths, and the
+   realized trace, state equivalence across pool widths, the
    certifier's verdicts on synthetic schedules (true positive and true
-   negative). *)
+   negative), and idle turns computing the same whether the engine
+   steps them or applies them in closed form. *)
 
 module Time = Crane_sim.Time
 module Engine = Crane_sim.Engine
@@ -16,6 +17,10 @@ module Loadgen = Crane_workload.Loadgen
 module Trace = Crane_trace.Trace
 module Certifier = Crane_analysis.Certifier
 module Ledger = Crane_chaos.Ledger
+module Vhost = Crane_core.Vhost
+module Output_log = Crane_core.Output_log
+module Sock = Crane_socket.Sock
+module Clients = Crane_workload.Clients
 
 let check_no_failures eng =
   match Engine.failures eng with
@@ -250,6 +255,118 @@ let test_pool_footprint_once () =
   Alcotest.(check bool) "certified" true (Certifier.certified (Certifier.check trace))
 
 (* ------------------------------------------------------------------ *)
+(* Closed-form idle turns *)
+
+(* Everything a run computes that the idle spin could move: the client
+   replies, and per replica its state, its per-connection output stream,
+   its DMT logical clock and its gate statistics. *)
+type observed = {
+  replies : (string * string option) list;
+  replicas : (string * string * (int * string) list * int * (int * int * int * int)) list;
+}
+
+(* Run [requests] requests of a seeded workload on a fresh cluster, then
+   let the backups replay.  With [traced] a retaining recorder is
+   attached, so the engine takes every idle step; without it, the idle
+   spin's pure steps are batched.  Returns what the run computed and the
+   engine's counters. *)
+let run_idle_case ~traced ~cfg ~server ~port ~requests request =
+  (* An idle step records a span: cap what is kept, not what is traced. *)
+  let trace = if traced then Some (Trace.create ~limit:100_000 ()) else None in
+  let cluster = Cluster.create ~seed:11 ~cfg ?trace ~server () in
+  Cluster.start ~checkpoints:false cluster;
+  let eng = Cluster.engine cluster in
+  let target = Target.cluster cluster ~port in
+  let replies = ref [] in
+  let request target ~from =
+    let r = request target ~from in
+    replies := (from, r) :: !replies;
+    r
+  in
+  let handle =
+    Loadgen.run ~name:"w" ~seed:11 ~think:(Time.ms 2) ~clients:4 ~requests ~request target
+  in
+  Loadgen.drive ~timeout:(Time.sec 60) target handle;
+  Cluster.run ~until:(Engine.now eng + Time.ms 100) cluster;
+  Cluster.check_failures cluster;
+  let replicas =
+    List.map
+      (fun (n, (i : Instance.t)) ->
+        ( n,
+          i.Instance.handle.Crane_core.Api.state_of (),
+          List.map
+            (fun (e : Output_log.entry) -> (e.Output_log.conn, e.Output_log.payload))
+            (Output_log.entries (Vhost.output i.Instance.vhost)),
+          (match i.Instance.dmt with Some d -> Dmt.clock d | None -> -1),
+          Vhost.gate_stats i.Instance.vhost ))
+      (Cluster.instances cluster)
+  in
+  ({ replies = List.rev !replies; replicas }, Engine.stats eng)
+
+let check_stepped_equals_batched ~cfg ~server ~port ~requests request =
+  let stepped, s_stats = run_idle_case ~traced:true ~cfg ~server ~port ~requests (request ()) in
+  let batched, b_stats = run_idle_case ~traced:false ~cfg ~server ~port ~requests (request ()) in
+  let ok = List.filter (fun (_, r) -> r <> None) stepped.replies in
+  Alcotest.(check bool) "requests answered" true (List.length ok >= requests);
+  Alcotest.(check (list (pair string (option string)))) "same replies" stepped.replies
+    batched.replies;
+  Alcotest.(check int) "same replica count" (List.length stepped.replicas)
+    (List.length batched.replicas);
+  List.iter2
+    (fun (n, st, out, clock, (bulk, delta, blocks, block_time))
+         (_, st', out', clock', (bulk', delta', blocks', block_time')) ->
+      Alcotest.(check string) (n ^ " state") st st';
+      Alcotest.(check (list (pair int string))) (n ^ " output streams") out out';
+      Alcotest.(check int) (n ^ " logical clock") clock clock';
+      Alcotest.(check (list int)) (n ^ " gate stats") [ bulk; delta; blocks; block_time ]
+        [ bulk'; delta'; blocks'; block_time' ])
+    stepped.replicas batched.replicas;
+  Alcotest.(check int) "traced run takes every step" 0 s_stats.Engine.spin_skipped;
+  Alcotest.(check bool) "untraced run batches idle steps" true (b_stats.Engine.spin_skipped > 0);
+  (* Each applied step stands for two events of the stepped run. *)
+  Alcotest.(check int) "same event count, stepped or batched" s_stats.Engine.events_run
+    (b_stats.Engine.events_run + (2 * b_stats.Engine.spin_skipped))
+
+(* Point SELECT/UPDATE 80/20 on a 4-worker pool: admission scans that
+   admit nothing, and bubbles drained while workers compute. *)
+let sql_request () =
+  let rng = Crane_sim.Rng.create 5 in
+  fun target ~from ->
+    let table = 1 + Crane_sim.Rng.int rng 4 and id = 1 + Crane_sim.Rng.int rng 50 in
+    let stmt =
+      if Crane_sim.Rng.int rng 5 = 0 then
+        Printf.sprintf "UPDATE sbtest%d SET c=%d WHERE id=%d\n" table (Crane_sim.Rng.int rng 1000) id
+      else Printf.sprintf "SELECT c FROM sbtest%d WHERE id=%d\n" table id
+    in
+    match Target.connect target ~from with
+    | None -> None
+    | Some conn ->
+      let has sub r = Crane_apps.Str_util.find_sub r sub <> None in
+      let reply =
+        match Clients.read_until conn ~stop:(has "ready") with
+        | None -> None
+        | Some _ ->
+          Sock.send conn stmt;
+          Clients.read_until conn ~stop:(has "\n")
+      in
+      Sock.close conn;
+      reply
+
+let test_idle_batched_mysql_pool () =
+  check_stepped_equals_batched
+    ~cfg:{ (pool_cfg 4) with Instance.service_port = 3306 }
+    ~server:(Crane_apps.Mysql.server ~cfg:{ Crane_apps.Mysql.default_config with db_file_bytes = 4096 } ())
+    ~port:3306 ~requests:200 sql_request
+
+(* Bubbling off (plan II): the gate has nothing to do on an empty
+   sequence, and the idle thread spins on a no-op gate. *)
+let test_idle_batched_no_bubbling () =
+  check_stepped_equals_batched
+    ~cfg:{ (pool_cfg 1) with Instance.mode = Instance.No_bubbling }
+    ~server:Ledger.server ~port:80 ~requests:60
+    (fun () -> Ledger.request (Ledger.client ()))
+
+(* ------------------------------------------------------------------ *)
 (* Certifier verdicts on synthetic schedules *)
 
 let ev ?(ts = 0) ?(tid = 1) ~cat ~name args =
@@ -377,6 +494,10 @@ let suite =
           test_pool_state_equivalent_across_widths;
         Alcotest.test_case "footprint classified once per send" `Slow
           test_pool_footprint_once;
+        Alcotest.test_case "idle steps batched = stepped (mysql pool)" `Slow
+          test_idle_batched_mysql_pool;
+        Alcotest.test_case "idle steps batched = stepped (no bubbling)" `Slow
+          test_idle_batched_no_bubbling;
         Alcotest.test_case "certifier true negative" `Quick
           test_certifier_true_negative;
         Alcotest.test_case "certifier true positive + confinement" `Quick

@@ -1,5 +1,6 @@
 (* Tests for the discrete-event kernel: ordering, determinism, threads,
-   wakers, groups/kill semantics, core pool. *)
+   wakers, groups/kill semantics, spinners and their closed form, core
+   pool. *)
 
 module Time = Crane_sim.Time
 module Rng = Crane_sim.Rng
@@ -164,11 +165,12 @@ let test_kill_group () =
   Alcotest.(check bool) "kill hook ran" true !hook_ran;
   Alcotest.(check bool) "group dead" false (Engine.group_alive eng g)
 
+(* A cancellable timer is [after] plus a flag the callback checks. *)
 let test_timer_cancel () =
   let eng = Engine.create () in
-  let fired = ref false in
-  let cancel = Engine.timer eng (Time.ms 2) (fun () -> fired := true) in
-  Engine.at eng (Time.ms 1) (fun () -> cancel ());
+  let fired = ref false and cancelled = ref false in
+  Engine.after eng (Time.ms 2) (fun () -> if not !cancelled then fired := true);
+  Engine.at eng (Time.ms 1) (fun () -> cancelled := true);
   Engine.run eng;
   Alcotest.(check bool) "cancelled timer silent" false !fired
 
@@ -259,57 +261,75 @@ let test_tiers_heap_before_ready () =
 
 (* The order reference: a naive engine that keeps every pending event in
    a list and runs the least [(time, seq)] one.  Same scheduling rules as
-   {!Engine}: times below now are clamped to now, a spawn starts now, a
-   waker schedules its resume now, [sleep d] is a wake-up event at
-   [now + d], and [run ~until] sets the clock to [until] when the next
-   event lies beyond it. *)
+   {!Engine}: times below now are clamped to now, a spawn starts now (in
+   its parent's group unless given one), a waker schedules its resume now
+   and loses once the thread's group is dead, [sleep d] is a wake-up
+   event at [now + d], [spin] is the naive [sleep; step] loop, and
+   [run ~until] sets the clock to [until] when the next event lies beyond
+   it. *)
 module Ref_engine = struct
   type t = {
     mutable clock : int;
     mutable seq : int;
     mutable q : (int * int * (unit -> unit)) list;
+    mutable dead : int list;
+    mutable cur : int option;  (** group of the running thread *)
   }
 
   type _ Effect.t += Wait : ((int -> bool) -> unit) -> int Effect.t
 
-  let create () = { clock = 0; seq = 0; q = [] }
+  let create () = { clock = 0; seq = 0; q = []; dead = []; cur = None }
+
+  let alive t = function None -> true | Some g -> not (List.mem g t.dead)
 
   let schedule t time fn =
     t.q <- (max time t.clock, t.seq, fn) :: t.q;
     t.seq <- t.seq + 1
 
-  let spawn t body =
+  let enter t group f =
+    let saved = t.cur in
+    t.cur <- group;
+    f ();
+    t.cur <- saved
+
+  let spawn t ?group body =
     let open Effect.Deep in
+    let group = match group with Some _ -> group | None -> t.cur in
     schedule t t.clock (fun () ->
-        match_with body ()
-          {
-            retc = Fun.id;
-            exnc = raise;
-            effc =
-              (fun (type a) (e : a Effect.t) ->
-                match e with
-                | Wait f ->
-                  Some
-                    (fun (k : (a, unit) continuation) ->
-                      let fired = ref false in
-                      f (fun v ->
-                          if !fired then false
-                          else begin
-                            fired := true;
-                            schedule t t.clock (fun () -> continue k v);
-                            true
-                          end))
-                | _ -> None);
-          })
+        if alive t group then
+          enter t group (fun () ->
+              match_with body ()
+                {
+                  retc = Fun.id;
+                  exnc = raise;
+                  effc =
+                    (fun (type a) (e : a Effect.t) ->
+                      match e with
+                      | Wait f ->
+                        Some
+                          (fun (k : (a, unit) continuation) ->
+                            let fired = ref false in
+                            f (fun v ->
+                                if !fired || not (alive t group) then false
+                                else begin
+                                  fired := true;
+                                  schedule t t.clock (fun () ->
+                                      if alive t group then enter t group (fun () -> continue k v));
+                                  true
+                                end))
+                      | _ -> None);
+                }))
 
   let suspend f = Effect.perform (Wait f)
 
   let sleep t d = ignore (suspend (fun wake -> schedule t (t.clock + d) (fun () -> ignore (wake 0))))
 
-  let timer t d fn =
-    let cancelled = ref false in
-    schedule t (t.clock + d) (fun () -> if not !cancelled then fn ());
-    fun () -> cancelled := true
+  let spin t ~period step =
+    let rec go () =
+      sleep t period;
+      if step () then go ()
+    in
+    go ()
 
   let run ?(until = max_int) t =
     let rec loop () =
@@ -325,31 +345,37 @@ module Ref_engine = struct
     loop ()
 end
 
-(* The operations a random program uses, over either engine. *)
+(* The operations a random program uses, over either engine.  Groups 0
+   and 1 exist from the start. *)
 type sim_api = {
   now : unit -> int;
   at : int -> (unit -> unit) -> unit;
-  timer : int -> (unit -> unit) -> unit -> unit;
-  spawn : (unit -> unit) -> unit;
+  spawn : ?group:int -> (unit -> unit) -> unit;
+  kill : int -> unit;
   sleep : int -> unit;
   yield : unit -> unit;
   suspend : ((int -> bool) -> unit) -> int;
+  spin : int -> ahead:(unit -> int) -> skip:(int -> unit) -> (unit -> bool) -> unit;
   run : int option -> unit;
   pending : unit -> int;
+  skipped : unit -> int;  (** spinner steps applied in closed form *)
 }
 
 let real_api () =
   let eng = Engine.create () in
+  let groups = Array.init 2 (fun _ -> Engine.new_group eng) in
   {
     now = (fun () -> Engine.now eng);
     at = (fun time fn -> Engine.at eng time fn);
-    timer = (fun d fn -> Engine.timer eng d fn);
-    spawn = (fun body -> Engine.spawn eng ~name:"t" body);
+    spawn = (fun ?group body -> Engine.spawn eng ?group:(Option.map (Array.get groups) group) ~name:"t" body);
+    kill = (fun g -> Engine.kill_group eng groups.(g));
     sleep = (fun d -> Engine.sleep eng d);
     yield = (fun () -> Engine.yield eng);
     suspend = (fun f -> Engine.suspend eng f);
+    spin = (fun period ~ahead ~skip step -> Engine.spin eng ~period ~ahead ~skip step);
     run = (fun until -> Engine.run ?until eng);
     pending = (fun () -> Engine.pending_events eng);
+    skipped = (fun () -> (Engine.stats eng).Engine.spin_skipped);
   }
 
 let ref_api () =
@@ -357,34 +383,49 @@ let ref_api () =
   {
     now = (fun () -> e.Ref_engine.clock);
     at = (fun time fn -> Ref_engine.schedule e time fn);
-    timer = (fun d fn -> Ref_engine.timer e d fn);
-    spawn = (fun body -> Ref_engine.spawn e body);
+    spawn = (fun ?group body -> Ref_engine.spawn e ?group body);
+    kill = (fun g -> if not (List.mem g e.Ref_engine.dead) then e.Ref_engine.dead <- g :: e.Ref_engine.dead);
     sleep = (fun d -> Ref_engine.sleep e d);
     yield = (fun () -> Ref_engine.sleep e 0);
     suspend = Ref_engine.suspend;
+    spin = (fun period ~ahead:_ ~skip:_ step -> Ref_engine.spin e ~period step);
     run = (fun until -> Ref_engine.run ?until e);
     pending = (fun () -> List.length e.Ref_engine.q);
+    skipped = (fun () -> 0);
   }
+
+(* A cancellable timer: [at] plus a flag, over either engine. *)
+let timer api d fn =
+  let cancelled = ref false in
+  api.at (api.now () + d) (fun () -> if not !cancelled then fn ());
+  fun () -> cancelled := true
 
 (* Delays are tiny so that many events share an instant, and a delay of
    0 schedules at now: both tiers are busy at once. *)
 type op =
   | Log of int
   | At of int * op list  (** a callback at now + d *)
-  | Spawn of op list
+  | Spawn of int option * op list  (** a thread, maybe in a group *)
   | Sleep of int
   | Yield
   | Park of int * int option  (** suspend, waker in a slot, maybe a timeout *)
   | Wake of int * int  (** fire the waker in a slot *)
   | Timer of int * int * op list  (** a timer, its canceller in a slot *)
   | Cancel of int
+  | Kill of int  (** crash a group *)
+  | Spin of int * int * int
+      (** [Spin (period, steps, budget)]: spin until the step count
+          reaches [steps]; the next [budget] steps have a closed form *)
+  | Peek of int  (** log a spinner's counters *)
+  | Refill of int * int  (** grant a spinner more closed-form steps *)
 
 let slots = 3
 
 let rec pp_op = function
   | Log i -> Printf.sprintf "log%d" i
   | At (d, ops) -> Printf.sprintf "at+%d[%s]" d (pp_ops ops)
-  | Spawn ops -> Printf.sprintf "spawn[%s]" (pp_ops ops)
+  | Spawn (g, ops) ->
+    Printf.sprintf "spawn%s[%s]" (match g with Some g -> Printf.sprintf "@g%d" g | None -> "") (pp_ops ops)
   | Sleep d -> Printf.sprintf "sleep%d" d
   | Yield -> "yield"
   | Park (s, t) ->
@@ -392,6 +433,10 @@ let rec pp_op = function
   | Wake (s, v) -> Printf.sprintf "wake%d=%d" s v
   | Timer (s, d, ops) -> Printf.sprintf "timer%d+%d[%s]" s d (pp_ops ops)
   | Cancel s -> Printf.sprintf "cancel%d" s
+  | Kill g -> Printf.sprintf "kill%d" g
+  | Spin (p, n, b) -> Printf.sprintf "spin/%d:%d~%d" p n b
+  | Peek s -> Printf.sprintf "peek%d" s
+  | Refill (s, b) -> Printf.sprintf "refill%d+%d" s b
 
 and pp_ops ops = String.concat ";" (List.map pp_op ops)
 
@@ -407,6 +452,10 @@ let gen_ops =
         (2, map2 (fun s t -> Park (s, t)) slot (opt delay));
         (2, map2 (fun s v -> Wake (s, v)) slot (int_bound 99));
         (1, map (fun s -> Cancel s) slot);
+        (1, map (fun g -> Kill g) (int_bound 1));
+        (3, map3 (fun p n b -> Spin (p, n, b)) (int_range 1 4) (int_range 1 40) (int_bound 40));
+        (1, map (fun s -> Peek s) slot);
+        (1, map2 (fun s b -> Refill (s, b)) slot (int_bound 20));
       ]
   in
   fix
@@ -418,7 +467,7 @@ let gen_ops =
             [
               (5, leaf);
               (2, map2 (fun d ops -> At (d, ops)) delay (self (depth - 1)));
-              (2, map (fun ops -> Spawn ops) (self (depth - 1)));
+              (2, map2 (fun g ops -> Spawn (g, ops)) (opt (int_bound 1)) (self (depth - 1)));
               (1, map3 (fun s d ops -> Timer (s, d, ops)) slot delay (self (depth - 1)));
             ]
       in
@@ -429,25 +478,31 @@ let gen_ops =
    behind the clock), each followed by more top-level ops; then a final
    unbounded run. *)
 let gen_program =
-  QCheck.Gen.(pair gen_ops (list_size (int_bound 4) (pair (int_bound 12) gen_ops)))
+  QCheck.Gen.(pair gen_ops (list_size (int_bound 4) (pair (int_bound 40) gen_ops)))
 
 let pp_program (ops, rounds) =
   pp_ops ops
   ^ String.concat ""
       (List.map (fun (u, ops) -> Printf.sprintf " | until %d: %s" u (pp_ops ops)) rounds)
 
+(* A spinner's state.  A closed-form step is exactly a step that spends
+   budget; every other step logs. *)
+type spinner = { mutable count : int; mutable budget : int; steps : int }
+
 (* Run a program and return its observable log: every [Log] with the
-   pending-event count, every waker verdict and resume value, each with
+   pending-event count, every waker verdict and resume value, every
+   spinner step outside its closed form and every counter peek, each with
    the virtual instant it happened at. *)
 let run_program api (ops, rounds) =
   let out = Buffer.create 256 in
   let note fmt = Printf.ksprintf (fun s -> Buffer.add_string out (Printf.sprintf "%s@%d " s (api.now ()))) fmt in
   let wakers = Array.make slots None and cancels = Array.make slots None in
+  let spinners = Hashtbl.create 8 in
   let rec exec ~thread ops = List.iter (step ~thread) ops
   and step ~thread = function
     | Log i -> note "L%d:%d" i (api.pending ())
     | At (d, ops) -> api.at (api.now () + d) (fun () -> exec ~thread:false ops)
-    | Spawn ops -> api.spawn (fun () -> exec ~thread:true ops)
+    | Spawn (group, ops) -> api.spawn ?group (fun () -> exec ~thread:true ops)
     | Sleep d -> if thread then api.sleep d
     | Yield -> if thread then api.yield ()
     | Park (s, timeout) ->
@@ -463,9 +518,33 @@ let run_program api (ops, rounds) =
       end
     | Wake (s, v) -> (
       match wakers.(s) with Some w -> note "W%d:%b" s (w v) | None -> note "W%d:-" s)
-    | Timer (s, d, ops) ->
-      cancels.(s) <- Some (api.timer d (fun () -> exec ~thread:false ops))
+    | Timer (s, d, ops) -> cancels.(s) <- Some (timer api d (fun () -> exec ~thread:false ops))
     | Cancel s -> Option.iter (fun c -> c ()) cancels.(s)
+    | Kill g -> note "K%d" g; api.kill g
+    | Spin (period, steps, budget) ->
+      if thread then begin
+        let id = Hashtbl.length spinners in
+        let sp = { count = 0; budget; steps } in
+        Hashtbl.add spinners id sp;
+        let step () =
+          sp.count <- sp.count + 1;
+          if sp.budget > 0 then sp.budget <- sp.budget - 1 else note "S%d:%d" id sp.count;
+          sp.count < sp.steps
+        in
+        let ahead () = max 0 (min sp.budget (sp.steps - sp.count - 1)) in
+        let skip n =
+          sp.count <- sp.count + n;
+          sp.budget <- sp.budget - n
+        in
+        api.spin period ~ahead ~skip step;
+        note "X%d:%d" id sp.count
+      end
+    | Peek s -> (
+      match Hashtbl.find_opt spinners s with
+      | Some sp -> note "P%d:%d/%d" s sp.count sp.budget
+      | None -> note "P%d:-" s)
+    | Refill (s, b) -> (
+      match Hashtbl.find_opt spinners s with Some sp -> sp.budget <- sp.budget + b | None -> ())
   in
   exec ~thread:false ops;
   List.iter
@@ -482,6 +561,49 @@ let prop_engine_matches_reference =
   QCheck.Test.make ~name:"engine runs in (time, seq) reference order" ~count:500
     (QCheck.make ~print:pp_program gen_program)
     (fun prog -> run_program (real_api ()) prog = run_program (ref_api ()) prog)
+
+(* The property above cannot pass vacuously: on a fixed sample of
+   generated programs, a good share batches spinner steps. *)
+let test_spin_batching_exercised () =
+  let rand = Random.State.make [| 13 |] in
+  let progs = QCheck.Gen.generate ~rand ~n:400 gen_program in
+  let batched =
+    List.fold_left
+      (fun acc prog ->
+        let api = real_api () in
+        let got = run_program api prog in
+        if got <> run_program (ref_api ()) prog then
+          Alcotest.failf "diverges from the reference: %s" (pp_program prog);
+        if api.skipped () > 0 then acc + 1 else acc)
+      0 progs
+  in
+  if batched * 5 < List.length progs then
+    Alcotest.failf "only %d of %d programs batched a spinner step" batched (List.length progs)
+
+(* A run's event limit is charged two events per closed-form step, and a
+   batch that would cross it is stepped instead: the limit fires at the
+   same step with or without the closed form.  The callback at 300 bounds
+   the first batch, which fits the limit; the open-ended one after it
+   does not. *)
+let test_spin_limit_exact () =
+  let run ~closed =
+    let eng = Engine.create () in
+    let count = ref 0 in
+    Engine.at eng 300 ignore;
+    Engine.spawn eng ~name:"spinner" (fun () ->
+        Engine.spin eng ~period:3
+          ~ahead:(fun () -> if closed then max_int else 0)
+          ~skip:(fun n -> count := !count + n)
+          (fun () -> incr count; true));
+    (match Engine.run ~limit:1001 eng with
+    | () -> Alcotest.fail "limit not hit"
+    | exception Engine.Limit_exceeded -> ());
+    (!count, Engine.now eng, (Engine.stats eng).Engine.spin_skipped)
+  in
+  let c1, t1, s1 = run ~closed:false and c2, t2, s2 = run ~closed:true in
+  Alcotest.(check int) "stepped: no closed form" 0 s1;
+  Alcotest.(check bool) "batched" true (s2 > 0);
+  Alcotest.(check (pair int int)) "same step count and clock" (c1, t1) (c2, t2)
 
 (* ------------------------------------------------------------------ *)
 (* Cores *)
@@ -560,6 +682,8 @@ let suite =
         Alcotest.test_case "heap before ready at one instant" `Quick
           test_tiers_heap_before_ready;
         qcheck prop_engine_matches_reference;
+        Alcotest.test_case "spinner batching exercised" `Quick test_spin_batching_exercised;
+        Alcotest.test_case "spinner limit exact" `Quick test_spin_limit_exact;
       ] );
     ( "sim.cores",
       [
