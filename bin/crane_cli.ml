@@ -246,24 +246,25 @@ let chaos_cmd scenario seed list =
       1
     end
 
-(* ---- bench: batched vs. unbatched commit throughput ---- *)
+(* ---- bench: every bench returns rows and gates ----
+
+   A bench measures, then returns each result number as a row of the
+   one schema in {!Crane_report.Rows}, and its pass/fail conditions as
+   gates: (label, passed) pairs with constant bounds.  Every yes/no row
+   is a gate too.  [bench_cmd] writes the rows to BENCH_<name>.json and
+   prints the gates; with --check it also drift-checks every row against
+   the committed file, and fails if any gate or row does. *)
 
 module Wal = Crane_storage.Wal
+module Rows = Crane_report.Rows
 
-type bench_run = {
-  b_commits : int;  (** consensus decisions on the primary *)
-  b_wall : Time.t;
-  b_sent : int;  (** socket-call events the clients injected *)
-  b_wal_writes : int;  (** durable writes on the primary's WAL *)
-  b_batches : int;
-  b_mean_batch : float;
-  b_hist : (int * int) list;  (** committed batch-size histogram (capped) *)
-  b_max_batch : int;  (** true observed max, unclamped *)
-}
+type gate = string * bool
 
-let commits_per_sec r =
-  if r.b_wall <= 0 then 0.0
-  else float_of_int r.b_commits /. (Time.to_float_ms r.b_wall /. 1000.)
+let at_least what v bound = (Printf.sprintf "%s %.4g >= %.4g" what v bound, v >= bound)
+let at_most what v bound = (Printf.sprintf "%s %.4g <= %.4g" what v bound, v <= bound)
+let none what v = (Printf.sprintf "%s %.0f (0 allowed)" what v, v = 0.)
+
+(* ---- bench batching: batched vs. unbatched commit throughput ---- *)
 
 (* One measured configuration: a 3-replica Paxos_only cluster (the
    consensus pipeline without DMT overhead) under an open-loop streaming
@@ -272,8 +273,10 @@ let commits_per_sec r =
    arrival rate (16 clients -> ~160k events/s) saturates the unbatched
    commit path, whose ceiling is one 15 us WAL fsync per event (~66k/s);
    commit throughput is the primary's decided index at the cutoff
-   instant over the streaming window. *)
-let bench_run choice ~batch_max ~clients ~duration ~seed =
+   instant over the streaming window.  The stream's requests do not
+   depend on the server (all five give identical rows), so one server
+   stands for all. *)
+let paxos_only_cluster choice ~batch_max ~seed =
   let server, port = server_of choice in
   let cfg =
     { Instance.default_config with mode = Instance.Paxos_only;
@@ -281,6 +284,10 @@ let bench_run choice ~batch_max ~clients ~duration ~seed =
   in
   let cluster = Cluster.create ~seed ~cfg ~server () in
   Cluster.start ~checkpoints:false cluster;
+  (cluster, port)
+
+let bench_run ~case ~batch_max ~clients ~duration ~seed =
+  let cluster, port = paxos_only_cluster Apache ~batch_max ~seed in
   let eng = Cluster.engine cluster in
   let world = Cluster.world cluster in
   let start = Time.ms 10 in
@@ -304,7 +311,7 @@ let bench_run choice ~batch_max ~clients ~duration ~seed =
   done;
   Cluster.run ~until:(start + duration) cluster;
   Cluster.check_failures cluster;
-  let commits, batches, mean_batch, hist, max_batch =
+  let commits, batches, mean_batch, max_batch =
     match Cluster.primary cluster with
     | Some (_, inst) ->
       let s = Paxos.stats inst.Instance.paxos in
@@ -315,19 +322,20 @@ let bench_run choice ~batch_max ~clients ~duration ~seed =
       in
       ( Paxos.committed inst.Instance.paxos, s.Paxos.batches_committed,
         (if n = 0 then 0.0 else float_of_int events /. float_of_int n),
-        s.Paxos.events_per_batch, s.Paxos.max_batch )
-    | None -> (0, 0, 0.0, [], 0)
+        s.Paxos.max_batch )
+    | None -> (0, 0, 0.0, 0)
   in
-  {
-    b_commits = commits;
-    b_wall = duration;
-    b_sent = !sent;
-    b_wal_writes = Wal.writes (Hashtbl.find cluster.Cluster.wals "replica1");
-    b_batches = batches;
-    b_mean_batch = mean_batch;
-    b_hist = hist;
-    b_max_batch = max_batch;
-  }
+  let wal_writes = Wal.writes (Hashtbl.find cluster.Cluster.wals "replica1") in
+  Rows.
+    [ row case "commits" "count" Higher (float commits);
+      row case "commits_per_sec" "1/s" Higher
+        (float commits /. (Time.to_float_ms duration /. 1000.));
+      row case "events_sent" "count" Higher (float !sent);
+      row case "wal_writes" "count" Lower (float wal_writes);
+      row case "batches_committed" "count" Lower (float batches);
+      row case "mean_batch" "events" Higher mean_batch;
+      (* the histogram caps its top bucket; this is the true max *)
+      row case "max_batch" "events" Higher (float max_batch) ]
 
 (* Fixed-seed equivalence probe: a sequential client (no response-latency
    races, so event arrival order cannot depend on commit timing) against
@@ -335,15 +343,8 @@ let bench_run choice ~batch_max ~clients ~duration ~seed =
    render byte-identically. *)
 let bench_equivalence choice ~seed ~requests =
   let render batch_max =
-    let server, port = server_of choice in
-    let rng = Rng.create (seed + 1) in
-    let request = request_of choice rng in
-    let cfg =
-      { Instance.default_config with mode = Instance.Paxos_only;
-        service_port = port; paxos = fast_paxos; batch_max }
-    in
-    let cluster = Cluster.create ~seed ~cfg ~server () in
-    Cluster.start ~checkpoints:false cluster;
+    let cluster, port = paxos_only_cluster choice ~batch_max ~seed in
+    let request = request_of choice (Rng.create (seed + 1)) in
     let target = Target.cluster cluster ~port in
     let handle = Loadgen.run ~clients:1 ~requests ~request target in
     Loadgen.drive ~timeout:(Time.sec 3600) target handle;
@@ -355,122 +356,30 @@ let bench_equivalence choice ~seed ~requests =
   let a = render 1 and b = render 64 in
   a <> "" && String.equal a b
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 32 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+let min_batching_speedup = 2.0
 
-let bench_run_json (r : bench_run) =
-  Printf.sprintf
-    "{\"commits\": %d, \"wall_ms\": %.3f, \"commits_per_sec\": %.0f, \
-     \"events_sent\": %d, \"wal_writes\": %d, \"batches_committed\": %d, \
-     \"mean_events_per_batch\": %.2f}"
-    r.b_commits (Time.to_float_ms r.b_wall) (commits_per_sec r) r.b_sent
-    r.b_wal_writes r.b_batches r.b_mean_batch
-
-let bench_cmd quick seed out check servers =
-  let chosen =
-    match servers with
-    | [] -> all_servers
-    | names ->
-      List.map
-        (fun n ->
-          match List.assoc_opt n all_servers with
-          | Some c -> (n, c)
-          | None ->
-            Printf.eprintf "crane: unknown server %s\n" n;
-            exit 2)
-        names
-  in
+let bench_batching ~quick ~seed =
   let clients = 16 in
   let duration = if quick then Time.ms 200 else Time.sec 1 in
   let eq_requests = if quick then 12 else 32 in
-  let results =
-    List.map
-      (fun (name, choice) ->
-        Printf.printf "bench %s: unbatched..." name;
-        flush stdout;
-        let u = bench_run choice ~batch_max:1 ~clients ~duration ~seed in
-        Printf.printf " batched...";
-        flush stdout;
-        let b = bench_run choice ~batch_max:64 ~clients ~duration ~seed in
-        Printf.printf " equivalence...";
-        flush stdout;
-        let identical = bench_equivalence choice ~seed ~requests:eq_requests in
-        let speedup =
-          if commits_per_sec u > 0.0 then commits_per_sec b /. commits_per_sec u
-          else 0.0
-        in
-        Printf.printf " %.2fx%s\n" speedup (if identical then "" else " (OUTPUTS DIVERGE)");
-        (name, u, b, speedup, identical))
-      chosen
+  let case mode =
+    Printf.sprintf "%s (%d clients, %.0f ms)" mode clients (Time.to_float_ms duration)
   in
-  Table.print ~title:"batching bench (16 clients, paxos-only cluster)"
-    ~header:[ "server"; "unbatched c/s"; "batched c/s"; "speedup";
-              "mean batch"; "fsyncs saved"; "identical" ]
-    (List.map
-       (fun (name, u, b, speedup, identical) ->
-         [ name;
-           Printf.sprintf "%.0f" (commits_per_sec u);
-           Printf.sprintf "%.0f" (commits_per_sec b);
-           Printf.sprintf "%.2fx" speedup;
-           Printf.sprintf "%.1f" b.b_mean_batch;
-           Printf.sprintf "%d" (u.b_wal_writes - b.b_wal_writes);
-           string_of_bool identical ])
-       results);
-  (* The histogram clamps at the cap, so its top bucket is a fold over
-     every larger size — label it "<cap>+" and report the true max. *)
-  (match results with
-  | (name, _, b, _, _) :: _ when b.b_hist <> [] ->
-    Table.print
-      ~title:
-        (Printf.sprintf "committed batch sizes (%s, batched run; max observed %d)"
-           name b.b_max_batch)
-      ~header:[ "events/batch"; "batches" ]
-      (Table.histogram_rows ~cap:Paxos.histogram_cap b.b_hist)
-  | _ -> ());
-  let json =
-    Printf.sprintf
-      "{\n  \"bench\": \"batching\",\n  \"seed\": %d,\n  \"mode\": \"paxos-only\",\n  \
-       \"clients\": %d,\n  \"stream_ms\": %.0f,\n  \"results\": [\n%s\n  ]\n}\n"
-      seed clients (Time.to_float_ms duration)
-      (String.concat ",\n"
-         (List.map
-            (fun (name, u, b, speedup, identical) ->
-              Printf.sprintf
-                "    {\"server\": \"%s\", \"unbatched\": %s, \"batched\": %s, \
-                 \"speedup\": %.2f, \"fixed_seed_outputs_identical\": %b}"
-                (json_escape name) (bench_run_json u) (bench_run_json b) speedup
-                identical)
-            results))
+  let run mode batch_max = bench_run ~case:(case mode) ~batch_max ~clients ~duration ~seed in
+  let unbatched = run "unbatched" 1 and batched = run "batched" 64 in
+  let u = Rows.value unbatched (case "unbatched") "commits_per_sec"
+  and b = Rows.value batched (case "batched") "commits_per_sec" in
+  let speedup = if u > 0.0 then b /. u else 0.0 in
+  let equivalence (name, choice) =
+    Rows.flag
+      (Printf.sprintf "%s equivalence (%d requests)" name eq_requests)
+      "outputs_identical"
+      (bench_equivalence choice ~seed ~requests:eq_requests)
   in
-  (match open_out out with
-  | oc ->
-    output_string oc json;
-    close_out oc;
-    Printf.printf "wrote %s\n" out
-  | exception Sys_error msg ->
-    Printf.eprintf "crane: cannot write %s: %s\n" out msg;
-    exit 1);
-  let worst_speedup =
-    List.fold_left (fun acc (_, _, _, s, _) -> min acc s) infinity results
-  in
-  let all_identical = List.for_all (fun (_, _, _, _, i) -> i) results in
-  if check > 0.0 && (worst_speedup < check || not all_identical) then begin
-    Printf.printf
-      "FAIL: worst speedup %.2fx (required %.2fx), outputs identical: %b\n"
-      worst_speedup check all_identical;
-    1
-  end
-  else 0
+  ( unbatched @ batched
+    @ Rows.row (case "batched") "speedup" "x" Rows.Higher speedup
+      :: List.map equivalence all_servers,
+    [ at_least "batched/unbatched commit speedup" speedup min_batching_speedup ] )
 
 (* ---- bench recovery: bounded logs and two-tier catch-up ---- *)
 
@@ -486,23 +395,11 @@ let bench_cmd quick seed out check servers =
 
 module Fabric = Crane_net.Fabric
 
-type recovery_run = {
-  rr_history : int;
-  rr_recovery : Time.t;  (** virtual time for the restarted replica to re-join *)
-  rr_peak_log : int;  (** peak resident log entries across replicas *)
-  rr_final_log : int;  (** resident log entries on the primary afterwards *)
-  rr_wal_records : int;  (** resident WAL records on the primary *)
-  rr_wal_dropped : int;  (** WAL records freed by truncation on the primary *)
-  rr_compactions : int;
-  rr_snapshots : int;  (** snapshot installs on the restarted replica *)
-  rr_converged : bool;
-}
-
 type rnode = { rn_paxos : Paxos.t; rn_group : Engine.group; rn_state : string ref }
 
 let recovery_members = [ "n1"; "n2"; "n3" ]
 
-let recovery_run ~threshold ~history ~seed =
+let recovery_run ~case ~threshold ~history ~seed =
   let eng = Engine.create () in
   let fabric = Fabric.create eng (Rng.create seed) in
   let wals = Hashtbl.create 4 in
@@ -616,124 +513,53 @@ let recovery_run ~threshold ~history ~seed =
       0 live
   in
   let wal1 = Hashtbl.find wals "n1" in
-  {
-    rr_history = history;
-    rr_recovery = recovery;
-    rr_peak_log = peak;
-    rr_final_log = (Paxos.stats n1.rn_paxos).Paxos.log_resident;
-    rr_wal_records = Wal.length wal1;
-    rr_wal_dropped = Wal.dropped wal1;
-    rr_compactions =
-      List.fold_left
-        (fun acc n -> acc + (Paxos.stats n.rn_paxos).Paxos.compactions)
-        0 live;
-    rr_snapshots = (Paxos.stats n3'.rn_paxos).Paxos.snapshots_installed;
-    rr_converged = converged;
-  }
-
-let recovery_run_json (r : recovery_run) =
-  Printf.sprintf
-    "{\"history\": %d, \"recovery_ms\": %.3f, \"peak_log_resident\": %d, \
-     \"final_log_resident\": %d, \"wal_records\": %d, \"wal_dropped\": %d, \
-     \"compactions\": %d, \"snapshots_installed\": %d, \"converged\": %b}"
-    r.rr_history
-    (Time.to_float_ms r.rr_recovery)
-    r.rr_peak_log r.rr_final_log r.rr_wal_records r.rr_wal_dropped r.rr_compactions
-    r.rr_snapshots r.rr_converged
-
-let bench_recovery_cmd quick seed out check =
-  let histories = if quick then [ 500; 1000; 2000 ] else [ 1000; 2000; 4000; 8000 ] in
-  let threshold = 128 in
-  let measure th = List.map (fun history -> recovery_run ~threshold:th ~history ~seed) histories in
-  Printf.printf "bench recovery: compaction on (threshold %d)..." threshold;
-  flush stdout;
-  let on = measure threshold in
-  Printf.printf " off...";
-  flush stdout;
-  let off = measure 0 in
-  Printf.printf " done\n";
-  Table.print
-    ~title:(Printf.sprintf "recovery bench (3 nodes, snapshot every %d decisions)" 256)
-    ~header:[ "history"; "peak log (on)"; "peak log (off)"; "recovery (on)";
-              "recovery (off)"; "snapshots"; "wal resident (on)" ]
-    (List.map2
-       (fun a b ->
-         [ string_of_int a.rr_history;
-           string_of_int a.rr_peak_log;
-           string_of_int b.rr_peak_log;
-           Time.to_string a.rr_recovery;
-           Time.to_string b.rr_recovery;
-           string_of_int a.rr_snapshots;
-           string_of_int a.rr_wal_records ])
-       on off);
-  let json =
-    Printf.sprintf
-      "{\n  \"bench\": \"recovery\",\n  \"seed\": %d,\n  \"threshold\": %d,\n  \
-       \"snapshot_every\": %d,\n  \"compaction_on\": [\n%s\n  ],\n  \
-       \"compaction_off\": [\n%s\n  ]\n}\n"
-      seed threshold 256
-      (String.concat ",\n" (List.map (fun r -> "    " ^ recovery_run_json r) on))
-      (String.concat ",\n" (List.map (fun r -> "    " ^ recovery_run_json r) off))
+  let compactions =
+    List.fold_left (fun acc n -> acc + (Paxos.stats n.rn_paxos).Paxos.compactions) 0 live
   in
-  (match open_out out with
-  | oc ->
-    output_string oc json;
-    close_out oc;
-    Printf.printf "wrote %s\n" out
-  | exception Sys_error msg ->
-    Printf.eprintf "crane: cannot write %s: %s\n" out msg;
-    exit 1);
-  if not check then 0
-  else begin
-    let largest = List.nth on (List.length on - 1) in
-    let smallest = List.hd on in
-    let off_largest = List.nth off (List.length off - 1) in
-    let all_converged = List.for_all (fun r -> r.rr_converged) (on @ off) in
+  Rows.
+    [ row case "recovery" "ms" Lower (Time.to_float_ms recovery);
+      row case "peak_log_resident" "entries" Lower (float peak);
+      row case "final_log_resident" "entries" Lower
+        (float (Paxos.stats n1.rn_paxos).Paxos.log_resident);
+      row case "wal_records" "records" Lower (float (Wal.length wal1));
+      row case "wal_dropped" "records" Higher (float (Wal.dropped wal1));
+      row case "compactions" "count" Higher (float compactions);
+      row case "snapshots_installed" "count" Higher
+        (float (Paxos.stats n3'.rn_paxos).Paxos.snapshots_installed);
+      flag case "converged" converged ]
+
+let recovery_threshold = 128
+
+let bench_recovery ~quick ~seed =
+  let histories = if quick then [ 500; 1000; 2000 ] else [ 1000; 2000; 4000; 8000 ] in
+  let case threshold history =
+    Printf.sprintf "history %d, %s" history
+      (if threshold > 0 then Printf.sprintf "compaction at %d" threshold
+       else "no compaction")
+  in
+  let run th history = recovery_run ~case:(case th history) ~threshold:th ~history ~seed in
+  let rows =
+    List.concat_map (fun th -> List.concat_map (run th) histories) [ recovery_threshold; 0 ]
+  in
+  let smallest = List.hd histories and largest = List.nth histories (List.length histories - 1) in
+  let on history m = Rows.value rows (case recovery_threshold history) m in
+  let peak = on largest "peak_log_resident" and small_peak = on smallest "peak_log_resident" in
+  let off_peak = Rows.value rows (case 0 largest) "peak_log_resident" in
+  ( rows,
     (* "bounded" means the peak stops tracking history length: the largest
        run's peak must stay within a constant band of the smallest run's,
        and clearly below the uncompacted peak. *)
-    let flat = largest.rr_peak_log <= (2 * smallest.rr_peak_log) + 256 in
-    let below_off = largest.rr_peak_log < off_largest.rr_peak_log in
-    let snapshot_used = largest.rr_snapshots >= 1 in
-    if all_converged && flat && below_off && snapshot_used then begin
-      Printf.printf
-        "CHECK OK: peak %d entries at history %d (vs %d uncompacted), snapshot \
-         path used\n"
-        largest.rr_peak_log largest.rr_history off_largest.rr_peak_log;
-      0
-    end
-    else begin
-      Printf.printf
-        "CHECK FAIL: converged=%b flat=%b (peak %d vs %d) below-uncompacted=%b \
-         (%d vs %d) snapshot-used=%b\n"
-        all_converged flat largest.rr_peak_log smallest.rr_peak_log below_off
-        largest.rr_peak_log off_largest.rr_peak_log snapshot_used;
-      1
-    end
-  end
+    [ at_most (Printf.sprintf "compacted peak log at history %d, flat bound" largest) peak
+        ((2. *. small_peak) +. 256.);
+      (Printf.sprintf "compacted peak %.0f below uncompacted peak %.0f" peak off_peak,
+       peak < off_peak);
+      at_least "snapshots installed by the straggler at the largest history"
+        (on largest "snapshots_installed") 1. ] )
 
-(* ---- bench: client-visible unavailability during a live replica
-   replacement ---- *)
+(* ---- bench reconfig: client-visible unavailability during a live
+   replica replacement ---- *)
 
 module Ledger = Crane_chaos.Ledger
-
-type reconfig_run = {
-  cr_ok : int;
-  cr_errors : int;
-  cr_retries : int;
-  cr_epoch : int;
-  cr_steady_gap : Time.t;
-      (** widest gap between consecutive successful completions before the
-          primary dies: the no-fault baseline *)
-  cr_unavail : Time.t;
-      (** widest gap across the whole run — the client-visible outage
-          spanning the crash, the election and the membership change *)
-  cr_wall : Time.t;
-  cr_healed : bool;  (** the replacement is live and a member at the end *)
-  cr_spans_fault : bool;
-      (** the workload was still running when the primary died — without
-          this the gap analysis would measure nothing *)
-}
 
 let max_gap instants =
   let rec go acc = function
@@ -746,7 +572,7 @@ let max_gap instants =
    the dead replica for a fresh one.  The workload never stops: the gap
    analysis over its completion instants is the availability measurement
    (the paper's criterion: failures must be masked from clients). *)
-let reconfig_bench_run ~seed ~requests =
+let reconfig_bench_run ~case ~seed ~requests =
   let cfg =
     { Instance.default_config with
       paxos =
@@ -782,117 +608,57 @@ let reconfig_bench_run ~seed ~requests =
   Cluster.run ~until:(Engine.now eng + Time.sec 3) cluster;
   Cluster.check_failures cluster;
   let before = List.filter (fun t -> t < kill_at) load.Loadgen.completions in
-  let last =
-    List.fold_left max Time.zero load.Loadgen.completions
-  in
-  {
-    cr_ok = List.length load.Loadgen.latencies;
-    cr_errors = load.Loadgen.errors;
-    cr_retries = load.Loadgen.retries;
-    cr_epoch = Cluster.current_epoch cluster;
-    cr_steady_gap = max_gap before;
-    cr_unavail = max_gap load.Loadgen.completions;
-    cr_wall = load.Loadgen.wall;
-    cr_healed =
-      Cluster.instance cluster "replica4" <> None
-      && List.mem "replica4" (Cluster.members cluster)
-      && (not (List.mem !dead (Cluster.members cluster)))
-      && Cluster.primary_node cluster <> None;
-    cr_spans_fault = last > kill_at;
-  }
+  let last = List.fold_left max Time.zero load.Loadgen.completions in
+  Rows.
+    [ row case "ok" "count" Higher (float (List.length load.Loadgen.latencies));
+      row case "errors" "count" Lower (float load.Loadgen.errors);
+      row case "retries" "count" Lower (float load.Loadgen.retries);
+      row case "epoch" "count" Higher (float (Cluster.current_epoch cluster));
+      (* widest gap between successful completions before the primary
+         dies: the no-fault baseline *)
+      row case "steady_gap" "ns" Lower (float (max_gap before));
+      (* widest gap across the whole run: the client-visible outage
+         spanning the crash, the election and the membership change *)
+      row case "unavailability" "ns" Lower (float (max_gap load.Loadgen.completions));
+      row case "wall" "ns" Lower (float load.Loadgen.wall);
+      (* the replacement is live and a member at the end *)
+      flag case "healed"
+        (Cluster.instance cluster "replica4" <> None
+        && List.mem "replica4" (Cluster.members cluster)
+        && (not (List.mem !dead (Cluster.members cluster)))
+        && Cluster.primary_node cluster <> None);
+      (* the workload was still running when the primary died: without
+         this the gap analysis would measure nothing *)
+      flag case "spans_fault" (last > kill_at) ]
 
-let reconfig_run_json r =
-  Printf.sprintf
-    "{ \"ok\": %d, \"errors\": %d, \"retries\": %d, \"epoch\": %d, \
-     \"steady_gap_ns\": %d, \"unavail_ns\": %d, \"wall_ns\": %d, \
-     \"healed\": %b, \"spans_fault\": %b }"
-    r.cr_ok r.cr_errors r.cr_retries r.cr_epoch r.cr_steady_gap r.cr_unavail
-    r.cr_wall r.cr_healed r.cr_spans_fault
+let max_unavailability_ms = 1500.
 
-let bench_reconfig_cmd quick seed out check =
+let bench_reconfig ~quick ~seed =
   let requests = if quick then 4000 else 8000 in
-  Printf.printf "bench reconfig: replace the killed primary under load...";
-  flush stdout;
-  let r = reconfig_bench_run ~seed ~requests in
+  let case = Printf.sprintf "kill and replace the primary (6 clients, %d requests)" requests in
+  let rows = reconfig_bench_run ~case ~seed ~requests in
   (* Same seed, fresh cluster: the availability measurement must be a pure
      function of the seed for the gate (and CI diffs) to mean anything. *)
-  let r2 = reconfig_bench_run ~seed ~requests in
-  Printf.printf " done\n";
-  let identical = reconfig_run_json r = reconfig_run_json r2 in
-  Table.print
-    ~title:"reconfig bench (kill primary + replace, 6 clients)"
-    ~header:
-      [ "ok"; "errors"; "retries"; "epoch"; "steady max gap"; "unavailability";
-        "healed"; "deterministic" ]
-    [ [ string_of_int r.cr_ok; string_of_int r.cr_errors;
-        string_of_int r.cr_retries; string_of_int r.cr_epoch;
-        Time.to_string r.cr_steady_gap; Time.to_string r.cr_unavail;
-        string_of_bool r.cr_healed; string_of_bool identical ] ];
-  let json =
-    Printf.sprintf
-      "{\n  \"bench\": \"reconfig\",\n  \"seed\": %d,\n  \"requests\": %d,\n  \
-       \"run\": %s,\n  \"rerun_identical\": %b\n}\n"
-      seed requests (reconfig_run_json r) identical
-  in
-  (match open_out out with
-  | oc ->
-    output_string oc json;
-    close_out oc;
-    Printf.printf "wrote %s\n" out
-  | exception Sys_error msg ->
-    Printf.eprintf "crane: cannot write %s: %s\n" out msg;
-    exit 1);
-  if not check then 0
-  else begin
-    let bound = Time.ms 1500 in
-    let ok =
-      r.cr_errors = 0 && r.cr_epoch >= 1 && r.cr_healed && r.cr_spans_fault
-      && r.cr_unavail <= bound && identical
-    in
-    if ok then begin
-      Printf.printf
-        "CHECK OK: 0 errors, epoch %d, unavailability %s (bound %s), \
-         deterministic\n"
-        r.cr_epoch (Time.to_string r.cr_unavail) (Time.to_string bound);
-      0
-    end
-    else begin
-      Printf.printf
-        "CHECK FAIL: errors=%d epoch=%d healed=%b spans-fault=%b unavail=%s \
-         (bound %s) identical=%b\n"
-        r.cr_errors r.cr_epoch r.cr_healed r.cr_spans_fault
-        (Time.to_string r.cr_unavail) (Time.to_string bound) identical;
-      1
-    end
-  end
+  let identical = rows = reconfig_bench_run ~case ~seed ~requests in
+  let v = Rows.value rows case in
+  ( rows @ [ Rows.flag case "rerun_identical" identical ],
+    [ none "request errors" (v "errors");
+      at_least "membership epoch" (v "epoch") 1.;
+      at_most "unavailability (ms)" (v "unavailability" /. 1e6) max_unavailability_ms ] )
 
 (* ---- bench readmix: lease/backup read fast path vs all-consensus
    reads on a read-heavy mix ---- *)
 
 module Proxy = Crane_core.Proxy
 
-type readmix_run = {
-  rm_reads : int;  (** successful read completions *)
-  rm_writes : int;  (** successful write completions *)
-  rm_errors : int;
-  rm_committed : int;  (** consensus log entries decided on the primary *)
-  rm_offload : float;
-      (** completions per consensus entry — the commit-path offload: reads
-          served from leases/watermarks don't spend a consensus round *)
-  rm_read_mean : float;  (** mean read latency, ns of virtual time *)
-  rm_write_mean : float;
-  rm_lease_reads : int;
-  rm_backup_reads : int;
-  rm_lease_rejects : int;
-  rm_wall : Time.t;
-}
-
 (* One measured configuration: a 3-replica Paxos_only ledger cluster
    under a closed-loop 95/5 read/write mix.  [fastpath] selects the read
    route — the proxy read port (lease reads on the primary, bounded-stale
    on backups, consensus fallback on REJECT) or the all-consensus funnel
    every request used before the split. *)
-let readmix_run ~seed ~requests ~read_pct ~fastpath =
+let readmix_read_pct = 95
+
+let readmix_run ~case ~seed ~requests ~fastpath =
   let cfg =
     { Instance.default_config with mode = Instance.Paxos_only;
       paxos = fast_paxos; read_fastpath = fastpath }
@@ -920,8 +686,8 @@ let readmix_run ~seed ~requests ~read_pct ~fastpath =
   in
   let handle =
     Loadgen.run ~name:"readmix" ~seed ~think:(Time.ms 2) ~retries:8
-      ~retry_backoff:(Time.ms 50) ~read_pct ~read_request ~clients:8 ~requests
-      ~request:(Ledger.request ledger) target
+      ~retry_backoff:(Time.ms 50) ~read_pct:readmix_read_pct ~read_request ~clients:8
+      ~requests ~request:(Ledger.request ledger) target
   in
   Loadgen.drive ~timeout:(Time.sec 240) target handle;
   let load = handle.Loadgen.collect () in
@@ -938,106 +704,46 @@ let readmix_run ~seed ~requests ~read_pct ~fastpath =
       0 (Cluster.instances cluster)
   in
   let ok = List.length load.Loadgen.latencies in
-  {
-    rm_reads = List.length load.Loadgen.read_latencies;
-    rm_writes = List.length load.Loadgen.write_latencies;
-    rm_errors = load.Loadgen.errors;
-    rm_committed = committed;
-    rm_offload =
-      (if committed = 0 then 0.0 else float_of_int ok /. float_of_int committed);
-    rm_read_mean = Stats.mean load.Loadgen.read_latencies;
-    rm_write_mean = Stats.mean load.Loadgen.write_latencies;
-    rm_lease_reads = sum (fun s -> s.Proxy.lease_reads);
-    rm_backup_reads = sum (fun s -> s.Proxy.backup_reads);
-    rm_lease_rejects = sum (fun s -> s.Proxy.lease_rejects);
-    rm_wall = load.Loadgen.wall;
-  }
+  Rows.
+    [ row case "reads" "count" Higher (float (List.length load.Loadgen.read_latencies));
+      row case "writes" "count" Higher (float (List.length load.Loadgen.write_latencies));
+      row case "errors" "count" Lower (float load.Loadgen.errors);
+      row case "committed" "entries" Lower (float committed);
+      (* completions per consensus entry — the commit-path offload: reads
+         served from leases/watermarks don't spend a consensus round *)
+      row case "offload" "ratio" Higher
+        (if committed = 0 then 0.0 else float ok /. float committed);
+      row case "read_mean" "ns" Lower (Stats.mean load.Loadgen.read_latencies);
+      row case "write_mean" "ns" Lower (Stats.mean load.Loadgen.write_latencies);
+      row case "lease_reads" "count" Higher (float (sum (fun s -> s.Proxy.lease_reads)));
+      row case "backup_reads" "count" Higher (float (sum (fun s -> s.Proxy.backup_reads)));
+      row case "lease_rejects" "count" Lower (float (sum (fun s -> s.Proxy.lease_rejects)));
+      row case "wall" "ns" Lower (float load.Loadgen.wall) ]
 
-let readmix_run_json r =
-  Printf.sprintf
-    "{ \"reads\": %d, \"writes\": %d, \"errors\": %d, \"committed\": %d, \
-     \"offload\": %.3f, \"read_mean_ns\": %.0f, \"write_mean_ns\": %.0f, \
-     \"lease_reads\": %d, \"backup_reads\": %d, \"lease_rejects\": %d, \
-     \"wall_ns\": %d }"
-    r.rm_reads r.rm_writes r.rm_errors r.rm_committed r.rm_offload
-    r.rm_read_mean r.rm_write_mean r.rm_lease_reads r.rm_backup_reads
-    r.rm_lease_rejects r.rm_wall
+let min_offload_ratio = 2.0
 
-let bench_readmix_cmd quick seed read_pct out check =
+let bench_readmix ~quick ~seed =
   let requests = if quick then 1500 else 3000 in
-  Printf.printf "bench readmix: %d/%d read/write mix, fast path on..."
-    read_pct (100 - read_pct);
-  flush stdout;
-  let fast = readmix_run ~seed ~requests ~read_pct ~fastpath:true in
-  Printf.printf " off...";
-  flush stdout;
-  let base = readmix_run ~seed ~requests ~read_pct ~fastpath:false in
+  let case route =
+    Printf.sprintf "%s (%d%% reads, %d requests)" route readmix_read_pct requests
+  in
+  let fast_case = case "fast path" and base_case = case "all consensus" in
+  let run case fastpath = readmix_run ~case ~seed ~requests ~fastpath in
+  let fast = run fast_case true and base = run base_case false in
   (* Same seed, fresh cluster: the measurement must be a pure function of
      the seed for the gate (and CI diffs) to mean anything. *)
-  let fast2 = readmix_run ~seed ~requests ~read_pct ~fastpath:true in
-  Printf.printf " done\n";
-  let identical = readmix_run_json fast = readmix_run_json fast2 in
-  let ratio =
-    if base.rm_offload = 0.0 then 0.0 else fast.rm_offload /. base.rm_offload
-  in
-  let row name r =
-    [ name; string_of_int r.rm_reads; string_of_int r.rm_writes;
-      string_of_int r.rm_errors; string_of_int r.rm_committed;
-      Printf.sprintf "%.2f" r.rm_offload;
-      Time.to_string (int_of_float r.rm_read_mean);
-      Time.to_string (int_of_float r.rm_write_mean);
-      Printf.sprintf "%d/%d/%d" r.rm_lease_reads r.rm_backup_reads
-        r.rm_lease_rejects ]
-  in
-  Table.print
-    ~title:
-      (Printf.sprintf "read-mix bench (%d%% reads, 8 clients, ledger)" read_pct)
-    ~header:
-      [ "reads"; "ok-r"; "ok-w"; "errors"; "committed"; "ok/entry";
-        "read mean"; "write mean"; "lease/backup/rej" ]
-    [ row "fast path" fast; row "all consensus" base ];
-  Printf.printf "commit-path offload: %.2fx (fast %.2f vs consensus %.2f \
-                 completions per entry)\n"
-    ratio fast.rm_offload base.rm_offload;
-  let json =
-    Printf.sprintf
-      "{\n  \"bench\": \"readmix\",\n  \"seed\": %d,\n  \"requests\": %d,\n  \
-       \"read_pct\": %d,\n  \"fastpath\": %s,\n  \"consensus\": %s,\n  \
-       \"offload_ratio\": %.3f,\n  \"rerun_identical\": %b\n}\n"
-      seed requests read_pct (readmix_run_json fast) (readmix_run_json base)
-      ratio identical
-  in
-  (match open_out out with
-  | oc ->
-    output_string oc json;
-    close_out oc;
-    Printf.printf "wrote %s\n" out
-  | exception Sys_error msg ->
-    Printf.eprintf "crane: cannot write %s: %s\n" out msg;
-    exit 1);
-  if not check then 0
-  else begin
-    let bound = 2.0 in
-    let ok =
-      fast.rm_errors = 0 && base.rm_errors = 0 && ratio >= bound
-      && fast.rm_lease_reads > 0 && fast.rm_backup_reads > 0 && identical
-    in
-    if ok then begin
-      Printf.printf
-        "CHECK OK: offload %.2fx (bound %.1fx), %d lease + %d backup reads, \
-         0 errors, deterministic\n"
-        ratio bound fast.rm_lease_reads fast.rm_backup_reads;
-      0
-    end
-    else begin
-      Printf.printf
-        "CHECK FAIL: ratio=%.2f (bound %.1f) errors=%d/%d lease=%d backup=%d \
-         identical=%b\n"
-        ratio bound fast.rm_errors base.rm_errors fast.rm_lease_reads
-        fast.rm_backup_reads identical;
-      1
-    end
-  end
+  let identical = fast = run fast_case true in
+  let f = Rows.value fast fast_case and b = Rows.value base base_case in
+  let ratio = if b "offload" = 0.0 then 0.0 else f "offload" /. b "offload" in
+  ( fast @ base
+    @ Rows.
+        [ row fast_case "offload_ratio" "x" Higher ratio;
+          flag fast_case "rerun_identical" identical ],
+    [ at_least "commit-path offload (x)" ratio min_offload_ratio;
+      at_least "lease reads served" (f "lease_reads") 1.;
+      at_least "backup reads served" (f "backup_reads") 1.;
+      none "request errors, fast path" (f "errors");
+      none "request errors, all consensus" (b "errors") ] )
 
 let servers_cmd () =
   print_endline "available servers:";
@@ -1321,158 +1027,54 @@ let profile_cmd choice clients requests seed whatifs trace_out =
   end
   else 0
 
-(* ---- bench latency: stage decomposition + what-if deltas as JSON ---- *)
+(* ---- bench latency: stage decomposition and what-if deltas ---- *)
 
-let summary_json (s : Metrics.summary) =
-  Printf.sprintf
-    "{\"count\": %d, \"p50_ns\": %d, \"p90_ns\": %d, \"p99_ns\": %d, \
-     \"max_ns\": %d, \"mean_ns\": %.0f, \"total_ns\": %d}"
-    s.Metrics.count s.Metrics.p50 s.Metrics.p90 s.Metrics.p99 s.Metrics.max
-    s.Metrics.mean s.Metrics.total
+let summary_rows case prefix (s : Metrics.summary) =
+  let ns name v = Rows.row case (prefix ^ "." ^ name) "ns" Rows.Lower (float v) in
+  [ Rows.row case (prefix ^ ".count") "count" Rows.Higher (float s.Metrics.count);
+    ns "p50" s.Metrics.p50; ns "p90" s.Metrics.p90; ns "p99" s.Metrics.p99;
+    ns "max" s.Metrics.max;
+    Rows.row case (prefix ^ ".mean") "ns" Rows.Lower s.Metrics.mean;
+    ns "total" s.Metrics.total ]
 
-let bench_latency_cmd quick seed out check servers =
-  let chosen =
-    match servers with
-    | [] -> all_servers
-    | names ->
-      List.map
-        (fun n ->
-          match List.assoc_opt n all_servers with
-          | Some c -> (n, c)
-          | None ->
-            Printf.eprintf "crane: unknown server %s\n" n;
-            exit 2)
-        names
-  in
+let min_span_coverage = 0.99
+
+let bench_latency ~quick ~seed =
   let clients = if quick then 4 else 8 in
   let requests = if quick then 60 else 200 in
-  let results =
-    List.map
-      (fun (name, choice) ->
-        Printf.printf "latency %s: base..." name;
-        flush stdout;
-        let base = profiled_run choice ~clients ~requests ~seed ~tweak:None in
-        let variants =
-          List.map
-            (fun (_, w) ->
-              Printf.printf " %s..." (whatif_name w);
-              flush stdout;
-              (w, profiled_run choice ~clients ~requests ~seed ~tweak:(Some w)))
-            all_whatifs
-        in
-        let r = base.p_report in
-        Printf.printf " coverage %.1f%%\n" (100. *. r.Critical_path.coverage);
-        (name, base, variants))
-      chosen
-  in
-  Table.print ~title:"commit critical path (e2e mean us per stage-bearing run)"
-    ~header:
-      ([ "server"; "coverage"; "e2e p50 us" ]
-      @ List.map (fun s -> s ^ " p50") Critical_path.stage_order)
-    (List.map
-       (fun (name, base, _) ->
-         let r = base.p_report in
-         let stage_p50 s =
-           let row =
-             List.find (fun x -> x.Critical_path.stage = s) r.Critical_path.stages
-           in
-           Printf.sprintf "%.1f" (float_of_int row.Critical_path.summary.Metrics.p50 /. 1e3)
-         in
-         [ name;
-           Printf.sprintf "%.1f%%" (100. *. r.Critical_path.coverage);
-           Printf.sprintf "%.1f" (float_of_int r.Critical_path.e2e.Metrics.p50 /. 1e3) ]
-         @ List.map stage_p50 Critical_path.stage_order)
-       results);
-  let result_json (name, base, variants) =
-    let r = base.p_report in
-    let stages =
-      String.concat ", "
-        (List.map
-           (fun row ->
-             Printf.sprintf "\"%s\": %s"
-               (json_escape row.Critical_path.stage)
-               (summary_json row.Critical_path.summary))
-           r.Critical_path.stages)
+  let per_server (name, choice) =
+    let case = Printf.sprintf "%s (%d clients, %d requests)" name clients requests in
+    let r = (profiled_run choice ~clients ~requests ~seed ~tweak:None).p_report in
+    let whatif (wname, w) =
+      let v = (profiled_run choice ~clients ~requests ~seed ~tweak:(Some w)).p_report in
+      let ve = v.Critical_path.e2e.Metrics.mean in
+      Rows.
+        [ row case (wname ^ ".e2e_mean") "ns" Lower ve;
+          row case (wname ^ ".delta") "ns" Higher (r.Critical_path.e2e.Metrics.mean -. ve);
+          row case (wname ^ ".coverage") "ratio" Higher v.Critical_path.coverage ]
     in
-    let whatifs =
-      String.concat ", "
-        (List.map
-           (fun (w, v) ->
-             let b = r.Critical_path.e2e and ve = v.p_report.Critical_path.e2e in
-             Printf.sprintf
-               "{\"name\": \"%s\", \"e2e_mean_ns\": %.0f, \"delta_ns\": %.0f, \
-                \"coverage\": %.4f}"
-               (json_escape (whatif_name w)) ve.Metrics.mean
-               (b.Metrics.mean -. ve.Metrics.mean)
-               v.p_report.Critical_path.coverage)
-           variants)
+    let rows =
+      Rows.
+        [ row case "committed" "count" Higher (float r.Critical_path.committed);
+          row case "complete" "count" Higher (float r.Critical_path.complete);
+          row case "coverage" "ratio" Higher r.Critical_path.coverage;
+          row case "span_errors" "count" Lower (float (List.length r.Critical_path.errors)) ]
+      @ summary_rows case "e2e" r.Critical_path.e2e
+      @ List.concat_map
+          (fun s -> summary_rows case s.Critical_path.stage s.Critical_path.summary)
+          r.Critical_path.stages
+      @ List.concat_map whatif all_whatifs
     in
-    Printf.sprintf
-      "    {\"server\": \"%s\", \"committed\": %d, \"complete\": %d, \
-       \"coverage\": %.4f, \"span_errors\": %d, \"e2e\": %s, \
-       \"stages\": {%s}, \"what_if\": [%s]}"
-      (json_escape name) r.Critical_path.committed r.Critical_path.complete
-      r.Critical_path.coverage
-      (List.length r.Critical_path.errors)
-      (summary_json r.Critical_path.e2e) stages whatifs
+    let v = Rows.value rows case in
+    ( rows,
+      [ at_least (name ^ ": span coverage") (v "coverage") min_span_coverage;
+        none (name ^ ": malformed span DAGs") (v "span_errors");
+        (Printf.sprintf "%s: fsync2x what-if moves e2e mean by %.0f ns (nonzero)" name
+           (v "fsync2x.delta"),
+         v "fsync2x.delta" <> 0.) ] )
   in
-  let json =
-    Printf.sprintf
-      "{\n  \"bench\": \"latency\",\n  \"seed\": %d,\n  \"mode\": \"crane\",\n  \
-       \"clients\": %d,\n  \"requests\": %d,\n  \"results\": [\n%s\n  ]\n}\n"
-      seed clients requests
-      (String.concat ",\n" (List.map result_json results))
-  in
-  (match open_out out with
-  | oc ->
-    output_string oc json;
-    close_out oc;
-    Printf.printf "wrote %s\n" out
-  | exception Sys_error msg ->
-    Printf.eprintf "crane: cannot write %s: %s\n" out msg;
-    exit 1);
-  if check then begin
-    let failures =
-      List.concat_map
-        (fun (name, base, variants) ->
-          let r = base.p_report in
-          let cov =
-            if r.Critical_path.coverage < 0.99 then
-              [ Printf.sprintf "%s: span coverage %.1f%% < 99%%" name
-                  (100. *. r.Critical_path.coverage) ]
-            else []
-          in
-          let errs =
-            if r.Critical_path.errors <> [] then
-              [ Printf.sprintf "%s: %d malformed span DAGs" name
-                  (List.length r.Critical_path.errors) ]
-            else []
-          in
-          let fsync_delta =
-            match List.assoc_opt Fsync2x variants with
-            | Some v ->
-              let d =
-                r.Critical_path.e2e.Metrics.mean
-                -. v.p_report.Critical_path.e2e.Metrics.mean
-              in
-              if d = 0.0 then
-                [ Printf.sprintf "%s: fsync2x what-if moved e2e latency by 0" name ]
-              else []
-            | None -> []
-          in
-          cov @ errs @ fsync_delta)
-        results
-    in
-    if failures <> [] then begin
-      List.iter (fun f -> Printf.printf "FAIL: %s\n" f) failures;
-      1
-    end
-    else begin
-      Printf.printf "check ok: coverage >= 99%%, no span errors, fsync2x delta nonzero\n";
-      0
-    end
-  end
-  else 0
+  let results = List.map per_server all_servers in
+  (List.concat_map fst results, List.concat_map snd results)
 
 (* ---- bench parallel: dependency-aware parallel delivery ---- *)
 
@@ -1569,18 +1171,7 @@ let papp_issue app ~target ~c ~k ~from =
     in
     Clients.http_request target ~from ~meth:"GET" ~path ()
 
-type parallel_run = {
-  pr_exec_mean : float;  (** mean execute-stage latency, virtual ns *)
-  pr_e2e_mean : float;
-  pr_ok : int;
-  pr_errors : int;
-  pr_outputs : string;  (** canonical per-client transcript, times stripped *)
-  pr_state : string;  (** primary's application state at the end *)
-  pr_cert : Certifier.report;
-  pr_committed : int;
-}
-
-let parallel_run app ~pool ~clients ~per_client ~seed =
+let parallel_run app ~case ~pool ~clients ~per_client ~seed =
   let server, port = papp_server app in
   let tr = Trace.create () in
   let cfg =
@@ -1675,50 +1266,6 @@ let parallel_run app ~pool ~clients ~per_client ~seed =
       (inst.Instance.handle.Api.state_of (), Paxos.committed inst.Instance.paxos)
     | None -> ("", 0)
   in
-  if Sys.getenv_opt "CRANE_PAR_DEBUG" <> None then begin
-    let pname =
-      match Cluster.primary cluster with Some (n, _) -> n | None -> ""
-    in
-    let resolve = Crane_trace.Trace.resolve_node tr in
-    let admits = ref [] and replies = ref [] in
-    List.iter
-      (fun (ev : Crane_trace.Trace.ev) ->
-        let node = resolve ev in
-        if node = pname then
-          match (ev.Crane_trace.Trace.cat, ev.Crane_trace.Trace.name) with
-          | "seq", "admit" ->
-            let ix =
-              Option.value (Crane_trace.Trace.find_int ev "index") ~default:0
-            and conn =
-              Option.value (Crane_trace.Trace.find_int ev "conn") ~default:(-1)
-            in
-            admits := (ev.Crane_trace.Trace.ts, ix, conn) :: !admits
-          | "req", "reply" ->
-            let conn =
-              Option.value (Crane_trace.Trace.find_int ev "conn") ~default:(-1)
-            in
-            replies := (ev.Crane_trace.Trace.ts, conn) :: !replies
-          | "exec", "begin" ->
-            Printf.eprintf "exec.begin ts=%d ix=%d conn=%d lane=%d\n"
-              ev.Crane_trace.Trace.ts
-              (Option.value (Crane_trace.Trace.find_int ev "index") ~default:0)
-              (Option.value (Crane_trace.Trace.find_int ev "conn") ~default:(-1))
-              (Option.value (Crane_trace.Trace.find_int ev "lane") ~default:(-1))
-          | _ -> ())
-      (Crane_trace.Trace.events tr);
-    let admits = List.rev !admits and replies = List.rev !replies in
-    Printf.eprintf "-- windows (pool=%d) --\n" pool;
-    List.iter
-      (fun (ats, ix, conn) ->
-        match
-          List.find_opt (fun (rts, rc) -> rc = conn && rts >= ats) replies
-        with
-        | Some (rts, _) ->
-          Printf.eprintf "ix=%d conn=%d admit=%d reply=%d win=%dus\n" ix conn
-            ats rts ((rts - ats) / 1000)
-        | None -> Printf.eprintf "ix=%d conn=%d admit=%d reply=-\n" ix conn ats)
-      admits
-  end;
   let outputs =
     String.concat "\x00"
       (List.mapi
@@ -1726,235 +1273,97 @@ let parallel_run app ~pool ~clients ~per_client ~seed =
            Printf.sprintf "c%d:%s" c (String.concat "|" (List.rev t)))
          (Array.to_list transcripts))
   in
-  {
-    pr_exec_mean = exec_mean;
-    pr_e2e_mean = cp.Critical_path.e2e.Metrics.mean;
-    pr_ok = !ok;
-    pr_errors = !errors;
-    pr_outputs = outputs;
-    pr_state = state;
-    pr_cert = Certifier.check tr;
-    pr_committed = committed;
-  }
+  let cert = Certifier.check tr in
+  if not (Certifier.certified cert) then print_string (Certifier.render cert);
+  ( Rows.
+      [ row case "commit_reply_mean" "ns" Lower exec_mean;
+        row case "e2e_mean" "ns" Lower cp.Critical_path.e2e.Metrics.mean;
+        row case "ok" "count" Higher (float !ok);
+        row case "errors" "count" Lower (float !errors);
+        row case "committed" "entries" Lower (float committed);
+        row case "cert_windows" "count" Higher (float cert.Certifier.windows);
+        row case "cert_commands" "count" Higher (float cert.Certifier.commands);
+        row case "cert_locations" "count" Higher (float cert.Certifier.locations);
+        row case "cert_confined" "count" Higher (float cert.Certifier.confined);
+        row case "cert_violations" "count" Lower
+          (float (List.length cert.Certifier.violations)) ],
+    (* canonical per-client transcript (times stripped) and the primary's
+       application state: the byte-identity probe's two halves *)
+    (outputs, state) )
 
-let parallel_side_json (r : parallel_run) =
-  Printf.sprintf
-    "{\"commit_reply_mean_ns\": %.0f, \"e2e_mean_ns\": %.0f, \"ok\": %d, \
-     \"errors\": %d, \"committed\": %d, \"cert_windows\": %d, \
-     \"cert_commands\": %d, \"cert_locations\": %d, \"cert_confined\": %d, \
-     \"cert_violations\": %d}"
-    r.pr_exec_mean r.pr_e2e_mean r.pr_ok r.pr_errors r.pr_committed
-    r.pr_cert.Certifier.windows r.pr_cert.Certifier.commands
-    r.pr_cert.Certifier.locations r.pr_cert.Certifier.confined
-    (List.length r.pr_cert.Certifier.violations)
+let min_parallel_speedup = 1.5
 
-let bench_parallel_cmd quick seed out check apps =
-  let chosen =
-    match apps with
-    | [] -> all_papps
-    | names ->
-      List.map
-        (fun n ->
-          match List.assoc_opt n all_papps with
-          | Some a -> (n, a)
-          | None ->
-            Printf.eprintf "crane: unknown app %s (ledger|mysql|http)\n" n;
-            exit 2)
-        names
-  in
+let bench_parallel ~quick ~seed =
   let clients = 8 and workers = 4 in
   let per_client = if quick then 6 else 16 in
-  let results =
-    List.map
-      (fun (name, app) ->
-        Printf.printf "parallel %s: pool off..." name;
-        flush stdout;
-        let serial = parallel_run app ~pool:1 ~clients ~per_client ~seed in
-        Printf.printf " pool x%d..." workers;
-        flush stdout;
-        let pooled = parallel_run app ~pool:workers ~clients ~per_client ~seed in
-        let speedup =
-          if pooled.pr_exec_mean > 0.0 then
-            serial.pr_exec_mean /. pooled.pr_exec_mean
-          else 0.0
-        in
-        let outputs_identical = String.equal serial.pr_outputs pooled.pr_outputs in
-        let state_identical = String.equal serial.pr_state pooled.pr_state in
-        let certified = Certifier.certified pooled.pr_cert in
-        Printf.printf " %.2fx%s%s\n" speedup
-          (if outputs_identical && state_identical then "" else " (OUTPUTS DIVERGE)")
-          (if certified then "" else " (CERTIFIER VIOLATIONS)");
-        if not certified then print_string (Certifier.render pooled.pr_cert);
-        (name, serial, pooled, speedup, outputs_identical && state_identical, certified))
-      chosen
+  let per_app (name, app) =
+    let case pool = Printf.sprintf "%s, %s (%d clients x %d)" name pool clients per_client in
+    let off = case "pool off" and on = case (Printf.sprintf "pool x%d" workers) in
+    let serial, serial_out = parallel_run app ~case:off ~pool:1 ~clients ~per_client ~seed in
+    let pooled, pooled_out = parallel_run app ~case:on ~pool:workers ~clients ~per_client ~seed in
+    let mean rows case = Rows.value rows case "commit_reply_mean" in
+    let speedup = if mean pooled on > 0.0 then mean serial off /. mean pooled on else 0.0 in
+    serial @ pooled
+    @ Rows.
+        [ row on "speedup" "x" Higher speedup;
+          flag on "outputs_identical" (serial_out = pooled_out);
+          flag on "certified" (Rows.value pooled on "cert_violations" = 0.) ]
   in
-  Table.print
-    ~title:
-      (Printf.sprintf
-         "parallel delivery bench (%d clients, %d workers, crane mode)"
-         clients workers)
-    ~header:
-      [ "app"; "commit-reply off us"; "commit-reply on us"; "speedup";
-        "e2e off us"; "e2e on us"; "identical"; "certified" ]
-    (List.map
-       (fun (name, s, p, speedup, identical, certified) ->
-         [ name;
-           Printf.sprintf "%.1f" (s.pr_exec_mean /. 1e3);
-           Printf.sprintf "%.1f" (p.pr_exec_mean /. 1e3);
-           Printf.sprintf "%.2fx" speedup;
-           Printf.sprintf "%.1f" (s.pr_e2e_mean /. 1e3);
-           Printf.sprintf "%.1f" (p.pr_e2e_mean /. 1e3);
-           string_of_bool identical;
-           Printf.sprintf "%b (%d cmds, %d locs)" certified
-             p.pr_cert.Certifier.commands p.pr_cert.Certifier.locations ])
-       results);
-  let json =
-    Printf.sprintf
-      "{\n  \"bench\": \"parallel\",\n  \"seed\": %d,\n  \"mode\": \"crane\",\n  \
-       \"clients\": %d,\n  \"workers\": %d,\n  \"per_client\": %d,\n  \
-       \"results\": [\n%s\n  ]\n}\n"
-      seed clients workers per_client
-      (String.concat ",\n"
-         (List.map
-            (fun (name, s, p, speedup, identical, certified) ->
-              Printf.sprintf
-                "    {\"app\": \"%s\", \"serial\": %s, \"pooled\": %s, \
-                 \"speedup\": %.2f, \"fixed_seed_outputs_identical\": %b, \
-                 \"certified\": %b}"
-                (json_escape name) (parallel_side_json s) (parallel_side_json p)
-                speedup identical certified)
-            results))
+  let rows = List.concat_map per_app all_papps in
+  ( rows,
+    [ at_least "best commit->reply speedup"
+        (List.fold_left max 0. (Rows.values rows "speedup"))
+        min_parallel_speedup;
+      none "request errors" (List.fold_left ( +. ) 0. (Rows.values rows "errors")) ] )
+
+(* ---- bench: the registry and the one command over it ---- *)
+
+type bench = { name : string; run : quick:bool -> seed:int -> Rows.row list * gate list }
+
+let benches =
+  [ { name = "batching"; run = bench_batching };
+    { name = "recovery"; run = bench_recovery };
+    { name = "latency"; run = bench_latency };
+    { name = "reconfig"; run = bench_reconfig };
+    { name = "readmix"; run = bench_readmix };
+    { name = "parallel"; run = bench_parallel } ]
+
+let bench_cmd chosen quick seed check =
+  let passed b =
+    let path = Printf.sprintf "BENCH_%s.json" b.name in
+    (* the committed baseline, read before the run overwrites it *)
+    let baseline = if check then Some (Rows.read path) else None in
+    Printf.printf "bench %s...\n%!" b.name;
+    let rows, gates = b.run ~quick ~seed in
+    let current = { Rows.bench = b.name; seed; quick; rows } in
+    Rows.write path current;
+    Table.print
+      ~title:(Printf.sprintf "bench %s (seed %d, quick %b)" b.name seed quick)
+      ~header:[ "case"; "metric"; "value"; "unit" ]
+      (List.map (fun r -> Rows.[ r.case; r.metric; Printf.sprintf "%.10g" r.value; r.unit ]) rows);
+    Printf.printf "wrote %s\n" path;
+    let drift =
+      match baseline with
+      | None -> []
+      | Some None -> [ (Printf.sprintf "drift: no readable baseline %s" path, false) ]
+      | Some (Some baseline) -> (
+        match Rows.drift ~baseline ~current with
+        | Error e -> [ ("drift: not comparable: " ^ e, false) ]
+        | Ok [] ->
+          [ (Printf.sprintf "drift: all %d rows of %s within %.0f%%"
+               (List.length baseline.Rows.rows) path (100. *. Rows.tolerance),
+             true) ]
+        | Ok failures -> List.map (fun f -> ("drift: " ^ f, false)) failures)
+    in
+    let gates = gates @ Rows.flags rows @ drift in
+    List.iter
+      (fun (label, ok) -> Printf.printf "%s %s\n" (if ok then "  ok  " else "  FAIL") label)
+      gates;
+    List.for_all snd gates
   in
-  (match open_out out with
-  | oc ->
-    output_string oc json;
-    close_out oc;
-    Printf.printf "wrote %s\n" out
-  | exception Sys_error msg ->
-    Printf.eprintf "crane: cannot write %s: %s\n" out msg;
-    exit 1);
-  match check with
-  | None -> 0
-  | Some bound ->
-    let best =
-      List.fold_left (fun acc (_, _, _, s, _, _) -> max acc s) 0.0 results
-    in
-    let all_identical = List.for_all (fun (_, _, _, _, i, _) -> i) results in
-    let all_certified = List.for_all (fun (_, _, _, _, _, c) -> c) results in
-    let errors =
-      List.fold_left
-        (fun acc (_, s, p, _, _, _) -> acc + s.pr_errors + p.pr_errors)
-        0 results
-    in
-    if best >= bound && all_identical && all_certified && errors = 0 then begin
-      Printf.printf
-        "CHECK OK: best execute speedup %.2fx (bound %.1fx), outputs \
-         identical, schedules certified, 0 errors\n"
-        best bound;
-      0
-    end
-    else begin
-      Printf.printf
-        "CHECK FAIL: best=%.2fx (bound %.1f) identical=%b certified=%b \
-         errors=%d\n"
-        best bound all_identical all_certified errors;
-      1
-    end
-
-(* ---- bench drift: compare a fresh bench JSON against the committed
-   baseline ---- *)
-
-(* Scan [key]: <float> occurrences out of a bench JSON.  The bench
-   writers emit a fixed flat format (see the Printf.sprintf calls
-   above), so plain string scanning is enough — no JSON parser in the
-   toolchain, and none needed. *)
-let scan_floats ~key text =
-  let needle = "\"" ^ key ^ "\":" in
-  let nlen = String.length needle and len = String.length text in
-  let out = ref [] in
-  let i = ref 0 in
-  while !i + nlen <= len do
-    if String.sub text !i nlen = needle then begin
-      let j = ref (!i + nlen) in
-      while !j < len && text.[!j] = ' ' do incr j done;
-      let k = ref !j in
-      while
-        !k < len
-        && (match text.[!k] with '0' .. '9' | '.' | '-' | 'e' | '+' -> true | _ -> false)
-      do
-        incr k
-      done;
-      (match float_of_string_opt (String.sub text !j (!k - !j)) with
-      | Some f -> out := f :: !out
-      | None -> ());
-      i := !k
-    end
-    else incr i
-  done;
-  List.rev !out
-
-let drift_metric text =
-  (* Headline metric per bench kind: the min per-result speedup for
-     batching/parallel, the offload ratio for readmix. *)
-  let has kind =
-    let needle = Printf.sprintf "\"bench\": \"%s\"" kind in
-    let nlen = String.length needle in
-    let rec find i =
-      if i + nlen > String.length text then false
-      else if String.sub text i nlen = needle then true
-      else find (i + 1)
-    in
-    find 0
-  in
-  if has "readmix" then
-    match scan_floats ~key:"offload_ratio" text with
-    | r :: _ -> Some ("offload_ratio", r)
-    | [] -> None
-  else if has "batching" || has "parallel" then
-    match scan_floats ~key:"speedup" text with
-    | [] -> None
-    | l -> Some ("min speedup", List.fold_left min infinity l)
-  else None
-
-let read_file path =
-  match open_in_bin path with
-  | ic ->
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    Some s
-  | exception Sys_error _ -> None
-
-let bench_drift_cmd baseline current tolerance =
-  match (read_file baseline, read_file current) with
-  | None, _ ->
-    Printf.eprintf "crane: cannot read baseline %s\n" baseline;
-    2
-  | _, None ->
-    Printf.eprintf "crane: cannot read current %s\n" current;
-    2
-  | Some b, Some c -> (
-    match (drift_metric b, drift_metric c) with
-    | Some (kb, vb), Some (kc, vc) when kb = kc ->
-      let floor = vb *. (1.0 -. tolerance) in
-      if vc >= floor then begin
-        Printf.printf
-          "drift ok: %s %.3f vs baseline %.3f (floor %.3f, tolerance %.0f%%)\n"
-          kb vc vb floor (100. *. tolerance);
-        0
-      end
-      else begin
-        Printf.printf
-          "DRIFT: %s regressed to %.3f from baseline %.3f (floor %.3f, \
-           tolerance %.0f%%)\n"
-          kb vc vb floor (100. *. tolerance);
-        1
-      end
-    | _ ->
-      Printf.eprintf
-        "crane: cannot extract a comparable headline metric from %s and %s\n"
-        baseline current;
-      2)
+  let chosen = match chosen with [] -> benches | l -> l in
+  let all_passed = List.for_all Fun.id (List.map passed chosen) in
+  if check && not all_passed then 1 else 0
 
 (* ---- cmdliner plumbing ---- *)
 
@@ -1985,22 +1394,19 @@ let scenario_arg =
 let list_arg =
   Arg.(value & flag & info [ "list" ] ~doc:"List built-in chaos scenarios and exit.")
 
+let bench_names_arg =
+  let choice = Arg.enum (List.map (fun b -> (b.name, b)) benches) in
+  Arg.(value & pos_all choice [] & info [] ~docv:"NAME" ~doc:"Benches to run (default: all).")
+
 let quick_arg =
-  Arg.(value & flag & info [ "quick" ] ~doc:"Smaller workload for CI (96 requests per run).")
+  Arg.(value & flag & info [ "quick" ] ~doc:"Smaller workloads, as CI runs them.")
 
-let bench_out_arg =
-  Arg.(value & opt string "BENCH_batching.json"
-       & info [ "out"; "o" ] ~doc:"Benchmark JSON output file.")
-
-let check_arg =
-  Arg.(value & opt float 0.0
+let bench_check_arg =
+  Arg.(value & flag
        & info [ "check" ]
-           ~doc:"Exit nonzero unless every server's batched/unbatched speedup \
-                 reaches this factor and fixed-seed outputs are identical.")
-
-let bench_servers_arg =
-  Arg.(value & pos_all string []
-       & info [] ~docv:"SERVER" ~doc:"Servers to bench (default: all).")
+           ~doc:"Exit nonzero if any gate fails, or if any row regresses by more \
+                 than 20% against the committed BENCH_<name>.json, or if that \
+                 baseline is missing or was made with another seed or size.")
 
 let run_term = Term.(const run_cmd $ server_arg $ mode_arg $ clients_arg $ requests_arg $ seed_arg)
 let failover_term = Term.(const failover_cmd $ server_arg $ seed_arg)
@@ -2008,61 +1414,7 @@ let servers_term = Term.(const servers_cmd $ const ())
 
 let chaos_term = Term.(const chaos_cmd $ scenario_arg $ seed_arg $ list_arg)
 
-let bench_term =
-  Term.(const bench_cmd $ quick_arg $ seed_arg $ bench_out_arg $ check_arg
-        $ bench_servers_arg)
-
-let recovery_out_arg =
-  Arg.(value & opt string "BENCH_recovery.json"
-       & info [ "out"; "o" ] ~doc:"Benchmark JSON output file.")
-
-let recovery_check_arg =
-  Arg.(value & flag
-       & info [ "check" ]
-           ~doc:"Exit nonzero unless the compacted peak log size is flat across \
-                 history lengths, beats the uncompacted peak, and the restarted \
-                 replica recovered through the snapshot path.")
-
-let bench_recovery_term =
-  Term.(const bench_recovery_cmd $ quick_arg $ seed_arg $ recovery_out_arg
-        $ recovery_check_arg)
-
-let reconfig_out_arg =
-  Arg.(value & opt string "BENCH_reconfig.json"
-       & info [ "out"; "o" ] ~doc:"Benchmark JSON output file.")
-
-let reconfig_check_arg =
-  Arg.(value & flag
-       & info [ "check" ]
-           ~doc:"Exit nonzero unless the replacement commits (epoch advances, \
-                 fresh replica joins), no request hard-fails, the client-visible \
-                 unavailability stays bounded, and a same-seed rerun is \
-                 byte-identical.")
-
-let bench_reconfig_term =
-  Term.(const bench_reconfig_cmd $ quick_arg $ seed_arg $ reconfig_out_arg
-        $ reconfig_check_arg)
-
-let readmix_out_arg =
-  Arg.(value & opt string "BENCH_readmix.json"
-       & info [ "out"; "o" ] ~doc:"Benchmark JSON output file.")
-
-let readmix_pct_arg =
-  Arg.(value & opt int 95
-       & info [ "read-pct" ] ~doc:"Percentage of requests issued as reads.")
-
-let readmix_check_arg =
-  Arg.(value & flag
-       & info [ "check" ]
-           ~doc:"Exit nonzero unless the fast path's commit-path offload \
-                 (completions per consensus entry) is at least 2x the \
-                 all-consensus baseline, both lease and backup reads were \
-                 served, no request hard-fails, and a same-seed rerun is \
-                 byte-identical.")
-
-let bench_readmix_term =
-  Term.(const bench_readmix_cmd $ quick_arg $ seed_arg $ readmix_pct_arg
-        $ readmix_out_arg $ readmix_check_arg)
+let bench_term = Term.(const bench_cmd $ bench_names_arg $ quick_arg $ seed_arg $ bench_check_arg)
 
 let trace_term =
   Term.(const trace_cmd $ server_arg $ mode_arg $ clients_arg $ requests_arg
@@ -2160,105 +1512,18 @@ let profile_term =
   Term.(const profile_cmd $ server_arg $ clients_arg $ requests_arg $ seed_arg
         $ whatif_arg $ profile_trace_out_arg)
 
-let latency_out_arg =
-  Arg.(value & opt string "BENCH_latency.json"
-       & info [ "out"; "o" ] ~doc:"Benchmark JSON output file.")
-
-let latency_check_arg =
-  Arg.(value & flag
-       & info [ "check" ]
-           ~doc:"Exit nonzero unless every server decomposes >= 99% of committed \
-                 requests with no malformed span DAGs and the fsync2x what-if \
-                 moves end-to-end latency.")
-
-let bench_latency_term =
-  Term.(const bench_latency_cmd $ quick_arg $ seed_arg $ latency_out_arg
-        $ latency_check_arg $ bench_servers_arg)
-
-let parallel_out_arg =
-  Arg.(value & opt string "BENCH_parallel.json"
-       & info [ "out"; "o" ] ~doc:"Benchmark JSON output file.")
-
-let parallel_check_arg =
-  Arg.(value & opt (some float) None
-       & info [ "check" ] ~docv:"SPEEDUP"
-           ~doc:"Exit nonzero unless some app's execute-stage speedup at 4 \
-                 workers reaches this factor, fixed-seed outputs are identical \
-                 pool-on vs pool-off, and the certifier finds the pooled \
-                 schedule conflict-serializable with zero violations.")
-
-let parallel_apps_arg =
-  Arg.(value & pos_all string []
-       & info [] ~docv:"APP" ~doc:"Apps to bench: ledger, mysql, http (default: all).")
-
-let bench_parallel_term =
-  Term.(const bench_parallel_cmd $ quick_arg $ seed_arg $ parallel_out_arg
-        $ parallel_check_arg $ parallel_apps_arg)
-
-let drift_baseline_arg =
-  Arg.(required & pos 0 (some string) None
-       & info [] ~docv:"BASELINE" ~doc:"Committed baseline bench JSON.")
-
-let drift_current_arg =
-  Arg.(required & pos 1 (some string) None
-       & info [] ~docv:"CURRENT" ~doc:"Freshly produced bench JSON.")
-
-let drift_tolerance_arg =
-  Arg.(value & opt float 0.2
-       & info [ "tolerance" ]
-           ~doc:"Allowed fractional regression of the headline metric (0.2 = 20%).")
-
-let bench_drift_term =
-  Term.(const bench_drift_cmd $ drift_baseline_arg $ drift_current_arg
-        $ drift_tolerance_arg)
-
 let cmds =
   [
     Cmd.v (Cmd.info "run" ~doc:"Run a workload against a server in a chosen deployment mode.") run_term;
     Cmd.v (Cmd.info "failover" ~doc:"Kill the primary under load, recover from a checkpoint.") failover_term;
     Cmd.v (Cmd.info "chaos" ~doc:"Run the deterministic fault-injection suite and check SMR invariants.") chaos_term;
     Cmd.v (Cmd.info "trace" ~doc:"Run a workload with the flight recorder on; export the trace and metrics.") trace_term;
-    Cmd.group
-      (Cmd.info "bench" ~doc:"Benchmarks: commit batching, recovery/compaction.")
-      [ Cmd.v
-          (Cmd.info "batching"
-             ~doc:"Measure batched vs. unbatched commit throughput; write BENCH_batching.json.")
-          bench_term;
-        Cmd.v
-          (Cmd.info "recovery"
-             ~doc:"Measure straggler recovery time and peak resident log with \
-                   compaction on vs. off; write BENCH_recovery.json.")
-          bench_recovery_term;
-        Cmd.v
-          (Cmd.info "latency"
-             ~doc:"Decompose commit latency into critical-path stages per server \
-                   and measure what-if deltas; write BENCH_latency.json.")
-          bench_latency_term;
-        Cmd.v
-          (Cmd.info "reconfig"
-             ~doc:"Measure client-visible unavailability while the killed \
-                   primary is replaced through a live membership change; write \
-                   BENCH_reconfig.json.")
-          bench_reconfig_term;
-        Cmd.v
-          (Cmd.info "readmix"
-             ~doc:"Measure commit-path offload of lease/bounded-stale reads \
-                   vs all-consensus reads on a read-heavy mix; write \
-                   BENCH_readmix.json.")
-          bench_readmix_term;
-        Cmd.v
-          (Cmd.info "parallel"
-             ~doc:"Measure execute-stage speedup of dependency-aware parallel \
-                   delivery (worker pool on vs off) with the byte-identity \
-                   probe and the Crane-San schedule certifier; write \
-                   BENCH_parallel.json.")
-          bench_parallel_term;
-        Cmd.v
-          (Cmd.info "drift"
-             ~doc:"Compare a fresh bench JSON's headline metric against a \
-                   committed baseline; exit nonzero on regression beyond the \
-                   tolerance.")
-          bench_drift_term ];
+    Cmd.v
+      (Cmd.info "bench"
+         ~doc:"Run benches (batching, recovery, latency, reconfig, readmix, \
+               parallel); write each one's rows to BENCH_<name>.json and print \
+               its gates.")
+      bench_term;
     Cmd.v
       (Cmd.info "profile"
          ~doc:"Commit critical-path profile: per-stage latency decomposition, \
