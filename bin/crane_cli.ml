@@ -478,7 +478,7 @@ let recovery_run ~case ~threshold ~history ~seed =
   Engine.spawn eng ~name:"stream" (fun () ->
       Engine.sleep eng (Time.ms 10);
       for i = 1 to history do
-        ignore (Paxos.submit n1.rn_paxos (Printf.sprintf "r%07d" i));
+        ignore (Paxos.submit n1.rn_paxos [ Printf.sprintf "r%07d" i ]);
         Engine.sleep eng (Time.us 100)
       done);
   (* Kill n3 early: everything decided after this point is history it must

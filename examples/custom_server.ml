@@ -97,23 +97,19 @@ let bank : Api.server =
           |> List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v)
           |> String.concat ","
         in
-        {
-          Api.server_name = "bank";
-          state_of;
-          load_state =
-            (fun s ->
-              Hashtbl.reset accounts;
-              List.iter
-                (fun kv ->
-                  match String.split_on_char '=' kv with
-                  | [ k; v ] -> Hashtbl.replace accounts k (int_of_string v)
-                  | _ -> ())
-                (String.split_on_char ',' s));
-          mem_bytes = (fun () -> 500_000);
-          stop = ignore;
-          read = (fun _ -> None);
-          footprint = (fun _ -> None);
-        });
+        Api.handle ~name:"bank"
+          ~state_of
+          ~load_state:(fun s ->
+            Hashtbl.reset accounts;
+            List.iter
+              (fun kv ->
+                match String.split_on_char '=' kv with
+                | [ k; v ] -> Hashtbl.replace accounts k (int_of_string v)
+                | _ -> ())
+              (String.split_on_char ',' s))
+          ~mem_bytes:(fun () -> 500_000)
+          ~stop:ignore
+          ());
   }
 
 let drive_clients ?(seed = 0) eng world ~nodes () =

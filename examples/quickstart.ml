@@ -43,15 +43,12 @@ let greeter : Api.server =
                   end;
                   R.close conn)
             done);
-        {
-          Api.server_name = "greeter";
-          state_of = (fun () -> string_of_int !hits);
-          load_state = (fun s -> hits := int_of_string s);
-          mem_bytes = (fun () -> 1_000_000);
-          stop = ignore;
-          read = (fun _ -> None);
-          footprint = (fun _ -> None);
-        });
+        Api.handle ~name:"greeter"
+          ~state_of:(fun () -> string_of_int !hits)
+          ~load_state:(fun s -> hits := int_of_string s)
+          ~mem_bytes:(fun () -> 1_000_000)
+          ~stop:ignore
+          ());
   }
 
 let () =

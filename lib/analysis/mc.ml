@@ -20,11 +20,10 @@
     Crane-San's happens-before engine ({!Vc}).  Control choices (crash,
     drop, delay) are never pruned.
 
-    Each terminal state is checked against the chaos invariant suite
-    (single-primary-per-view, committed-prefix agreement, epoch
-    agreement, acked durability, state convergence) plus the Wing–Gong
-    linearizability checker ({!Linearize}) over the recorded client
-    history, including lease- and bounded-stale backup reads. *)
+    Every execution is checked against the SMR safety oracle the chaos
+    harness uses ({!Crane_chaos.Invariants}), plus completion and the
+    Wing–Gong linearizability checker ({!Linearize}) over the recorded
+    client history, including lease- and bounded-stale backup reads. *)
 
 module Time = Crane_sim.Time
 module Engine = Crane_sim.Engine
@@ -32,10 +31,9 @@ module Sched = Crane_sim.Sched
 module Cluster = Crane_core.Cluster
 module Instance = Crane_core.Instance
 module Proxy = Crane_core.Proxy
-module Api = Crane_core.Api
 module Paxos = Crane_paxos.Paxos
 module Ledger = Crane_chaos.Ledger
-module Sock = Crane_socket.Sock
+module Invariants = Crane_chaos.Invariants
 module Target = Crane_workload.Target
 
 (* ------------------------------------------------------------------ *)
@@ -103,7 +101,7 @@ let default =
     horizon = Time.sec 4;
     settle = Time.ms 600;
     (* the 3-replica/2-client default explores to this bound in 3328
-       schedules (~70 s); max_branch 10 completes too but costs 13984 *)
+       schedules; max_branch 10 completes too but costs 13984 *)
     max_branch = 8;
     crash_budget = 0;
     crash_window = 12;
@@ -284,7 +282,7 @@ let run_one cfg ~forced =
   let vcs = Hashtbl.create 8 in
   let vc_of n = Option.value (Hashtbl.find_opt vcs n) ~default:Vc.empty in
   let msg_vcs = Hashtbl.create 1024 in
-  let trans = ref [] and ntrans = ref 0 in
+  let trans = ref [] in
   let on_send ~id ~src ~dst:_ = Hashtbl.replace msg_vcs id (vc_of src) in
   let on_deliver ~id ~src:_ ~dst =
     let tid = tid_of dst in
@@ -301,56 +299,12 @@ let run_one cfg ~forced =
     trans :=
       { tr_id = id; tr_tid = tid; tr_clk = Vc.get vc tid; tr_mvc = mvc;
         tr_point = pt }
-      :: !trans;
-    incr ntrans
+      :: !trans
   in
   (* --- continuously sampled invariants --- *)
-  let reference_log = Hashtbl.create 256 in
-  let watermarks = Hashtbl.create 8 in
-  let sample () =
-    let live = Cluster.instances cluster in
-    let primaries =
-      List.filter_map
-        (fun (n, i) ->
-          if Instance.is_primary i then Some (n, Paxos.view i.Instance.paxos)
-          else None)
-        live
-    in
-    List.iter
-      (fun (n1, v1) ->
-        List.iter
-          (fun (n2, v2) ->
-            if n1 < n2 && v1 = v2 then
-              violate "single-primary-per-view"
-                (Printf.sprintf "%s and %s both lead view %d" n1 n2 v1))
-          primaries)
-      primaries;
-    List.iter
-      (fun (node, inst) ->
-        let px = inst.Instance.paxos in
-        let hi = Paxos.committed px in
-        let lo =
-          max
-            (Paxos.base px + 1)
-            (1 + Option.value (Hashtbl.find_opt watermarks node) ~default:0)
-        in
-        if hi >= lo then begin
-          List.iteri
-            (fun i value ->
-              let idx = lo + i in
-              match Hashtbl.find_opt reference_log idx with
-              | None -> Hashtbl.replace reference_log idx value
-              | Some expect ->
-                if expect <> value then
-                  violate "committed-prefix-agreement"
-                    (Printf.sprintf "%s disagrees at index %d" node idx))
-            (Paxos.get_committed_range px ~lo ~hi);
-          Hashtbl.replace watermarks node hi
-        end)
-      live
-  in
+  let oracle = Invariants.create () in
+  let sample () = Invariants.sample oracle cluster ~violate in
   (* --- crash injection --- *)
-  let majority = (cfg.replicas / 2) + 1 in
   let pre_deliver () =
     sample ();
     if
@@ -359,8 +313,8 @@ let run_one cfg ~forced =
       && !instants < cfg.crash_window
     then begin
       incr instants;
-      let live = List.sort compare (List.map fst (Cluster.instances cluster)) in
-      if List.length live - 1 >= majority then begin
+      if Invariants.quorum_safe_to_kill cluster then begin
+        let live = List.sort compare (List.map fst (Cluster.instances cluster)) in
         let keys = Array.of_list ("none" :: live) in
         let i = choose ~label:"mc.crash" ~keys in
         if i > 0 then begin
@@ -387,16 +341,6 @@ let run_one cfg ~forced =
   let history = ref [] in
   let acked = ref [] in
   let note ev = history := ev :: !history in
-  let recv_line conn ~max =
-    let rec go buf =
-      if String.contains buf '\n' then Some buf
-      else
-        let chunk = Sock.recv ~timeout:(Time.ms 600) conn ~max in
-        if chunk = "" then if buf = "" then None else Some buf
-        else go (buf ^ chunk)
-    in
-    try go "" with Sock.Connection_closed -> None
-  in
   let target = Target.cluster cluster ~port:80 in
   let do_write ~who ~from c k =
     let ok = ref false in
@@ -408,73 +352,31 @@ let run_one cfg ~forced =
       | None -> Engine.sleep eng (Time.ms 40)
       | Some conn ->
         let inv = Engine.now eng in
-        let resp =
-          try
-            Sock.send conn (Printf.sprintf "PUT %s\n" id);
-            recv_line conn ~max:4096
-          with Sock.Connection_closed -> None
-        in
-        (try Sock.close conn with Sock.Connection_closed -> ());
-        let want = "OK " ^ id in
-        (match resp with
-        | Some r
-          when String.length r >= String.length want
-               && String.sub r 0 (String.length want) = want ->
-          ok := true;
-          acked := id :: !acked;
-          note
-            {
-              Linearize.who;
-              op = Linearize.Append id;
-              mode = Linearize.Strict;
-              inv;
-              resp = Some (Engine.now eng);
-              res = Some Linearize.Ack;
-            }
-        | Some _ | None ->
-          (* the PUT may or may not have been decided: a forever-pending
-             append the linearizer is free to place or drop *)
-          note
-            {
-              Linearize.who;
-              op = Linearize.Append id;
-              mode = Linearize.Strict;
-              inv;
-              resp = None;
-              res = None;
-            }))
+        ok := Ledger.put ~timeout:(Time.ms 600) conn id <> None;
+        if !ok then acked := id :: !acked;
+        (* an unacked PUT may or may not have been decided: a
+           forever-pending append the linearizer is free to place or drop *)
+        note
+          {
+            Linearize.who;
+            op = Linearize.Append id;
+            mode = Linearize.Strict;
+            inv;
+            resp = (if !ok then Some (Engine.now eng) else None);
+            res = (if !ok then Some Linearize.Ack else None);
+          })
     done;
     if !ok then incr ops_done
-  in
-  let fast_read ~from node =
-    match
-      Sock.connect world ~from ~node
-        ~port:Instance.default_config.Instance.read_port
-    with
-    | exception Sock.Connection_refused _ -> None
-    | conn ->
-      let reply =
-        try
-          Sock.send conn (Proxy.encode_read_request "GET\n");
-          let rec go buf =
-            match Proxy.parse_read_reply buf with
-            | Some (r, _) -> Some r
-            | None ->
-              let chunk = Sock.recv ~timeout:(Time.ms 600) conn ~max:65536 in
-              if chunk = "" then None else go (buf ^ chunk)
-          in
-          go ""
-        with Sock.Connection_closed -> None
-      in
-      (try Sock.close conn with Sock.Connection_closed -> ());
-      reply
   in
   let do_read ~who ~from c k =
     let nodes = Cluster.members cluster in
     let node = List.nth nodes ((c + k) mod List.length nodes) in
     let inv = Engine.now eng in
     let fast =
-      if cfg.read_fastpath then fast_read ~from node else None
+      if cfg.read_fastpath then
+        Ledger.fast_get_node world ~timeout:(Time.ms 600)
+          ~read_port:Instance.default_config.Instance.read_port ~node ~from
+      else None
     in
     match fast with
     | Some (Proxy.Served r) ->
@@ -538,8 +440,8 @@ let run_one cfg ~forced =
           let px = i.Instance.paxos in
           Paxos.applied px = Paxos.committed px
           && Paxos.committed px = Paxos.committed i0.Instance.paxos
-          && i.Instance.handle.Api.state_of ()
-             = i0.Instance.handle.Api.state_of ())
+          && Invariants.state_of i
+             = Invariants.state_of i0)
         live
   in
   let engine_limit = ref false in
@@ -562,92 +464,24 @@ let run_one cfg ~forced =
        | _ -> ()
      end
    done);
-  (* --- terminal checks --- *)
+  (* --- terminal checks (the first violation wins) --- *)
+  let terminal (inv, verdict) = Option.iter (violate inv) verdict in
   sample ();
+  terminal (Invariants.committed_prefix oracle cluster);
   if !engine_limit then
     violate "engine-limit" "execution exceeded the per-run event budget";
-  (match Engine.failures eng with
-  | [] -> ()
-  | (name, e) :: _ ->
-    violate "thread-failure"
-      (Printf.sprintf "%s: %s" name (Printexc.to_string e)));
+  terminal (Invariants.thread_failures cluster);
   if cfg.check_completion && !ops_done < ops_total then
     violate "completion"
       (Printf.sprintf "%d of %d client operations incomplete at the horizon"
          (ops_total - !ops_done) ops_total);
-  if not (converged ()) then begin
-    let detail =
-      match
-        List.find_opt
-          (fun (_, i) ->
-            Paxos.applied i.Instance.paxos < Paxos.committed i.Instance.paxos)
-          (Cluster.instances cluster)
-      with
-      | Some (n, i) ->
-        Printf.sprintf "%s wedged at applied=%d < committed=%d" n
-          (Paxos.applied i.Instance.paxos)
-          (Paxos.committed i.Instance.paxos)
-      | None -> "live replicas disagree at the horizon"
-    in
-    violate "state-convergence" detail
-  end;
-  (let live = Cluster.instances cluster in
-   List.iter
-     (fun (node, inst) ->
-       let present = Ledger.ids_of_state (inst.Instance.handle.Api.state_of ()) in
-       List.iter
-         (fun id ->
-           if not (List.mem id present) then
-             violate "acked-durability"
-               (Printf.sprintf "acked %s missing on %s" id node))
-         (List.sort compare !acked))
-     live;
-   match
-     List.map
-       (fun (n, i) ->
-         ( n,
-           Paxos.epoch i.Instance.paxos,
-           List.sort compare (Paxos.members i.Instance.paxos) ))
-       live
-   with
-   | [] -> violate "epoch-agreement" "no live replicas"
-   | (n0, e0, m0) :: rest ->
-     List.iter
-       (fun (n, e, m) ->
-         if e <> e0 || m <> m0 then
-           violate "epoch-agreement"
-             (Printf.sprintf "%s and %s disagree on the configuration" n0 n))
-       rest);
+  terminal (Invariants.state_convergence cluster);
+  terminal (Invariants.acked_durability cluster ~acked:!acked);
+  terminal (Invariants.epoch_agreement cluster);
   (match Linearize.check (List.rev !history) with
   | Linearize.Linear _ -> ()
   | Linearize.Violation m -> violate "linearizability" m);
   Engine.clear_sched eng;
-  if Sys.getenv_opt "CRANE_MC_DEBUG" <> None then
-    Printf.eprintf
-      "mc-debug: end=%s ops=%d/%d load_done=%s converged=%b points=%d trans=%d\n%!"
-      (Time.to_string (Engine.now eng))
-      !ops_done ops_total
-      (match !load_done_at with
-      | Some t -> Time.to_string t
-      | None -> "never")
-      (converged ()) !npoints !ntrans;
-  if Sys.getenv_opt "CRANE_MC_DEBUG" <> None then
-    List.iter
-      (fun (n, i) ->
-        let px = i.Instance.paxos in
-        Printf.eprintf
-          "  node %s view=%d primary=%s committed=%d applied=%d\n%!" n
-          (Paxos.view px)
-          (match Paxos.primary px with Some p -> p | None -> "-")
-          (Paxos.committed px) (Paxos.applied px))
-      (Cluster.instances cluster);
-  if Sys.getenv_opt "CRANE_MC_DEBUG" = Some "2" then
-    List.iter
-      (fun p ->
-        Printf.eprintf "  point %-12s %d/%d %s\n%!" p.pt_label p.pt_taken
-          (Array.length p.pt_keys)
-          (String.concat " " (Array.to_list p.pt_keys)))
-      (List.rev !points);
   {
     x_points = Array.of_list (List.rev !points);
     x_trans = Array.of_list (List.rev !trans);

@@ -37,14 +37,11 @@ let racy_counter () : Api.server =
             R.sleep (Time.us 20)
           done)
     done;
-    {
-      Api.server_name = "racy-counter";
-      state_of = (fun () -> Printf.sprintf "%d/%d" (R.cell_get safe) (R.cell_get racy));
-      load_state = (fun _ -> ());
-      mem_bytes = (fun () -> 4096);
-      stop = (fun () -> ());
-      read = (fun _ -> None);
-      footprint = (fun _ -> None);
-    }
+    Api.handle ~name:"racy-counter"
+      ~state_of:(fun () -> Printf.sprintf "%d/%d" (R.cell_get safe) (R.cell_get racy))
+      ~load_state:(fun _ -> ())
+      ~mem_bytes:(fun () -> 4096)
+      ~stop:(fun () -> ())
+      ()
   in
   { Api.name = "racy-counter"; install = (fun _ -> ()); boot }

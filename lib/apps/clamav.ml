@@ -147,17 +147,13 @@ let server ?(cfg = default_config) () : Api.server =
     for i = 1 to cfg.nworkers do
       R.spawn ~name:(Printf.sprintf "clamd-worker%d" i) (fun () -> worker i)
     done;
-    {
-      Api.server_name = "clamav";
-      state_of = (fun () -> string_of_int (B.Counter.get scanned));
-      load_state = (fun s -> B.Counter.set scanned (int_of_string s));
-      mem_bytes = (fun () -> cfg.mem_bytes);
-      stop =
-        (fun () ->
-          R.cell_set stopped true;
-          B.Worklist.close worklist);
-      read = (fun _ -> None);
-      footprint = (fun _ -> None);
-    }
+    Api.handle ~name:"clamav"
+      ~state_of:(fun () -> string_of_int (B.Counter.get scanned))
+      ~load_state:(fun s -> B.Counter.set scanned (int_of_string s))
+      ~mem_bytes:(fun () -> cfg.mem_bytes)
+      ~stop:(fun () ->
+        R.cell_set stopped true;
+        B.Worklist.close worklist)
+      ()
   in
   { Api.name = "clamav"; install = install_tree cfg; boot }

@@ -105,47 +105,43 @@ let make ~name ~(cfg : config) : Api.server =
     for i = 1 to cfg.nworkers do
       R.spawn ~name:(Printf.sprintf "%s-worker%d" name i) (fun () -> worker i)
     done;
-    {
-      Api.server_name = name;
-      state_of = (fun () -> string_of_int (B.Sharded_counter.get served));
-      load_state = (fun s -> B.Sharded_counter.set served (int_of_string s));
-      mem_bytes = (fun () -> cfg.mem_bytes);
-      stop =
-        (fun () ->
-          R.cell_set stopped true;
-          B.Worklist.close worklist);
-      read =
-        (fun raw ->
-          (* Static GETs answer straight from the document root.  PHP
-             pages stay on the consensus path: their interpretation is
-             the workload being measured (and hint-synchronized). *)
-          if not (Httpkit.is_complete raw) then None
-          else
-            match Httpkit.parse_request raw with
-            | Some { Httpkit.meth = "GET"; path; _ }
-              when not (Filename.check_suffix path ".php") ->
-              let page = cfg.docroot ^ path in
-              let now = Time.to_string (R.now ()) in
-              if Memfs.exists R.fs ~path:page then
-                Some
-                  (Httpkit.response ~now ~status:200
-                     (Memfs.read_exn R.fs ~path:page))
-              else Some (Httpkit.response ~now ~status:404 "404 Not Found")
-            | Some _ | None -> None);
-      footprint =
-        (fun raw ->
-          (* One request touches one document-root path; the PHP
-             interpreter's arena lock is per-worker and the served
-             counter is sharded, so distinct paths really are disjoint.
-             Incomplete requests (split across sends) stay undeclared. *)
-          if not (Httpkit.is_complete raw) then None
-          else
-            match Httpkit.parse_request raw with
-            | Some { Httpkit.meth = "GET"; path; _ } ->
-              Some { Api.fp_reads = [ cfg.docroot ^ path ]; fp_writes = [] }
-            | Some { Httpkit.meth = "PUT" | "DELETE"; path; _ } ->
-              Some { Api.fp_reads = []; fp_writes = [ cfg.docroot ^ path ] }
-            | Some _ | None -> None);
-    }
+    Api.handle ~name:name
+      ~state_of:(fun () -> string_of_int (B.Sharded_counter.get served))
+      ~load_state:(fun s -> B.Sharded_counter.set served (int_of_string s))
+      ~mem_bytes:(fun () -> cfg.mem_bytes)
+      ~stop:(fun () ->
+        R.cell_set stopped true;
+        B.Worklist.close worklist)
+      ~read:(fun raw ->
+        (* Static GETs answer straight from the document root.  PHP
+           pages stay on the consensus path: their interpretation is
+           the workload being measured (and hint-synchronized). *)
+        if not (Httpkit.is_complete raw) then None
+        else
+          match Httpkit.parse_request raw with
+          | Some { Httpkit.meth = "GET"; path; _ }
+            when not (Filename.check_suffix path ".php") ->
+            let page = cfg.docroot ^ path in
+            let now = Time.to_string (R.now ()) in
+            if Memfs.exists R.fs ~path:page then
+              Some
+                (Httpkit.response ~now ~status:200
+                   (Memfs.read_exn R.fs ~path:page))
+            else Some (Httpkit.response ~now ~status:404 "404 Not Found")
+          | Some _ | None -> None)
+      ~footprint:(fun raw ->
+        (* One request touches one document-root path; the PHP
+           interpreter's arena lock is per-worker and the served
+           counter is sharded, so distinct paths really are disjoint.
+           Incomplete requests (split across sends) stay undeclared. *)
+        if not (Httpkit.is_complete raw) then None
+        else
+          match Httpkit.parse_request raw with
+          | Some { Httpkit.meth = "GET"; path; _ } ->
+            Some { Api.fp_reads = [ cfg.docroot ^ path ]; fp_writes = [] }
+          | Some { Httpkit.meth = "PUT" | "DELETE"; path; _ } ->
+            Some { Api.fp_reads = []; fp_writes = [ cfg.docroot ^ path ] }
+          | Some _ | None -> None)
+      ()
   in
   { Api.name; install; boot }

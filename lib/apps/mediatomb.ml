@@ -125,17 +125,13 @@ let server ?(cfg = default_config) () : Api.server =
     for i = 1 to cfg.nworkers do
       R.spawn ~name:(Printf.sprintf "mediatomb-worker%d" i) (fun () -> worker ())
     done;
-    {
-      Api.server_name = "mediatomb";
-      state_of = (fun () -> string_of_int (B.Counter.get transcoded));
-      load_state = (fun s -> B.Counter.set transcoded (int_of_string s));
-      mem_bytes = (fun () -> cfg.mem_bytes);
-      stop =
-        (fun () ->
-          R.cell_set stopped true;
-          B.Worklist.close worklist);
-      read = (fun _ -> None);
-      footprint = (fun _ -> None);
-    }
+    Api.handle ~name:"mediatomb"
+      ~state_of:(fun () -> string_of_int (B.Counter.get transcoded))
+      ~load_state:(fun s -> B.Counter.set transcoded (int_of_string s))
+      ~mem_bytes:(fun () -> cfg.mem_bytes)
+      ~stop:(fun () ->
+        R.cell_set stopped true;
+        B.Worklist.close worklist)
+      ()
   in
   { Api.name = "mediatomb"; install; boot }

@@ -183,52 +183,46 @@ let server ?(cfg = default_config) () : Api.server =
     for i = 1 to cfg.nworkers do
       R.spawn ~name:(Printf.sprintf "mysqld-worker%d" i) (fun () -> worker i)
     done;
-    {
-      Api.server_name = "mysql";
-      state_of =
-        (fun () ->
-          Printf.sprintf "%d|%s" (B.Sharded_counter.get queries)
-            (Sqlkit.serialize !db));
-      load_state =
-        (fun s ->
-          match String.index_opt s '|' with
-          | Some i ->
-            B.Sharded_counter.set queries (int_of_string (String.sub s 0 i));
-            db := Sqlkit.deserialize (String.sub s (i + 1) (String.length s - i - 1))
-          | None -> ());
-      mem_bytes = (fun () -> cfg.mem_bytes);
-      stop =
-        (fun () ->
-          R.cell_set stopped true;
-          B.Worklist.close worklist);
-      read =
-        (fun line ->
-          (* Point SELECTs answer from the table directly; anything else
-             (UPDATE, unparsable) stays on the consensus path.  Skips the
-             lock choreography and cost model: the fast path's latency is
-             the proxy's, not the modeled B-tree descent's. *)
-          match Sqlkit.parse_stmt (String.trim line) with
-          | Some (Sqlkit.Select { tbl; id }) -> (
-            match Sqlkit.table !db tbl with
-            | Some t -> (
-              match Sqlkit.select t ~id with
-              | Some v -> Some (Printf.sprintf "row id=%d c=%d\n" id v)
-              | None -> Some "empty set\n")
-            | None -> Some "ERROR unknown table\n")
-          | Some (Sqlkit.Update _) | None -> None);
-      footprint =
-        (fun line ->
-          (* Every statement on a table — SELECT included — acquires its
-             metadata mutex and buffer-pool latch, lock-order conflicts
-             the certifier would (rightly) flag; so same-table statements
-             serialize and the footprint declares the table written either
-             way.  Parallelism comes from statements on distinct tables,
-             which share no lock or row. *)
-          match Sqlkit.parse_stmt (String.trim line) with
-          | Some (Sqlkit.Select { tbl; _ }) | Some (Sqlkit.Update { tbl; _ })
-            ->
-            Some { Api.fp_reads = []; fp_writes = [ tbl ] }
-          | None -> None);
-    }
+    Api.handle ~name:"mysql"
+      ~state_of:(fun () ->
+        Printf.sprintf "%d|%s" (B.Sharded_counter.get queries)
+          (Sqlkit.serialize !db))
+      ~load_state:(fun s ->
+        match String.index_opt s '|' with
+        | Some i ->
+          B.Sharded_counter.set queries (int_of_string (String.sub s 0 i));
+          db := Sqlkit.deserialize (String.sub s (i + 1) (String.length s - i - 1))
+        | None -> ())
+      ~mem_bytes:(fun () -> cfg.mem_bytes)
+      ~stop:(fun () ->
+        R.cell_set stopped true;
+        B.Worklist.close worklist)
+      ~read:(fun line ->
+        (* Point SELECTs answer from the table directly; anything else
+           (UPDATE, unparsable) stays on the consensus path.  Skips the
+           lock choreography and cost model: the fast path's latency is
+           the proxy's, not the modeled B-tree descent's. *)
+        match Sqlkit.parse_stmt (String.trim line) with
+        | Some (Sqlkit.Select { tbl; id }) -> (
+          match Sqlkit.table !db tbl with
+          | Some t -> (
+            match Sqlkit.select t ~id with
+            | Some v -> Some (Printf.sprintf "row id=%d c=%d\n" id v)
+            | None -> Some "empty set\n")
+          | None -> Some "ERROR unknown table\n")
+        | Some (Sqlkit.Update _) | None -> None)
+      ~footprint:(fun line ->
+        (* Every statement on a table — SELECT included — acquires its
+           metadata mutex and buffer-pool latch, lock-order conflicts
+           the certifier would (rightly) flag; so same-table statements
+           serialize and the footprint declares the table written either
+           way.  Parallelism comes from statements on distinct tables,
+           which share no lock or row. *)
+        match Sqlkit.parse_stmt (String.trim line) with
+        | Some (Sqlkit.Select { tbl; _ }) | Some (Sqlkit.Update { tbl; _ })
+          ->
+          Some { Api.fp_reads = []; fp_writes = [ tbl ] }
+        | None -> None)
+      ()
   in
   { Api.name = "mysql"; install = install cfg; boot }

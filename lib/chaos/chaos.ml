@@ -22,9 +22,7 @@ module Fabric = Crane_net.Fabric
 module Paxos = Crane_paxos.Paxos
 module Cluster = Crane_core.Cluster
 module Instance = Crane_core.Instance
-module Api = Crane_core.Api
 module Output_log = Crane_core.Output_log
-module Sock = Crane_socket.Sock
 module Proxy = Crane_core.Proxy
 module Target = Crane_workload.Target
 module Loadgen = Crane_workload.Loadgen
@@ -244,8 +242,7 @@ type driver = {
   mutable violations : (string * string) list;  (** newest first *)
   mutable elections : election list;  (** newest first *)
   seen_views : (string * int, unit) Hashtbl.t;
-  reference_log : (int, string) Hashtbl.t;  (** index -> first-seen value *)
-  watermarks : (string, int) Hashtbl.t;
+  oracle : Invariants.t;
   mutable sampler_on : bool;
   mutable primary_cut : (Time.t * string) option;
       (** first [Partition_primary]: when the cut landed and who was
@@ -254,8 +251,6 @@ type driver = {
       (** a heal reconnected the ex-primary: it may legitimately win the
           lease back, so the fence prober stands down *)
 }
-
-let majority members = (List.length members / 2) + 1
 
 let live_nodes d = List.map fst (Cluster.instances d.cluster)
 
@@ -273,24 +268,20 @@ let violate d inv detail =
   if List.length (List.filter (fun (i, _) -> i = inv) d.violations) < 3 then
     d.violations <- (inv, detail) :: d.violations
 
+(* The first sampled violation of [inv], if any. *)
+let first_violation d inv =
+  List.rev d.violations |> List.assoc_opt inv
+
 (* ------------------------------------------------------------------ *)
 (* Fault injection                                                     *)
+
+let quorum_safe_to_kill d = Invariants.quorum_safe_to_kill d.cluster
 
 let kill_node d ~torn node =
   Cluster.kill ~wal_torn:torn d.cluster node;
   d.crashed <- d.crashed @ [ node ];
   Hashtbl.replace d.ever_crashed node ();
   note d (if torn then "crash_torn" else "crash") node
-
-(* Quorum guard against the configuration currently in force, not the
-   boot-time member list: after a reconfiguration the old list would both
-   under-count (freshly joined replicas are real voters) and over-count
-   (a fenced instance still winding down is not).  Only live replicas
-   that are members of the current epoch contribute to the quorum. *)
-let quorum_safe_to_kill d =
-  let members = Cluster.members d.cluster in
-  let live_voters = List.filter (fun n -> List.mem n members) (live_nodes d) in
-  List.length live_voters - 1 >= majority members
 
 let apply_fault d fault =
   let fab = Cluster.fabric d.cluster in
@@ -412,53 +403,11 @@ let materialize d = function
 (* Invariant sampler: runs every 50 ms of virtual time during the run.  *)
 
 let sample d =
-  let live = Cluster.instances d.cluster in
-  (* single primary per view: two leaders may transiently coexist across
-     views (the deposed one has not heard the news), never within one *)
-  let primaries =
-    List.filter_map
-      (fun (node, inst) ->
-        if Instance.is_primary inst then Some (node, Paxos.view inst.Instance.paxos)
-        else None)
-      live
-  in
-  List.iter
-    (fun (node, view) ->
-      List.iter
-        (fun (node', view') ->
-          if node < node' && view = view' then
-            violate d "single-primary-per-view"
-              (Printf.sprintf "%s and %s both primary in view %d at %s" node node' view
-                 (Time.to_string (Engine.now d.eng))))
-        primaries)
-    primaries;
-  (* committed-prefix agreement against the first-seen reference value *)
+  Invariants.sample d.oracle d.cluster ~violate:(violate d);
+  (* election log: first time we observe a node leading a view *)
   List.iter
     (fun (node, inst) ->
       let px = inst.Instance.paxos in
-      let hi = Paxos.committed px in
-      (* start above both the last-sampled index and the replica's
-         compaction base: entries at or below the base have been freed,
-         and the range lookup would return nothing for them *)
-      let lo =
-        max
-          ((try Hashtbl.find d.watermarks node with Not_found -> 0) + 1)
-          (Paxos.base px + 1)
-      in
-      if hi >= lo then begin
-        List.iteri
-          (fun i value ->
-            let idx = lo + i in
-            match Hashtbl.find_opt d.reference_log idx with
-            | None -> Hashtbl.replace d.reference_log idx value
-            | Some expect ->
-              if expect <> value then
-                violate d "committed-prefix-agreement"
-                  (Printf.sprintf "%s disagrees at index %d" node idx))
-          (Paxos.get_committed_range px ~lo ~hi);
-        Hashtbl.replace d.watermarks node hi
-      end;
-      (* election log: first time we observe a node leading a view *)
       if Instance.is_primary inst && not (Hashtbl.mem d.seen_views (node, Paxos.view px))
       then begin
         Hashtbl.replace d.seen_views (node, Paxos.view px) ();
@@ -471,7 +420,7 @@ let sample d =
           }
           :: d.elections
       end)
-    live
+    (Cluster.instances d.cluster)
 
 let rec sampler_loop d =
   Engine.after d.eng (Time.ms 50) (fun () ->
@@ -496,28 +445,6 @@ type read_obs = {
       (** writes acked before the read was issued (lease reads only:
           the linearizability obligation) *)
 }
-
-(* One fast read against a specific node (no failover: the observer
-   wants to know exactly who answered).  None = transport failure. *)
-let fast_read_node d ~read_port ~node ~from =
-  match Sock.connect (Cluster.world d.cluster) ~from ~node ~port:read_port with
-  | exception Sock.Connection_refused _ -> None
-  | conn ->
-    let reply =
-      try
-        Sock.send conn (Proxy.encode_read_request "GET\n");
-        let rec go buf =
-          match Proxy.parse_read_reply buf with
-          | Some (r, _) -> Some r
-          | None ->
-            let chunk = Sock.recv ~timeout:(Time.ms 500) conn ~max:65536 in
-            if chunk = "" then None else go (buf ^ chunk)
-        in
-        go ""
-      with Sock.Connection_closed -> None
-    in
-    (try Sock.close conn with Sock.Connection_closed -> ());
-    reply
 
 (* ------------------------------------------------------------------ *)
 (* End-of-run checks                                                   *)
@@ -573,150 +500,60 @@ let check_reads ~final_ids reads =
     reads;
   !v
 
+(* A restarted replica, or one that joined live via reconfiguration,
+   only re-emits outputs from its checkpoint or join point onward: its
+   output log must be a suffix of a fresh replica's, where two fresh
+   replicas must agree outright. *)
+let output_log_divergence d live =
+  let fresh n = (not (Hashtbl.mem d.ever_crashed n)) && List.mem n d.boot_members in
+  let diverged ((na, ia), (nb, ib)) =
+    let oa = Instance.output ia and ob = Instance.output ib in
+    let ok =
+      if fresh na && fresh nb then Output_log.first_divergence oa ob = None
+      else Output_log.is_suffix ~of_:oa ob || Output_log.is_suffix ~of_:ob oa
+    in
+    if ok then None
+    else
+      Some
+        (Printf.sprintf "%s vs %s%s" na nb
+           (match Output_log.first_divergence oa ob with
+           | Some i -> Printf.sprintf " at output %d" i
+           | None -> ""))
+  in
+  let rec pairs = function
+    | [] -> []
+    | a :: rest -> List.map (fun b -> (a, b)) rest @ pairs rest
+  in
+  List.find_map diverged (pairs live)
+
 let final_checks d ~(ledger : Ledger.client) ~probe_errors ~reads =
   let live = Cluster.instances d.cluster in
-  let check name f = (name, f ()) in
-  let sampled name =
-    match List.rev (List.filter (fun (i, _) -> i = name) d.violations) with
-    | [] -> None
-    | (_, detail) :: _ -> Some detail
-  in
+  let sampled name = (name, first_violation d name) in
   [
-    check "single-primary-per-view" (fun () -> sampled "single-primary-per-view");
-    check "committed-prefix-agreement" (fun () ->
-        (* full recheck of every still-resident entry: catches divergence
-           the incremental watermark pass would miss after a restart.
-           Compacted prefixes (at or below the base) are gone from the log
-           by design, so the recheck starts just above the base. *)
-        let v = ref (sampled "committed-prefix-agreement") in
-        List.iter
-          (fun (node, inst) ->
-            if !v = None then
-              let px = inst.Instance.paxos in
-              let hi = Paxos.committed px in
-              let lo = Paxos.base px + 1 in
-              if hi >= lo then
-                List.iteri
-                  (fun i value ->
-                    let idx = lo + i in
-                    match Hashtbl.find_opt d.reference_log idx with
-                    | Some expect when expect <> value && !v = None ->
-                      v := Some (Printf.sprintf "%s diverged at index %d" node idx)
-                    | _ -> ())
-                  (Paxos.get_committed_range px ~lo ~hi))
-          live;
-        !v);
-    check "output-log-divergence" (fun () ->
-        let v = ref None in
-        let rec pairs = function
-          | [] -> ()
-          | (na, ia) :: rest ->
-            List.iter
-              (fun (nb, ib) ->
-                if !v = None then
-                  let oa = Instance.output ia and ob = Instance.output ib in
-                  let fresh n =
-                    (not (Hashtbl.mem d.ever_crashed n))
-                    && List.mem n d.boot_members
-                  in
-                  let ok =
-                    if fresh na && fresh nb then
-                      Output_log.first_divergence oa ob = None
-                    else
-                      (* a restarted replica — or one that joined live via
-                         reconfiguration — only re-emits outputs from its
-                         checkpoint / join point onward: one log must be a
-                         suffix of the other *)
-                      Output_log.is_suffix ~of_:oa ob || Output_log.is_suffix ~of_:ob oa
-                  in
-                  if not ok then
-                    v :=
-                      Some
-                        (Printf.sprintf "%s vs %s%s" na nb
-                           (match Output_log.first_divergence oa ob with
-                           | Some i -> Printf.sprintf " at output %d" i
-                           | None -> "")))
-              rest;
-            pairs rest
-        in
-        pairs live;
-        !v);
-    check "state-convergence" (fun () ->
-        match List.map (fun (n, i) -> (n, i.Instance.handle.Api.state_of ())) live with
-        | [] -> Some "no live replicas"
-        | (n0, s0) :: rest -> (
-          match List.find_opt (fun (_, s) -> s <> s0) rest with
-          | Some (n, _) -> Some (Printf.sprintf "%s and %s disagree" n0 n)
-          | None -> None));
-    check "acked-durability" (fun () ->
-        (* every client-acked write must be in every live replica's state *)
-        let v = ref None in
-        List.iter
-          (fun (node, inst) ->
-            if !v = None then begin
-              let present = Hashtbl.create 1024 in
-              List.iter
-                (fun id -> Hashtbl.replace present id ())
-                (Ledger.ids_of_state (inst.Instance.handle.Api.state_of ()));
-              match
-                List.find_opt
-                  (fun id -> not (Hashtbl.mem present id))
-                  (Ledger.acked_ids ledger)
-              with
-              | Some id -> v := Some (Printf.sprintf "acked %s missing on %s" id node)
-              | None -> ()
-            end)
-          live;
-        !v);
-    check "epoch-agreement" (fun () ->
-        (* every live replica must be in the same configuration epoch with
-           the same membership, and must itself be a member of it — a
-           fenced replica that kept serving, or a joiner stuck on a stale
-           config, shows up here *)
-        let infos =
-          List.map
-            (fun (n, i) ->
-              ( n,
-                Paxos.epoch i.Instance.paxos,
-                List.sort compare (Paxos.members i.Instance.paxos) ))
-            live
-        in
-        match infos with
-        | [] -> Some "no live replicas"
-        | (n0, e0, m0) :: rest -> (
-          match List.find_opt (fun (_, e, m) -> e <> e0 || m <> m0) rest with
-          | Some (n, e, _) ->
-            Some
-              (Printf.sprintf "%s at epoch %d disagrees with %s at epoch %d" n e
-                 n0 e0)
-          | None -> (
-            match List.find_opt (fun (n, _, _) -> not (List.mem n m0)) infos with
-            | Some (n, _, _) ->
-              Some (Printf.sprintf "%s is live but not a member of epoch %d" n e0)
-            | None -> None)));
-    check "quorum-liveness" (fun () ->
-        if Cluster.primary_node d.cluster = None then Some "no primary after heal"
-        else if probe_errors > 0 then
-          Some (Printf.sprintf "%d probe requests failed after heal" probe_errors)
-        else None);
-    check "no-thread-failures" (fun () ->
-        match Engine.failures d.eng with
-        | [] -> None
-        | (name, e) :: _ ->
-          Some (Printf.sprintf "thread %s died: %s" name (Printexc.to_string e)));
+    sampled Invariants.single_primary;
+    (match sampled Invariants.prefix_agreement with
+    | _, Some _ as v -> v
+    | _, None -> Invariants.committed_prefix d.oracle d.cluster);
+    ("output-log-divergence", output_log_divergence d live);
+    Invariants.state_convergence d.cluster;
+    Invariants.acked_durability d.cluster ~acked:(Ledger.acked_ids ledger);
+    Invariants.epoch_agreement d.cluster;
+    ( "quorum-liveness",
+      if Cluster.primary_node d.cluster = None then Some "no primary after heal"
+      else if probe_errors > 0 then
+        Some (Printf.sprintf "%d probe requests failed after heal" probe_errors)
+      else None );
+    Invariants.thread_failures d.cluster;
   ]
   @
   match reads with
   | [] -> []
   | _ :: _ ->
-    [ check "bounded-stale-reads" (fun () ->
-          match live with
-          | [] -> Some "no live replicas"
-          | (_, i0) :: _ ->
-            check_reads
-              ~final_ids:
-                (Ledger.ids_of_state (i0.Instance.handle.Api.state_of ()))
-              reads) ]
+    [ ( "bounded-stale-reads",
+        match live with
+        | [] -> Some "no live replicas"
+        | (_, i0) :: _ ->
+          check_reads ~final_ids:(Ledger.ids_of_state (Invariants.state_of i0)) reads ) ]
 
 (* ------------------------------------------------------------------ *)
 (* Running a scenario                                                  *)
@@ -774,8 +611,7 @@ let run ?(cfg = chaos_config) ?trace ~seed scenario =
       violations = [];
       elections = [];
       seen_views = Hashtbl.create 32;
-      reference_log = Hashtbl.create 4096;
-      watermarks = Hashtbl.create 8;
+      oracle = Invariants.create ();
       sampler_on = true;
       primary_cut = None;
       fence_healed = false;
@@ -792,6 +628,10 @@ let run ?(cfg = chaos_config) ?trace ~seed scenario =
   (* the workload runs across the whole fault window *)
   let target = Target.cluster cluster ~port:80 in
   let ledger = Ledger.client () in
+  let fast_read_node ~node ~from =
+    Ledger.fast_get_node (Cluster.world cluster) ~timeout:(Time.ms 500)
+      ~read_port:cfg.Instance.read_port ~node ~from
+  in
   (* Read burst: observer threads cycling over the member list, reading
      through each replica's fast path.  They snapshot the acked-write set
      before every read — the obligation a lease read must meet. *)
@@ -808,9 +648,7 @@ let run ?(cfg = chaos_config) ?trace ~seed scenario =
               | nodes ->
                 let node = List.nth nodes (n mod List.length nodes) in
                 let acked_before = Ledger.acked_ids ledger in
-                (match
-                   fast_read_node d ~read_port:cfg.Instance.read_port ~node ~from
-                 with
+                (match fast_read_node ~node ~from with
                 | Some (Proxy.Served r) ->
                   read_obs :=
                     {
@@ -855,10 +693,7 @@ let run ?(cfg = chaos_config) ?trace ~seed scenario =
             | Some (cut, p) when Engine.now eng >= cut + lease + grace -> (
               incr fence_attempts;
               if !fence_first = None then fence_first := Some (Engine.now eng);
-              match
-                fast_read_node d ~read_port:cfg.Instance.read_port ~node:p
-                  ~from:"chaos-fence"
-              with
+              match fast_read_node ~node:p ~from:"chaos-fence" with
               | Some (Proxy.Served r) when r.Proxy.mode = `Lease ->
                 violate d "lease-fencing"
                   (Printf.sprintf
@@ -915,12 +750,10 @@ let run ?(cfg = chaos_config) ?trace ~seed scenario =
     match Cluster.instances cluster with
     | [] -> false
     | (_, i0) :: rest ->
-      let s0 = i0.Instance.handle.Api.state_of () in
-      List.for_all (fun (_, i) -> i.Instance.handle.Api.state_of () = s0) rest
-      &&
-      let present = Hashtbl.create 1024 in
-      List.iter (fun id -> Hashtbl.replace present id ()) (Ledger.ids_of_state s0);
-      List.for_all (fun id -> Hashtbl.mem present id) (Ledger.acked_ids ledger)
+      let s0 = Invariants.state_of i0 in
+      List.for_all (fun (_, i) -> Invariants.state_of i = s0) rest
+      && snd (Invariants.acked_durability cluster ~acked:(Ledger.acked_ids ledger))
+         = None
   in
   let deadline = Engine.now eng + Time.sec 30 in
   Cluster.run ~until:(Engine.now eng + Time.ms 200) cluster;
@@ -949,11 +782,9 @@ let run ?(cfg = chaos_config) ?trace ~seed scenario =
     @
     if scenario.lease_fence then
       [ ( "lease-fencing",
-          match
-            List.rev (List.filter (fun (i, _) -> i = "lease-fencing") d.violations)
-          with
-          | (_, detail) :: _ -> Some detail
-          | [] -> (
+          match first_violation d "lease-fencing" with
+          | Some _ as v -> v
+          | None -> (
             if !fence_attempts = 0 then
               Some
                 "vacuous: the fence prober never reached the partitioned \

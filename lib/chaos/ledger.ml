@@ -63,32 +63,28 @@ let server : Api.server =
                   in
                   serve "")
             done);
-        {
-          Api.server_name = "ledger";
-          state_of = (fun () -> String.concat "," (List.rev !ids));
-          load_state =
-            (fun s ->
-              let l = if s = "" then [] else String.split_on_char ',' s in
-              ids := List.rev l;
-              count := List.length l);
-          mem_bytes = (fun () -> 1_000_000 + (16 * !count));
-          stop = (fun () -> stopped := true);
-          read =
-            (fun line ->
-              if String.trim line = "GET" then
-                Some (Printf.sprintf "IDS %s\n" (String.concat "," (List.rev !ids)))
-              else None);
-          footprint =
-            (fun line ->
-              (* The whole ledger is one resource: PUTs all conflict (the
-                 honest footprint of an append-only list), GETs only read
-                 it and may run alongside each other. *)
-              match String.split_on_char ' ' (String.trim line) with
-              | [ "PUT"; _ ] ->
-                Some { Api.fp_reads = []; fp_writes = [ "ledger" ] }
-              | [ "GET" ] -> Some { Api.fp_reads = [ "ledger" ]; fp_writes = [] }
-              | _ -> None);
-        });
+        Api.handle ~name:"ledger"
+          ~state_of:(fun () -> String.concat "," (List.rev !ids))
+          ~load_state:(fun s ->
+            let l = if s = "" then [] else String.split_on_char ',' s in
+            ids := List.rev l;
+            count := List.length l)
+          ~mem_bytes:(fun () -> 1_000_000 + (16 * !count))
+          ~stop:(fun () -> stopped := true)
+          ~read:(fun line ->
+            if String.trim line = "GET" then
+              Some (Printf.sprintf "IDS %s\n" (String.concat "," (List.rev !ids)))
+            else None)
+          ~footprint:(fun line ->
+            (* The whole ledger is one resource: PUTs all conflict (the
+               honest footprint of an append-only list), GETs only read
+               it and may run alongside each other. *)
+            match String.split_on_char ' ' (String.trim line) with
+            | [ "PUT"; _ ] ->
+              Some { Api.fp_reads = []; fp_writes = [ "ledger" ] }
+            | [ "GET" ] -> Some { Api.fp_reads = [ "ledger" ]; fp_writes = [] }
+            | _ -> None)
+          ());
   }
 
 type client = {
@@ -103,36 +99,72 @@ let acked_ids t =
 
 let acked_count t = Hashtbl.length t.acked
 
+(* ------------------------------------------------------------------ *)
+(* Wire helpers: every ledger client (the loadgens, the chaos observers,
+   Crane-MC) talks to a replica through [call] (a line protocol) or
+   [read_call] (the proxy's read envelope).  Each caller passes its own
+   recv [timeout]: a stalled reply costs that much virtual time. *)
+
+module Proxy = Crane_core.Proxy
+
+(* Send [msg] on [conn], then read to a newline: the reply line (or the
+   partial tail the peer closed on), [None] if nothing arrived.  Closes
+   [conn]. *)
+let call ~timeout ~max conn msg =
+  let rec read buf =
+    if String.contains buf '\n' then Some buf
+    else
+      let chunk = Sock.recv ~timeout conn ~max in
+      if chunk = "" then if buf = "" then None else Some buf
+      else read (buf ^ chunk)
+  in
+  let resp =
+    try
+      Sock.send conn msg;
+      read ""
+    with Sock.Connection_closed -> None
+  in
+  (try Sock.close conn with Sock.Connection_closed -> ());
+  resp
+
+(* A GET through the proxy's read envelope on [conn].  None = transport
+   failure.  Closes [conn]. *)
+let read_call ~timeout conn =
+  let rec read buf =
+    match Proxy.parse_read_reply buf with
+    | Some (r, _) -> Some r
+    | None ->
+      let chunk = Sock.recv ~timeout conn ~max:65536 in
+      if chunk = "" then None else read (buf ^ chunk)
+  in
+  let reply =
+    try
+      Sock.send conn (Proxy.encode_read_request "GET\n");
+      read ""
+    with Sock.Connection_closed -> None
+  in
+  (try Sock.close conn with Sock.Connection_closed -> ());
+  reply
+
+(* PUT [id] on [conn]: the reply line if it acknowledges [id]. *)
+let put ~timeout conn id =
+  match call ~timeout ~max:4096 conn (Printf.sprintf "PUT %s\n" id) with
+  | Some r when String.starts_with ~prefix:("OK " ^ id) r -> Some r
+  | Some _ | None -> None
+
 (* One request: PUT a fresh id, succeed only on a matching OK.  A short
    recv timeout (vs. the benchmarks' 120 s) makes a stalled primary a
    transient failure the loadgen can retry, not a wedged client. *)
 let request t target ~from =
-  ignore from;
   t.attempts <- t.attempts + 1;
   let id = Printf.sprintf "w%d" t.attempts in
-  match Target.connect target ~from with
+  match
+    Option.bind (Target.connect target ~from) (fun c -> put ~timeout:(Time.sec 5) c id)
+  with
+  | Some _ as resp ->
+    Hashtbl.replace t.acked id ();
+    resp
   | None -> None
-  | Some conn ->
-    let resp =
-      try
-        Sock.send conn (Printf.sprintf "PUT %s\n" id);
-        let rec read buf =
-          if String.contains buf '\n' then Some buf
-          else
-            let chunk = Sock.recv ~timeout:(Time.sec 5) conn ~max:4096 in
-            if chunk = "" then if buf = "" then None else Some buf
-            else read (buf ^ chunk)
-        in
-        read ""
-      with Sock.Connection_closed -> None
-    in
-    (try Sock.close conn with Sock.Connection_closed -> ());
-    (match resp with
-    | Some r when String.length r >= String.length ("OK " ^ id)
-                  && String.sub r 0 (String.length ("OK " ^ id)) = "OK " ^ id ->
-      Hashtbl.replace t.acked id ();
-      resp
-    | Some _ | None -> None)
 
 (* Parse a replica's ledger state back into an id set. *)
 let ids_of_state s =
@@ -141,53 +173,27 @@ let ids_of_state s =
 (* ------------------------------------------------------------------ *)
 (* Read clients. *)
 
-module Proxy = Crane_core.Proxy
-
 (* Consensus-path GET: the all-consensus read baseline, and the fallback
    when the fast path answers REJECT.  Returns the [IDS ...] line. *)
 let consensus_get target ~from =
-  match Target.connect target ~from with
-  | None -> None
-  | Some conn ->
-    let resp =
-      try
-        Sock.send conn "GET\n";
-        let rec read buf =
-          if String.contains buf '\n' then Some buf
-          else
-            let chunk = Sock.recv ~timeout:(Time.sec 5) conn ~max:65536 in
-            if chunk = "" then if buf = "" then None else Some buf
-            else read (buf ^ chunk)
-        in
-        read ""
-      with Sock.Connection_closed -> None
-    in
-    (try Sock.close conn with Sock.Connection_closed -> ());
-    (match resp with
-    | Some r when String.length r >= 4 && String.sub r 0 4 = "IDS " -> resp
-    | Some _ | None -> None)
+  match
+    Option.bind (Target.connect target ~from)
+      (fun c -> call ~timeout:(Time.sec 5) ~max:65536 c "GET\n")
+  with
+  | Some r when String.starts_with ~prefix:"IDS " r -> Some r
+  | Some _ | None -> None
 
 (* One fast-path read against [rtarget] (a read-port target): GET through
    the proxy's read envelope.  None = transport failure. *)
 let fast_get rtarget ~from =
-  match Target.connect rtarget ~from with
-  | None -> None
-  | Some conn ->
-    let reply =
-      try
-        Sock.send conn (Proxy.encode_read_request "GET\n");
-        let rec go buf =
-          match Proxy.parse_read_reply buf with
-          | Some (r, _) -> Some r
-          | None ->
-            let chunk = Sock.recv ~timeout:(Time.sec 5) conn ~max:65536 in
-            if chunk = "" then None else go (buf ^ chunk)
-        in
-        go ""
-      with Sock.Connection_closed -> None
-    in
-    (try Sock.close conn with Sock.Connection_closed -> ());
-    reply
+  Option.bind (Target.connect rtarget ~from) (read_call ~timeout:(Time.sec 5))
+
+(* One fast read against one specific replica, with no failover: an
+   observer that wants to know exactly who answered. *)
+let fast_get_node world ~timeout ~read_port ~node ~from =
+  match Sock.connect world ~from ~node ~port:read_port with
+  | exception Sock.Connection_refused _ -> None
+  | conn -> read_call ~timeout conn
 
 (* Fast path with consensus fallback: the client-visible read operation.
    [Served] answers return their value; a rejected or transport-failed

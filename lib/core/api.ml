@@ -116,6 +116,12 @@ type handle = {
           command is treated as touching all state and serializes. *)
 }
 
+(** Build a {!handle}.  Capabilities a server does not declare default
+    to [None]: no read fast path, every footprint undeclared. *)
+let handle ?(read = fun _ -> None) ?(footprint = fun _ -> None) ~name ~state_of
+    ~load_state ~mem_bytes ~stop () =
+  { server_name = name; state_of; load_state; mem_bytes; stop; read; footprint }
+
 (** A server program, supplied to a cluster or run directly against any
     runtime.  [install] populates the installation/working directories
     (run before the container's base snapshot is taken, like a package

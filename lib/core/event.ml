@@ -15,7 +15,7 @@ let is_bubble = function Time_bubble _ -> true | Connect _ | Send _ | Close _ ->
 let is_call ev = not (is_bubble ev)
 
 let encode_batch (evs : t list) = List.map encode evs
-(** Encode a burst of events for {!Crane_paxos.Paxos.submit_batch}: one
+(** Encode a burst of events for {!Crane_paxos.Paxos.submit}: one
     consensus round, one record per event (each keeps its own global
     index, so batching never changes the decision sequence). *)
 

@@ -179,7 +179,7 @@ let flush t =
         ~node:t.node ~cat:"proxy" ~name:"batch_flush"
         [ ("events", Trace.Int (List.length entries)) ];
     match
-      Paxos.submit_batch_ix t.paxos (List.map (fun (enc, _, _) -> enc) entries)
+      Paxos.submit t.paxos (List.map (fun (enc, _, _) -> enc) entries)
     with
     | None -> ()
     | Some (lo, _) ->
@@ -200,8 +200,8 @@ let schedule_flush t =
 let submit t ev =
   let accepted =
     if t.batch_max <= 1 then (
-      match Paxos.submit_ix t.paxos (Event.encode ev) with
-      | Some index ->
+      match Paxos.submit t.paxos [ Event.encode ev ] with
+      | Some (index, _) ->
         req_proposed t ~index ~queued:0 ev;
         true
       | None -> false)

@@ -743,7 +743,7 @@ let fsync_done t ~lo ~hi =
     done
   end
 
-let submit_ix t value =
+let submit_one t value =
   if not (is_primary t) then None
   else begin
     let index = t.last_index + 1 in
@@ -768,15 +768,14 @@ let submit_ix t value =
     Some index
   end
 
-let submit t value = submit_ix t value <> None
-
 (* One consensus round for a whole batch: indices are assigned per value
    (so decisions, checkpoints and catch-up are oblivious to batching) but
-   the broadcast, the acks and the WAL fsync are paid once. *)
-let submit_batch_ix t values =
+   the broadcast, the acks and the WAL fsync are paid once.  A single
+   value takes the plain Accept path. *)
+let submit t values =
   match values with
   | [] -> None
-  | [ v ] -> Option.map (fun i -> (i, i)) (submit_ix t v)
+  | [ v ] -> Option.map (fun i -> (i, i)) (submit_one t v)
   | _ ->
     if not (is_primary t) then None
     else begin
@@ -816,8 +815,6 @@ let submit_batch_ix t values =
       Some (lo, hi)
     end
 
-let submit_batch t values = submit_batch_ix t values <> None
-
 (* Propose a membership change.  One reconfiguration in flight at a
    time: the next one must wait for activation, otherwise two pending
    configs would make the joint-quorum rule ambiguous. *)
@@ -832,7 +829,7 @@ let submit_reconfig (t : t) members' =
     (* Set the joint quorum before casting so the very Accept carrying
        the config entry already needs both majorities to commit. *)
     t.pending_members <- Some members';
-    match submit_ix t (encode_config ~epoch ~members:members') with
+    match submit_one t (encode_config ~epoch ~members:members') with
     | Some i -> Some i
     | None ->
       t.pending_members <- None;

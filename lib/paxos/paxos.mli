@@ -94,30 +94,19 @@ val is_primary : t -> bool
 val primary : t -> Crane_net.Fabric.node option
 (** This node's current belief about who leads. *)
 
-val submit : t -> string -> bool
-(** Propose a value.  Returns [false] (and does nothing) unless this node
-    currently believes itself primary.  Decisions are reported through
-    [handlers.on_commit]. *)
-
-val submit_ix : t -> string -> int option
-(** Like {!submit}, but returns the global index assigned to the value —
-    the trace id request spans are keyed by. *)
-
-val submit_batch : t -> string list -> bool
-(** Propose several values as one consensus round (paper-faithful
-    batching: CRANE already amortizes ordering per {e burst}, this
-    amortizes the transport too).  Each value still gets its own global
-    index — the decision sequence is exactly what [N] {!submit} calls in
-    list order would have produced — but the whole batch costs one Accept
-    broadcast, one ack per replica, and one group-commit WAL fsync
-    ({!Crane_storage.Wal.append_batch_async}) instead of [N] of each.
-    Returns [false] (and proposes nothing) unless this node currently
-    believes itself primary, or if the list is empty. *)
-
-val submit_batch_ix : t -> string list -> (int * int) option
-(** Like {!submit_batch}, but returns the inclusive [(lo, hi)] index
-    range assigned to the batch (values take consecutive indices in list
-    order). *)
+val submit : t -> string list -> (int * int) option
+(** Propose values as one consensus round and return the inclusive
+    [(lo, hi)] range of global indices they took, in list order — the
+    trace ids request spans are keyed by.  Decisions are reported through
+    [handlers.on_commit].  A one-value list is one plain Accept.  A longer
+    list is paper-faithful batching (CRANE already amortizes ordering per
+    {e burst}; this amortizes the transport too): each value still gets
+    its own index, so the decision sequence is exactly what one-value
+    calls in list order would have produced, but the whole batch costs
+    one Accept broadcast, one ack per replica, and one group-commit WAL
+    fsync ({!Crane_storage.Wal.append_batch_async}) instead of one of
+    each per value.  Returns [None] (and proposes nothing) if the list is
+    empty or this node does not believe itself primary. *)
 
 (** {2 Handlers}
 
@@ -294,7 +283,7 @@ type stats = {
       (** proposed batches whose whole index range has committed *)
   events_per_batch : (int * int) list;
       (** histogram of committed batch sizes: [(size, batches)] pairs in
-          ascending size order ({!submit} counts as size 1; sizes are
+          ascending size order (a one-value {!submit} counts as size 1; sizes are
           clamped to {!histogram_cap} so the table is bounded — render
           the top bucket as "64+", it is a sum over all larger sizes) *)
   max_batch : int;

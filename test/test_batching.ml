@@ -62,8 +62,8 @@ let run_bursts ~batched () =
         let vs = List.init 6 (fun i -> Printf.sprintf "v%d" ((b * 6) + i)) in
         (if batched then
            Alcotest.(check bool) "primary accepts batch" true
-             (Paxos.submit_batch p1 vs)
-         else List.iter (fun v -> ignore (Paxos.submit p1 v)) vs);
+             (Paxos.submit p1 vs <> None)
+         else List.iter (fun v -> ignore (Paxos.submit p1 [ v ])) vs);
         Engine.sleep sim.Test_paxos.eng (Time.ms 2)
       done);
   Engine.run ~until:(Time.sec 2) sim.Test_paxos.eng;
@@ -90,15 +90,15 @@ let test_paxos_equivalence () =
   Alcotest.(check (list (pair int int))) "histogram: ten 6-event batches"
     [ (6, 10) ] stats_b.Paxos.events_per_batch
 
-let test_submit_batch_refusals () =
+let test_submit_refusals () =
   let sim, nodes = Test_paxos.start_cluster () in
   let p1, _, _ = List.hd nodes in
   let p2 = match List.nth_opt nodes 1 with Some (p, _, _) -> p | None -> assert false in
   let r_backup = ref true and r_empty = ref true in
   Engine.spawn sim.Test_paxos.eng ~name:"client" (fun () ->
       Engine.sleep sim.Test_paxos.eng (Time.ms 10);
-      r_backup := Paxos.submit_batch p2 [ "a"; "b" ];
-      r_empty := Paxos.submit_batch p1 []);
+      r_backup := Paxos.submit p2 [ "a"; "b" ] <> None;
+      r_empty := Paxos.submit p1 [] <> None);
   Engine.run ~until:(Time.ms 100) sim.Test_paxos.eng;
   Alcotest.(check bool) "backup refuses batches" false !r_backup;
   Alcotest.(check bool) "empty batch refused" false !r_empty
@@ -126,12 +126,12 @@ let test_demotion_mid_batch () =
       (* Still believes itself primary: the batch is accepted but can
          never commit. *)
       Alcotest.(check bool) "isolated primary still accepts" true
-        (Paxos.submit_batch p1 [ "x1"; "x2" ]));
+        (Paxos.submit p1 [ "x1"; "x2" ] <> None));
   Engine.at sim.Test_paxos.eng (Time.sec 2) (fun () ->
       match Test_paxos.find_primary sim with
       | Some (n, p, _, _) ->
         Alcotest.(check bool) "new primary is a backup" true (n <> "n1");
-        ignore (Paxos.submit p "y1")
+        ignore (Paxos.submit p [ "y1" ])
       | None -> Alcotest.fail "no new primary elected");
   Engine.run ~until:(Time.sec 4) sim.Test_paxos.eng;
   Alcotest.(check bool) "old primary demoted" true !demoted;
@@ -288,7 +288,7 @@ let suite =
         Alcotest.test_case "wal group crash all-or-nothing" `Quick
           test_wal_group_crash_all_or_nothing;
         Alcotest.test_case "paxos batched = unbatched" `Quick test_paxos_equivalence;
-        Alcotest.test_case "submit_batch refusals" `Quick test_submit_batch_refusals;
+        Alcotest.test_case "submit refusals" `Quick test_submit_refusals;
         Alcotest.test_case "demotion mid-batch sheds" `Quick test_demotion_mid_batch;
         Alcotest.test_case "flush by size" `Quick test_flush_by_size;
         Alcotest.test_case "flush by timeout" `Quick test_flush_by_timeout;

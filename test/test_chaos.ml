@@ -14,6 +14,7 @@ module Target = Crane_workload.Target
 module Loadgen = Crane_workload.Loadgen
 module Chaos = Crane_chaos.Chaos
 module Ledger = Crane_chaos.Ledger
+module Invariants = Crane_chaos.Invariants
 
 let violations r =
   List.filter_map
@@ -118,6 +119,73 @@ let test_torn_recovery_refill () =
   let r = handle.Loadgen.collect () in
   Alcotest.(check int) "no hard client errors" 0 r.Loadgen.errors
 
+(* The shared oracle on a short healthy ledger run: every check passes.
+   Then the cheap failures are provoked against the same cluster: an
+   acked id no replica ever wrote, and a reference log holding a wrong
+   value at a committed index. *)
+let test_oracle () =
+  let cluster =
+    Cluster.create ~seed:3 ~cfg:Chaos.chaos_config ~server:Ledger.server ()
+  in
+  Cluster.start cluster;
+  let eng = Cluster.engine cluster in
+  Cluster.run ~until:(Time.ms 200) cluster;
+  let target = Target.cluster cluster ~port:80 in
+  let ledger = Ledger.client () in
+  let handle =
+    Loadgen.run ~name:"load" ~think:(Time.ms 20) ~retries:6
+      ~retry_backoff:(Time.ms 100) ~clients:2 ~requests:30
+      ~request:(Ledger.request ledger) target
+  in
+  Loadgen.drive ~timeout:(Time.sec 60) target handle;
+  Cluster.run ~until:(Engine.now eng + Time.sec 1) cluster;
+  let oracle = Invariants.create () in
+  let sampled = ref [] in
+  let violate inv detail = sampled := (inv ^ ": " ^ detail) :: !sampled in
+  Invariants.sample oracle cluster ~violate;
+  Alcotest.(check (list string)) "sample clean" [] !sampled;
+  let acked = Ledger.acked_ids ledger in
+  Alcotest.(check bool) "writes acked" true (List.length acked >= 30);
+  let verdicts =
+    [
+      Invariants.committed_prefix oracle cluster;
+      Invariants.state_convergence cluster;
+      Invariants.acked_durability cluster ~acked;
+      Invariants.epoch_agreement cluster;
+      Invariants.thread_failures cluster;
+    ]
+  in
+  List.iter
+    (fun (name, v) -> Alcotest.(check (option string)) (name ^ " holds") None v)
+    verdicts;
+  Alcotest.(check bool) "a replica may be killed" true
+    (Invariants.quorum_safe_to_kill cluster);
+  (match Invariants.acked_durability cluster ~acked:("never-written" :: acked) with
+  | "acked-durability", Some d ->
+    Alcotest.(check bool) ("names the lost id: " ^ d) true
+      (String.starts_with ~prefix:"acked never-written missing on " d)
+  | name, v ->
+    Alcotest.failf "lost ack not caught: %s %s" name (Option.value v ~default:"ok"));
+  let node, inst = List.hd (Cluster.instances cluster) in
+  let idx = Paxos.committed inst.Instance.paxos in
+  Alcotest.(check bool) "last commit still resident" true
+    (idx > Paxos.base inst.Instance.paxos);
+  Hashtbl.replace oracle.Invariants.reference_log idx "wrong value";
+  (match Invariants.committed_prefix oracle cluster with
+  | "committed-prefix-agreement", Some d ->
+    Alcotest.(check string) "recheck names the divergence"
+      (Printf.sprintf "%s diverged at index %d" node idx) d
+  | name, v ->
+    Alcotest.failf "wrong committed value not caught: %s %s" name
+      (Option.value v ~default:"ok"));
+  Hashtbl.reset oracle.Invariants.watermarks;
+  Invariants.sample oracle cluster ~violate;
+  Alcotest.(check (list string)) "sample names the divergence"
+    [ Printf.sprintf "committed-prefix-agreement: %s disagrees at index %d" node idx ]
+    (List.filter
+       (fun v -> String.ends_with ~suffix:(Printf.sprintf " %d" idx) v)
+       !sampled)
+
 (* Loadgen retry accounting: transient failures are retried with
    deterministic backoff and counted separately from hard errors. *)
 let test_loadgen_retries () =
@@ -181,6 +249,8 @@ let suite =
           Alcotest.test_case "wal torn tail" `Quick test_wal_torn_tail;
           Alcotest.test_case "torn-tail recovery + catch-up refill" `Slow
             test_torn_recovery_refill;
+          Alcotest.test_case "shared oracle: healthy run passes, faults caught" `Quick
+            test_oracle;
           Alcotest.test_case "loadgen retry accounting" `Quick test_loadgen_retries;
           Alcotest.test_case "output-log suffix" `Quick test_output_suffix;
         ] );

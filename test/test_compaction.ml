@@ -193,7 +193,7 @@ let stream sim p1 ~n =
   Engine.spawn sim.eng ~name:"stream" (fun () ->
       Engine.sleep sim.eng (Time.ms 10);
       for i = 1 to n do
-        ignore (Paxos.submit p1 (Printf.sprintf "v%d" i));
+        ignore (Paxos.submit p1 [ Printf.sprintf "v%d" i ]);
         Engine.sleep sim.eng (Time.us 200)
       done)
 
@@ -269,9 +269,9 @@ let test_ack_and_histogram_bounded () =
   Engine.spawn sim.eng ~name:"stream" (fun () ->
       Engine.sleep sim.eng (Time.ms 10);
       (* an oversized batch lands in the top histogram bucket *)
-      ignore (Paxos.submit_batch p1 (List.init 100 (fun i -> Printf.sprintf "b%d" i)));
+      ignore (Paxos.submit p1 (List.init 100 (fun i -> Printf.sprintf "b%d" i)));
       for i = 1 to 300 do
-        ignore (Paxos.submit p1 (Printf.sprintf "v%d" i));
+        ignore (Paxos.submit p1 [ Printf.sprintf "v%d" i ]);
         Engine.sleep sim.eng (Time.us 200)
       done);
   Engine.run ~until:(Time.ms 300) sim.eng;

@@ -45,15 +45,12 @@ let echo_server : Api.server =
                   in
                   serve ())
             done);
-        {
-          Api.server_name = "echo";
-          state_of = (fun () -> string_of_int !served);
-          load_state = (fun s -> served := int_of_string s);
-          mem_bytes = (fun () -> 1_000_000);
-          stop = (fun () -> stopped := true);
-          read = (fun _ -> None);
-          footprint = (fun _ -> None);
-        });
+        Api.handle ~name:"echo"
+          ~state_of:(fun () -> string_of_int !served)
+          ~load_state:(fun s -> served := int_of_string s)
+          ~mem_bytes:(fun () -> 1_000_000)
+          ~stop:(fun () -> stopped := true)
+          ());
   }
 
 let fast_paxos =

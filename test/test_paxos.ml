@@ -87,7 +87,7 @@ let test_normal_case_agreement () =
       Engine.sleep sim.eng (Time.ms 10);
       for i = 1 to 20 do
         Alcotest.(check bool) "primary accepts" true
-          (Paxos.submit p1 (Printf.sprintf "v%d" i));
+          (Paxos.submit p1 [ Printf.sprintf "v%d" i ] <> None);
         Engine.sleep sim.eng (Time.ms 1)
       done);
   Engine.run ~until:(Time.sec 2) sim.eng;
@@ -106,7 +106,7 @@ let test_submit_on_backup_rejected () =
   let result = ref true in
   Engine.spawn sim.eng ~name:"client" (fun () ->
       Engine.sleep sim.eng (Time.ms 10);
-      result := Paxos.submit p2 "nope");
+      result := Paxos.submit p2 [ "nope" ] <> None);
   Engine.run ~until:(Time.ms 100) sim.eng;
   Alcotest.(check bool) "backup refuses submissions" false !result
 
@@ -117,7 +117,7 @@ let test_pipelined_submissions () =
       Engine.sleep sim.eng (Time.ms 5);
       (* Burst without waiting: decisions must still be totally ordered. *)
       for i = 1 to 50 do
-        ignore (Paxos.submit p1 (string_of_int i))
+        ignore (Paxos.submit p1 [ string_of_int i ])
       done);
   Engine.run ~until:(Time.sec 2) sim.eng;
   let expected = List.init 50 (fun i -> string_of_int (i + 1)) in
@@ -133,7 +133,7 @@ let test_leader_election_on_primary_failure () =
   Engine.spawn sim.eng ~name:"client" (fun () ->
       Engine.sleep sim.eng (Time.ms 10);
       for i = 1 to 5 do
-        ignore (Paxos.submit p1 (Printf.sprintf "a%d" i));
+        ignore (Paxos.submit p1 [ Printf.sprintf "a%d" i ]);
         Engine.sleep sim.eng (Time.ms 2)
       done);
   Engine.at sim.eng (Time.ms 100) (fun () -> kill_node sim "n1");
@@ -142,7 +142,7 @@ let test_leader_election_on_primary_failure () =
       match find_primary sim with
       | Some (_, p, _, _) ->
         for i = 1 to 5 do
-          ignore (Paxos.submit p (Printf.sprintf "b%d" i))
+          ignore (Paxos.submit p [ Printf.sprintf "b%d" i ])
         done
       | None -> Alcotest.fail "no new primary elected");
   Engine.run ~until:(Time.sec 3) sim.eng;
@@ -171,7 +171,7 @@ let test_rejoin_catches_up () =
   Engine.spawn sim.eng ~name:"client" (fun () ->
       Engine.sleep sim.eng (Time.ms 10);
       for i = 1 to 10 do
-        ignore (Paxos.submit p1 (Printf.sprintf "v%d" i));
+        ignore (Paxos.submit p1 [ Printf.sprintf "v%d" i ]);
         Engine.sleep sim.eng (Time.ms 1)
       done);
   (* n3 crashes early and rejoins (fresh incarnation, same WAL). *)
@@ -191,7 +191,7 @@ let test_wal_recovery () =
   Engine.spawn sim.eng ~name:"client" (fun () ->
       Engine.sleep sim.eng (Time.ms 10);
       for i = 1 to 8 do
-        ignore (Paxos.submit p1 (Printf.sprintf "v%d" i));
+        ignore (Paxos.submit p1 [ Printf.sprintf "v%d" i ]);
         Engine.sleep sim.eng (Time.ms 2)
       done);
   Engine.run ~until:(Time.ms 200) sim.eng;
@@ -215,7 +215,7 @@ let test_primary_abdicates_when_isolated () =
   Engine.spawn sim.eng ~name:"client" (fun () ->
       Engine.sleep sim.eng (Time.ms 10);
       for i = 1 to 5 do
-        ignore (Paxos.submit p1 (Printf.sprintf "a%d" i));
+        ignore (Paxos.submit p1 [ Printf.sprintf "a%d" i ]);
         Engine.sleep sim.eng (Time.ms 2)
       done);
   Engine.at sim.eng (Time.ms 200) (fun () ->
@@ -238,7 +238,7 @@ let test_primary_abdicates_when_isolated () =
       match find_primary sim with
       | Some (_, p, _, _) ->
         for i = 1 to 5 do
-          ignore (Paxos.submit p (Printf.sprintf "b%d" i))
+          ignore (Paxos.submit p [ Printf.sprintf "b%d" i ])
         done
       | None -> Alcotest.fail "no primary after heal");
   Engine.run ~until:(Time.sec 5) sim.eng;
@@ -272,7 +272,7 @@ let test_no_progress_without_quorum () =
       kill_node sim "n3");
   Engine.spawn sim.eng ~name:"client" (fun () ->
       Engine.sleep sim.eng (Time.ms 20);
-      ignore (Paxos.submit p1 "lost"));
+      ignore (Paxos.submit p1 [ "lost" ]));
   Engine.run ~until:(Time.sec 2) sim.eng;
   Alcotest.(check int) "nothing commits without quorum" 0 (Paxos.committed p1)
 
@@ -295,7 +295,8 @@ let run_nemesis seed =
         Engine.sleep sim.eng (Time.ms (1 + Rng.int rng 10));
         match find_primary sim with
         | Some (_, p, _, _) ->
-          if Paxos.submit p (Printf.sprintf "s%d-%d" seed i) then incr submitted
+          if Paxos.submit p [ Printf.sprintf "s%d-%d" seed i ] <> None then
+            incr submitted
         | None -> ()
       done);
   let p1, _, _ = List.hd nodes in

@@ -121,7 +121,7 @@ let test_add_replica_through_consensus () =
       ignore (add_node ~members:grown sim "n4");
       Engine.sleep sim.eng (Time.ms 300);
       for i = 1 to 5 do
-        ignore (Paxos.submit p1 (Printf.sprintf "v%d" i))
+        ignore (Paxos.submit p1 [ Printf.sprintf "v%d" i ])
       done);
   Engine.run ~until:(Time.sec 3) sim.eng;
   List.iter
@@ -170,7 +170,7 @@ let test_removed_replica_fenced () =
       Engine.sleep sim.eng (Time.sec 1);
       (* The shrunken cluster keeps committing without n3's vote. *)
       for i = 1 to 3 do
-        ignore (Paxos.submit p1 (Printf.sprintf "w%d" i))
+        ignore (Paxos.submit p1 [ Printf.sprintf "w%d" i ])
       done);
   Engine.run ~until:(Time.sec 3) sim.eng;
   Alcotest.(check int) "survivors at epoch 1" 1 (Paxos.epoch p1);
@@ -224,15 +224,12 @@ let null_server : Api.server =
       (fun api ->
         let module R = (val api : Api.API) in
         ignore (R.mutex ());
-        {
-          Api.server_name = "null";
-          state_of = (fun () -> "");
-          load_state = (fun _ -> ());
-          mem_bytes = (fun () -> 1_000);
-          stop = (fun () -> ());
-          read = (fun _ -> None);
-          footprint = (fun _ -> None);
-        });
+        Api.handle ~name:"null"
+          ~state_of:(fun () -> "")
+          ~load_state:(fun _ -> ())
+          ~mem_bytes:(fun () -> 1_000)
+          ~stop:(fun () -> ())
+          ());
   }
 
 let cluster_cfg =
