@@ -18,42 +18,18 @@ module Sock = Crane_socket.Sock
 module Target = Crane_workload.Target
 module Clients = Crane_workload.Clients
 module Loadgen = Crane_workload.Loadgen
+module Servers = Crane_workload.Servers
 module Stats = Crane_report.Stats
 module Table = Crane_report.Table
 module Trace = Crane_trace.Trace
 module Metrics = Crane_trace.Metrics
 open Cmdliner
 
-type server_choice = Apache | Mongoose | Clamav | Mediatomb | Mysql
-
-let all_servers =
-  [ ("apache", Apache); ("mongoose", Mongoose); ("clamav", Clamav);
-    ("mediatomb", Mediatomb); ("mysql", Mysql) ]
-
-let server_of = function
-  | Apache -> (Crane_apps.Apache.server ~cfg:{ Crane_apps.Apache.default_config with hints = true } (), 80)
-  | Mongoose -> (Crane_apps.Mongoose.server ~cfg:{ Crane_apps.Mongoose.default_config with hints = true } (), 80)
-  | Clamav -> (Crane_apps.Clamav.server (), 3310)
-  | Mediatomb -> (Crane_apps.Mediatomb.server (), 49152)
-  | Mysql -> (Crane_apps.Mysql.server (), 3306)
-
-let request_of choice rng =
-  match choice with
-  | Apache | Mongoose -> fun t ~from -> Clients.apachebench t ~from
-  | Clamav -> fun t ~from -> Clients.clamdscan ~dirs:8 t ~from
-  | Mediatomb -> fun t ~from -> Clients.mediabench t ~from
-  | Mysql -> fun t ~from -> Clients.sysbench ~rng ~ntables:16 ~rows:2000 t ~from
-
 type mode_choice = Native | Parrot | PaxosOnly | Crane | PlanII
 
 let all_modes =
   [ ("native", Native); ("parrot", Parrot); ("paxos-only", PaxosOnly);
     ("crane", Crane); ("plan2", PlanII) ]
-
-let fast_paxos =
-  { Paxos.default_config with
-    Paxos.heartbeat_period = Time.ms 200; election_timeout = Time.ms 600;
-    election_jitter = Time.ms 100; round_retry = Time.ms 200 }
 
 let imode_of = function
   | PaxosOnly -> Instance.Paxos_only
@@ -72,10 +48,9 @@ let report name (r : Loadgen.result) =
       (Time.to_string (Stats.percentile 0.99 r.Loadgen.latencies))
       (Time.to_string r.Loadgen.wall)
 
-let run_cmd choice mode clients requests seed =
-  let server, port = server_of choice in
-  let rng = Rng.create (seed + 1) in
-  let request = request_of choice rng in
+let run_cmd (s : Servers.t) mode clients requests seed =
+  let server = s.server ~hints:true and port = s.port in
+  let request = s.request (Rng.create (seed + 1)) in
   (match mode with
   | Native | Parrot ->
     let m = if mode = Native then Standalone.Native else Standalone.Parrot in
@@ -88,7 +63,7 @@ let run_cmd choice mode clients requests seed =
   | PaxosOnly | Crane | PlanII ->
     let imode = imode_of mode in
     let cfg =
-      { Instance.default_config with mode = imode; service_port = port; paxos = fast_paxos }
+      { Instance.default_config with mode = imode; service_port = port; paxos = Servers.fast_paxos }
     in
     let cluster = Cluster.create ~seed ~cfg ~server () in
     Cluster.start cluster;
@@ -104,10 +79,9 @@ let run_cmd choice mode clients requests seed =
     | [] -> ());
   0
 
-let failover_cmd choice seed =
-  let server, port = server_of choice in
-  let rng = Rng.create (seed + 1) in
-  let request = request_of choice rng in
+let failover_cmd (s : Servers.t) seed =
+  let server = s.server ~hints:true and port = s.port in
+  let request = s.request (Rng.create (seed + 1)) in
   let cfg =
     { Instance.default_config with service_port = port; checkpoint_period = Time.sec 2 }
   in
@@ -138,10 +112,9 @@ let failover_cmd choice seed =
 (* Run a workload with the flight recorder attached, export the trace
    (chrome://tracing JSON or JSONL) and print the aggregated metrics.
    Deterministic: the same seed yields a byte-identical trace file. *)
-let trace_cmd choice mode clients requests seed format out =
-  let server, port = server_of choice in
-  let rng = Rng.create (seed + 1) in
-  let request = request_of choice rng in
+let trace_cmd (s : Servers.t) mode clients requests seed format out =
+  let server = s.server ~hints:true and port = s.port in
+  let request = s.request (Rng.create (seed + 1)) in
   let tr = Trace.create () in
   let run_workload target =
     let handle = Loadgen.run ~clients ~requests ~request target in
@@ -159,7 +132,7 @@ let trace_cmd choice mode clients requests seed format out =
     | PaxosOnly | Crane | PlanII ->
       let cfg =
         { Instance.default_config with mode = imode_of mode; service_port = port;
-          paxos = fast_paxos }
+          paxos = Servers.fast_paxos }
       in
       let cluster = Cluster.create ~seed ~cfg ~trace:tr ~server () in
       Cluster.start cluster;
@@ -258,12 +231,6 @@ let chaos_cmd scenario seed list =
 module Wal = Crane_storage.Wal
 module Rows = Crane_report.Rows
 
-type gate = string * bool
-
-let at_least what v bound = (Printf.sprintf "%s %.4g >= %.4g" what v bound, v >= bound)
-let at_most what v bound = (Printf.sprintf "%s %.4g <= %.4g" what v bound, v <= bound)
-let none what v = (Printf.sprintf "%s %.0f (0 allowed)" what v, v = 0.)
-
 (* ---- bench batching: batched vs. unbatched commit throughput ---- *)
 
 (* One measured configuration: a 3-replica Paxos_only cluster (the
@@ -276,18 +243,17 @@ let none what v = (Printf.sprintf "%s %.0f (0 allowed)" what v, v = 0.)
    instant over the streaming window.  The stream's requests do not
    depend on the server (all five give identical rows), so one server
    stands for all. *)
-let paxos_only_cluster choice ~batch_max ~seed =
-  let server, port = server_of choice in
+let paxos_only_cluster (s : Servers.t) ~batch_max ~seed =
   let cfg =
     { Instance.default_config with mode = Instance.Paxos_only;
-      service_port = port; paxos = fast_paxos; batch_max }
+      service_port = s.port; paxos = Servers.fast_paxos; batch_max }
   in
-  let cluster = Cluster.create ~seed ~cfg ~server () in
+  let cluster = Cluster.create ~seed ~cfg ~server:(s.server ~hints:true) () in
   Cluster.start ~checkpoints:false cluster;
-  (cluster, port)
+  (cluster, s.port)
 
 let bench_run ~case ~batch_max ~clients ~duration ~seed =
-  let cluster, port = paxos_only_cluster Apache ~batch_max ~seed in
+  let cluster, port = paxos_only_cluster (Servers.find "apache") ~batch_max ~seed in
   let eng = Cluster.engine cluster in
   let world = Cluster.world cluster in
   let start = Time.ms 10 in
@@ -341,10 +307,10 @@ let bench_run ~case ~batch_max ~clients ~duration ~seed =
    races, so event arrival order cannot depend on commit timing) against
    the same seed, batched and unbatched — the replica output logs must
    render byte-identically. *)
-let bench_equivalence choice ~seed ~requests =
+let bench_equivalence (s : Servers.t) ~seed ~requests =
   let render batch_max =
-    let cluster, port = paxos_only_cluster choice ~batch_max ~seed in
-    let request = request_of choice (Rng.create (seed + 1)) in
+    let cluster, port = paxos_only_cluster s ~batch_max ~seed in
+    let request = s.request (Rng.create (seed + 1)) in
     let target = Target.cluster cluster ~port in
     let handle = Loadgen.run ~clients:1 ~requests ~request target in
     Loadgen.drive ~timeout:(Time.sec 3600) target handle;
@@ -370,16 +336,16 @@ let bench_batching ~quick ~seed =
   let u = Rows.value unbatched (case "unbatched") "commits_per_sec"
   and b = Rows.value batched (case "batched") "commits_per_sec" in
   let speedup = if u > 0.0 then b /. u else 0.0 in
-  let equivalence (name, choice) =
+  let equivalence (s : Servers.t) =
     Rows.flag
-      (Printf.sprintf "%s equivalence (%d requests)" name eq_requests)
+      (Printf.sprintf "%s equivalence (%d requests)" s.name eq_requests)
       "outputs_identical"
-      (bench_equivalence choice ~seed ~requests:eq_requests)
+      (bench_equivalence s ~seed ~requests:eq_requests)
   in
   ( unbatched @ batched
     @ Rows.row (case "batched") "speedup" "x" Rows.Higher speedup
-      :: List.map equivalence all_servers,
-    [ at_least "batched/unbatched commit speedup" speedup min_batching_speedup ] )
+      :: List.map equivalence Servers.all,
+    [ Rows.at_least "batched/unbatched commit speedup" speedup min_batching_speedup ] )
 
 (* ---- bench recovery: bounded logs and two-tier catch-up ---- *)
 
@@ -549,11 +515,11 @@ let bench_recovery ~quick ~seed =
     (* "bounded" means the peak stops tracking history length: the largest
        run's peak must stay within a constant band of the smallest run's,
        and clearly below the uncompacted peak. *)
-    [ at_most (Printf.sprintf "compacted peak log at history %d, flat bound" largest) peak
+    [ Rows.at_most (Printf.sprintf "compacted peak log at history %d, flat bound" largest) peak
         ((2. *. small_peak) +. 256.);
       (Printf.sprintf "compacted peak %.0f below uncompacted peak %.0f" peak off_peak,
        peak < off_peak);
-      at_least "snapshots installed by the straggler at the largest history"
+      Rows.at_least "snapshots installed by the straggler at the largest history"
         (on largest "snapshots_installed") 1. ] )
 
 (* ---- bench reconfig: client-visible unavailability during a live
@@ -642,9 +608,9 @@ let bench_reconfig ~quick ~seed =
   let identical = rows = reconfig_bench_run ~case ~seed ~requests in
   let v = Rows.value rows case in
   ( rows @ [ Rows.flag case "rerun_identical" identical ],
-    [ none "request errors" (v "errors");
-      at_least "membership epoch" (v "epoch") 1.;
-      at_most "unavailability (ms)" (v "unavailability" /. 1e6) max_unavailability_ms ] )
+    [ Rows.none "request errors" (v "errors");
+      Rows.at_least "membership epoch" (v "epoch") 1.;
+      Rows.at_most "unavailability (ms)" (v "unavailability" /. 1e6) max_unavailability_ms ] )
 
 (* ---- bench readmix: lease/backup read fast path vs all-consensus
    reads on a read-heavy mix ---- *)
@@ -661,7 +627,7 @@ let readmix_read_pct = 95
 let readmix_run ~case ~seed ~requests ~fastpath =
   let cfg =
     { Instance.default_config with mode = Instance.Paxos_only;
-      paxos = fast_paxos; read_fastpath = fastpath }
+      paxos = Servers.fast_paxos; read_fastpath = fastpath }
   in
   let cluster = Cluster.create ~seed ~cfg ~server:Ledger.server () in
   let eng = Cluster.engine cluster in
@@ -739,15 +705,15 @@ let bench_readmix ~quick ~seed =
     @ Rows.
         [ row fast_case "offload_ratio" "x" Higher ratio;
           flag fast_case "rerun_identical" identical ],
-    [ at_least "commit-path offload (x)" ratio min_offload_ratio;
-      at_least "lease reads served" (f "lease_reads") 1.;
-      at_least "backup reads served" (f "backup_reads") 1.;
-      none "request errors, fast path" (f "errors");
-      none "request errors, all consensus" (b "errors") ] )
+    [ Rows.at_least "commit-path offload (x)" ratio min_offload_ratio;
+      Rows.at_least "lease reads served" (f "lease_reads") 1.;
+      Rows.at_least "backup reads served" (f "backup_reads") 1.;
+      Rows.none "request errors, fast path" (f "errors");
+      Rows.none "request errors, all consensus" (b "errors") ] )
 
 let servers_cmd () =
   print_endline "available servers:";
-  List.iter (fun (n, _) -> Printf.printf "  %s\n" n) all_servers;
+  List.iter (fun (s : Servers.t) -> Printf.printf "  %s\n" s.name) Servers.all;
   print_endline "modes: native parrot paxos-only crane plan2";
   0
 
@@ -956,14 +922,13 @@ type profile_run = {
   p_trace : Trace.t;
 }
 
-let profiled_run choice ~clients ~requests ~seed ~tweak =
-  let server, port = server_of choice in
-  let rng = Rng.create (seed + 1) in
-  let request = request_of choice rng in
+let profiled_run (s : Servers.t) ~clients ~requests ~seed ~tweak =
+  let server = s.server ~hints:true and port = s.port in
+  let request = s.request (Rng.create (seed + 1)) in
   let tr = Trace.create () in
   let cfg =
     { Instance.default_config with mode = Instance.Full; service_port = port;
-      paxos = fast_paxos }
+      paxos = Servers.fast_paxos }
   in
   let cfg = match tweak with None -> cfg | Some w -> whatif_cfg cfg w in
   let cluster = Cluster.create ~seed ~cfg ~trace:tr ~server () in
@@ -988,17 +953,16 @@ let whatif_row ~base ~variant w =
     (if b.Metrics.mean > 0.0 then Printf.sprintf "%+.1f%%" (100. *. delta /. b.Metrics.mean)
      else "-") ]
 
-let profile_cmd choice clients requests seed whatifs trace_out =
-  let name = fst (List.find (fun (_, c) -> c = choice) all_servers) in
+let profile_cmd (s : Servers.t) clients requests seed whatifs trace_out =
   Printf.printf "profiling %s: %d clients, %d requests, seed %d (crane mode)\n"
-    name clients requests seed;
-  let base = profiled_run choice ~clients ~requests ~seed ~tweak:None in
+    s.name clients requests seed;
+  let base = profiled_run s ~clients ~requests ~seed ~tweak:None in
   print_string (Critical_path.render base.p_report);
   if whatifs <> [] then begin
     let rows =
       List.map
         (fun w ->
-          let variant = profiled_run choice ~clients ~requests ~seed ~tweak:(Some w) in
+          let variant = profiled_run s ~clients ~requests ~seed ~tweak:(Some w) in
           whatif_row ~base ~variant w)
         whatifs
     in
@@ -1042,11 +1006,12 @@ let min_span_coverage = 0.99
 let bench_latency ~quick ~seed =
   let clients = if quick then 4 else 8 in
   let requests = if quick then 60 else 200 in
-  let per_server (name, choice) =
+  let per_server (s : Servers.t) =
+    let name = s.name in
     let case = Printf.sprintf "%s (%d clients, %d requests)" name clients requests in
-    let r = (profiled_run choice ~clients ~requests ~seed ~tweak:None).p_report in
+    let r = (profiled_run s ~clients ~requests ~seed ~tweak:None).p_report in
     let whatif (wname, w) =
-      let v = (profiled_run choice ~clients ~requests ~seed ~tweak:(Some w)).p_report in
+      let v = (profiled_run s ~clients ~requests ~seed ~tweak:(Some w)).p_report in
       let ve = v.Critical_path.e2e.Metrics.mean in
       Rows.
         [ row case (wname ^ ".e2e_mean") "ns" Lower ve;
@@ -1067,13 +1032,13 @@ let bench_latency ~quick ~seed =
     in
     let v = Rows.value rows case in
     ( rows,
-      [ at_least (name ^ ": span coverage") (v "coverage") min_span_coverage;
-        none (name ^ ": malformed span DAGs") (v "span_errors");
+      [ Rows.at_least (name ^ ": span coverage") (v "coverage") min_span_coverage;
+        Rows.none (name ^ ": malformed span DAGs") (v "span_errors");
         (Printf.sprintf "%s: fsync2x what-if moves e2e mean by %.0f ns (nonzero)" name
            (v "fsync2x.delta"),
          v "fsync2x.delta" <> 0.) ] )
   in
-  let results = List.map per_server all_servers in
+  let results = List.map per_server Servers.all in
   (List.concat_map fst results, List.concat_map snd results)
 
 (* ---- bench parallel: dependency-aware parallel delivery ---- *)
@@ -1176,7 +1141,7 @@ let parallel_run app ~case ~pool ~clients ~per_client ~seed =
   let tr = Trace.create () in
   let cfg =
     { Instance.default_config with mode = Instance.Full; service_port = port;
-      paxos = fast_paxos; pool_workers = pool }
+      paxos = Servers.fast_paxos; pool_workers = pool }
   in
   let cluster = Cluster.create ~seed ~cfg ~trace:tr ~server () in
   Cluster.start ~checkpoints:false cluster;
@@ -1311,14 +1276,14 @@ let bench_parallel ~quick ~seed =
   in
   let rows = List.concat_map per_app all_papps in
   ( rows,
-    [ at_least "best commit->reply speedup"
+    [ Rows.at_least "best commit->reply speedup"
         (List.fold_left max 0. (Rows.values rows "speedup"))
         min_parallel_speedup;
-      none "request errors" (List.fold_left ( +. ) 0. (Rows.values rows "errors")) ] )
+      Rows.none "request errors" (List.fold_left ( +. ) 0. (Rows.values rows "errors")) ] )
 
 (* ---- bench: the registry and the one command over it ---- *)
 
-type bench = { name : string; run : quick:bool -> seed:int -> Rows.row list * gate list }
+type bench = { name : string; run : quick:bool -> seed:int -> Rows.row list * Rows.gate list }
 
 let benches =
   [ { name = "batching"; run = bench_batching };
@@ -1326,7 +1291,8 @@ let benches =
     { name = "latency"; run = bench_latency };
     { name = "reconfig"; run = bench_reconfig };
     { name = "readmix"; run = bench_readmix };
-    { name = "parallel"; run = bench_parallel } ]
+    { name = "parallel"; run = bench_parallel };
+    { name = "paper"; run = Crane_workload.Paper.run } ]
 
 let bench_cmd chosen quick seed check =
   let passed b =
@@ -1368,8 +1334,8 @@ let bench_cmd chosen quick seed check =
 (* ---- cmdliner plumbing ---- *)
 
 let server_arg =
-  let choice = Arg.enum all_servers in
-  Arg.(value & opt choice Apache & info [ "server"; "s" ] ~doc:"Server program to run.")
+  let choice = Arg.enum (List.map (fun (s : Servers.t) -> (s.name, s)) Servers.all) in
+  Arg.(value & opt choice (Servers.find "apache") & info [ "server"; "s" ] ~doc:"Server program to run.")
 
 let mode_arg =
   let choice = Arg.enum all_modes in
@@ -1520,9 +1486,10 @@ let cmds =
     Cmd.v (Cmd.info "trace" ~doc:"Run a workload with the flight recorder on; export the trace and metrics.") trace_term;
     Cmd.v
       (Cmd.info "bench"
-         ~doc:"Run benches (batching, recovery, latency, reconfig, readmix, \
-               parallel); write each one's rows to BENCH_<name>.json and print \
-               its gates.")
+         ~doc:(Printf.sprintf
+                 "Run benches (%s); write each one's rows to BENCH_<name>.json \
+                  and print its gates."
+                 (String.concat ", " (List.map (fun b -> b.name) benches))))
       bench_term;
     Cmd.v
       (Cmd.info "profile"

@@ -20,5 +20,4 @@ val restore : Crane_sim.Engine.t -> Crane_fs.Container.t -> image -> string
 (** Blocking; returns the state blob to rebuild the process from.
     @raise Crane_fs.Container.Confined *)
 
-val dump_cost : mem_bytes:int -> Crane_sim.Time.t
 val restore_cost : mem_bytes:int -> Crane_sim.Time.t

@@ -79,10 +79,6 @@ let only_one_runnable t =
   done;
   !n = 1
 
-let run_queue_names t =
-  List.concat_map
-    (fun l -> List.map (fun th -> th.dname) l.lq)
-    (Array.to_list t.lanes)
 let new_obj t =
   let o = t.next_obj in
   t.next_obj <- o + 1;

@@ -125,8 +125,6 @@ val signal : ?lane:int -> t -> obj:int -> unit
     to the lane of its command's conflict footprint); a waiter landing at
     the head of an idle lane is woken directly. *)
 
-val signal_all : ?lane:int -> t -> obj:int -> unit
-
 val relane : t -> lane:int -> unit
 (** Migrate the calling thread (which must hold its lane's turn) into
     [lane]'s run queue, just behind its head; returns holding that
@@ -145,9 +143,6 @@ val block_external : t -> (unit -> 'a) -> 'a
 val only_one_runnable : t -> bool
 (** Exactly one thread sits in the run queues, across all lanes: the
     idle thread is alone.  O(lanes). *)
-
-val run_queue_names : t -> string list
-(** Names of run-queue members, head first (debugging and tests). *)
 
 (** {1 Pthreads wrappers (paper Figure 9)} *)
 

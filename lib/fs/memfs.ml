@@ -29,7 +29,6 @@ let list t ~prefix =
   |> List.sort compare
 
 let file_count t = M.cardinal t.files
-let total_bytes t = M.fold (fun _ c acc -> acc + String.length c) t.files 0
 
 let snapshot t = t.files
 let restore t snap = t.files <- snap

@@ -22,7 +22,6 @@ val list : t -> prefix:string -> string list
 (** Paths under a prefix, sorted. *)
 
 val file_count : t -> int
-val total_bytes : t -> int
 
 val snapshot : t -> snapshot
 val restore : t -> snapshot -> unit

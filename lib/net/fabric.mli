@@ -41,8 +41,6 @@ val node_down : t -> node -> unit
 (** Take a node offline: its in-flight and future messages are dropped,
     in both directions. *)
 
-val is_up : t -> node -> bool
-
 val partition : t -> node list -> node list -> unit
 (** Block traffic between the two sides (both directions).  Cumulative
     with previous partitions. *)

@@ -28,6 +28,14 @@ let flags rows =
     (fun r -> if r.unit = "bool" then Some (r.case ^ ": " ^ r.metric, r.value = 1.0) else None)
     rows
 
+(** A bench's pass/fail condition: its label and whether it held.
+    Bounds are constants, never derived from a baseline. *)
+type gate = string * bool
+
+let at_least what v bound = (Printf.sprintf "%s %.4g >= %.4g" what v bound, v >= bound)
+let at_most what v bound = (Printf.sprintf "%s %.4g <= %.4g" what v bound, v <= bound)
+let none what v = (Printf.sprintf "%s %.0f (0 allowed)" what v, v = 0.)
+
 (** The value of [case]/[metric] in [rows]; raises [Not_found]. *)
 let value rows case metric =
   (List.find (fun r -> r.case = case && r.metric = metric) rows).value

@@ -27,16 +27,3 @@ let render ~title ~header rows =
     ([ ""; "== " ^ title ^ " =="; sep; render_row header; sep ] @ body @ [ sep ])
 
 let print ~title ~header rows = print_endline (render ~title ~header rows)
-
-(** Rows for a capped histogram.  Bucket values at or above [cap] were
-    folded into one top bucket by the producer, so labelling that bucket
-    with the bare number would misstate the distribution — render it as
-    ["<cap>+"] instead. *)
-let histogram_rows ~cap hist =
-  List.map
-    (fun (size, count) ->
-      let label =
-        if size >= cap then string_of_int cap ^ "+" else string_of_int size
-      in
-      [ label; string_of_int count ])
-    hist

@@ -263,7 +263,6 @@ let close (c : conn) =
   end
 
 let id (c : conn) = c.cid
-let local_node (c : conn) = c.local
 let peer_node (c : conn) = c.remote
 let is_open (c : conn) = not (c.closed || c.eof)
 

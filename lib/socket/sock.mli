@@ -55,7 +55,6 @@ val close : conn -> unit
 val id : conn -> int
 (** Globally unique connection id (stable across both endpoints). *)
 
-val local_node : conn -> Crane_net.Fabric.node
 val peer_node : conn -> Crane_net.Fabric.node
 val is_open : conn -> bool
 

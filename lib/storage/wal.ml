@@ -128,10 +128,6 @@ let append_batch_async t records k =
           k ()
         end)
 
-let append_batch t records =
-  Engine.suspend t.eng (fun wake ->
-      append_batch_async t records (fun () -> ignore (wake ())))
-
 (* Two-phase log truncation.  Phase 1 durably appends [header] (which
    must encode everything needed to reinterpret the surviving suffix —
    watermark, checkpoint id).  Phase 2, a separate device operation,

@@ -33,10 +33,6 @@ val append_batch_async : t -> string list -> (unit -> unit) -> unit
     mid-group follows the usual torn-tail rule: the oldest in-flight
     record survives as a torn partial prefix, the rest are lost. *)
 
-val append_batch : t -> string list -> unit
-(** Blocking variant of {!append_batch_async}; call from a simulated
-    thread. *)
-
 val truncate_to : t -> header:string -> drop:(string -> bool) -> (unit -> unit) -> unit
 (** Crash-safe two-phase log truncation.  Durably appends [header] (one
     fsync), then — as a second, later device operation — physically

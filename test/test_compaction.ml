@@ -293,14 +293,9 @@ let test_ack_and_histogram_bounded () =
   Alcotest.(check bool) "oversized batch clamped into the cap bucket" true
     (List.mem_assoc 64 s.Paxos.events_per_batch);
   (* the clamp must not hide the truth: the unclamped observed max
-     survives in stats, and the report labels the folded bucket "64+" *)
+     survives in stats *)
   Alcotest.(check int) "true max batch reported unclamped" 100 s.Paxos.max_batch;
-  Alcotest.(check int) "histogram cap exposed" 64 Paxos.histogram_cap;
-  Alcotest.(check (list (list string)))
-    "top bucket rendered as cap+"
-    [ [ "1"; "300" ]; [ "64+"; "1" ] ]
-    (Crane_report.Table.histogram_rows ~cap:Paxos.histogram_cap
-       s.Paxos.events_per_batch)
+  Alcotest.(check int) "histogram cap exposed" 64 Paxos.histogram_cap
 
 (* The quiescence back-off is capped: a connection that never drains
    skips the round instead of wedging the checkpointer forever. *)

@@ -71,10 +71,89 @@ let test_per_row_speedup () =
   Alcotest.(check int) "mysql 1.62 -> 1.20 fails though ledger is the minimum" 1
     (failures ~baseline:(apps 1.62) ~current:(apps 1.20))
 
+(* ---- the committed baselines ---- *)
+
+(* Tests run in _build/default/test; the dune deps copy every committed
+   BENCH_*.json one level up. *)
+let committed () =
+  Sys.readdir ".." |> Array.to_list
+  |> List.filter (fun f -> String.starts_with ~prefix:"BENCH_" f && Filename.check_suffix f ".json")
+  |> List.sort compare
+
+(* A full-size or hand-edited baseline would otherwise surface only in
+   the CI bench step. *)
+let test_committed_files () =
+  Alcotest.(check bool) "baselines found" true (List.length (committed ()) >= 7);
+  List.iter
+    (fun f ->
+      match Rows.read (Filename.concat ".." f) with
+      | None -> Alcotest.failf "%s does not parse" f
+      | Some t ->
+        Alcotest.(check string) (f ^ " names its own file") f ("BENCH_" ^ t.Rows.bench ^ ".json");
+        Alcotest.(check int) (f ^ " seed") 42 t.Rows.seed;
+        Alcotest.(check bool) (f ^ " quick") true t.Rows.quick)
+    (committed ())
+
+(* ---- the paper's gates ---- *)
+
+module Paper = Crane_workload.Paper
+
+let paper_rows () =
+  match Rows.read "../BENCH_paper.json" with
+  | Some t -> t.Rows.rows
+  | None -> Alcotest.fail "BENCH_paper.json does not parse"
+
+let on server metric (r : Rows.row) =
+  r.metric = metric && String.starts_with ~prefix:(server ^ " ") r.case
+
+let set server metric v rows =
+  List.map (fun r -> if on server metric r then { r with Rows.value = v } else r) rows
+
+let failing rows = List.filter_map (fun (l, ok) -> if ok then None else Some l) (Paper.gates rows)
+
+let test_paper_gates_pass () =
+  Alcotest.(check (list string)) "today's quick rows pass every gate" [] (failing (paper_rows ()))
+
+(* Each break moves one shape and must fail exactly the gate that names
+   it. *)
+let test_paper_gates_catch () =
+  let rows = paper_rows () in
+  let v = Paper.find rows in
+  let breaks name prefix broken =
+    match failing broken with
+    | [ label ] when String.starts_with ~prefix label -> ()
+    | labels -> Alcotest.failf "%s: expected one failed gate %S, got [%s]" name prefix
+                  (String.concat "; " labels)
+  in
+  List.iter
+    (fun s ->
+      breaks (s ^ " Paxos-only at 96.9%") (s ^ ": Paxos-only") (set s "paxos_only_pct" 96.9 rows))
+    [ "apache"; "mongoose"; "clamav"; "mediatomb" ];
+  List.iter
+    (fun s ->
+      breaks (s ^ " hints cut 3.9x") (s ^ ": hints cut")
+        (set s "overhead_nohints_pct" (3.9 *. v s "overhead_pct") rows))
+    [ "apache"; "mongoose" ];
+  breaks "clamav below mysql" "mysql has the lowest"
+    (set "clamav" "crane_pct" (v "mysql" "crane_pct" -. 0.1) rows);
+  List.iter
+    (fun s ->
+      breaks (s ^ " plan I diverges") (s ^ ": plan I") (set s "plan1_consistent" 0. rows);
+      breaks (s ^ " checkpoint lost") (s ^ ": checkpoint+restore")
+        (List.filter (fun r -> not (on s "r_fs_ms" r)) rows);
+      breaks (s ^ " C_fs = C_p") (s ^ ": C_fs") (set s "c_fs_ms" (v s "c_p_ms") rows))
+    [ "apache"; "mongoose"; "clamav"; "mediatomb"; "mysql" ];
+  List.iter
+    (fun s -> breaks (s ^ " plan II consistent") (s ^ ": plan II") (set s "plan2_diverged" 0. rows))
+    [ "clamav"; "mysql" ]
+
 let suite =
   [ ( "bench rows",
       [ Alcotest.test_case "writer/reader roundtrip" `Quick test_roundtrip;
         Alcotest.test_case "drift tolerance both directions" `Quick test_tolerance;
         Alcotest.test_case "missing and extra rows" `Quick test_missing_and_extra;
         Alcotest.test_case "header mismatch refused" `Quick test_header_mismatch;
-        Alcotest.test_case "per-row speedup drift" `Quick test_per_row_speedup ] ) ]
+        Alcotest.test_case "per-row speedup drift" `Quick test_per_row_speedup;
+        Alcotest.test_case "committed baselines are quick seed 42" `Quick test_committed_files;
+        Alcotest.test_case "paper gates pass today" `Quick test_paper_gates_pass;
+        Alcotest.test_case "paper gates catch each shape" `Quick test_paper_gates_catch ] ) ]
