@@ -39,7 +39,7 @@ module Target = Crane_workload.Target
 (* ------------------------------------------------------------------ *)
 (* Configuration                                                       *)
 
-type mutation = No_mutation | Hole_backfill | Dup_accept
+type mutation = Paxos.mutation = No_mutation | Hole_backfill | Dup_accept
 
 let mutation_name = function
   | No_mutation -> "none"
@@ -139,7 +139,7 @@ let mc_paxos_config =
 let instance_config cfg =
   {
     Instance.default_config with
-    Instance.paxos = mc_paxos_config;
+    Instance.paxos = { mc_paxos_config with Paxos.mutation = cfg.mutation };
     (* Keep full CRANE semantics (DMT + time bubbling) but throttle the
        idle machinery: at the default 100us bubble timeout an idle
        cluster floods consensus with clock-sync entries — thousands of
@@ -601,7 +601,7 @@ let explore cfg =
                p.pt_label p.pt_taken nd.nd_label forced.(k)))
       !stack;
     (* A violation found while a mutation is active only counts if the
-       exact same schedule is clean with the fault flags off: crash/drop
+       exact same schedule is clean on unmutated code: crash/drop
        noise can break completion on its own (e.g. kill the primary with
        no restart), and such a counterexample would "reproduce" on fixed
        code too, proving nothing about the mutant.  Non-discriminating
@@ -610,18 +610,7 @@ let explore cfg =
       cfg.mutation = No_mutation
       ||
       let all_forced = Array.map (fun p -> p.pt_taken) exec.x_points in
-      let faults = Paxos.debug_faults in
-      let saved_h = faults.Paxos.hole_backfill_skip
-      and saved_d = faults.Paxos.dup_accept_drop in
-      faults.Paxos.hole_backfill_skip <- false;
-      faults.Paxos.dup_accept_drop <- false;
-      let fixed =
-        Fun.protect
-          ~finally:(fun () ->
-            faults.Paxos.hole_backfill_skip <- saved_h;
-            faults.Paxos.dup_accept_drop <- saved_d)
-          (fun () -> run_one cfg ~forced:all_forced)
-      in
+      let fixed = run_one { cfg with mutation = No_mutation } ~forced:all_forced in
       fixed.x_verdict = None
     in
     (match exec.x_verdict with
@@ -691,19 +680,7 @@ let explore cfg =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Mutation presets and toggles                                        *)
-
-let with_mutation m f =
-  let faults = Paxos.debug_faults in
-  (match m with
-  | No_mutation -> ()
-  | Hole_backfill -> faults.Paxos.hole_backfill_skip <- true
-  | Dup_accept -> faults.Paxos.dup_accept_drop <- true);
-  Fun.protect
-    ~finally:(fun () ->
-      faults.Paxos.hole_backfill_skip <- false;
-      faults.Paxos.dup_accept_drop <- false)
-    f
+(* Mutation presets                                                      *)
 
 (* Bounds under which each reintroduced bug is reachable: both need one
    message drop (the duplicate-Accept path only fires on a retransmission
@@ -743,8 +720,6 @@ let mutation_preset m =
       max_branch = 32;
       max_runs = 4000;
     }
-
-let explore_mutated cfg = with_mutation cfg.mutation (fun () -> explore cfg)
 
 (* ------------------------------------------------------------------ *)
 (* Counterexample traces                                               *)
@@ -852,7 +827,7 @@ let read_trace path =
 (* Re-execute a recorded counterexample: one run, forced along the trace. *)
 let replay path =
   let cfg, forced, expect = read_trace path in
-  let exec = with_mutation cfg.mutation (fun () -> run_one cfg ~forced) in
+  let exec = run_one cfg ~forced in
   (cfg, expect, exec.x_verdict)
 
 (* Replay with the recorded mutation overridden — e.g. with
@@ -861,5 +836,5 @@ let replay path =
 let replay_with ~mutation path =
   let cfg, forced, expect = read_trace path in
   let cfg = { cfg with mutation } in
-  let exec = with_mutation mutation (fun () -> run_one cfg ~forced) in
+  let exec = run_one cfg ~forced in
   (cfg, expect, exec.x_verdict)

@@ -566,6 +566,7 @@ let chaos_config =
     Instance.default_config with
     paxos =
       {
+        Paxos.default_config with
         Paxos.heartbeat_period = Time.ms 100;
         election_timeout = Time.ms 300;
         election_jitter = Time.ms 50;

@@ -40,9 +40,6 @@ type t = {
          the enqueue instant is the batch-wait origin of the request's
          causal span *)
   mutable flush_scheduled : bool;
-  mutable bubbles_proposed : int;
-  mutable calls_proposed : int;
-  mutable batches_flushed : int;
   (* Read fast path: the booted server's pure-read hook ([Api.handle.read]),
      installed by the instance after boot.  None = this replica serves no
      fast-path reads (every request stays on the consensus funnel). *)
@@ -54,10 +51,6 @@ type t = {
 }
 
 type stats = {
-  bubbles_proposed : int;
-  calls_proposed : int;
-  client_count : int;
-  batches_flushed : int;
   lease_reads : int;  (** fast-path reads served under a valid leader lease *)
   backup_reads : int;  (** bounded-stale reads served by this (backup) proxy *)
   lease_rejects : int;  (** fast-path reads refused (no lease / fenced) *)
@@ -139,11 +132,6 @@ let parse_read_reply buf =
       | _ -> Some (Rejected, rest))
     | _ -> Some (Rejected, rest))
 
-(* Propose everything buffered as one batch: one Accept broadcast and one
-   group-commit fsync for the lot.  If primaryship was lost since the
-   events were buffered the batch is shed — the same client-visible
-   outcome as an unbatched submit refusing mid-stream (clients are shed by
-   on_demote and retry against the new primary). *)
 (* The birth certificate of a request span: one instant carrying the
    assigned consensus index (the trace id), the client connection, the
    call kind and how long the event waited in the proxy batch buffer.
@@ -168,11 +156,15 @@ let req_proposed t ~index ~queued ev =
         ~name:"lifecycle" [ ("index", Trace.Int index) ]
   end
 
+(* Propose everything buffered as one batch: one Accept broadcast and one
+   group-commit fsync for the lot.  If primaryship was lost since the
+   events were buffered the batch is shed — the same client-visible
+   outcome as a submit refusing mid-stream (clients are shed by on_demote
+   and retry against the new primary). *)
 let flush t =
   if not (Queue.is_empty t.buf) then begin
     let entries = List.of_seq (Queue.to_seq t.buf) in
     Queue.clear t.buf;
-    t.batches_flushed <- t.batches_flushed + 1;
     let tr = Engine.trace t.eng in
     if Trace.enabled tr then
       Trace.instant tr ~ts:(Engine.now t.eng) ~tid:(Engine.self_tid t.eng)
@@ -197,51 +189,41 @@ let schedule_flush t =
         if not t.stopped then flush t)
   end
 
+(* Every event takes the buffered path; with [batch_max = 1] the buffer
+   flushes at once, so each event is its own one-value round. *)
 let submit t ev =
-  let accepted =
-    if t.batch_max <= 1 then (
-      match Paxos.submit t.paxos [ Event.encode ev ] with
-      | Some (index, _) ->
-        req_proposed t ~index ~queued:0 ev;
-        true
-      | None -> false)
-    else if not (Paxos.is_primary t.paxos) then false
-    else begin
-      Queue.add (Event.encode ev, ev, Engine.now t.eng) t.buf;
-      (* Bubbles flush immediately: they are only requested during
-         quiescence (nothing to amortize them with), and holding one back
-         batch_delay would just stall the gate it is meant to unblock.
-         Flushing the buffer keeps arrival order intact. *)
-      if Event.is_bubble ev || Queue.length t.buf >= t.batch_max then flush t
-      else schedule_flush t;
-      true
-    end
-  in
-  (if accepted then begin
-     if Event.is_bubble ev then t.bubbles_proposed <- t.bubbles_proposed + 1
-     else t.calls_proposed <- t.calls_proposed + 1;
-     let tr = Engine.trace t.eng in
-     if Trace.enabled tr then
-       let name, args =
-         match ev with
-         | Event.Time_bubble { nclock } ->
-           ("bubble_proposed", [ ("nclock", Trace.Int nclock) ])
-         | Event.Connect { conn; port } ->
-           ("call_proposed",
-            [ ("conn", Trace.Int conn); ("port", Trace.Int port);
-              ("kind", Trace.Str "connect") ])
-         | Event.Send { conn; payload } ->
-           ("call_proposed",
-            [ ("conn", Trace.Int conn);
-              ("bytes", Trace.Int (String.length payload));
-              ("kind", Trace.Str "send") ])
-         | Event.Close { conn } ->
-           ("call_proposed", [ ("conn", Trace.Int conn); ("kind", Trace.Str "close") ])
-       in
-       Trace.instant tr ~ts:(Engine.now t.eng) ~tid:(Engine.self_tid t.eng)
-         ~node:t.node ~cat:"proxy" ~name args
-   end);
-  accepted
+  if not (Paxos.is_primary t.paxos) then false
+  else begin
+    Queue.add (Event.encode ev, ev, Engine.now t.eng) t.buf;
+    (* Bubbles flush immediately: they are only requested during
+       quiescence (nothing to amortize them with), and holding one back
+       batch_delay would just stall the gate it is meant to unblock.
+       Flushing the buffer keeps arrival order intact. *)
+    if Event.is_bubble ev || Queue.length t.buf >= t.batch_max then flush t
+    else schedule_flush t;
+    let tr = Engine.trace t.eng in
+    if Trace.enabled tr then begin
+      let name, args =
+        match ev with
+        | Event.Time_bubble { nclock } ->
+          ("bubble_proposed", [ ("nclock", Trace.Int nclock) ])
+        | Event.Connect { conn; port } ->
+          ("call_proposed",
+           [ ("conn", Trace.Int conn); ("port", Trace.Int port);
+             ("kind", Trace.Str "connect") ])
+        | Event.Send { conn; payload } ->
+          ("call_proposed",
+           [ ("conn", Trace.Int conn);
+             ("bytes", Trace.Int (String.length payload));
+             ("kind", Trace.Str "send") ])
+        | Event.Close { conn } ->
+          ("call_proposed", [ ("conn", Trace.Int conn); ("kind", Trace.Str "close") ])
+      in
+      Trace.instant tr ~ts:(Engine.now t.eng) ~tid:(Engine.self_tid t.eng)
+        ~node:t.node ~cat:"proxy" ~name args
+    end;
+    true
+  end
 
 (* Per-client pump: every chunk of bytes the client sends is one Send
    request; EOF becomes Close. *)
@@ -418,9 +400,6 @@ let create ~eng ~node ~world ~port ~paxos ~vhost ~group ~skip_upto
       batch_delay;
       buf = Queue.create ();
       flush_scheduled = false;
-      bubbles_proposed = 0;
-      calls_proposed = 0;
-      batches_flushed = 0;
       read_handler = None;
       lease_reads = 0;
       backup_reads = 0;
@@ -522,10 +501,6 @@ let set_skip_upto t index = if index > t.skip_upto then t.skip_upto <- index
 
 let stats (t : t) : stats =
   {
-    bubbles_proposed = t.bubbles_proposed;
-    calls_proposed = t.calls_proposed;
-    client_count = Hashtbl.length t.client_conns;
-    batches_flushed = t.batches_flushed;
     lease_reads = t.lease_reads;
     backup_reads = t.backup_reads;
     lease_rejects = t.lease_rejects;

@@ -5,6 +5,21 @@ module Fabric = Crane_net.Fabric
 module Wal = Crane_storage.Wal
 module Trace = Crane_trace.Trace
 
+(* Mutation-testing switch (Crane-MC self-check): each non-default value
+   reintroduces a previously-fixed protocol bug in this instance only, so
+   the model checker can prove it would have caught the regression. *)
+type mutation =
+  | No_mutation
+  | Hole_backfill
+      (** regress the [set_committed] fix: only run the apply loop when
+          the commit index moved, so a log hole filled {e below} the
+          commit index leaves the replica wedged with
+          [applied < committed] *)
+  | Dup_accept
+      (** regress the duplicate-Accept fix: silently drop a retransmitted
+          Accept instead of re-acking it, so a lost [Accept_ok] stalls
+          the index forever when no other acceptor can form the quorum *)
+
 type config = {
   heartbeat_period : Time.t;
   election_timeout : Time.t;
@@ -21,26 +36,8 @@ type config = {
           Must be shorter than [election_timeout] (clamped at creation if
           not) so a lease can never outlive the silence a new election
           requires *)
+  mutation : mutation;
 }
-
-(* Mutation-testing switches (Crane-MC self-check): each flag
-   reintroduces a previously-fixed protocol bug so the model checker can
-   prove it would have caught the regression.  Global and mutable on
-   purpose — they are debug-only, default off, and flipped only around a
-   bounded exploration run; production paths never read them as [true]. *)
-type debug_faults = {
-  mutable hole_backfill_skip : bool;
-      (** regress the [set_committed] fix: only run the apply loop when
-          the commit index moved, so a log hole filled {e below} the
-          commit index leaves the replica wedged with
-          [applied < committed] *)
-  mutable dup_accept_drop : bool;
-      (** regress the duplicate-Accept fix: silently drop a retransmitted
-          Accept instead of re-acking it, so a lost [Accept_ok] stalls
-          the index forever when no other acceptor can form the quorum *)
-}
-
-let debug_faults = { hole_backfill_skip = false; dup_accept_drop = false }
 
 let default_config =
   {
@@ -52,6 +49,7 @@ let default_config =
     catchup_chunk = 256;
     suspect_timeout = Time.sec 5;
     lease_duration = Time.ms 1500;
+    mutation = No_mutation;
   }
 
 let paxos_port = 1
@@ -60,11 +58,9 @@ let paxos_port = 1
 type wire_entry = int * int * string
 
 type Fabric.message +=
-  | Accept of { aview : int; index : int; value : string; committed : int }
-  | Accept_ok of { aview : int; index : int }
-  | Accept_batch of { aview : int; lo : int; values : string list; committed : int }
+  | Accept of { aview : int; lo : int; values : string list; committed : int }
       (** one round for a whole batch: values occupy indices [lo..lo+N-1] *)
-  | Accept_batch_ok of { aview : int; lo : int; hi : int }
+  | Accept_ok of { aview : int; lo : int; hi : int }
   | Commit of { cview : int; committed : int }
   | Heartbeat of { hview : int; hseq : int; committed : int }
   | Heartbeat_ok of { hview : int; hseq : int; h_applied : int }
@@ -225,11 +221,9 @@ type t = {
   mutable view_changes : int;
   mutable last_election_duration : Time.t option;
   mutable abdications : int;
-  mutable catchup_served : int;
   mutable catchup_installed : int;
   mutable wal_torn_discarded : int;
   mutable compactions : int;
-  mutable snapshots_served : int;
   mutable snapshots_installed : int;
   mutable peak_log : int;
   mutable reconfigs : int;
@@ -248,7 +242,6 @@ type stats = {
   decisions : int;
   view_changes : int;
   abdications : int;
-  catchup_served : int;
   catchup_installed : int;
   wal_torn_discarded : int;
   pending : int;
@@ -257,9 +250,7 @@ type stats = {
   events_per_batch : (int * int) list;
   max_batch : int;
   compactions : int;
-  snapshots_served : int;
   snapshots_installed : int;
-  log_base : int;
   log_resident : int;
   peak_log_resident : int;
   acks_resident : int;
@@ -289,7 +280,6 @@ let stats (t : t) : stats =
     decisions = t.decisions;
     view_changes = t.view_changes;
     abdications = t.abdications;
-    catchup_served = t.catchup_served;
     catchup_installed = t.catchup_installed;
     wal_torn_discarded = t.wal_torn_discarded;
     pending = t.last_index - t.committed;
@@ -300,9 +290,7 @@ let stats (t : t) : stats =
       |> List.sort compare;
     max_batch = t.max_batch;
     compactions = t.compactions;
-    snapshots_served = t.snapshots_served;
     snapshots_installed = t.snapshots_installed;
-    log_base = t.base;
     log_resident = Hashtbl.length t.log;
     peak_log_resident = t.peak_log;
     acks_resident = Hashtbl.length t.acks;
@@ -521,7 +509,7 @@ let suspects (t : t) =
            | None -> true)
       t.members
 
-let persist t record k = Wal.append_async t.wal (Marshal.to_string (record : wal_record) []) k
+let encode (record : wal_record) = Marshal.to_string record []
 
 (* Deliver committed values to the application, in order. *)
 let rec apply (t : t) =
@@ -579,14 +567,14 @@ let set_committed t idx =
     done;
     t.committed <- idx;
     note_committed_batches t;
-    persist t (Wal_commit idx) (fun () -> ())
+    Wal.append_async t.wal [ encode (Wal_commit idx) ] (fun () -> ())
   end;
   (* Always try to apply, even when the commit index did not move: the
      caller may have just filled a log hole {e below} it (catch-up after a
      lossy window), and the application was stalled on that hole.
-     [hole_backfill_skip] regresses exactly this line to the historical
-     bug (apply only on commit movement) for the Crane-MC self-check. *)
-  if moved || not debug_faults.hole_backfill_skip then apply t
+     [Hole_backfill] regresses exactly this line to the historical bug
+     (apply only on commit movement) for the Crane-MC self-check. *)
+  if moved || t.cfg.mutation <> Hole_backfill then apply t
 
 let store_entry t ~index ~eview ~value =
   (* Indices at or below the compaction base are covered by the snapshot:
@@ -743,77 +731,40 @@ let fsync_done t ~lo ~hi =
     done
   end
 
-let submit_one t value =
-  if not (is_primary t) then None
+(* One consensus round: indices are assigned per value (so decisions,
+   checkpoints and catch-up are oblivious to batching) but the broadcast,
+   the acks and the WAL fsync are paid once. *)
+let submit t values =
+  if values = [] || not (is_primary t) then None
   else begin
-    let index = t.last_index + 1 in
-    store_entry t ~index ~eview:t.view ~value;
     let aview = t.view in
+    let lo = t.last_index + 1 in
+    List.iteri (fun i value -> store_entry t ~index:(lo + i) ~eview:aview ~value) values;
+    let hi = t.last_index in
     let tr = trace t in
     if Trace.enabled tr then begin
       let ts = Engine.now t.eng and tid = Engine.self_tid t.eng in
-      Trace.instant tr ~ts ~tid ~node:t.self ~cat:"paxos" ~name:"propose"
-        [ ("index", Trace.Int index); ("view", Trace.Int aview) ];
-      Trace.async_begin tr ~ts ~tid ~id:index ~node:t.self ~cat:"paxos"
-        ~name:"decide" [ ("index", Trace.Int index) ]
+      for index = lo to hi do
+        Trace.instant tr ~ts ~tid ~node:t.self ~cat:"paxos" ~name:"propose"
+          [ ("index", Trace.Int index); ("view", Trace.Int aview) ];
+        Trace.async_begin tr ~ts ~tid ~id:index ~node:t.self ~cat:"paxos"
+          ~name:"decide" [ ("index", Trace.Int index) ]
+      done
     end;
-    cast t (Accept { aview; index; value; committed = t.committed });
-    Queue.add (index, 1) t.open_batches;
-    persist t (Wal_accept (aview, index, value)) (fun () ->
-        fsync_done t ~lo:index ~hi:index;
+    cast t (Accept { aview; lo; values; committed = t.committed });
+    Queue.add (hi, hi - lo + 1) t.open_batches;
+    Wal.append_async t.wal
+      (List.mapi (fun i value -> encode (Wal_accept (aview, lo + i, value))) values)
+      (fun () ->
+        fsync_done t ~lo ~hi;
         if t.view = aview && is_primary t then begin
-          record_ack t ~index ~from:t.self;
+          for index = lo to hi do
+            record_ack t ~index ~from:t.self
+          done;
           advance_commits t
         end);
-    Some index
+    Some (lo, hi)
   end
-
-(* One consensus round for a whole batch: indices are assigned per value
-   (so decisions, checkpoints and catch-up are oblivious to batching) but
-   the broadcast, the acks and the WAL fsync are paid once.  A single
-   value takes the plain Accept path. *)
-let submit t values =
-  match values with
-  | [] -> None
-  | [ v ] -> Option.map (fun i -> (i, i)) (submit_one t v)
-  | _ ->
-    if not (is_primary t) then None
-    else begin
-      let aview = t.view in
-      let lo = t.last_index + 1 in
-      List.iteri (fun i value -> store_entry t ~index:(lo + i) ~eview:aview ~value) values;
-      let hi = t.last_index in
-      let tr = trace t in
-      if Trace.enabled tr then begin
-        let ts = Engine.now t.eng and tid = Engine.self_tid t.eng in
-        Trace.instant tr ~ts ~tid ~node:t.self ~cat:"paxos" ~name:"propose_batch"
-          [ ("lo", Trace.Int lo); ("size", Trace.Int (hi - lo + 1));
-            ("view", Trace.Int aview) ];
-        for index = lo to hi do
-          Trace.instant tr ~ts ~tid ~node:t.self ~cat:"paxos" ~name:"propose"
-            [ ("index", Trace.Int index); ("view", Trace.Int aview) ];
-          Trace.async_begin tr ~ts ~tid ~id:index ~node:t.self ~cat:"paxos"
-            ~name:"decide" [ ("index", Trace.Int index) ]
-        done
-      end;
-      cast t (Accept_batch { aview; lo; values; committed = t.committed });
-      Queue.add (hi, hi - lo + 1) t.open_batches;
-      let records =
-        List.mapi
-          (fun i value ->
-            Marshal.to_string (Wal_accept (aview, lo + i, value) : wal_record) [])
-          values
-      in
-      Wal.append_batch_async t.wal records (fun () ->
-          fsync_done t ~lo ~hi;
-          if t.view = aview && is_primary t then begin
-            for index = lo to hi do
-              record_ack t ~index ~from:t.self
-            done;
-            advance_commits t
-          end);
-      Some (lo, hi)
-    end
 
 (* Propose a membership change.  One reconfiguration in flight at a
    time: the next one must wait for activation, otherwise two pending
@@ -829,8 +780,8 @@ let submit_reconfig (t : t) members' =
     (* Set the joint quorum before casting so the very Accept carrying
        the config entry already needs both majorities to commit. *)
     t.pending_members <- Some members';
-    match submit_one t (encode_config ~epoch ~members:members') with
-    | Some i -> Some i
+    match submit t [ encode_config ~epoch ~members:members' ] with
+    | Some (i, _) -> Some i
     | None ->
       t.pending_members <- None;
       None
@@ -920,12 +871,16 @@ let rec heartbeat_loop t =
              at the hole while new proposals pile up behind it; re-casting
              a bounded window from committed+1 repairs the hole, and
              advance_commits then cascades through the already-acked
-             tail.  Backups re-ack duplicates without re-persisting. *)
+             tail.  Backups re-ack duplicates without re-persisting.  Each
+             index goes out as its own one-value range: coalescing them
+             would change message counts and every link's RNG draws. *)
           let hi = min t.last_index (t.committed + 64) in
           for index = t.committed + 1 to hi do
             match Hashtbl.find_opt t.log index with
             | Some (_, value) ->
-              cast t (Accept { aview = t.view; index; value; committed = t.committed })
+              cast t
+                (Accept
+                   { aview = t.view; lo = index; values = [ value ]; committed = t.committed })
             | None -> ()
           done;
           heartbeat_loop t
@@ -958,7 +913,8 @@ let become_primary (t : t) election =
       | Some (_, value) ->
         Hashtbl.replace t.log idx (t.view, value);
         Hashtbl.replace t.acks idx [ t.self ];
-        cast t (Accept { aview = t.view; index = idx; value; committed = t.committed })
+        cast t
+          (Accept { aview = t.view; lo = idx; values = [ value ]; committed = t.committed })
       | None -> ());
       repropose (idx + 1)
     end
@@ -1034,7 +990,6 @@ let serve_entries (t : t) ~dst ~from_index =
       | None -> collect (idx + 1) acc n
   in
   let entries = collect (max (t.base + 1) from_index) [] 0 in
-  t.catchup_served <- t.catchup_served + List.length entries;
   tell t dst
     (Catchup_resp { rview = t.view; primary = Option.value t.primary ~default:t.self; entries; committed = t.committed })
 
@@ -1045,7 +1000,6 @@ let serve_entries (t : t) ~dst ~from_index =
 let send_catchup (t : t) ~dst ~from_index =
   match t.snapshot with
   | Some (s_index, blob) when from_index <= t.base && s_index >= from_index ->
-    t.snapshots_served <- t.snapshots_served + 1;
     (let tr = trace t in
      if Trace.enabled tr then
        Trace.instant tr ~ts:(Engine.now t.eng) ~tid:(Engine.self_tid t.eng)
@@ -1071,40 +1025,9 @@ let handle (t : t) ~src msg =
   t.last_peer_contact <- Engine.now t.eng;
   Hashtbl.replace t.peer_heard from (Engine.now t.eng);
   match msg with
-  | Accept { aview; index; value; committed } ->
-    if aview = t.view && Some from = t.primary then begin
-      let dup =
-        match Hashtbl.find_opt t.log index with Some (v, _) -> v = aview | None -> false
-      in
-      store_entry t ~index ~eview:aview ~value;
-      t.last_heartbeat <- Engine.now t.eng;
-      (* A retransmitted Accept is already durable here: re-ack straight
-         away (the first ack may have been the lost half) without writing
-         a duplicate WAL record.  [dup_accept_drop] regresses this to the
-         historical bug — swallow the duplicate without re-acking — for
-         the Crane-MC self-check. *)
-      if dup then begin
-        if not debug_faults.dup_accept_drop then
-          tell t from (Accept_ok { aview; index })
-      end
-      else
-        persist t (Wal_accept (aview, index, value)) (fun () ->
-            if t.view = aview then tell t from (Accept_ok { aview; index }));
-      set_committed t (min committed index)
-    end
-    else if aview > t.view then
-      (* Missed a view change: learn the new configuration. *)
-      tell t from (Catchup_req { from_index = t.committed + 1 })
-  | Accept_ok { aview; index } ->
-    if aview = t.view && is_primary t then begin
-      record_ack t ~index ~from;
-      advance_commits t
-    end
-  | Accept_batch { aview; lo; values; committed } ->
+  | Accept { aview; lo; values; committed } ->
     if aview = t.view && Some from = t.primary then begin
       let hi = lo + List.length values - 1 in
-      (* A retransmitted batch is already durable here: re-ack straight
-         away without writing duplicate WAL records. *)
       let dup =
         List.for_all
           (fun i ->
@@ -1115,23 +1038,25 @@ let handle (t : t) ~src msg =
       in
       List.iteri (fun i value -> store_entry t ~index:(lo + i) ~eview:aview ~value) values;
       t.last_heartbeat <- Engine.now t.eng;
-      if dup then tell t from (Accept_batch_ok { aview; lo; hi })
-      else begin
-        let records =
-          List.mapi
-            (fun i value ->
-              Marshal.to_string (Wal_accept (aview, lo + i, value) : wal_record) [])
-            values
-        in
-        (* Group commit: the whole batch becomes durable with one fsync. *)
-        Wal.append_batch_async t.wal records (fun () ->
-            if t.view = aview then tell t from (Accept_batch_ok { aview; lo; hi }))
-      end;
+      (* A retransmitted Accept is already durable here: re-ack straight
+         away (the first ack may have been the lost half) without writing
+         duplicate WAL records.  [Dup_accept] regresses this to the
+         historical bug — swallow the duplicate without re-acking — for
+         the Crane-MC self-check. *)
+      if dup then begin
+        if t.cfg.mutation <> Dup_accept then tell t from (Accept_ok { aview; lo; hi })
+      end
+      else
+        (* Group commit: the whole range becomes durable with one fsync. *)
+        Wal.append_async t.wal
+          (List.mapi (fun i value -> encode (Wal_accept (aview, lo + i, value))) values)
+          (fun () -> if t.view = aview then tell t from (Accept_ok { aview; lo; hi }));
       set_committed t (min committed hi)
     end
     else if aview > t.view then
+      (* Missed a view change: learn the new configuration. *)
       tell t from (Catchup_req { from_index = t.committed + 1 })
-  | Accept_batch_ok { aview; lo; hi } ->
+  | Accept_ok { aview; lo; hi } ->
     if aview = t.view && is_primary t then begin
       for index = lo to hi do
         record_ack t ~index ~from
@@ -1464,11 +1389,9 @@ let create ?(config = default_config) ~fabric ~rng ~wal ~members ~node ~group ()
       view_changes = 0;
       last_election_duration = None;
       abdications = 0;
-      catchup_served = 0;
       catchup_installed = 0;
       wal_torn_discarded = 0;
       compactions = 0;
-      snapshots_served = 0;
       snapshots_installed = 0;
       peak_log = 0;
       reconfigs = 0;

@@ -25,22 +25,20 @@ type t
 val paxos_port : int
 (** Fabric port the consensus component binds on every member. *)
 
-type debug_faults = {
-  mutable hole_backfill_skip : bool;
+type mutation =
+  | No_mutation
+  | Hole_backfill
       (** reintroduce the hole-backfill bug: applying is skipped when a
           catch-up fill does not advance the committed index, wedging the
           replica at [applied < committed] *)
-  mutable dup_accept_drop : bool;
+  | Dup_accept
       (** reintroduce the duplicate-Accept bug: a retransmitted Accept for
-          an already-logged entry is not re-acked, so a lost first ack
+          already-logged entries is not re-acked, so a lost first ack
           stalls the round forever *)
-}
-
-val debug_faults : debug_faults
-(** Global fault-injection switches for Crane-MC's mutation self-check —
-    two historical paxos bugs kept reintroducible behind debug flags, as
-    fixed targets the model checker must prove it can find.  Both default
-    to [false]; only [crane_cli mc --mutate] sets them. *)
+(** Fault injection for Crane-MC's mutation self-check — two historical
+    paxos bugs kept reintroducible per instance, as fixed targets the
+    model checker must prove it can find.  Only [crane_cli mc --mutate]
+    (and tests) set anything but [No_mutation]. *)
 
 type config = {
   heartbeat_period : Crane_sim.Time.t;  (** default 1 s *)
@@ -65,6 +63,7 @@ type config = {
           backup makes by acking — withholding election votes for this
           long — always expires before an election it stalled can
           succeed.  Default 1.5 s *)
+  mutation : mutation;  (** default [No_mutation] *)
 }
 
 val default_config : config
@@ -98,15 +97,15 @@ val submit : t -> string list -> (int * int) option
 (** Propose values as one consensus round and return the inclusive
     [(lo, hi)] range of global indices they took, in list order — the
     trace ids request spans are keyed by.  Decisions are reported through
-    [handlers.on_commit].  A one-value list is one plain Accept.  A longer
-    list is paper-faithful batching (CRANE already amortizes ordering per
-    {e burst}; this amortizes the transport too): each value still gets
-    its own index, so the decision sequence is exactly what one-value
-    calls in list order would have produced, but the whole batch costs
-    one Accept broadcast, one ack per replica, and one group-commit WAL
-    fsync ({!Crane_storage.Wal.append_batch_async}) instead of one of
-    each per value.  Returns [None] (and proposes nothing) if the list is
-    empty or this node does not believe itself primary. *)
+    [handlers.on_commit].  Every list, one value or many, is one round:
+    one Accept broadcast carrying the range, one Accept_ok per replica,
+    and one group-commit WAL fsync ({!Crane_storage.Wal.append_async}).
+    A longer list is paper-faithful batching (CRANE already amortizes
+    ordering per {e burst}; this amortizes the transport too): each value
+    still gets its own index, so the decision sequence is exactly what
+    one-value calls in list order would have produced.  Returns [None]
+    (and proposes nothing) if the list is empty or this node does not
+    believe itself primary. *)
 
 (** {2 Handlers}
 
@@ -263,7 +262,6 @@ type stats = {
           for election_timeout — the asymmetric-partition escape hatch:
           backups on the far side of a one-way link still receive
           heartbeats and would otherwise never elect *)
-  catchup_served : int;  (** committed entries shipped in catch-up responses *)
   catchup_installed : int;
       (** log entries first learned through catch-up responses (the
           recovery "range replayed" of §5.2) *)
@@ -290,11 +288,9 @@ type stats = {
       (** largest committed batch actually observed, unclamped — the
           truth the capped histogram's top bucket hides *)
   compactions : int;  (** compaction rounds applied on this node *)
-  snapshots_served : int;  (** catch-up requests answered with a snapshot *)
   snapshots_installed : int;
       (** snapshots this node installed via catch-up (fast-forwarding
           past its missing prefix) *)
-  log_base : int;  (** current compaction base *)
   log_resident : int;  (** entries currently resident in the log table *)
   peak_log_resident : int;
       (** high-water mark of resident log entries — the boundedness

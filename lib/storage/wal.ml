@@ -72,58 +72,42 @@ let trace_durable t ~submitted_at ~group_size =
       [ ("lat_ns", Trace.Int (Engine.now t.eng - submitted_at));
         ("group", Trace.Int group_size) ]
 
-let append_async t record k =
-  t.writes <- t.writes + 1;
-  let id = t.next_write_id in
-  t.next_write_id <- id + 1;
-  Hashtbl.replace t.inflight id record;
-  trace_submit t ~bytes:(String.length record) ~group_size:1;
-  let submitted_at = Engine.now t.eng in
-  Engine.at t.eng (stable_time t) (fun () ->
-      (* A crash_torn_tail between submission and this instant consumed
-         the write: it never reached the device intact. *)
-      if Hashtbl.mem t.inflight id then begin
-        Hashtbl.remove t.inflight id;
-        t.stable <- { data = record; torn = false } :: t.stable;
-        trace_durable t ~submitted_at ~group_size:1;
-        k ()
-      end)
+(* Group commit: the whole list shares one position in the flash-channel
+   queue and one write-latency charge, so a one-record list is a plain
+   durable append.  A crash before the group's fsync instant consumes
+   every member (the torn-tail model tears the oldest). *)
+(* Records take consecutive write ids: a group is the range
+   [first..last]. *)
+let rec enqueue t = function
+  | [] -> ()
+  | record :: rest ->
+    Hashtbl.replace t.inflight t.next_write_id record;
+    t.next_write_id <- t.next_write_id + 1;
+    enqueue t rest
 
-let append t record =
-  Engine.suspend t.eng (fun wake ->
-      append_async t record (fun () -> ignore (wake ())))
+let rec intact t id last = id > last || (Hashtbl.mem t.inflight id && intact t (id + 1) last)
 
-(* Group commit: the whole batch shares one position in the flash-channel
-   queue and one write-latency charge.  A crash before the group's fsync
-   instant consumes every member (the torn-tail model tears the oldest). *)
-let append_batch_async t records k =
+let append_async t records k =
   match records with
   | [] -> k ()
-  | [ r ] -> append_async t r k
   | _ ->
     t.writes <- t.writes + 1;
-    let ids =
-      List.map
-        (fun record ->
-          let id = t.next_write_id in
-          t.next_write_id <- id + 1;
-          Hashtbl.replace t.inflight id record;
-          id)
-        records
-    in
-    let group_size = List.length ids in
+    let first = t.next_write_id in
+    enqueue t records;
+    let last = t.next_write_id - 1 in
+    let group_size = last - first + 1 in
     trace_submit t
       ~bytes:(List.fold_left (fun n r -> n + String.length r) 0 records)
       ~group_size;
     let submitted_at = Engine.now t.eng in
     Engine.at t.eng (stable_time t) (fun () ->
-        if List.for_all (fun id -> Hashtbl.mem t.inflight id) ids then begin
-          List.iter
-            (fun id ->
-              let record = Hashtbl.find t.inflight id in
-              Hashtbl.remove t.inflight id;
-              t.stable <- { data = record; torn = false } :: t.stable)
-            ids;
+        (* A crash_torn_tail between submission and this instant consumed
+           the group: it never reached the device intact. *)
+        if intact t first last then begin
+          for id = first to last do
+            t.stable <- { data = Hashtbl.find t.inflight id; torn = false } :: t.stable;
+            Hashtbl.remove t.inflight id
+          done;
           trace_durable t ~submitted_at ~group_size;
           k ()
         end)
@@ -137,7 +121,7 @@ let append_batch_async t records k =
    so re-running truncation after recovery converges to the same state. *)
 let truncate_to t ~header ~drop k =
   t.truncations <- t.truncations + 1;
-  append_async t header (fun () ->
+  append_async t [ header ] (fun () ->
       let tid = t.next_trunc_id in
       t.next_trunc_id <- tid + 1;
       Hashtbl.replace t.pending_truncs tid ();

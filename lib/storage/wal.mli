@@ -2,8 +2,8 @@
 
     The paper persists every consensus decision (call type, arguments,
     global index) to a Berkeley DB on SSD.  Here a record is an opaque
-    string; a synchronous append charges the SSD fsync latency, an
-    asynchronous append invokes a continuation when the write is stable.
+    string; an append charges the SSD fsync latency once per group and
+    invokes a continuation when the write is stable.
     Contents survive "process crashes" (the record list lives outside any
     engine group), which is what replica recovery replays. *)
 
@@ -18,20 +18,14 @@ val create : ?write_latency:Crane_sim.Time.t -> Crane_sim.Engine.t -> name:strin
 
 val name : t -> string
 
-val append : t -> string -> unit
-(** Blocking durable append; call from a simulated thread. *)
-
-val append_async : t -> string -> (unit -> unit) -> unit
-(** Durable append from callback context; the continuation runs once the
-    record is stable. *)
-
-val append_batch_async : t -> string list -> (unit -> unit) -> unit
-(** Group commit (the Berkeley-DB [txn_checkpoint] trick): append all
-    records with a {e single} fsync — one write-latency charge for the
-    whole group instead of one per record.  Records land in list order;
-    the continuation runs once the entire group is stable.  A crash
-    mid-group follows the usual torn-tail rule: the oldest in-flight
-    record survives as a torn partial prefix, the rest are lost. *)
+val append_async : t -> string list -> (unit -> unit) -> unit
+(** Durable group append (the Berkeley-DB [txn_checkpoint] trick): the
+    records land in list order with a {e single} fsync — one
+    write-latency charge for the whole group, so a one-record list is a
+    plain durable append.  The continuation runs once the entire group is
+    stable (at once for an empty list).  A crash mid-group follows the
+    usual torn-tail rule: the oldest in-flight record survives as a torn
+    partial prefix, the rest are lost. *)
 
 val truncate_to : t -> header:string -> drop:(string -> bool) -> (unit -> unit) -> unit
 (** Crash-safe two-phase log truncation.  Durably appends [header] (one

@@ -16,13 +16,11 @@ module Stats = Crane_report.Stats
 
 let fast_paxos =
   {
+    Crane_paxos.Paxos.default_config with
     Crane_paxos.Paxos.heartbeat_period = Time.ms 100;
     election_timeout = Time.ms 300;
     election_jitter = Time.ms 50;
     round_retry = Time.ms 100;
-    compaction_threshold = Crane_paxos.Paxos.default_config.compaction_threshold;
-    catchup_chunk = Crane_paxos.Paxos.default_config.catchup_chunk;
-    suspect_timeout = Crane_paxos.Paxos.default_config.suspect_timeout;
     lease_duration = Time.ms 150;
   }
 

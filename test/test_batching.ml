@@ -15,6 +15,7 @@ module Instance = Crane_core.Instance
 module Cluster = Crane_core.Cluster
 module Output_log = Crane_core.Output_log
 module Chaos = Crane_chaos.Chaos
+module G = Paxos_group
 
 (* ------------------------------------------------------------------ *)
 (* WAL group commit. *)
@@ -23,7 +24,7 @@ let test_wal_group_commit () =
   let eng = Engine.create () in
   let wal = Wal.create eng ~name:"w" in
   let done_ = ref false in
-  Wal.append_batch_async wal [ "a"; "b"; "c" ] (fun () -> done_ := true);
+  Wal.append_async wal [ "a"; "b"; "c" ] (fun () -> done_ := true);
   Engine.run eng;
   Alcotest.(check bool) "continuation fired" true !done_;
   Alcotest.(check (list string)) "records in list order" [ "a"; "b"; "c" ]
@@ -34,7 +35,7 @@ let test_wal_group_crash_all_or_nothing () =
   let eng = Engine.create () in
   let wal = Wal.create eng ~name:"w" in
   let done_ = ref false in
-  Wal.append_batch_async wal [ "alpha"; "beta"; "gamma" ] (fun () -> done_ := true);
+  Wal.append_async wal [ "alpha"; "beta"; "gamma" ] (fun () -> done_ := true);
   (* Crash before the group's fsync instant: the whole group is lost
      (oldest member survives only as a torn partial tail). *)
   Alcotest.(check bool) "torn tail produced" true (Wal.crash_torn_tail wal);
@@ -54,25 +55,21 @@ let test_wal_group_crash_all_or_nothing () =
    writes. *)
 
 let run_bursts ~batched () =
-  let sim, nodes = Test_paxos.start_cluster () in
-  let p1, _, _ = List.hd nodes in
-  Engine.spawn sim.Test_paxos.eng ~name:"client" (fun () ->
-      Engine.sleep sim.Test_paxos.eng (Time.ms 10);
+  let sim, nodes = G.start () in
+  let p1 = (List.hd nodes).G.n_p in
+  Engine.spawn sim.G.eng ~name:"client" (fun () ->
+      Engine.sleep sim.G.eng (Time.ms 10);
       for b = 0 to 9 do
         let vs = List.init 6 (fun i -> Printf.sprintf "v%d" ((b * 6) + i)) in
         (if batched then
            Alcotest.(check bool) "primary accepts batch" true
              (Paxos.submit p1 vs <> None)
          else List.iter (fun v -> ignore (Paxos.submit p1 [ v ])) vs);
-        Engine.sleep sim.Test_paxos.eng (Time.ms 2)
+        Engine.sleep sim.G.eng (Time.ms 2)
       done);
-  Engine.run ~until:(Time.sec 2) sim.Test_paxos.eng;
-  let logs =
-    List.map
-      (fun (n, _, _, log) -> (n, Test_paxos.applied_log log))
-      sim.Test_paxos.nodes
-  in
-  let writes = Wal.writes (Hashtbl.find sim.Test_paxos.wals "n1") in
+  Engine.run ~until:(Time.sec 2) sim.G.eng;
+  let logs = List.map (fun n -> (n.G.n_name, G.applied_log n)) sim.G.nodes in
+  let writes = Wal.writes (Hashtbl.find sim.G.wals "n1") in
   (logs, writes, Paxos.stats p1)
 
 let test_paxos_equivalence () =
@@ -91,15 +88,14 @@ let test_paxos_equivalence () =
     [ (6, 10) ] stats_b.Paxos.events_per_batch
 
 let test_submit_refusals () =
-  let sim, nodes = Test_paxos.start_cluster () in
-  let p1, _, _ = List.hd nodes in
-  let p2 = match List.nth_opt nodes 1 with Some (p, _, _) -> p | None -> assert false in
+  let sim, nodes = G.start () in
+  let p1 = (List.hd nodes).G.n_p and p2 = (List.nth nodes 1).G.n_p in
   let r_backup = ref true and r_empty = ref true in
-  Engine.spawn sim.Test_paxos.eng ~name:"client" (fun () ->
-      Engine.sleep sim.Test_paxos.eng (Time.ms 10);
+  Engine.spawn sim.G.eng ~name:"client" (fun () ->
+      Engine.sleep sim.G.eng (Time.ms 10);
       r_backup := Paxos.submit p2 [ "a"; "b" ] <> None;
       r_empty := Paxos.submit p1 [] <> None);
-  Engine.run ~until:(Time.ms 100) sim.Test_paxos.eng;
+  Engine.run ~until:(Time.ms 100) sim.G.eng;
   Alcotest.(check bool) "backup refuses batches" false !r_backup;
   Alcotest.(check bool) "empty batch refused" false !r_empty
 
@@ -111,38 +107,39 @@ let test_submit_refusals () =
    higher view and resurrect its uncommitted tail through the log merge,
    which is viewstamped behavior, not what this test pins down. *)
 let test_demotion_mid_batch () =
-  let sim, nodes = Test_paxos.start_cluster () in
-  let p1, _, log1 = List.hd nodes in
+  let sim, nodes = G.start () in
+  let n1 = List.hd nodes in
+  let p1 = n1.G.n_p and log1 = n1.G.n_log in
   let demoted = ref false in
   Paxos.set_handlers p1
     { Paxos.on_commit = (fun ~index:_ v -> log1 := v :: !log1);
       on_demote = (fun () -> demoted := true);
       on_config = (fun ~epoch:_ _ -> ());
       on_fence = (fun ~epoch:_ -> ()) };
-  Engine.at sim.Test_paxos.eng (Time.ms 50) (fun () ->
-      Fabric.partition sim.Test_paxos.fabric [ "n1" ] [ "n2"; "n3" ]);
-  Engine.spawn sim.Test_paxos.eng ~name:"client" (fun () ->
-      Engine.sleep sim.Test_paxos.eng (Time.ms 60);
+  Engine.at sim.G.eng (Time.ms 50) (fun () ->
+      Fabric.partition sim.G.fabric [ "n1" ] [ "n2"; "n3" ]);
+  Engine.spawn sim.G.eng ~name:"client" (fun () ->
+      Engine.sleep sim.G.eng (Time.ms 60);
       (* Still believes itself primary: the batch is accepted but can
          never commit. *)
       Alcotest.(check bool) "isolated primary still accepts" true
         (Paxos.submit p1 [ "x1"; "x2" ] <> None));
-  Engine.at sim.Test_paxos.eng (Time.sec 2) (fun () ->
-      match Test_paxos.find_primary sim with
-      | Some (n, p, _, _) ->
+  Engine.at sim.G.eng (Time.sec 2) (fun () ->
+      match G.find_primary sim with
+      | Some { G.n_name = n; n_p = p; _ } ->
         Alcotest.(check bool) "new primary is a backup" true (n <> "n1");
         ignore (Paxos.submit p [ "y1" ])
       | None -> Alcotest.fail "no new primary elected");
-  Engine.run ~until:(Time.sec 4) sim.Test_paxos.eng;
+  Engine.run ~until:(Time.sec 4) sim.G.eng;
   Alcotest.(check bool) "old primary demoted" true !demoted;
   List.iter
-    (fun (n, _, _, log) ->
-      if n <> "n1" then
-        Alcotest.(check (list string)) (n ^ " only the post-demotion value")
-          [ "y1" ] (Test_paxos.applied_log log))
-    sim.Test_paxos.nodes;
+    (fun n ->
+      if n.G.n_name <> "n1" then
+        Alcotest.(check (list string)) (n.G.n_name ^ " only the post-demotion value")
+          [ "y1" ] (G.applied_log n))
+    sim.G.nodes;
   Alcotest.(check (list string)) "isolated old primary applied nothing" []
-    (Test_paxos.applied_log log1);
+    (G.applied_log n1);
   Alcotest.(check int) "abandoned batch not counted" 0
     (Paxos.stats p1).Paxos.batches_committed
 

@@ -57,10 +57,10 @@ let test_wal_torn_tail () =
   let eng = Engine.create () in
   let wal = Wal.create eng ~name:"w" in
   let stable = ref [] in
-  Wal.append_async wal "alpha" (fun () -> stable := "alpha" :: !stable);
+  Wal.append_async wal [ "alpha" ] (fun () -> stable := "alpha" :: !stable);
   Engine.run eng;
-  Wal.append_async wal "beta" (fun () -> stable := "beta" :: !stable);
-  Wal.append_async wal "gamma" (fun () -> stable := "gamma" :: !stable);
+  Wal.append_async wal [ "beta" ] (fun () -> stable := "beta" :: !stable);
+  Wal.append_async wal [ "gamma" ] (fun () -> stable := "gamma" :: !stable);
   (* crash before the writes complete *)
   Alcotest.(check bool) "torn tail produced" true (Wal.crash_torn_tail wal);
   Engine.run eng;
@@ -96,7 +96,7 @@ let test_torn_recovery_refill () =
       (* Make sure an append is mid-flight at the crash instant so the
          crash deterministically leaves a torn tail (the WAL write window
          is only 15us wide otherwise). *)
-      Wal.append_async (Hashtbl.find cluster.Cluster.wals "replica1") "mid-write"
+      Wal.append_async (Hashtbl.find cluster.Cluster.wals "replica1") [ "mid-write" ]
         (fun () -> ());
       Cluster.kill ~wal_torn:true cluster "replica1");
   Engine.at eng (Time.ms 1800) (fun () -> ignore (Cluster.restart cluster "replica1"));

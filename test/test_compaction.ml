@@ -33,7 +33,7 @@ let check_no_failures eng =
 let test_wal_truncate_drops_prefix () =
   let eng = Engine.create () in
   let wal = Wal.create eng ~name:"w" in
-  List.iter (fun r -> Wal.append_async wal r (fun () -> ())) [ "a"; "b"; "c" ];
+  List.iter (fun r -> Wal.append_async wal [ r ] (fun () -> ())) [ "a"; "b"; "c" ];
   Engine.run eng;
   let header = "H" in
   let finished = ref false in
@@ -52,7 +52,7 @@ let test_wal_truncate_drops_prefix () =
 let test_wal_truncate_crash_before_header () =
   let eng = Engine.create () in
   let wal = Wal.create eng ~name:"w" in
-  List.iter (fun r -> Wal.append_async wal r (fun () -> ())) [ "a"; "b" ];
+  List.iter (fun r -> Wal.append_async wal [ r ] (fun () -> ())) [ "a"; "b" ];
   Engine.run eng;
   let fired = ref false in
   Wal.truncate_to wal ~header:"HH" ~drop:(fun _ -> true) (fun () -> fired := true);
@@ -69,7 +69,7 @@ let test_wal_truncate_crash_before_header () =
 let test_wal_truncate_crash_between_phases () =
   let eng = Engine.create () in
   let wal = Wal.create eng ~name:"w" in
-  List.iter (fun r -> Wal.append_async wal r (fun () -> ())) [ "a"; "b" ];
+  List.iter (fun r -> Wal.append_async wal [ r ] (fun () -> ())) [ "a"; "b" ];
   Engine.run eng;
   let fired = ref false in
   let old_header = "H1" in
@@ -92,55 +92,32 @@ let test_wal_truncate_crash_between_phases () =
 (* ------------------------------------------------------------------ *)
 (* Paxos-level compaction and snapshot catch-up *)
 
-type sim = {
-  eng : Engine.t;
-  fabric : Fabric.t;
-  wals : (string, Wal.t) Hashtbl.t;
-  mutable nodes : (string * Paxos.t * Engine.group * string ref) list;
-}
-
-let members = [ "n1"; "n2"; "n3" ]
+module G = Paxos_group
 
 let compact_config ~threshold =
   {
+    Paxos.default_config with
     Paxos.heartbeat_period = Time.ms 50;
     election_timeout = Time.ms 200;
     election_jitter = Time.ms 30;
     round_retry = Time.ms 50;
     compaction_threshold = threshold;
     catchup_chunk = 16;
-    suspect_timeout = Paxos.default_config.suspect_timeout;
     lease_duration = Time.ms 100;
   }
 
 let fold_state state v = Digest.to_hex (Digest.string (state ^ v))
 
-let add_node sim ~config name =
-  let wal =
-    match Hashtbl.find_opt sim.wals name with
-    | Some w -> w
-    | None ->
-      let w = Wal.create sim.eng ~name in
-      Hashtbl.add sim.wals name w;
-      w
-  in
-  let group = Engine.new_group sim.eng in
-  let p =
-    Paxos.create ~config ~fabric:sim.fabric ~rng:(Rng.create (Hashtbl.hash name))
-      ~wal ~members ~node:name ~group ()
-  in
+(* Each node's replicated state is a chain digest of what it applied,
+   replaced wholesale by an installed snapshot. *)
+let add_node sim name =
   let state = ref "" in
-  Paxos.set_handlers p
-    { Paxos.on_commit = (fun ~index:_ v -> state := fold_state !state v);
-      on_demote = (fun () -> ());
-      on_config = (fun ~epoch:_ _ -> ());
-      on_fence = (fun ~epoch:_ -> ()) };
+  let n = G.add_node ~on_commit:(fun ~index:_ v -> state := fold_state !state v) sim name in
+  let p = n.G.n_p in
   Paxos.set_compaction_hooks p
     { Paxos.install_snapshot =
         (fun ~index:_ blob -> state := (Marshal.from_string blob 0 : string));
       on_compact = (fun ~watermark:_ -> ()) };
-  Paxos.start p ~as_primary:(name = "n1") ();
-  Fabric.node_up sim.fabric name;
   (* WAL recovery does not re-fire on_commit; rebuild the state the way a
      real instance would — restored snapshot plus resident suffix. *)
   let from =
@@ -153,24 +130,12 @@ let add_node sim ~config name =
   List.iter
     (fun v -> state := fold_state !state v)
     (Paxos.get_committed_range p ~lo:from ~hi:(Paxos.applied p));
-  sim.nodes <- sim.nodes @ [ (name, p, group, state) ];
-  (p, group, state)
+  (p, state)
 
-let make_sim ?(seed = 19) ~threshold () =
-  let eng = Engine.create () in
-  let fabric = Fabric.create eng (Rng.create seed) in
-  let sim = { eng; fabric; wals = Hashtbl.create 4; nodes = [] } in
-  let config = compact_config ~threshold in
-  let nodes = List.map (fun n -> add_node sim ~config n) members in
+let make_sim ~threshold () =
+  let sim = G.create ~seed:19 ~config:(compact_config ~threshold) () in
+  let nodes = List.map (add_node sim) sim.G.members in
   (sim, nodes)
-
-let kill_node sim name =
-  match List.find_opt (fun (n, _, _, _) -> n = name) sim.nodes with
-  | Some (_, _, g, _) ->
-    Engine.kill_group sim.eng g;
-    Fabric.node_down sim.fabric name;
-    sim.nodes <- List.filter (fun (n, _, _, _) -> n <> name) sim.nodes
-  | None -> ()
 
 (* n2 plays the checkpoint backup: hand its state to consensus as a
    snapshot every [every] applied entries.  [stop_after] freezes the
@@ -179,7 +144,7 @@ let kill_node sim name =
 let snapshot_offerer sim (p2, state2) ~every ~stop_after =
   let last = ref 0 in
   let rec loop () =
-    Engine.after sim.eng (Time.ms 10) (fun () ->
+    Engine.after sim.G.eng (Time.ms 10) (fun () ->
         let a = Paxos.applied p2 in
         if a - !last >= every && a <= stop_after then begin
           last := a;
@@ -190,7 +155,7 @@ let snapshot_offerer sim (p2, state2) ~every ~stop_after =
   loop ()
 
 let stream sim p1 ~n =
-  Engine.spawn sim.eng ~name:"stream" (fun () ->
+  Engine.spawn sim.G.eng ~name:"stream" (fun () ->
       Engine.sleep sim.eng (Time.ms 10);
       for i = 1 to n do
         ignore (Paxos.submit p1 [ Printf.sprintf "v%d" i ]);
@@ -199,14 +164,14 @@ let stream sim p1 ~n =
 
 let test_compaction_bounds_log () =
   let sim, nodes = make_sim ~threshold:32 () in
-  let p1, _, _ = List.nth nodes 0 in
-  let p2, _, s2 = List.nth nodes 1 in
+  let p1, _ = List.nth nodes 0 in
+  let p2, s2 = List.nth nodes 1 in
   snapshot_offerer sim (p2, s2) ~every:64 ~stop_after:320;
   stream sim p1 ~n:400;
   Engine.run ~until:(Time.ms 400) sim.eng;
   check_no_failures sim.eng;
   List.iter
-    (fun (name, p, _, _) ->
+    (fun { G.n_name = name; n_p = p; _ } ->
       let s = Paxos.stats p in
       Alcotest.(check bool) (name ^ " committed everything") true
         (Paxos.committed p = 400);
@@ -219,19 +184,19 @@ let test_compaction_bounds_log () =
         (Wal.dropped (Hashtbl.find sim.wals name) > 0))
     sim.nodes;
   (* resident suffixes agree across replicas *)
-  let lo = 1 + List.fold_left (fun m (_, p, _, _) -> max m (Paxos.base p)) 0 sim.nodes in
+  let lo = 1 + List.fold_left (fun m n -> max m (Paxos.base n.G.n_p)) 0 sim.G.nodes in
   let range p = Paxos.get_committed_range p ~lo ~hi:(Paxos.committed p) in
   let r1 = range p1 in
   Alcotest.(check bool) "suffix nonempty" true (r1 <> []);
   List.iter
-    (fun (name, p, _, _) ->
+    (fun { G.n_name = name; n_p = p; _ } ->
       Alcotest.(check (list string)) (name ^ " suffix agrees") r1 (range p))
     sim.nodes
 
 let test_snapshot_catchup_converges () =
   let sim, nodes = make_sim ~threshold:32 () in
-  let p1, _, s1 = List.nth nodes 0 in
-  let p2, _, s2 = List.nth nodes 1 in
+  let p1, s1 = List.nth nodes 0 in
+  let p2, s2 = List.nth nodes 1 in
   (* snapshots stop at index ~600 of a 1000-entry history: recovery needs
      the snapshot AND hundreds of suffix entries paged in small chunks *)
   snapshot_offerer sim (p2, s2) ~every:64 ~stop_after:600;
@@ -239,13 +204,13 @@ let test_snapshot_catchup_converges () =
   (* kill n3 early: by restart time the watermark is far past its applied
      index, so its log prefix no longer exists anywhere *)
   Engine.run ~until:(Time.ms 20) sim.eng;
-  kill_node sim "n3";
+  G.kill_node sim "n3";
   (* the dead peer drops out of the watermark once it goes stale
      (election_timeout), after which compaction passes its old position *)
   Engine.run ~until:(Time.ms 300) sim.eng;
   Alcotest.(check bool) "primary compacted past the victim" true
     (Paxos.base p1 > 40);
-  let p3, _, s3 = add_node sim ~config:(compact_config ~threshold:32) "n3" in
+  let p3, s3 = add_node sim "n3" in
   Engine.run ~until:(Time.sec 1) sim.eng;
   check_no_failures sim.eng;
   let st3 = Paxos.stats p3 in
@@ -265,8 +230,8 @@ let test_snapshot_catchup_converges () =
    clamped to a fixed bucket range. *)
 let test_ack_and_histogram_bounded () =
   let sim, nodes = make_sim ~threshold:0 () in
-  let p1, _, _ = List.nth nodes 0 in
-  Engine.spawn sim.eng ~name:"stream" (fun () ->
+  let p1, _ = List.nth nodes 0 in
+  Engine.spawn sim.G.eng ~name:"stream" (fun () ->
       Engine.sleep sim.eng (Time.ms 10);
       (* an oversized batch lands in the top histogram bucket *)
       ignore (Paxos.submit p1 (List.init 100 (fun i -> Printf.sprintf "b%d" i)));

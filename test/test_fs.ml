@@ -121,13 +121,15 @@ let test_container_confined_blocks_criu () =
   check_no_failures eng;
   Alcotest.(check bool) "confined container rejects CRIU" true !raised
 
+(* A writer that waits for each record to be durable before submitting
+   the next: one fsync per record, landing in write order. *)
 let test_wal_order_and_recovery () =
   let eng = Engine.create () in
   let wal = Wal.create eng ~name:"w" in
-  Engine.spawn eng ~name:"writer" (fun () ->
-      for i = 1 to 5 do
-        Wal.append wal (string_of_int i)
-      done);
+  let rec write i =
+    if i <= 5 then Wal.append_async wal [ string_of_int i ] (fun () -> write (i + 1))
+  in
+  write 1;
   Engine.run eng;
   check_no_failures eng;
   Alcotest.(check (list string)) "stable in order" [ "1"; "2"; "3"; "4"; "5" ]
@@ -139,7 +141,7 @@ let test_wal_async_ordering () =
   let wal = Wal.create eng ~name:"w" in
   let done_order = ref [] in
   for i = 1 to 3 do
-    Wal.append_async wal (string_of_int i) (fun () -> done_order := i :: !done_order)
+    Wal.append_async wal [ string_of_int i ] (fun () -> done_order := i :: !done_order)
   done;
   Engine.run eng;
   Alcotest.(check (list int)) "continuations fire in submit order" [ 1; 2; 3 ]

@@ -165,7 +165,7 @@ let test_mc_dpor_prunes () =
    explorer only accepts discriminating counterexamples). *)
 let mutation_killed m =
   let cfg = Mc.mutation_preset m in
-  let o = Mc.explore_mutated cfg in
+  let o = Mc.explore cfg in
   match o.Mc.o_violation with
   | None -> Alcotest.failf "%s not killed" (Mc.mutation_name m)
   | Some v ->

@@ -104,12 +104,11 @@ let test_dmt_lanes_independent () =
 
 let fast_config =
   {
+    Paxos.default_config with
     Paxos.heartbeat_period = Time.ms 100;
     election_timeout = Time.ms 300;
     election_jitter = Time.ms 50;
     round_retry = Time.ms 100;
-    compaction_threshold = Paxos.default_config.compaction_threshold;
-    catchup_chunk = Paxos.default_config.catchup_chunk;
     suspect_timeout = Time.ms 450;
     lease_duration = Time.ms 150;
   }

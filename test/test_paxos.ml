@@ -1,88 +1,20 @@
 (* Tests for the PAXOS consensus component: normal-case agreement, leader
-   election, catch-up, WAL recovery, and property-based safety under a
-   message-loss nemesis. *)
+   election, catch-up, WAL recovery, heartbeat retransmission of a batch
+   whose acks were lost, and property-based safety under a message-loss
+   nemesis. *)
 
 module Time = Crane_sim.Time
 module Rng = Crane_sim.Rng
 module Engine = Crane_sim.Engine
 module Fabric = Crane_net.Fabric
-module Wal = Crane_storage.Wal
 module Paxos = Crane_paxos.Paxos
-
-type sim = {
-  eng : Engine.t;
-  fabric : Fabric.t;
-  mutable nodes : (string * Paxos.t * Engine.group * string list ref) list;
-  wals : (string, Wal.t) Hashtbl.t;
-}
-
-let fast_config =
-  {
-    Paxos.heartbeat_period = Time.ms 100;
-    election_timeout = Time.ms 300;
-    election_jitter = Time.ms 50;
-    round_retry = Time.ms 100;
-    compaction_threshold = Crane_paxos.Paxos.default_config.compaction_threshold;
-    catchup_chunk = Crane_paxos.Paxos.default_config.catchup_chunk;
-    suspect_timeout = Paxos.default_config.suspect_timeout;
-    lease_duration = Time.ms 150;
-  }
-
-let members = [ "n1"; "n2"; "n3" ]
-
-let make_sim ?(seed = 11) () =
-  let eng = Engine.create () in
-  let fabric = Fabric.create eng (Rng.create seed) in
-  { eng; fabric; nodes = []; wals = Hashtbl.create 4 }
-
-let add_node ?(config = fast_config) sim name =
-  let wal =
-    match Hashtbl.find_opt sim.wals name with
-    | Some w -> w
-    | None ->
-      let w = Wal.create sim.eng ~name in
-      Hashtbl.add sim.wals name w;
-      w
-  in
-  let group = Engine.new_group sim.eng in
-  let rng = Rng.create (Hashtbl.hash name) in
-  let p =
-    Paxos.create ~config ~fabric:sim.fabric ~rng ~wal ~members ~node:name ~group ()
-  in
-  let log = ref [] in
-  Paxos.set_handlers p
-    { Paxos.on_commit = (fun ~index:_ v -> log := v :: !log);
-      on_demote = (fun () -> ());
-      on_config = (fun ~epoch:_ _ -> ());
-      on_fence = (fun ~epoch:_ -> ()) };
-  Paxos.start p ();
-  Fabric.node_up sim.fabric name;
-  sim.nodes <- sim.nodes @ [ (name, p, group, log) ];
-  (p, group, log)
-
-let start_cluster ?seed ?config () =
-  let sim = make_sim ?seed () in
-  let nodes = List.map (fun n -> add_node ?config:(Option.map Fun.id config) sim n) members in
-  (sim, nodes)
-
-let applied_log log = List.rev !log
-
-let find_primary sim =
-  List.find_opt (fun (_, p, _, _) -> Paxos.is_primary p) sim.nodes
-
-let kill_node sim name =
-  match List.find_opt (fun (n, _, _, _) -> n = name) sim.nodes with
-  | Some (_, _, g, _) ->
-    Engine.kill_group sim.eng g;
-    Fabric.node_down sim.fabric name;
-    sim.nodes <- List.filter (fun (n, _, _, _) -> n <> name) sim.nodes
-  | None -> ()
+module G = Paxos_group
 
 (* ------------------------------------------------------------------ *)
 
 let test_normal_case_agreement () =
-  let sim, nodes = start_cluster () in
-  let p1, _, _ = List.hd nodes in
+  let sim, nodes = G.start () in
+  let p1 = (List.hd nodes).G.n_p in
   Engine.spawn sim.eng ~name:"client" (fun () ->
       Engine.sleep sim.eng (Time.ms 10);
       for i = 1 to 20 do
@@ -93,16 +25,15 @@ let test_normal_case_agreement () =
   Engine.run ~until:(Time.sec 2) sim.eng;
   let expected = List.init 20 (fun i -> Printf.sprintf "v%d" (i + 1)) in
   List.iter
-    (fun (name, p, _, log) ->
+    (fun ({ G.n_name = name; n_p = p; _ } as n) ->
       Alcotest.(check (list string)) (name ^ " applied all in order") expected
-        (applied_log log);
+        (G.applied_log n);
       Alcotest.(check int) (name ^ " committed") 20 (Paxos.committed p))
     sim.nodes
 
 let test_submit_on_backup_rejected () =
-  let sim, nodes = start_cluster () in
-  let _, _, _ = List.hd nodes in
-  let p2 = match List.nth_opt nodes 1 with Some (p, _, _) -> p | None -> assert false in
+  let sim, nodes = G.start () in
+  let p2 = (List.nth nodes 1).G.n_p in
   let result = ref true in
   Engine.spawn sim.eng ~name:"client" (fun () ->
       Engine.sleep sim.eng (Time.ms 10);
@@ -111,8 +42,8 @@ let test_submit_on_backup_rejected () =
   Alcotest.(check bool) "backup refuses submissions" false !result
 
 let test_pipelined_submissions () =
-  let sim, nodes = start_cluster () in
-  let p1, _, _ = List.hd nodes in
+  let sim, nodes = G.start () in
+  let p1 = (List.hd nodes).G.n_p in
   Engine.spawn sim.eng ~name:"client" (fun () ->
       Engine.sleep sim.eng (Time.ms 5);
       (* Burst without waiting: decisions must still be totally ordered. *)
@@ -122,25 +53,25 @@ let test_pipelined_submissions () =
   Engine.run ~until:(Time.sec 2) sim.eng;
   let expected = List.init 50 (fun i -> string_of_int (i + 1)) in
   List.iter
-    (fun (name, _, _, log) ->
-      Alcotest.(check (list string)) (name ^ " ordered burst") expected
-        (applied_log log))
+    (fun n ->
+      Alcotest.(check (list string)) (n.G.n_name ^ " ordered burst") expected
+        (G.applied_log n))
     sim.nodes
 
 let test_leader_election_on_primary_failure () =
-  let sim, nodes = start_cluster () in
-  let p1, _, _ = List.hd nodes in
+  let sim, nodes = G.start () in
+  let p1 = (List.hd nodes).G.n_p in
   Engine.spawn sim.eng ~name:"client" (fun () ->
       Engine.sleep sim.eng (Time.ms 10);
       for i = 1 to 5 do
         ignore (Paxos.submit p1 [ Printf.sprintf "a%d" i ]);
         Engine.sleep sim.eng (Time.ms 2)
       done);
-  Engine.at sim.eng (Time.ms 100) (fun () -> kill_node sim "n1");
+  Engine.at sim.eng (Time.ms 100) (fun () -> G.kill_node sim "n1");
   (* After the election, the new primary accepts more values. *)
   Engine.at sim.eng (Time.sec 1) (fun () ->
-      match find_primary sim with
-      | Some (_, p, _, _) ->
+      match G.find_primary sim with
+      | Some { G.n_p = p; _ } ->
         for i = 1 to 5 do
           ignore (Paxos.submit p [ Printf.sprintf "b%d" i ])
         done
@@ -151,12 +82,12 @@ let test_leader_election_on_primary_failure () =
     @ List.init 5 (fun i -> Printf.sprintf "b%d" (i + 1))
   in
   List.iter
-    (fun (name, _, _, log) ->
-      Alcotest.(check (list string)) (name ^ " survives failover") expected
-        (applied_log log))
+    (fun n ->
+      Alcotest.(check (list string)) (n.G.n_name ^ " survives failover") expected
+        (G.applied_log n))
     sim.nodes;
-  match find_primary sim with
-  | Some (_, p, _, _) -> (
+  match G.find_primary sim with
+  | Some { G.n_p = p; _ } -> (
     Alcotest.(check bool) "view advanced" true (Paxos.view p > 0);
     match (Paxos.stats p).Paxos.last_election_duration with
     | Some d ->
@@ -166,8 +97,8 @@ let test_leader_election_on_primary_failure () =
   | None -> Alcotest.fail "cluster has no primary"
 
 let test_rejoin_catches_up () =
-  let sim, nodes = start_cluster () in
-  let p1, _, _ = List.hd nodes in
+  let sim, nodes = G.start () in
+  let p1 = (List.hd nodes).G.n_p in
   Engine.spawn sim.eng ~name:"client" (fun () ->
       Engine.sleep sim.eng (Time.ms 10);
       for i = 1 to 10 do
@@ -175,19 +106,19 @@ let test_rejoin_catches_up () =
         Engine.sleep sim.eng (Time.ms 1)
       done);
   (* n3 crashes early and rejoins (fresh incarnation, same WAL). *)
-  Engine.at sim.eng (Time.ms 5) (fun () -> kill_node sim "n3");
-  Engine.at sim.eng (Time.ms 500) (fun () -> ignore (add_node sim "n3"));
+  Engine.at sim.eng (Time.ms 5) (fun () -> G.kill_node sim "n3");
+  Engine.at sim.eng (Time.ms 500) (fun () -> ignore (G.add_node sim "n3"));
   Engine.run ~until:(Time.sec 3) sim.eng;
-  match List.find_opt (fun (n, _, _, _) -> n = "n3") sim.nodes with
-  | Some (_, p3, _, _) ->
+  match G.find sim "n3" with
+  | Some { G.n_p = p3; _ } ->
     Alcotest.(check int) "rejoined node caught up" 10 (Paxos.committed p3);
     let range = Paxos.get_committed_range p3 ~lo:1 ~hi:10 in
     Alcotest.(check int) "full range recovered" 10 (List.length range)
   | None -> Alcotest.fail "n3 not present"
 
 let test_wal_recovery () =
-  let sim, nodes = start_cluster () in
-  let p1, _, _ = List.hd nodes in
+  let sim, nodes = G.start () in
+  let p1 = (List.hd nodes).G.n_p in
   Engine.spawn sim.eng ~name:"client" (fun () ->
       Engine.sleep sim.eng (Time.ms 10);
       for i = 1 to 8 do
@@ -196,8 +127,8 @@ let test_wal_recovery () =
       done);
   Engine.run ~until:(Time.ms 200) sim.eng;
   (* Crash n2 after everything committed, restart from its WAL. *)
-  kill_node sim "n2";
-  let p2', _, _ = add_node sim "n2" in
+  G.kill_node sim "n2";
+  let p2' = (G.add_node sim "n2").G.n_p in
   Alcotest.(check int) "committed recovered from WAL" 8 (Paxos.committed p2');
   Alcotest.(check (list string)) "values recovered"
     (List.init 8 (fun i -> Printf.sprintf "v%d" (i + 1)))
@@ -210,8 +141,8 @@ let test_wal_recovery () =
    backups elect among themselves.  After the partition heals, the old
    primary adopts the new view and catches up as a backup. *)
 let test_primary_abdicates_when_isolated () =
-  let sim, nodes = start_cluster () in
-  let p1, _, _ = List.hd nodes in
+  let sim, nodes = G.start () in
+  let p1 = (List.hd nodes).G.n_p in
   Engine.spawn sim.eng ~name:"client" (fun () ->
       Engine.sleep sim.eng (Time.ms 10);
       for i = 1 to 5 do
@@ -227,16 +158,16 @@ let test_primary_abdicates_when_isolated () =
       Alcotest.(check bool) "isolated primary stepped down" false (Paxos.is_primary p1);
       Alcotest.(check int) "stepped down via abdication" 1
         (Paxos.stats p1).Paxos.abdications;
-      match find_primary sim with
-      | Some (name, p, _, _) ->
+      match G.find_primary sim with
+      | Some { G.n_name = name; n_p = p; _ } ->
         Alcotest.(check bool) "a backup took over" true (name <> "n1");
         Alcotest.(check bool) "view advanced past the abdication" true
           (Paxos.view p > 0)
       | None -> Alcotest.fail "no backup elected during the partition");
   Engine.at sim.eng (Time.sec 2) (fun () -> Fabric.heal sim.fabric);
   Engine.at sim.eng (Time.ms 2800) (fun () ->
-      match find_primary sim with
-      | Some (_, p, _, _) ->
+      match G.find_primary sim with
+      | Some { G.n_p = p; _ } ->
         for i = 1 to 5 do
           ignore (Paxos.submit p [ Printf.sprintf "b%d" i ])
         done
@@ -244,11 +175,11 @@ let test_primary_abdicates_when_isolated () =
   Engine.run ~until:(Time.sec 5) sim.eng;
   Alcotest.(check int) "abdicated exactly once overall" 1
     (Paxos.stats p1).Paxos.abdications;
-  (match find_primary sim with
-  | Some (name, p, _, _) ->
+  (match G.find_primary sim with
+  | Some { G.n_name = name; n_p = p; _ } ->
     (* Everyone, n1 included, agrees on the healed cluster's leader. *)
     List.iter
-      (fun (n, q, _, _) ->
+      (fun { G.n_name = n; n_p = q; _ } ->
         Alcotest.(check (option string)) (n ^ " follows the leader") (Some name)
           (if n = name then Some name else Paxos.primary q))
       sim.nodes;
@@ -259,22 +190,68 @@ let test_primary_abdicates_when_isolated () =
     @ List.init 5 (fun i -> Printf.sprintf "b%d" (i + 1))
   in
   List.iter
-    (fun (name, _, _, log) ->
-      Alcotest.(check (list string)) (name ^ " converged after heal") expected
-        (applied_log log))
+    (fun n ->
+      Alcotest.(check (list string)) (n.G.n_name ^ " converged after heal") expected
+        (G.applied_log n))
     sim.nodes
 
 let test_no_progress_without_quorum () =
-  let sim, nodes = start_cluster () in
-  let p1, _, _ = List.hd nodes in
+  let sim, nodes = G.start () in
+  let p1 = (List.hd nodes).G.n_p in
   Engine.at sim.eng (Time.ms 5) (fun () ->
-      kill_node sim "n2";
-      kill_node sim "n3");
+      G.kill_node sim "n2";
+      G.kill_node sim "n3");
   Engine.spawn sim.eng ~name:"client" (fun () ->
       Engine.sleep sim.eng (Time.ms 20);
       ignore (Paxos.submit p1 [ "lost" ]));
   Engine.run ~until:(Time.sec 2) sim.eng;
   Alcotest.(check int) "nothing commits without quorum" 0 (Paxos.committed p1)
+
+(* Heartbeat retransmission repairs a batch whose acks were lost.  With
+   n3 down, n2's ack is the quorum-critical one; n2 -> n1 is blocked
+   (shorter than election_timeout, so nobody abdicates or elects) while a
+   4-value batch is proposed.  n2 logs the batch but its range ack is
+   dropped; after the heal, the primary's heartbeat re-sends one-value
+   Accepts for the pending window, n2 re-acks each duplicate, and every
+   index commits.  Under the [Dup_accept] mutation n2 swallows the
+   duplicates instead, so the commit index stalls below the batch. *)
+let run_lost_batch_acks ~mutation =
+  let sim, nodes = G.start ~config:{ G.fast_config with Paxos.mutation } () in
+  let p1 = (List.hd nodes).G.n_p in
+  Engine.at sim.G.eng (Time.ms 20) (fun () -> G.kill_node sim "n3");
+  Engine.at sim.G.eng (Time.ms 30) (fun () ->
+      Fabric.partition_oneway sim.G.fabric ~from:[ "n2" ] ~to_:[ "n1" ]);
+  Engine.at sim.G.eng (Time.ms 40) (fun () ->
+      Alcotest.(check (option (pair int int))) "batch takes indices 1..4" (Some (1, 4))
+        (Paxos.submit p1 [ "w1"; "w2"; "w3"; "w4" ]));
+  Engine.at sim.G.eng (Time.ms 180) (fun () -> Fabric.heal sim.G.fabric);
+  Engine.run ~until:(Time.sec 1) sim.G.eng;
+  sim
+
+let test_retransmit_repairs_lost_batch_acks () =
+  let sim = run_lost_batch_acks ~mutation:Paxos.No_mutation in
+  let expected = [ "w1"; "w2"; "w3"; "w4" ] in
+  List.iter
+    (fun n ->
+      Alcotest.(check int) (n.G.n_name ^ " committed the whole batch") 4
+        (Paxos.committed n.G.n_p);
+      Alcotest.(check (list string)) (n.G.n_name ^ " applied the batch") expected
+        (G.applied_log n))
+    sim.G.nodes;
+  match G.find_primary sim with
+  | Some n -> Alcotest.(check string) "no election" "n1" n.G.n_name
+  | None -> Alcotest.fail "cluster has no primary"
+
+let test_dup_accept_mutation_stalls_batch () =
+  let sim = run_lost_batch_acks ~mutation:Paxos.Dup_accept in
+  (* Both survivors hold the batch (pending = 4) and commit none of it. *)
+  List.iter
+    (fun n ->
+      Alcotest.(check int) (n.G.n_name ^ " stalled below the batch") 0
+        (Paxos.committed n.G.n_p);
+      Alcotest.(check int) (n.G.n_name ^ " holds the batch uncommitted") 4
+        (Paxos.stats n.G.n_p).Paxos.pending)
+    sim.G.nodes
 
 (* Safety under nemesis: random loss and a primary kill; the applied
    sequences on all surviving nodes must be consistent prefixes. *)
@@ -286,25 +263,23 @@ let prefix_consistent a b =
   go (a, b)
 
 let run_nemesis seed =
-  let sim, nodes = start_cluster ~seed () in
+  let sim, _ = G.start ~seed () in
   let submitted = ref 0 in
   Fabric.set_loss sim.fabric 0.02;
   Engine.spawn sim.eng ~name:"client" (fun () ->
       let rng = Rng.create (seed + 1000) in
       for i = 1 to 40 do
         Engine.sleep sim.eng (Time.ms (1 + Rng.int rng 10));
-        match find_primary sim with
-        | Some (_, p, _, _) ->
+        match G.find_primary sim with
+        | Some { G.n_p = p; _ } ->
           if Paxos.submit p [ Printf.sprintf "s%d-%d" seed i ] <> None then
             incr submitted
         | None -> ()
       done);
-  let p1, _, _ = List.hd nodes in
-  ignore p1;
-  Engine.at sim.eng (Time.ms (50 + (seed mod 100))) (fun () -> kill_node sim "n1");
+  Engine.at sim.eng (Time.ms (50 + (seed mod 100))) (fun () -> G.kill_node sim "n1");
   Engine.run ~until:(Time.sec 5) sim.eng;
   Fabric.set_loss sim.fabric 0.0;
-  let logs = List.map (fun (_, _, _, log) -> applied_log log) sim.nodes in
+  let logs = List.map G.applied_log sim.nodes in
   (* Pairwise prefix consistency. *)
   let ok = ref true in
   List.iteri
@@ -334,6 +309,10 @@ let suite =
           test_primary_abdicates_when_isolated;
         Alcotest.test_case "wal recovery" `Quick test_wal_recovery;
         Alcotest.test_case "no quorum, no progress" `Quick test_no_progress_without_quorum;
+        Alcotest.test_case "retransmit repairs lost batch acks" `Quick
+          test_retransmit_repairs_lost_batch_acks;
+        Alcotest.test_case "dup-accept mutation stalls batch" `Quick
+          test_dup_accept_mutation_stalls_batch;
         qcheck prop_safety_under_nemesis;
       ] );
   ]

@@ -21,71 +21,13 @@ module Loadgen = Crane_workload.Loadgen
 module Ledger = Crane_chaos.Ledger
 
 (* ------------------------------------------------------------------ *)
-(* Raw-paxos harness (test_reconfig's shape). *)
+(* Raw-paxos harness. *)
 
-type node_rec = { n_name : string; n_p : Paxos.t; n_group : Engine.group }
+module G = Paxos_group
 
-type sim = {
-  eng : Engine.t;
-  fabric : Fabric.t;
-  mutable nodes : node_rec list;
-  wals : (string, Wal.t) Hashtbl.t;
-}
-
-let fast_config =
-  {
-    Paxos.heartbeat_period = Time.ms 100;
-    election_timeout = Time.ms 300;
-    election_jitter = Time.ms 50;
-    round_retry = Time.ms 100;
-    compaction_threshold = Paxos.default_config.compaction_threshold;
-    catchup_chunk = Paxos.default_config.catchup_chunk;
-    suspect_timeout = Time.ms 450;
-    lease_duration = Time.ms 150;
-  }
-
+let fast_config = { G.fast_config with Paxos.suspect_timeout = Time.ms 450 }
 let boot_members = [ "n1"; "n2"; "n3" ]
-
-let make_sim ?(seed = 7) () =
-  let eng = Engine.create () in
-  let fabric = Fabric.create eng (Rng.create seed) in
-  { eng; fabric; nodes = []; wals = Hashtbl.create 4 }
-
-let add_node ?(members = boot_members) sim name =
-  let wal =
-    match Hashtbl.find_opt sim.wals name with
-    | Some w -> w
-    | None ->
-      let w = Wal.create sim.eng ~name in
-      Hashtbl.add sim.wals name w;
-      w
-  in
-  let group = Engine.new_group sim.eng in
-  let rng = Rng.create (Hashtbl.hash name) in
-  let p =
-    Paxos.create ~config:fast_config ~fabric:sim.fabric ~rng ~wal ~members ~node:name
-      ~group ()
-  in
-  Paxos.start p ();
-  Fabric.node_up sim.fabric name;
-  let nr = { n_name = name; n_p = p; n_group = group } in
-  sim.nodes <- sim.nodes @ [ nr ];
-  nr
-
-let start_cluster ?seed () =
-  let sim = make_sim ?seed () in
-  let nodes = List.map (fun n -> add_node sim n) boot_members in
-  (sim, nodes)
-
-let find_primary sim = List.find_opt (fun nr -> Paxos.is_primary nr.n_p) sim.nodes
-
-let kill_node sim name =
-  match List.find_opt (fun nr -> nr.n_name = name) sim.nodes with
-  | Some nr ->
-    Engine.kill_group sim.eng nr.n_group;
-    Fabric.node_down sim.fabric name;
-    sim.nodes <- List.filter (fun nr -> nr.n_name <> name) sim.nodes
-  | None -> ()
+let start_cluster ?(seed = 7) () = G.start ~seed ~config:fast_config ()
 
 (* ------------------------------------------------------------------ *)
 (* Lease lifecycle at the raw PAXOS level. *)
@@ -93,7 +35,7 @@ let kill_node sim name =
 let test_lease_granted_to_stable_primary () =
   let sim, _ = start_cluster () in
   Engine.run ~until:(Time.sec 1) sim.eng;
-  match find_primary sim with
+  match G.find_primary sim with
   | None -> Alcotest.fail "no primary after 1 s"
   | Some pr ->
     Alcotest.(check bool) "stable primary holds a valid lease" true
@@ -102,7 +44,7 @@ let test_lease_granted_to_stable_primary () =
       ((Paxos.stats pr.n_p).Paxos.leases_held >= 1);
     List.iter
       (fun nr ->
-        if nr.n_name <> pr.n_name then
+        if nr.G.n_name <> pr.n_name then
           Alcotest.(check bool) (nr.n_name ^ " backup holds no lease") false
             (Paxos.lease_valid nr.n_p))
       sim.nodes
@@ -111,7 +53,7 @@ let test_lease_expires_without_ack_quorum () =
   let sim, _ = start_cluster () in
   let the_primary = ref None in
   Engine.at sim.eng (Time.sec 1) (fun () ->
-      match find_primary sim with
+      match G.find_primary sim with
       | None -> ()
       | Some pr ->
         the_primary := Some pr;
@@ -120,7 +62,7 @@ let test_lease_expires_without_ack_quorum () =
         (* Kill both backups: heartbeats go unacknowledged, so the lease
            must lapse within lease_duration of the last granted round. *)
         List.iter
-          (fun nr -> if nr.n_name <> pr.n_name then kill_node sim nr.n_name)
+          (fun nr -> if nr.G.n_name <> pr.n_name then G.kill_node sim nr.n_name)
           sim.nodes);
   Engine.run ~until:(Time.ms 1600) sim.eng;
   match !the_primary with
@@ -140,7 +82,7 @@ let test_lease_exclusive_across_view_change () =
   let rec sampler () =
     Engine.after sim.eng (Time.ms 10) (fun () ->
         (match
-           List.filter (fun nr -> Paxos.lease_valid nr.n_p) sim.nodes
+           List.filter (fun nr -> Paxos.lease_valid nr.G.n_p) sim.nodes
          with
         | _ :: _ :: _ when !double_lease = None ->
           double_lease := Some (Time.to_string (Engine.now sim.eng))
@@ -149,12 +91,12 @@ let test_lease_exclusive_across_view_change () =
   in
   sampler ();
   Engine.at sim.eng (Time.sec 1) (fun () ->
-      match find_primary sim with
+      match G.find_primary sim with
       | None -> ()
       | Some pr ->
         old_primary := Some pr;
         let rest =
-          List.filter (fun n -> n <> pr.n_name) (List.map (fun nr -> nr.n_name) sim.nodes)
+          List.filter (fun n -> n <> pr.n_name) (List.map (fun nr -> nr.G.n_name) sim.nodes)
         in
         Fabric.partition sim.fabric [ pr.n_name ] rest);
   (* Mid-partition: the majority side must have elected a new primary
@@ -168,7 +110,7 @@ let test_lease_exclusive_across_view_change () =
           (Paxos.lease_valid old.n_p);
         let fresh =
           List.find_opt
-            (fun nr -> nr.n_name <> old.n_name && Paxos.is_primary nr.n_p)
+            (fun nr -> nr.G.n_name <> old.n_name && Paxos.is_primary nr.n_p)
             sim.nodes
         in
         (match fresh with
@@ -180,14 +122,14 @@ let test_lease_exclusive_across_view_change () =
   Engine.run ~until:(Time.sec 3) sim.eng;
   Alcotest.(check (option string)) "never two valid leases at once" None !double_lease;
   if !old_primary = None then Alcotest.fail "no primary at 1 s";
-  (match find_primary sim with
+  (match G.find_primary sim with
   | None -> Alcotest.fail "no primary after heal"
   | Some pr ->
     Alcotest.(check bool) "settled primary holds the lease" true
       (Paxos.lease_valid pr.n_p);
     List.iter
       (fun nr ->
-        if nr.n_name <> pr.n_name then
+        if nr.G.n_name <> pr.n_name then
           Alcotest.(check bool) (nr.n_name ^ " holds no lease after heal") false
             (Paxos.lease_valid nr.n_p))
       sim.nodes)
@@ -211,7 +153,7 @@ let test_reconfig_suspends_then_regrants_lease () =
       while Paxos.epoch p1 < 1 do
         Engine.sleep sim.eng (Time.ms 20)
       done;
-      ignore (add_node ~members:grown sim "n4"));
+      ignore (G.add_node ~members:grown sim "n4"));
   Engine.run ~until:(Time.sec 3) sim.eng;
   Alcotest.(check int) "epoch advanced" 1 (Paxos.epoch p1);
   Alcotest.(check bool) "lease re-granted under the new epoch" true

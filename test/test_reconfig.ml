@@ -14,91 +14,14 @@ module Instance = Crane_core.Instance
 module Cluster = Crane_core.Cluster
 
 (* ------------------------------------------------------------------ *)
-(* Raw-paxos harness: like test_paxos's, plus per-node config/fence
-   event recording and a variable boot member list (joiners boot with
-   the configuration that admitted them). *)
+(* Raw-paxos harness: joiners boot with the configuration that admitted
+   them. *)
 
-type node_rec = {
-  n_name : string;
-  n_p : Paxos.t;
-  n_group : Engine.group;
-  n_log : string list ref;
-  n_configs : (int * string list) list ref;  (* activations, newest first *)
-  n_fenced_at : int option ref;
-}
+module G = Paxos_group
 
-type sim = {
-  eng : Engine.t;
-  fabric : Fabric.t;
-  mutable nodes : node_rec list;
-  wals : (string, Wal.t) Hashtbl.t;
-}
-
-let fast_config =
-  {
-    Paxos.heartbeat_period = Time.ms 100;
-    election_timeout = Time.ms 300;
-    election_jitter = Time.ms 50;
-    round_retry = Time.ms 100;
-    compaction_threshold = Paxos.default_config.compaction_threshold;
-    catchup_chunk = Paxos.default_config.catchup_chunk;
-    suspect_timeout = Time.ms 450;
-    lease_duration = Time.ms 150;
-  }
-
+let fast_config = { G.fast_config with Paxos.suspect_timeout = Time.ms 450 }
 let boot_members = [ "n1"; "n2"; "n3" ]
-
-let make_sim ?(seed = 7) () =
-  let eng = Engine.create () in
-  let fabric = Fabric.create eng (Rng.create seed) in
-  { eng; fabric; nodes = []; wals = Hashtbl.create 4 }
-
-let add_node ?(members = boot_members) sim name =
-  let wal =
-    match Hashtbl.find_opt sim.wals name with
-    | Some w -> w
-    | None ->
-      let w = Wal.create sim.eng ~name in
-      Hashtbl.add sim.wals name w;
-      w
-  in
-  let group = Engine.new_group sim.eng in
-  let rng = Rng.create (Hashtbl.hash name) in
-  let p =
-    Paxos.create ~config:fast_config ~fabric:sim.fabric ~rng ~wal ~members ~node:name
-      ~group ()
-  in
-  let log = ref [] in
-  let configs = ref [] in
-  let fenced_at = ref None in
-  Paxos.set_handlers p
-    { Paxos.on_commit = (fun ~index:_ v -> log := v :: !log);
-      on_demote = (fun () -> ());
-      on_config = (fun ~epoch members -> configs := (epoch, members) :: !configs);
-      on_fence = (fun ~epoch -> fenced_at := Some epoch) };
-  Paxos.start p ();
-  Fabric.node_up sim.fabric name;
-  let nr =
-    { n_name = name; n_p = p; n_group = group; n_log = log; n_configs = configs;
-      n_fenced_at = fenced_at }
-  in
-  sim.nodes <- sim.nodes @ [ nr ];
-  nr
-
-let start_cluster ?seed () =
-  let sim = make_sim ?seed () in
-  let nodes = List.map (fun n -> add_node sim n) boot_members in
-  (sim, nodes)
-
-let find_primary sim = List.find_opt (fun nr -> Paxos.is_primary nr.n_p) sim.nodes
-
-let kill_node sim name =
-  match List.find_opt (fun nr -> nr.n_name = name) sim.nodes with
-  | Some nr ->
-    Engine.kill_group sim.eng nr.n_group;
-    Fabric.node_down sim.fabric name;
-    sim.nodes <- List.filter (fun nr -> nr.n_name <> name) sim.nodes
-  | None -> ()
+let start_cluster ?(seed = 7) () = G.start ~seed ~config:fast_config ()
 
 let sorted = List.sort compare
 
@@ -118,7 +41,7 @@ let test_add_replica_through_consensus () =
       while Paxos.epoch p1 < 1 do
         Engine.sleep sim.eng (Time.ms 20)
       done;
-      ignore (add_node ~members:grown sim "n4");
+      ignore (G.add_node ~members:grown sim "n4");
       Engine.sleep sim.eng (Time.ms 300);
       for i = 1 to 5 do
         ignore (Paxos.submit p1 [ Printf.sprintf "v%d" i ])
@@ -126,12 +49,12 @@ let test_add_replica_through_consensus () =
   Engine.run ~until:(Time.sec 3) sim.eng;
   List.iter
     (fun nr ->
-      Alcotest.(check int) (nr.n_name ^ " reached epoch 1") 1 (Paxos.epoch nr.n_p);
+      Alcotest.(check int) (nr.G.n_name ^ " reached epoch 1") 1 (Paxos.epoch nr.n_p);
       Alcotest.(check (list string)) (nr.n_name ^ " sees grown membership")
         (sorted grown)
         (sorted (Paxos.members nr.n_p)))
     sim.nodes;
-  (match List.find_opt (fun nr -> nr.n_name = "n4") sim.nodes with
+  (match List.find_opt (fun nr -> nr.G.n_name = "n4") sim.nodes with
   | Some nr ->
     Alcotest.(check (list string)) "joiner applied post-join commits"
       (List.init 5 (fun i -> Printf.sprintf "v%d" (i + 1)))
@@ -187,8 +110,8 @@ let test_joint_quorum_blocks_without_old_majority () =
   let sim, nodes = start_cluster () in
   let p1 = (List.hd nodes).n_p in
   Engine.at sim.eng (Time.ms 60) (fun () ->
-      kill_node sim "n2";
-      kill_node sim "n3");
+      G.kill_node sim "n2";
+      G.kill_node sim "n3");
   Engine.spawn sim.eng ~name:"admin" (fun () ->
       Engine.sleep sim.eng (Time.ms 100);
       (* n1 alone is a majority of neither the old {n1,n2,n3} nor the new
@@ -201,7 +124,7 @@ let test_joint_quorum_blocks_without_old_majority () =
 let test_joint_quorum_spans_dead_member () =
   let sim, nodes = start_cluster () in
   let p1 = (List.hd nodes).n_p in
-  Engine.at sim.eng (Time.ms 60) (fun () -> kill_node sim "n3");
+  Engine.at sim.eng (Time.ms 60) (fun () -> G.kill_node sim "n3");
   Engine.spawn sim.eng ~name:"admin" (fun () ->
       Engine.sleep sim.eng (Time.ms 100);
       (* Swapping the dead n3 for n4 needs {n1,n2} — a majority of the old
