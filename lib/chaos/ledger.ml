@@ -22,14 +22,31 @@ let server : Api.server =
     boot =
       (fun api ->
         let module R = (val api : Api.API) in
-        let ids = ref [] in
-        (* newest first *)
+        (* The ledger is one comma-joined rendering that grows in place,
+           plus the [IDS ...] reply for the current version, rendered on
+           the first GET after a change and shared by every GET until the
+           next one: a read costs O(1), not a rebuild of the ledger. *)
+        let ids = Buffer.create 4096 in
         let count = ref 0 in
+        let reply = ref None in
         let stopped = ref false in
-        (* Reader-writer lock, not a mutex: GETs only read the list, and
+        (* Reader-writer lock, not a mutex: GETs only read the ledger, and
            a mutex would serialize (and order) concurrent GET commands
            that the delivery layer is entitled to run in parallel. *)
         let mu = R.rwlock ~name:"ledger.ids" () in
+        let ids_reply () =
+          match !reply with
+          | Some r -> r
+          | None ->
+            let n = Buffer.length ids in
+            let b = Bytes.create (n + 5) in
+            Bytes.blit_string "IDS " 0 b 0 4;
+            Buffer.blit ids 0 b 4 n;
+            Bytes.set b (n + 4) '\n';
+            let r = Bytes.unsafe_to_string b in
+            reply := Some r;
+            r
+        in
         R.spawn ~name:"ledger-listener" (fun () ->
             let l = R.listen ~port:80 in
             while not !stopped do
@@ -44,17 +61,19 @@ let server : Api.server =
                       (match String.split_on_char ' ' line with
                       | [ "PUT"; id ] ->
                         R.wrlock mu;
-                        ids := id :: !ids;
+                        if !count > 0 then Buffer.add_char ids ',';
+                        Buffer.add_string ids id;
                         incr count;
+                        reply := None;
                         R.rwunlock mu;
                         R.send c (Printf.sprintf "OK %s\n" id)
                       | [ "GET" ] ->
                         (* Consensus-path read: the all-consensus baseline
                            and the fast path's REJECT/fallback route. *)
                         R.rdlock mu;
-                        let snapshot = String.concat "," (List.rev !ids) in
+                        let r = ids_reply () in
                         R.rwunlock mu;
-                        R.send c (Printf.sprintf "IDS %s\n" snapshot)
+                        R.send c r
                       | _ -> R.send c "ERR\n");
                       serve rest
                     | None ->
@@ -64,17 +83,18 @@ let server : Api.server =
                   serve "")
             done);
         Api.handle ~name:"ledger"
-          ~state_of:(fun () -> String.concat "," (List.rev !ids))
+          ~state_of:(fun () -> Buffer.contents ids)
           ~load_state:(fun s ->
-            let l = if s = "" then [] else String.split_on_char ',' s in
-            ids := List.rev l;
-            count := List.length l)
+            Buffer.clear ids;
+            Buffer.add_string ids s;
+            count :=
+              if s = "" then 0
+              else String.fold_left (fun n ch -> if ch = ',' then n + 1 else n) 1 s;
+            reply := None)
           ~mem_bytes:(fun () -> 1_000_000 + (16 * !count))
           ~stop:(fun () -> stopped := true)
           ~read:(fun line ->
-            if String.trim line = "GET" then
-              Some (Printf.sprintf "IDS %s\n" (String.concat "," (List.rev !ids)))
-            else None)
+            if String.trim line = "GET" then Some (ids_reply ()) else None)
           ~footprint:(fun line ->
             (* The whole ledger is one resource: PUTs all conflict (the
                honest footprint of an append-only list), GETs only read

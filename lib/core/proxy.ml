@@ -94,43 +94,56 @@ type read_reply =
 let encode_read_request payload =
   Printf.sprintf "READ %d\n%s" (String.length payload) payload
 
+(* A served value goes out as its header [^] the value: one copy of a
+   value that may be the whole ledger, not a [Printf] buffer growing
+   through several. *)
+let encode_read_reply = function
+  | Rejected -> "REJECT\n"
+  | Write_required -> "WRITE\n"
+  | Served { value; mode = `Lease; epoch; watermark } ->
+    Printf.sprintf "LEASE %d %d %d\n" epoch watermark (String.length value)
+    ^ value
+  | Served { value; mode = `Backup stale; epoch; watermark } ->
+    Printf.sprintf "STALE %d %d %d %d\n" epoch watermark stale
+      (String.length value)
+    ^ value
+
 (* Parse one reply from the head of [buf]; [None] = incomplete, recv more.
    Malformed headers parse as [Rejected] so a confused client falls back
-   to the consensus path rather than wedging. *)
+   to the consensus path rather than wedging.  The header, the value and
+   the remainder are each sliced from [buf] once. *)
 let parse_read_reply buf =
   match String.index_opt buf '\n' with
   | None -> None
   | Some i -> (
-    let header = String.sub buf 0 i in
-    let rest = String.sub buf (i + 1) (String.length buf - i - 1) in
+    let n = String.length buf in
+    let after k = String.sub buf k (n - k) in
     let body len k =
-      if String.length rest < len then None
+      if n - (i + 1) < len then None
       else
-        Some
-          ( k (String.sub rest 0 len),
-            String.sub rest len (String.length rest - len) )
+        Some (k (String.sub buf (i + 1) len), after (i + 1 + len))
     in
-    match String.split_on_char ' ' header with
-    | [ "REJECT" ] -> Some (Rejected, rest)
-    | [ "WRITE" ] -> Some (Write_required, rest)
+    match String.split_on_char ' ' (String.sub buf 0 i) with
+    | [ "REJECT" ] -> Some (Rejected, after (i + 1))
+    | [ "WRITE" ] -> Some (Write_required, after (i + 1))
     | [ "LEASE"; e; wm; len ] -> (
       match
         (int_of_string_opt e, int_of_string_opt wm, int_of_string_opt len)
       with
-      | Some epoch, Some watermark, Some len ->
+      | Some epoch, Some watermark, Some len when len >= 0 ->
         body len (fun value ->
             Served { value; mode = `Lease; epoch; watermark })
-      | _ -> Some (Rejected, rest))
+      | _ -> Some (Rejected, after (i + 1)))
     | [ "STALE"; e; wm; st; len ] -> (
       match
         ( int_of_string_opt e, int_of_string_opt wm, int_of_string_opt st,
           int_of_string_opt len )
       with
-      | Some epoch, Some watermark, Some stale, Some len ->
+      | Some epoch, Some watermark, Some stale, Some len when len >= 0 ->
         body len (fun value ->
             Served { value; mode = `Backup stale; epoch; watermark })
-      | _ -> Some (Rejected, rest))
-    | _ -> Some (Rejected, rest))
+      | _ -> Some (Rejected, after (i + 1)))
+    | _ -> Some (Rejected, after (i + 1)))
 
 (* The birth certificate of a request span: one instant carrying the
    assigned consensus index (the trace id), the client connection, the
@@ -297,7 +310,7 @@ let serve_read t payload =
         t.lease_reads <- t.lease_reads + 1;
         read_trace t ~name:"lease"
           [ ("wm", Trace.Int wm); ("epoch", Trace.Int epoch) ];
-        Printf.sprintf "LEASE %d %d %d\n%s" epoch wm (String.length value) value)
+        encode_read_reply (Served { value; mode = `Lease; epoch; watermark = wm }))
     else begin
       (* Primary without a live lease (just elected, reconfig pending,
          quorum of heartbeat acks not yet in): refusing is the safe
@@ -316,8 +329,8 @@ let serve_read t payload =
       read_trace t ~name:"backup"
         [ ("wm", Trace.Int wm); ("stale", Trace.Int stale);
           ("epoch", Trace.Int epoch) ];
-      Printf.sprintf "STALE %d %d %d %d\n%s" epoch wm stale
-        (String.length value) value)
+      encode_read_reply
+        (Served { value; mode = `Backup stale; epoch; watermark = wm }))
 
 (* Per-connection pump on the read port: length-framed requests, one
    reply each, nothing ever touches consensus. *)

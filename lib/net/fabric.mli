@@ -29,10 +29,6 @@ val engine : t -> Crane_sim.Engine.t
 val set_latency : t -> base:Crane_sim.Time.t -> jitter:Crane_sim.Time.t -> unit
 val set_loss : t -> float -> unit
 
-val set_byte_cost : t -> Crane_sim.Time.t -> unit
-(** Per-byte serialization + wire cost charged to bulk transfers that pass
-    [?bytes] to {!send}.  Default 8 ns/byte (1 Gbps). *)
-
 val node_up : t -> node -> unit
 (** Bring a node (back) online.  Nodes referenced by {!bind} or {!send}
     are brought up implicitly. *)
@@ -65,7 +61,8 @@ val send : ?bytes:int -> t -> src:endpoint -> dst:endpoint -> message -> unit
 (** Fire-and-forget datagram.  Silently dropped if either node is down at
     delivery time, the pair is partitioned, the loss model fires, or no
     handler is bound.  [bytes] adds the bulk-transfer cost
-    [bytes * byte_cost] to the link delay (used for snapshot streaming;
+    [bytes * 8 ns] to the link delay, the serialization and wire cost of
+    a 1 Gbps link (used for snapshot streaming;
     ordinary protocol messages leave it 0 so fixed-seed timings are
     unchanged). *)
 

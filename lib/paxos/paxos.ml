@@ -307,8 +307,6 @@ let stats (t : t) : stats =
 let lease_valid (t : t) =
   is_primary t && t.pending_members = None && Engine.now t.eng < t.lease_until
 
-let lease_until (t : t) = t.lease_until
-
 let revoke_lease (t : t) =
   t.lease_until <- Time.zero;
   t.hb_acks <- []

@@ -197,10 +197,6 @@ val lease_valid : t -> bool
 (** True iff this node may serve a linearizable read locally right now:
     unfenced primary, no reconfiguration pending, lease clock unexpired. *)
 
-val lease_until : t -> Crane_sim.Time.t
-(** Expiry instant of the current lease ([Time.zero] when none was ever
-    granted or it was revoked). *)
-
 val committed : t -> int
 (** Highest committed index (0 = nothing yet). *)
 

@@ -17,7 +17,6 @@ type t = {
      what a crash can tear. *)
   inflight : (int, string) Hashtbl.t;
   mutable next_write_id : int;
-  mutable torn_tails : int;
   (* Truncations whose header is durable but whose physical prefix drop
      has not yet hit the device.  A crash in this window leaves header +
      old entries on disk; recovery must tolerate both being present. *)
@@ -37,7 +36,6 @@ let create ?(write_latency = Time.us 15) eng ~name =
     last_stable_at = Time.zero;
     inflight = Hashtbl.create 8;
     next_write_id = 0;
-    torn_tails = 0;
     pending_truncs = Hashtbl.create 2;
     next_trunc_id = 0;
     dropped = 0;
@@ -161,7 +159,6 @@ let crash_torn_tail t =
        on disk; younger in-flight writes are lost outright. *)
     let partial = String.sub data 0 (String.length data / 2) in
     t.stable <- { data = partial; torn = true } :: t.stable;
-    t.torn_tails <- t.torn_tails + 1;
     true
 
 let entries t = List.rev t.stable
@@ -171,7 +168,6 @@ let records t =
 
 let length t = List.length t.stable
 let writes t = t.writes
-let torn_tails t = t.torn_tails
 let truncations t = t.truncations
 let dropped t = t.dropped
 

@@ -55,9 +55,6 @@ val length : t -> int
 val writes : t -> int
 (** Number of durable writes performed (cost accounting). *)
 
-val torn_tails : t -> int
-(** Number of torn partial records ever produced by crashes. *)
-
 val truncations : t -> int
 (** Number of truncations started (header submitted). *)
 

@@ -7,7 +7,9 @@ module Time = Crane_sim.Time
 module Engine = Crane_sim.Engine
 module Wal = Crane_storage.Wal
 module Paxos = Crane_paxos.Paxos
+module Api = Crane_core.Api
 module Instance = Crane_core.Instance
+module Standalone = Crane_core.Standalone
 module Cluster = Crane_core.Cluster
 module Output_log = Crane_core.Output_log
 module Target = Crane_workload.Target
@@ -236,6 +238,70 @@ let test_output_suffix () =
   Alcotest.(check bool) "diverged tail rejected" false
     (Output_log.is_suffix ~of_:full diverged)
 
+(* The ledger's cached read reply: one server, driven through PUTs
+   interleaved with consensus-path GETs, read-hook GETs, a GET repeated
+   with no PUT between, and [load_state].  Every reply and [state_of]
+   must equal a rendering built here from the ids sent, so a cache that
+   misses an invalidation shows up as a stale reply. *)
+let test_ledger_read_rendering () =
+  let sa = Standalone.boot ~mode:Standalone.Native ~server:Ledger.server () in
+  let h = sa.Standalone.handle in
+  let target = Target.standalone sa ~port:80 in
+  let sent = ref [] (* oldest first *) in
+  let observed = ref [] (* (what, expected, got), newest first *) in
+  let see what want got = observed := (what, want, got) :: !observed in
+  let check what =
+    let state = String.concat "," !sent in
+    let want = "IDS " ^ state ^ "\n" in
+    let got r = Option.value r ~default:"<none>" in
+    see (what ^ ": consensus GET") want
+      (got (Ledger.consensus_get target ~from:"tester"));
+    let hook = h.Api.read "GET\n" in
+    see (what ^ ": read hook") want (got hook);
+    let again = h.Api.read "GET\n" in
+    see (what ^ ": repeated read hook") want (got again);
+    see (what ^ ": repeat shares one rendering") "shared"
+      (match (hook, again) with
+      | Some a, Some b when a == b -> "shared"
+      | _ -> "rebuilt");
+    see (what ^ ": state_of") state (h.Api.state_of ())
+  in
+  let put id =
+    match
+      Option.bind (Target.connect target ~from:"tester")
+        (fun c -> Ledger.put ~timeout:(Time.sec 5) c id)
+    with
+    | Some _ -> sent := !sent @ [ id ]
+    | None -> see ("PUT " ^ id) "acked" "not acked"
+  in
+  let load s ids =
+    h.Api.load_state s;
+    sent := ids
+  in
+  let finished = ref false in
+  Engine.spawn (Standalone.engine sa) ~name:"ledger-tester" (fun () ->
+      check "empty ledger";
+      put "a";
+      check "one id";
+      put "b7";
+      put "c";
+      check "three ids";
+      load "x,y" [ "x"; "y" ];
+      check "after load_state";
+      put "z";
+      check "PUT after load_state";
+      load "" [];
+      check "after loading the empty ledger";
+      put "q";
+      check "PUT after the empty load";
+      finished := true);
+  Engine.run ~until:(Time.sec 30) (Standalone.engine sa);
+  Standalone.check_failures sa;
+  Alcotest.(check bool) "script finished" true !finished;
+  List.iter
+    (fun (what, want, got) -> Alcotest.(check string) what want got)
+    (List.rev !observed)
+
 let suite =
   [
     ( "chaos",
@@ -253,5 +319,7 @@ let suite =
             test_oracle;
           Alcotest.test_case "loadgen retry accounting" `Quick test_loadgen_retries;
           Alcotest.test_case "output-log suffix" `Quick test_output_suffix;
+          Alcotest.test_case "ledger read rendering and cache invalidation" `Quick
+            test_ledger_read_rendering;
         ] );
   ]
