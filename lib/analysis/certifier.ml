@@ -68,20 +68,14 @@ type access = {
   ts : int;
 }
 
-let classify (ev : Trace.ev) ~node =
-  match (ev.Trace.cat, ev.Trace.name) with
-  | "mem", (("read" | "write") as op) ->
-    let loc = Option.value (Trace.find_int ev "loc") ~default:(-1) in
-    let site = Option.value (Trace.find_str ev "site") ~default:"" in
-    Some (Printf.sprintf "cell:%d:%s" loc site, op = "write", node)
-  | "sync", (("acquire" | "acquire_rd") as op) -> (
-    match Option.value (Trace.find_str ev "kind") ~default:"" with
-    | "mutex" | "rwlock" ->
-      let obj = Option.value (Trace.find_int ev "obj") ~default:(-1) in
-      let label = Option.value (Trace.find_str ev "label") ~default:"" in
-      Some (Printf.sprintf "lock:%d:%s" obj label, op = "acquire", node)
-    | _ -> None (* turn pseudo-locks and scheduler fabric *))
-  | _ -> None
+let classify (ev : Trace.ev) =
+  match ev.event with
+  | Trace.Mem { write; loc; site } -> Some (Printf.sprintf "cell:%d:%s" loc site, write)
+  | Trace.Sync
+      (((Trace.Acquire | Trace.Acquire_rd) as op), { obj; kind = Trace.Mutex | Trace.Rwlock; label })
+    ->
+    Some (Printf.sprintf "lock:%d:%s" obj label, op = Trace.Acquire)
+  | _ -> None (* turn pseudo-locks and scheduler fabric *)
 
 let check_events (evs : Trace.ev list) ~resolve_node =
   (* Pass 1: collect in-window accesses, in trace order. *)
@@ -92,22 +86,19 @@ let check_events (evs : Trace.ev list) ~resolve_node =
   List.iter
     (fun (ev : Trace.ev) ->
       let node = resolve_node ev in
-      match (ev.Trace.cat, ev.Trace.name) with
-      | "exec", "begin" ->
-        let index = Option.value (Trace.find_int ev "index") ~default:0 in
+      match ev.event with
+      | Trace.Exec_begin { index; _ } ->
         incr windows;
         Hashtbl.replace indices index ();
-        Hashtbl.replace open_window (node, ev.Trace.tid) index
-      | "exec", "end" -> Hashtbl.remove open_window (node, ev.Trace.tid)
+        Hashtbl.replace open_window (node, ev.tid) index
+      | Trace.Exec_end _ -> Hashtbl.remove open_window (node, ev.tid)
       | _ -> (
-        match Hashtbl.find_opt open_window (node, ev.Trace.tid) with
+        match Hashtbl.find_opt open_window (node, ev.tid) with
         | None -> ()
         | Some index -> (
-          match classify ev ~node with
-          | Some (loc, write, node) ->
-            accesses :=
-              { node; loc; write; index; tid = ev.Trace.tid; ts = ev.Trace.ts }
-              :: !accesses
+          match classify ev with
+          | Some (loc, write) ->
+            accesses := { node; loc; write; index; tid = ev.tid; ts = ev.ts } :: !accesses
           | None -> ())))
     evs;
   let accesses = List.rev !accesses in

@@ -165,33 +165,115 @@ let report_race t c ~loc ~kind first second =
       :: t.races
   end
 
-let ph_string = function
-  | Trace.Instant -> "i"
-  | Trace.Begin -> "B"
-  | Trace.End -> "E"
-  | Trace.Async_begin id -> Printf.sprintf "b%d" id
-  | Trace.Async_end id -> Printf.sprintf "e%d" id
-  | Trace.Counter v -> Printf.sprintf "C%d" v
+let sync_event (t : t) (ev : Trace.ev) =
+  t.sync_events <- t.sync_events + 1;
+  let st = thread t ev.tid in
+  let _, name, _ = Trace.describe ev in
+  (* Every operation enters the schedule digest; one on an object also
+     names the object and records its label. *)
+  (match ev.event with
+  | Trace.Sync (_, o) | Trace.Cond_wait { cond = o; _ } ->
+    if o.label <> "" && not (Hashtbl.mem t.obj_labels o.obj) then
+      Hashtbl.add t.obj_labels o.obj o.label;
+    t.sched_digest <-
+      chain t.sched_digest (Printf.sprintf "%s|%s|%d|%s" name st.tname o.obj o.label)
+  | _ -> t.sched_digest <- chain t.sched_digest (Printf.sprintf "%s|%s" name st.tname));
+  let release_side (o : Trace.sync_obj) =
+    let r = obj_vc t o.obj in
+    r := Vc.join !r st.vc;
+    st.vc <- Vc.tick st.vc ev.tid
+  in
+  match ev.event with
+  | Trace.Sync (((Trace.Acquire | Trace.Acquire_rd) as op), o) ->
+    st.vc <- Vc.join st.vc !(obj_vc t o.obj);
+    if o.kind <> Trace.Turn then begin
+      List.iter
+        (fun (o1, l1, _) ->
+          if o1 <> o.obj && not (Hashtbl.mem t.edge_seen (o1, o.obj)) then begin
+            Hashtbl.add t.edge_seen (o1, o.obj) ();
+            t.edges <- ((o1, o.obj), (l1, o.label, st.tname)) :: t.edges
+          end)
+        st.held;
+      st.held <- (o.obj, o.label, (if op = Trace.Acquire_rd then "rd" else "wr")) :: st.held;
+      push_path st (Printf.sprintf "%s(%s)@%d" name o.label ev.ts)
+    end
+  | Trace.Sync (Trace.Release, o) ->
+    release_side o;
+    if o.kind <> Trace.Turn then begin
+      (* drop the innermost held entry for this object *)
+      let rec drop = function
+        | [] -> []
+        | (x, _, _) :: rest when x = o.obj -> rest
+        | h :: rest -> h :: drop rest
+      in
+      st.held <- drop st.held;
+      push_path st (Printf.sprintf "release(%s)@%d" o.label ev.ts)
+    end
+  | Trace.Cond_wait { cond; mutex } ->
+    List.iter
+      (fun (o, l, _) ->
+        if o <> mutex.obj then begin
+          let key = Printf.sprintf "%d|%d|%s" cond.obj o st.tname in
+          if not (Hashtbl.mem t.cond_seen key) then begin
+            Hashtbl.add t.cond_seen key ();
+            t.cond_holds <-
+              { c_cond = cond.label; c_extra = l; c_thread = st.tname } :: t.cond_holds
+          end
+        end)
+      st.held;
+    push_path st (Printf.sprintf "cond_wait(%s)@%d" cond.label ev.ts)
+  | Trace.Sync ((Trace.Cond_signal | Trace.Sem_post | Trace.Barrier_arrive), o) ->
+    release_side o;
+    push_path st (Printf.sprintf "%s(%s)@%d" name o.label ev.ts)
+  | Trace.Sync ((Trace.Cond_woken | Trace.Sem_wait | Trace.Barrier_leave), o) ->
+    st.vc <- Vc.join st.vc !(obj_vc t o.obj);
+    push_path st (Printf.sprintf "%s(%s)@%d" name o.label ev.ts)
+  | Trace.Thread_exit ->
+    Hashtbl.replace t.exits ev.tid st.vc;
+    st.vc <- Vc.tick st.vc ev.tid
+  | Trace.Thread_join { joined } -> (
+    match Hashtbl.find_opt t.exits joined with
+    | Some v -> st.vc <- Vc.join st.vc v
+    | None -> ())
+  | _ -> ()
 
-let args_string args =
-  String.concat ","
-    (List.map
-       (fun (k, v) ->
-         match v with
-         | Trace.Int i -> Printf.sprintf "%s=%d" k i
-         | Trace.Str s -> Printf.sprintf "%s=%s" k s)
-       args)
+let mem_event (t : t) (ev : Trace.ev) ~write ~loc ~site =
+  t.mem_events <- t.mem_events + 1;
+  let op = if write then "write" else "read" in
+  let st = thread t ev.tid in
+  t.sched_digest <-
+    chain t.sched_digest (Printf.sprintf "%s|%s|%d|%s" op st.tname loc site);
+  let c = cell t loc site in
+  let info =
+    {
+      a_thread = st.tname;
+      a_ts = ev.ts;
+      a_op = op;
+      a_locks = List.rev_map (fun (_, l, _) -> l) st.held;
+      a_path = st.path;
+    }
+  in
+  let clock = Vc.get st.vc ev.tid in
+  (match c.wr with
+  | Some (wt, wc, winfo) when wt <> ev.tid && not (Vc.covers st.vc ~tid:wt ~clock:wc) ->
+    report_race t c ~loc ~kind:(if write then "write-write" else "write-read") winfo info
+  | _ -> ());
+  if write then begin
+    List.iter
+      (fun (rt, (rc, rinfo)) ->
+        if rt <> ev.tid && not (Vc.covers st.vc ~tid:rt ~clock:rc) then
+          report_race t c ~loc ~kind:"read-write" rinfo info)
+      c.rds;
+    c.wr <- Some (ev.tid, clock, info);
+    c.rds <- []
+  end
+  else c.rds <- (ev.tid, (clock, info)) :: List.remove_assoc ev.tid c.rds
 
-let on_event (t : t) (ev : Trace.ev) =
-  t.full_digest <-
-    chain t.full_digest
-      (Printf.sprintf "%d|%d|%s|%s|%s|%s" ev.ts ev.tid ev.cat ev.name (ph_string ev.ph)
-         (args_string ev.args));
-  match (ev.cat, ev.name) with
-  | "sim", "thread_spawn" ->
+let on_event (t : t) tr (ev : Trace.ev) =
+  t.full_digest <- chain t.full_digest (Trace.jsonl_line tr ev);
+  match ev.event with
+  | Trace.Thread_spawn { thread = name; parent } ->
     let child = ev.tid in
-    let parent = Option.value (Trace.find_int ev "parent") ~default:(-1) in
-    let name = Option.value (Trace.find_str ev "thread") ~default:"" in
     let cst = thread t child in
     if name <> "" then cst.tname <- name;
     t.sched_digest <- chain t.sched_digest (Printf.sprintf "spawn|%s" cst.tname);
@@ -200,113 +282,13 @@ let on_event (t : t) (ev : Trace.ev) =
       cst.vc <- Vc.tick (Vc.join cst.vc pst.vc) child;
       pst.vc <- Vc.tick pst.vc parent
     end
-  | "sync", name -> (
-    t.sync_events <- t.sync_events + 1;
-    let st = thread t ev.tid in
-    let obj = Option.value (Trace.find_int ev "obj") ~default:(-1) in
-    let kind = Option.value (Trace.find_str ev "kind") ~default:"" in
-    let label = Option.value (Trace.find_str ev "label") ~default:"" in
-    if label <> "" && not (Hashtbl.mem t.obj_labels obj) then
-      Hashtbl.add t.obj_labels obj label;
-    t.sched_digest <-
-      chain t.sched_digest (Printf.sprintf "%s|%s|%d|%s" name st.tname obj label);
-    match name with
-    | "acquire" | "acquire_rd" ->
-      st.vc <- Vc.join st.vc !(obj_vc t obj);
-      if kind <> "turn" then begin
-        List.iter
-          (fun (o1, l1, _) ->
-            if o1 <> obj && not (Hashtbl.mem t.edge_seen (o1, obj)) then begin
-              Hashtbl.add t.edge_seen (o1, obj) ();
-              t.edges <- ((o1, obj), (l1, label, st.tname)) :: t.edges
-            end)
-          st.held;
-        st.held <- (obj, label, (if name = "acquire_rd" then "rd" else "wr")) :: st.held;
-        push_path st (Printf.sprintf "%s(%s)@%d" name label ev.ts)
-      end
-    | "release" ->
-      let r = obj_vc t obj in
-      r := Vc.join !r st.vc;
-      st.vc <- Vc.tick st.vc ev.tid;
-      if kind <> "turn" then begin
-        (* drop the innermost held entry for this object *)
-        let rec drop = function
-          | [] -> []
-          | (o, _, _) :: rest when o = obj -> rest
-          | h :: rest -> h :: drop rest
-        in
-        st.held <- drop st.held;
-        push_path st (Printf.sprintf "release(%s)@%d" label ev.ts)
-      end
-    | "cond_wait" ->
-      let mu = Trace.find_int ev "mutex" in
-      List.iter
-        (fun (o, l, _) ->
-          if Some o <> mu then begin
-            let key = Printf.sprintf "%d|%d|%s" obj o st.tname in
-            if not (Hashtbl.mem t.cond_seen key) then begin
-              Hashtbl.add t.cond_seen key ();
-              t.cond_holds <- { c_cond = label; c_extra = l; c_thread = st.tname } :: t.cond_holds
-            end
-          end)
-        st.held;
-      push_path st (Printf.sprintf "cond_wait(%s)@%d" label ev.ts)
-    | "cond_signal" | "sem_post" | "barrier_arrive" ->
-      let r = obj_vc t obj in
-      r := Vc.join !r st.vc;
-      st.vc <- Vc.tick st.vc ev.tid;
-      push_path st (Printf.sprintf "%s(%s)@%d" name label ev.ts)
-    | "cond_woken" | "sem_wait" | "barrier_leave" ->
-      st.vc <- Vc.join st.vc !(obj_vc t obj);
-      push_path st (Printf.sprintf "%s(%s)@%d" name label ev.ts)
-    | "thread_exit" ->
-      Hashtbl.replace t.exits ev.tid st.vc;
-      st.vc <- Vc.tick st.vc ev.tid
-    | "thread_join" -> (
-      match Trace.find_int ev "joined" with
-      | Some j -> (
-        match Hashtbl.find_opt t.exits j with
-        | Some v -> st.vc <- Vc.join st.vc v
-        | None -> ())
-      | None -> ())
-    | _ -> ())
-  | "mem", (("read" | "write") as op) ->
-    t.mem_events <- t.mem_events + 1;
-    let st = thread t ev.tid in
-    let loc = Option.value (Trace.find_int ev "loc") ~default:(-1) in
-    let site = Option.value (Trace.find_str ev "site") ~default:"" in
-    t.sched_digest <-
-      chain t.sched_digest (Printf.sprintf "%s|%s|%d|%s" op st.tname loc site);
-    let c = cell t loc site in
-    let info =
-      {
-        a_thread = st.tname;
-        a_ts = ev.ts;
-        a_op = op;
-        a_locks = List.rev_map (fun (_, l, _) -> l) st.held;
-        a_path = st.path;
-      }
-    in
-    let clock = Vc.get st.vc ev.tid in
-    (match c.wr with
-    | Some (wt, wc, winfo) when wt <> ev.tid && not (Vc.covers st.vc ~tid:wt ~clock:wc) ->
-      report_race t c ~loc
-        ~kind:(if op = "write" then "write-write" else "write-read")
-        winfo info
-    | _ -> ());
-    if op = "write" then begin
-      List.iter
-        (fun (rt, (rc, rinfo)) ->
-          if rt <> ev.tid && not (Vc.covers st.vc ~tid:rt ~clock:rc) then
-            report_race t c ~loc ~kind:"read-write" rinfo info)
-        c.rds;
-      c.wr <- Some (ev.tid, clock, info);
-      c.rds <- []
-    end
-    else c.rds <- (ev.tid, (clock, info)) :: List.remove_assoc ev.tid c.rds
+  | Trace.Sync _ | Trace.Cond_wait _ | Trace.Thread_exit | Trace.Thread_join _ ->
+    sync_event t ev
+  | Trace.Mem { write; loc; site } -> mem_event t ev ~write ~loc ~site
   | _ -> ()
 
-let attach t tr = Trace.add_sink tr (on_event t)
+let attach t tr = Trace.add_sink tr (on_event t tr)
+
 
 (* ------------------------------------------------------------------ *)
 (* Lock-order cycles: Tarjan SCCs over the acquisition-order graph, in

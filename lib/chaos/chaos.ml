@@ -255,13 +255,10 @@ type driver = {
 let live_nodes d = List.map fst (Cluster.instances d.cluster)
 
 let note d fault detail =
-  let now = Engine.now d.eng in
-  let what = if detail = "" then fault else fault ^ " " ^ detail in
-  d.injected <- (now, what) :: d.injected;
-  let tr = Engine.trace d.eng in
-  if Trace.enabled tr then
-    Trace.instant tr ~ts:now ~tid:(Engine.self_tid d.eng) ~cat:"chaos" ~name:fault
-      (if detail = "" then [] else [ ("target", Trace.Str detail) ])
+  let name = Trace.fault_name fault in
+  let what = if detail = "" then name else name ^ " " ^ detail in
+  d.injected <- (Engine.now d.eng, what) :: d.injected;
+  if Engine.tracing d.eng then Engine.emit d.eng (Trace.Fault { fault; target = detail })
 
 let violate d inv detail =
   (* keep the first few occurrences; thousands of samples would repeat *)
@@ -281,7 +278,7 @@ let kill_node d ~torn node =
   Cluster.kill ~wal_torn:torn d.cluster node;
   d.crashed <- d.crashed @ [ node ];
   Hashtbl.replace d.ever_crashed node ();
-  note d (if torn then "crash_torn" else "crash") node
+  note d (if torn then Trace.Crash_torn else Trace.Crash) node
 
 let apply_fault d fault =
   let fab = Cluster.fabric d.cluster in
@@ -289,88 +286,89 @@ let apply_fault d fault =
   | Crash_primary { torn_wal } -> (
     match Cluster.primary_node d.cluster with
     | Some p when quorum_safe_to_kill d -> kill_node d ~torn:torn_wal p
-    | Some _ | None -> note d "skip" (fault_name fault))
+    | Some _ | None -> note d Trace.Skip (fault_name fault))
   | Crash_backup { torn_wal } -> (
     let p = Cluster.primary_node d.cluster in
     let backups = List.filter (fun n -> Some n <> p) (live_nodes d) in
     match backups with
-    | [] -> note d "skip" (fault_name fault)
-    | _ when not (quorum_safe_to_kill d) -> note d "skip" (fault_name fault)
+    | [] -> note d Trace.Skip (fault_name fault)
+    | _ when not (quorum_safe_to_kill d) -> note d Trace.Skip (fault_name fault)
     | _ -> kill_node d ~torn:torn_wal (Rng.pick d.nemesis backups))
   | Crash_random -> (
     match live_nodes d with
-    | [] -> note d "skip" (fault_name fault)
-    | _ when not (quorum_safe_to_kill d) -> note d "skip" (fault_name fault)
+    | [] -> note d Trace.Skip (fault_name fault)
+    | _ when not (quorum_safe_to_kill d) -> note d Trace.Skip (fault_name fault)
     | live -> kill_node d ~torn:false (Rng.pick d.nemesis live))
   | Crash_node node ->
     if List.mem node (live_nodes d) && quorum_safe_to_kill d then
       kill_node d ~torn:false node
-    else note d "skip" (fault_name fault)
+    else note d Trace.Skip (fault_name fault)
   | Restart_one -> (
     match d.crashed with
-    | [] -> note d "skip" "restart"
+    | [] -> note d Trace.Skip "restart"
     | node :: rest ->
       d.crashed <- rest;
       ignore (Cluster.restart d.cluster node);
-      note d "restart" node)
+      note d Trace.Restart node)
   | Partition_primary -> (
     match Cluster.primary_node d.cluster with
-    | None -> note d "skip" (fault_name fault)
+    | None -> note d Trace.Skip (fault_name fault)
     | Some p ->
       let rest = List.filter (fun n -> n <> p) (Cluster.members d.cluster) in
       Fabric.partition fab [ p ] rest;
       if d.primary_cut = None then d.primary_cut <- Some (Engine.now d.eng, p);
-      note d "partition" p)
+      note d Trace.Partition p)
   | Partition_oneway_primary -> (
     match Cluster.primary_node d.cluster with
-    | None -> note d "skip" (fault_name fault)
+    | None -> note d Trace.Skip (fault_name fault)
     | Some p ->
       let rest = List.filter (fun n -> n <> p) (Cluster.members d.cluster) in
       Fabric.partition_oneway fab ~from:rest ~to_:[ p ];
-      note d "partition_oneway" ("to " ^ p))
+      note d Trace.Partition_oneway ("to " ^ p))
   | Partition_random -> (
     match live_nodes d with
-    | [] -> note d "skip" (fault_name fault)
+    | [] -> note d Trace.Skip (fault_name fault)
     | live ->
       let n = Rng.pick d.nemesis live in
       let rest = List.filter (fun m -> m <> n) (Cluster.members d.cluster) in
       Fabric.partition fab [ n ] rest;
-      note d "partition" n)
+      note d Trace.Partition n)
   | Partition_node n ->
     let rest = List.filter (fun m -> m <> n) (Cluster.members d.cluster) in
     Fabric.partition fab [ n ] rest;
-    note d "partition" n
+    note d Trace.Partition n
   | Replace { dead; fresh } ->
     Cluster.replace_replica d.cluster ~dead ~fresh;
-    note d "replace" (dead ^ " -> " ^ fresh)
+    note d Trace.Replace (dead ^ " -> " ^ fresh)
   | Replace_crashed { fresh } -> (
     match d.crashed with
-    | [] -> note d "skip" "replace_crashed"
+    | [] -> note d Trace.Skip "replace_crashed"
     | dead :: rest ->
       d.crashed <- rest;
       Cluster.replace_replica d.cluster ~dead ~fresh;
-      note d "replace" (dead ^ " -> " ^ fresh))
+      note d Trace.Replace (dead ^ " -> " ^ fresh))
   | Autoheal ->
     Cluster.enable_autoheal d.cluster;
-    note d "autoheal" "armed"
+    note d Trace.Autoheal "armed"
   | Heal ->
     Fabric.heal fab;
     if d.primary_cut <> None then d.fence_healed <- true;
-    note d "heal" ""
+    note d Trace.Heal ""
   | Loss_window { loss; duration } ->
     Fabric.set_loss fab loss;
-    note d "loss_begin" (Printf.sprintf "%.0f%% for %s" (loss *. 100.) (Time.to_string duration));
+    note d Trace.Loss_begin
+      (Printf.sprintf "%.0f%% for %s" (loss *. 100.) (Time.to_string duration));
     Engine.at d.eng (Engine.now d.eng + duration) (fun () ->
         Fabric.set_loss fab 0.0;
-        note d "loss_end" "")
+        note d Trace.Loss_end "")
   | Latency_spike { base; jitter; duration } ->
     Fabric.set_latency fab ~base ~jitter;
-    note d "latency_begin"
+    note d Trace.Latency_begin
       (Printf.sprintf "%s +/- %s for %s" (Time.to_string base) (Time.to_string jitter)
          (Time.to_string duration));
     Engine.at d.eng (Engine.now d.eng + duration) (fun () ->
         Fabric.set_latency fab ~base:(Time.us 40) ~jitter:(Time.us 20);
-        note d "latency_end" "")
+        note d Trace.Latency_end "")
 
 (* Materialize a probabilistic schedule into timed steps up front, so the
    whole run (including the report's fault list) replays from the seed. *)
@@ -725,7 +723,7 @@ let run ?(cfg = chaos_config) ?trace ~seed scenario =
      whatever quorum survived) and let the survivors settle *)
   if Fabric.partitions (Cluster.fabric cluster) > 0 then begin
     Fabric.heal (Cluster.fabric cluster);
-    note d "heal" "(end of schedule)"
+    note d Trace.Heal "(end of schedule)"
   end;
   d.fence_healed <- true;
   Fabric.set_loss (Cluster.fabric cluster) 0.0;

@@ -19,5 +19,3 @@ val dump :
 val restore : Crane_sim.Engine.t -> Crane_fs.Container.t -> image -> string
 (** Blocking; returns the state blob to rebuild the process from.
     @raise Crane_fs.Container.Confined *)
-
-val restore_cost : mem_bytes:int -> Crane_sim.Time.t

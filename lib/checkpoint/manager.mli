@@ -78,8 +78,3 @@ val backoffs : t -> int
 
 val checkpoints_skipped : t -> int
 (** Checkpoint rounds abandoned because connections never drained. *)
-
-(** Cost model for the filesystem checkpoint, exposed for tests. *)
-
-val fs_scan_cost : bytes:int -> Crane_sim.Time.t
-val fs_patch_cost : bytes:int -> Crane_sim.Time.t

@@ -8,7 +8,6 @@ module Rng = Crane_sim.Rng
 module Cores = Crane_sim.Cores
 module Fabric = Crane_net.Fabric
 module Sock = Crane_socket.Sock
-module Pthread = Crane_pthread.Pthread
 module Dmt = Crane_dmt.Dmt
 module Wal = Crane_storage.Wal
 module Paxos = Crane_paxos.Paxos
@@ -37,7 +36,6 @@ type config = {
   read_port : int;  (** client-facing read-fast-path port (all replicas) *)
   turn_cost : Time.t;
   idle_period : Time.t;
-  pthread_cost : Pthread.cost;
   paxos : Paxos.config;
   batch_max : int;
       (** proxy batching: flush a pending batch at this many events
@@ -77,7 +75,6 @@ let default_config =
     read_port = 10080;
     turn_cost = Time.ns 150;
     idle_period = Time.us 10;
-    pthread_cost = Pthread.default_cost;
     paxos = Paxos.default_config;
     batch_max = 64;
     batch_delay = Time.us 100;
@@ -174,8 +171,7 @@ let boot ~eng ~fabric ~world ~rng ~wal ~members ~node ~(cfg : config) ~(server :
     | (Full | No_bubbling), Some dmt ->
       Runtime.crane ~eng ~node ~fs:fsys ~cores ~dmt ~vhost ()
     | Paxos_only, None ->
-      Runtime.paxos_only ~cost:cfg.pthread_cost ~eng ~node ~fs:fsys ~cores
-        ~rng:(Rng.split rng) ~vhost ()
+      Runtime.paxos_only ~eng ~node ~fs:fsys ~cores ~rng:(Rng.split rng) ~vhost ()
     | (Full | No_bubbling), None | Paxos_only, Some _ -> assert false
   in
   (* Boot the server program inside the instance. *)

@@ -70,12 +70,9 @@ let append t ?(index = 0) ?(view = 0) ev =
   end;
   if Queue.length t.q > t.max_depth then t.max_depth <- Queue.length t.q;
   t.last_nonempty <- Engine.now t.eng;
-  (let tr = Engine.trace t.eng in
-   if Trace.enabled tr then
-     Trace.instant tr ~ts:(Engine.now t.eng) ~tid:(Engine.self_tid t.eng)
-       ~node:t.node ~cat:"seq"
-       ~name:(if Event.is_bubble ev then "append_bubble" else "append_call")
-       [ ("depth", Trace.Int (Queue.length t.q)); ("index", Trace.Int index) ]);
+  if Engine.tracing t.eng then
+    Engine.emit t.eng ~node:t.node
+      (Trace.Append { bubble = Event.is_bubble ev; depth = Queue.length t.q; index });
   if Event.is_bubble ev then t.bubbles <- t.bubbles + 1
   else begin
     t.calls <- t.calls + 1;
@@ -117,23 +114,19 @@ let note_admitted t index ev =
   bump t;
   if not (Event.is_bubble ev) then begin
     t.queued_calls <- t.queued_calls - 1;
-    let tr = Engine.trace t.eng in
-    if Trace.enabled tr then begin
-      let ts = Engine.now t.eng and tid = Engine.self_tid t.eng in
+    if Engine.tracing t.eng then begin
       let conn =
         match ev with
         | Event.Connect { conn; _ } | Event.Send { conn; _ }
         | Event.Close { conn } -> conn
         | Event.Time_bubble _ -> -1
       in
-      Trace.instant tr ~ts ~tid ~node:t.node ~cat:"seq" ~name:"admit"
-        [ ("index", Trace.Int index); ("conn", Trace.Int conn) ];
+      Engine.emit t.eng ~node:t.node (Trace.Admit { index; conn });
       (* Close the proposer-opened request-lifecycle span.  Every
          replica admits the index; the first admission wins the pair,
          later ends find no open span and are ignored. *)
       if index > 0 then
-        Trace.async_end tr ~ts ~tid ~id:index ~node:t.node ~cat:"req"
-          ~name:"lifecycle" []
+        Engine.emit t.eng ~node:t.node ~ph:(Trace.Async_end index) (Trace.Lifecycle { index })
     end
   end
 

@@ -150,23 +150,18 @@ let parse_read_reply buf =
    call kind and how long the event waited in the proxy batch buffer.
    Emitted at proposal time, so same-seed runs order it identically. *)
 let req_proposed t ~index ~queued ev =
-  let tr = Engine.trace t.eng in
-  if Trace.enabled tr then begin
-    let ts = Engine.now t.eng and tid = Engine.self_tid t.eng in
-    let kind, conn =
+  if Engine.tracing t.eng then begin
+    let call, conn =
       match ev with
-      | Event.Time_bubble _ -> ("bubble", -1)
-      | Event.Connect { conn; _ } -> ("connect", conn)
-      | Event.Send { conn; _ } -> ("send", conn)
-      | Event.Close { conn } -> ("close", conn)
+      | Event.Time_bubble _ -> (Trace.Bubble, -1)
+      | Event.Connect { conn; _ } -> (Trace.Connect, conn)
+      | Event.Send { conn; _ } -> (Trace.Send, conn)
+      | Event.Close { conn } -> (Trace.Close, conn)
     in
-    Trace.instant tr ~ts ~tid ~node:t.node ~cat:"req" ~name:"proposed"
-      [ ("index", Trace.Int index); ("conn", Trace.Int conn);
-        ("kind", Trace.Str kind); ("queued_ns", Trace.Int queued);
-        ("view", Trace.Int (Paxos.view t.paxos)) ];
+    Engine.emit t.eng ~node:t.node
+      (Trace.Proposed { index; conn; call; queued_ns = queued; view = Paxos.view t.paxos });
     if conn >= 0 then
-      Trace.async_begin tr ~ts ~tid ~id:index ~node:t.node ~cat:"req"
-        ~name:"lifecycle" [ ("index", Trace.Int index) ]
+      Engine.emit t.eng ~node:t.node ~ph:(Trace.Async_begin index) (Trace.Lifecycle { index })
   end
 
 (* Propose everything buffered as one batch: one Accept broadcast and one
@@ -178,11 +173,8 @@ let flush t =
   if not (Queue.is_empty t.buf) then begin
     let entries = List.of_seq (Queue.to_seq t.buf) in
     Queue.clear t.buf;
-    let tr = Engine.trace t.eng in
-    if Trace.enabled tr then
-      Trace.instant tr ~ts:(Engine.now t.eng) ~tid:(Engine.self_tid t.eng)
-        ~node:t.node ~cat:"proxy" ~name:"batch_flush"
-        [ ("events", Trace.Int (List.length entries)) ];
+    if Engine.tracing t.eng then
+      Engine.emit t.eng ~node:t.node (Trace.Batch_flush { events = List.length entries });
     match
       Paxos.submit t.paxos (List.map (fun (enc, _, _) -> enc) entries)
     with
@@ -214,27 +206,14 @@ let submit t ev =
        Flushing the buffer keeps arrival order intact. *)
     if Event.is_bubble ev || Queue.length t.buf >= t.batch_max then flush t
     else schedule_flush t;
-    let tr = Engine.trace t.eng in
-    if Trace.enabled tr then begin
-      let name, args =
-        match ev with
-        | Event.Time_bubble { nclock } ->
-          ("bubble_proposed", [ ("nclock", Trace.Int nclock) ])
-        | Event.Connect { conn; port } ->
-          ("call_proposed",
-           [ ("conn", Trace.Int conn); ("port", Trace.Int port);
-             ("kind", Trace.Str "connect") ])
+    if Engine.tracing t.eng then
+      Engine.emit t.eng ~node:t.node
+        (match ev with
+        | Event.Time_bubble { nclock } -> Trace.Bubble_proposed { nclock }
+        | Event.Connect { conn; port } -> Trace.Connect_proposed { conn; port }
         | Event.Send { conn; payload } ->
-          ("call_proposed",
-           [ ("conn", Trace.Int conn);
-             ("bytes", Trace.Int (String.length payload));
-             ("kind", Trace.Str "send") ])
-        | Event.Close { conn } ->
-          ("call_proposed", [ ("conn", Trace.Int conn); ("kind", Trace.Str "close") ])
-      in
-      Trace.instant tr ~ts:(Engine.now t.eng) ~tid:(Engine.self_tid t.eng)
-        ~node:t.node ~cat:"proxy" ~name args
-    end;
+          Trace.Send_proposed { conn; bytes = String.length payload }
+        | Event.Close { conn } -> Trace.Close_proposed { conn });
     true
   end
 
@@ -283,12 +262,6 @@ let classify t payload =
   | None -> Write
   | Some f -> ( match f payload with Some v -> Read v | None -> Write)
 
-let read_trace t ~name args =
-  let tr = Engine.trace t.eng in
-  if Trace.enabled tr then
-    Trace.instant tr ~ts:(Engine.now t.eng) ~tid:(Engine.self_tid t.eng)
-      ~node:t.node ~cat:"read" ~name args
-
 (* Answer one read-port request.  The hook runs synchronously in this
    thread with no engine yield, so the value it computes and the
    watermark stamped next to it describe the same instant of server
@@ -298,7 +271,8 @@ let serve_read t payload =
   let wm () = Vhost.read_watermark t.vhost ~applied:(Paxos.applied t.paxos) in
   if Paxos.fenced t.paxos then begin
     t.lease_rejects <- t.lease_rejects + 1;
-    read_trace t ~name:"reject" [ ("why", Trace.Str "fenced") ];
+    if Engine.tracing t.eng then
+      Engine.emit t.eng ~node:t.node (Trace.Read_reject { why = "fenced" });
     "REJECT\n"
   end
   else if Paxos.is_primary t.paxos then
@@ -308,15 +282,16 @@ let serve_read t payload =
       | Read value ->
         let wm = wm () in
         t.lease_reads <- t.lease_reads + 1;
-        read_trace t ~name:"lease"
-          [ ("wm", Trace.Int wm); ("epoch", Trace.Int epoch) ];
+        if Engine.tracing t.eng then
+          Engine.emit t.eng ~node:t.node (Trace.Read_lease { wm; epoch });
         encode_read_reply (Served { value; mode = `Lease; epoch; watermark = wm }))
     else begin
       (* Primary without a live lease (just elected, reconfig pending,
          quorum of heartbeat acks not yet in): refusing is the safe
          answer — serving locally could miss a concurrent new primary. *)
       t.lease_rejects <- t.lease_rejects + 1;
-      read_trace t ~name:"reject" [ ("why", Trace.Str "no_lease") ];
+      if Engine.tracing t.eng then
+        Engine.emit t.eng ~node:t.node (Trace.Read_reject { why = "no_lease" });
       "REJECT\n"
     end
   else (
@@ -326,9 +301,8 @@ let serve_read t payload =
       let wm = wm () in
       let stale = max 0 (Paxos.committed t.paxos - wm) in
       t.backup_reads <- t.backup_reads + 1;
-      read_trace t ~name:"backup"
-        [ ("wm", Trace.Int wm); ("stale", Trace.Int stale);
-          ("epoch", Trace.Int epoch) ];
+      if Engine.tracing t.eng then
+        Engine.emit t.eng ~node:t.node (Trace.Read_backup { wm; stale; epoch });
       encode_read_reply
         (Served { value; mode = `Backup stale; epoch; watermark = wm }))
 

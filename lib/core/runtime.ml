@@ -21,7 +21,6 @@ type t = {
   api : Api.api;
   output : Output_log.t;  (** outgoing socket calls, for §7.2 comparisons *)
   alive_conns : unit -> int;
-  sync_context_switches : unit -> int;
 }
 
 (* Shared plumbing for the two direct-socket runtimes. *)
@@ -51,40 +50,29 @@ module Cellkit = struct
     incr counter;
     { id = !counter; site; v }
 
-  let mem_ev ~eng ~node name (c : _ c) =
-    let tr = Engine.trace eng in
-    if Trace.enabled tr then
-      Trace.instant tr ~ts:(Engine.now eng) ~tid:(Engine.self_tid eng) ~node
-        ~cat:"mem" ~name
-        [ ("loc", Trace.Int c.id); ("site", Trace.Str c.site) ]
+  let mem_ev ~eng ~node ~write (c : _ c) =
+    if Engine.tracing eng then
+      Engine.emit eng ~node (Trace.Mem { write; loc = c.id; site = c.site })
 
   (* The turn pseudo-lock is per scheduler lane: object 0 for lane 0 (the
      classic global turn) and negative ids for pool-mode worker lanes —
      [new_obj] ids start at 1, so negatives never collide with real
      objects.  Single-lane schedulers always report object 0, keeping
      their traces byte-identical to the pre-lane ones. *)
-  let turn_args ~lane =
-    [ ("obj", Trace.Int (if lane = 0 then 0 else -lane));
-      ("kind", Trace.Str "turn"); ("label", Trace.Str "turn") ]
-
-  let turn_ev ?(lane = 0) ~eng ~node name =
-    let tr = Engine.trace eng in
-    if Trace.enabled tr then
-      Trace.instant tr ~ts:(Engine.now eng) ~tid:(Engine.self_tid eng) ~node
-        ~cat:"sync" ~name (turn_args ~lane)
+  let turn_ev ?(lane = 0) ~eng ~node op =
+    if Engine.tracing eng then
+      Engine.emit eng ~node
+        (Trace.Sync
+           ( op,
+             { Trace.obj = (if lane = 0 then 0 else -lane); kind = Trace.Turn; label = "turn" } ))
 end
 
 (* The server-side pickup of an admitted request: the instant the recv
    wrapper hands bytes to server code marks the scheduler-wait -> execute
    boundary of that request's span on this replica's timeline. *)
 let recv_return_ev ~eng ~node ~conn ~bytes =
-  if bytes > 0 then begin
-    let tr = Engine.trace eng in
-    if Trace.enabled tr then
-      Trace.instant tr ~ts:(Engine.now eng) ~tid:(Engine.self_tid eng) ~node
-        ~cat:"req" ~name:"recv_return"
-        [ ("conn", Trace.Int conn); ("bytes", Trace.Int bytes) ]
-  end
+  if bytes > 0 && Engine.tracing eng then
+    Engine.emit eng ~node (Trace.Recv_return { conn; bytes })
 
 type blocking_wrapper = { wrap : 'a. (unit -> 'a) -> 'a }
 
@@ -97,10 +85,8 @@ module Direct_socket = struct
       (* Expose the connection count as a flight-recorder gauge: the
          per-runtime counter of the un-replicated deployments. *)
       let note_conns () =
-        let tr = Engine.trace eng in
-        if Trace.enabled tr then
-          Trace.counter tr ~ts:(Engine.now eng) ~tid:(Engine.self_tid eng)
-            ~node ~name:"open_conns" !open_conns
+        if Engine.tracing eng then
+          Engine.emit eng ~node ~ph:(Trace.Counter !open_conns) Trace.Open_conns
 
       let listen ~port = Sock.listen world ~node ~port
       let poll l = ignore (wrap_blocking.wrap (fun () -> Sock.wait_acceptable l))
@@ -129,8 +115,8 @@ module Direct_socket = struct
     (module M : DIRECT_SOCKET)
 end
 
-let native ?(cost = Pthread.default_cost) ~eng ~world ~node ~fs ~cores ~rng () =
-  let pt = Pthread.create ~cost eng rng in
+let native ~eng ~world ~node ~fs ~cores ~rng () =
+  let pt = Pthread.create eng rng in
   let output = Output_log.create () in
   let open_conns = ref 0 in
   let module S =
@@ -167,11 +153,11 @@ let native ?(cost = Pthread.default_cost) ~eng ~world ~node ~fs ~cores ~rng () =
     let cell ~name v = Cellkit.make ~counter:cell_counter ~site:name v
 
     let cell_get c =
-      Cellkit.mem_ev ~eng ~node "read" c;
+      Cellkit.mem_ev ~eng ~node ~write:false c;
       c.Cellkit.v
 
     let cell_set c v =
-      Cellkit.mem_ev ~eng ~node "write" c;
+      Cellkit.mem_ev ~eng ~node ~write:true c;
       c.Cellkit.v <- v
 
     include S
@@ -186,7 +172,6 @@ let native ?(cost = Pthread.default_cost) ~eng ~world ~node ~fs ~cores ~rng () =
     api = (module M : Api.API);
     output;
     alive_conns = (fun () -> !open_conns);
-    sync_context_switches = (fun () -> Pthread.context_switches pt);
   }
 
 let parrot ?turn_cost ?idle_period ~eng ~world ~node ~fs ~cores () =
@@ -231,23 +216,23 @@ let parrot ?turn_cost ?idle_period ~eng ~world ~node ~fs ~cores () =
        sanitizer sees it as acquire/release of the "turn" pseudo-lock.
        Accesses from outside the scheduler (bootstrap, checkpointing) go
        through unbracketed. *)
-    let cell_access name c f =
+    let cell_access ~write c f =
       if Dmt.is_thread dmt then begin
         Dmt.get_turn dmt;
-        Cellkit.turn_ev ~eng ~node "acquire";
-        Cellkit.mem_ev ~eng ~node name c;
+        Cellkit.turn_ev ~eng ~node Trace.Acquire;
+        Cellkit.mem_ev ~eng ~node ~write c;
         let v = f () in
-        Cellkit.turn_ev ~eng ~node "release";
+        Cellkit.turn_ev ~eng ~node Trace.Release;
         Dmt.put_turn dmt;
         v
       end
       else begin
-        Cellkit.mem_ev ~eng ~node name c;
+        Cellkit.mem_ev ~eng ~node ~write c;
         f ()
       end
 
-    let cell_get c = cell_access "read" c (fun () -> c.Cellkit.v)
-    let cell_set c v = cell_access "write" c (fun () -> c.Cellkit.v <- v)
+    let cell_get c = cell_access ~write:false c (fun () -> c.Cellkit.v)
+    let cell_set c v = cell_access ~write:true c (fun () -> c.Cellkit.v <- v)
 
     include S
 
@@ -260,7 +245,6 @@ let parrot ?turn_cost ?idle_period ~eng ~world ~node ~fs ~cores () =
       api = (module M : Api.API);
       output;
       alive_conns = (fun () -> !open_conns);
-      sync_context_switches = (fun () -> Dmt.context_switches dmt);
     },
     dmt )
 
@@ -294,24 +278,24 @@ let crane ~eng ~node ~fs ~cores ~dmt ~vhost () =
     let cell_counter = ref 0
     let cell ~name v = Cellkit.make ~counter:cell_counter ~site:name v
 
-    let cell_access name c f =
+    let cell_access ~write c f =
       if Dmt.is_thread dmt then begin
         Dmt.get_turn dmt;
         let lane = Dmt.current_lane dmt in
-        Cellkit.turn_ev ~lane ~eng ~node "acquire";
-        Cellkit.mem_ev ~eng ~node name c;
+        Cellkit.turn_ev ~lane ~eng ~node Trace.Acquire;
+        Cellkit.mem_ev ~eng ~node ~write c;
         let v = f () in
-        Cellkit.turn_ev ~lane ~eng ~node "release";
+        Cellkit.turn_ev ~lane ~eng ~node Trace.Release;
         Dmt.put_turn dmt;
         v
       end
       else begin
-        Cellkit.mem_ev ~eng ~node name c;
+        Cellkit.mem_ev ~eng ~node ~write c;
         f ()
       end
 
-    let cell_get c = cell_access "read" c (fun () -> c.Cellkit.v)
-    let cell_set c v = cell_access "write" c (fun () -> c.Cellkit.v <- v)
+    let cell_get c = cell_access ~write:false c (fun () -> c.Cellkit.v)
+    let cell_set c v = cell_access ~write:true c (fun () -> c.Cellkit.v <- v)
 
     type listener = Vhost.vlistener
     type conn = Vhost.vconn
@@ -339,11 +323,10 @@ let crane ~eng ~node ~fs ~cores ~dmt ~vhost () =
     api = (module M : Api.API);
     output = Vhost.output vhost;
     alive_conns = (fun () -> Vhost.open_conns vhost);
-    sync_context_switches = (fun () -> Dmt.context_switches dmt);
   }
 
-let paxos_only ?(cost = Pthread.default_cost) ~eng ~node ~fs ~cores ~rng ~vhost () =
-  let pt = Pthread.create ~cost eng rng in
+let paxos_only ~eng ~node ~fs ~cores ~rng ~vhost () =
+  let pt = Pthread.create eng rng in
   let module M = struct
     let node = node
     let fs = fs
@@ -374,11 +357,11 @@ let paxos_only ?(cost = Pthread.default_cost) ~eng ~node ~fs ~cores ~rng ~vhost 
     let cell ~name v = Cellkit.make ~counter:cell_counter ~site:name v
 
     let cell_get c =
-      Cellkit.mem_ev ~eng ~node "read" c;
+      Cellkit.mem_ev ~eng ~node ~write:false c;
       c.Cellkit.v
 
     let cell_set c v =
-      Cellkit.mem_ev ~eng ~node "write" c;
+      Cellkit.mem_ev ~eng ~node ~write:true c;
       c.Cellkit.v <- v
 
     type listener = Vhost.vlistener
@@ -407,5 +390,4 @@ let paxos_only ?(cost = Pthread.default_cost) ~eng ~node ~fs ~cores ~rng ~vhost 
     api = (module M : Api.API);
     output = Vhost.output vhost;
     alive_conns = (fun () -> Vhost.open_conns vhost);
-    sync_context_switches = (fun () -> Pthread.context_switches pt);
   }

@@ -23,7 +23,7 @@ type t = {
 }
 
 let boot ?(seed = 42) ?(node = "server") ?(cores = 24) ?turn_cost
-    ?pthread_cost ?trace ~mode ~(server : Api.server) () =
+    ?trace ~mode ~(server : Api.server) () =
   let eng = Engine.create () in
   (match trace with Some tr -> Engine.set_trace eng tr | None -> ());
   let rng = Rng.create seed in
@@ -35,8 +35,7 @@ let boot ?(seed = 42) ?(node = "server") ?(cores = 24) ?turn_cost
   let runtime, dmt =
     match mode with
     | Native ->
-      ( Runtime.native ?cost:pthread_cost ~eng ~world ~node ~fs ~cores:pool
-          ~rng:(Rng.split rng) (),
+      ( Runtime.native ~eng ~world ~node ~fs ~cores:pool ~rng:(Rng.split rng) (),
         None )
     | Parrot ->
       let rt, dmt = Runtime.parrot ?turn_cost ~eng ~world ~node ~fs ~cores:pool () in

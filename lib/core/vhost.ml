@@ -170,10 +170,8 @@ let signal_one ?lane t obj =
    gauge so admission rate is visible on the replica's timeline. *)
 let note_admit t =
   t.admitted <- t.admitted + 1;
-  let tr = Engine.trace t.eng in
-  if Trace.enabled tr then
-    Trace.counter tr ~ts:(Engine.now t.eng) ~tid:(Engine.self_tid t.eng)
-      ~node:t.node ~name:"admitted" t.admitted
+  if Engine.tracing t.eng then
+    Engine.emit t.eng ~node:t.node ~ph:(Trace.Counter t.admitted) Trace.Admitted
 
 (* ------------------------------------------------------------------ *)
 (* Dependency-aware pool admission (pool > 1, clocked mode only). *)
@@ -206,20 +204,13 @@ let pool_retire t (c : vconn) =
 let exec_end t (c : vconn) =
   if c.exec_open then begin
     c.exec_open <- false;
-    let tr = Engine.trace t.eng in
-    if Trace.enabled tr then
-      Trace.instant tr ~ts:(Engine.now t.eng) ~tid:(Engine.self_tid t.eng)
-        ~node:t.node ~cat:"exec" ~name:"end" [ ("conn", Trace.Int c.vid) ]
+    if Engine.tracing t.eng then Engine.emit t.eng ~node:t.node (Trace.Exec_end { conn = c.vid })
   end
 
 let exec_begin t (c : vconn) ~index ~lane =
   c.exec_open <- true;
-  let tr = Engine.trace t.eng in
-  if Trace.enabled tr then
-    Trace.instant tr ~ts:(Engine.now t.eng) ~tid:(Engine.self_tid t.eng)
-      ~node:t.node ~cat:"exec" ~name:"begin"
-      [ ("index", Trace.Int index); ("conn", Trace.Int c.vid);
-        ("lane", Trace.Int lane) ]
+  if Engine.tracing t.eng then
+    Engine.emit t.eng ~node:t.node (Trace.Exec_begin { index; conn = c.vid; lane })
 
 (* Place an admitted command on the least-loaded worker lane (lane 0 is
    the idle/bootstrap lane).  Purely a performance decision — derived
@@ -389,11 +380,8 @@ let gate_state t dmt =
 let wait_entries t =
   let t0 = Engine.now t.eng in
   t.gate_blocks <- t.gate_blocks + 1;
-  let tr = Engine.trace t.eng in
-  let traced = Trace.enabled tr in
-  if traced then
-    Trace.span_begin tr ~ts:t0 ~tid:(Engine.self_tid t.eng) ~node:t.node
-      ~cat:"gate" ~name:"block" [];
+  let traced = Engine.tracing t.eng in
+  if traced then Engine.emit t.eng ~node:t.node ~ph:Trace.Begin Trace.Gate_block;
   while Paxos_seq.is_empty t.seq && not t.stopped do
     let now = Engine.now t.eng in
     if
@@ -405,9 +393,7 @@ let wait_entries t =
     end;
     Engine.sleep t.eng t.cfg.usleep
   done;
-  if traced then
-    Trace.span_end tr ~ts:(Engine.now t.eng) ~tid:(Engine.self_tid t.eng)
-      ~node:t.node ~cat:"gate" ~name:"block" [];
+  if traced then Engine.emit t.eng ~node:t.node ~ph:Trace.End Trace.Gate_block;
   t.gate_block_time <- t.gate_block_time + (Engine.now t.eng - t0)
 
 (* Everything but [wait_entries]: only [Bulk_drain] sleeps. *)
@@ -434,20 +420,14 @@ let gate_act t dmt state =
     let chunk = t.cfg.usleep * 10 in
     Engine.sleep t.eng chunk;
     let per_cycle = max 1 (chunk / Time.us 1) in
-    (let tr = Engine.trace t.eng in
-     if Trace.enabled tr then
-       Trace.instant tr ~ts:(Engine.now t.eng) ~tid:(Engine.self_tid t.eng)
-         ~node:t.node ~cat:"gate" ~name:"bubble_drain"
-         [ ("clocks", Trace.Int per_cycle); ("bulk", Trace.Int 1) ]);
+    if Engine.tracing t.eng then
+      Engine.emit t.eng ~node:t.node (Trace.Bubble_drain { clocks = per_cycle; bulk = true });
     Paxos_seq.drain_bubble_upto t.seq per_cycle;
     Dmt.advance_clock dmt (per_cycle - 1)
   | Delta_drain ->
     t.delta_drained <- t.delta_drained + 1;
-    (let tr = Engine.trace t.eng in
-     if Trace.enabled tr then
-       Trace.instant tr ~ts:(Engine.now t.eng) ~tid:(Engine.self_tid t.eng)
-         ~node:t.node ~cat:"gate" ~name:"bubble_drain"
-         [ ("clocks", Trace.Int tick_delta); ("bulk", Trace.Int 0) ]);
+    if Engine.tracing t.eng then
+      Engine.emit t.eng ~node:t.node (Trace.Bubble_drain { clocks = tick_delta; bulk = false });
     Paxos_seq.drain_bubble_upto t.seq tick_delta
   | Scan ->
     (* Dependency-aware admission: scan past the head, admitting every
@@ -764,12 +744,9 @@ let send t (c : vconn) payload =
     Output_log.record t.output ~conn:c.vid payload;
     (* The server produced the response for whatever request it last
        admitted on this connection: the execute -> reply boundary. *)
-    (let tr = Engine.trace t.eng in
-     if Trace.enabled tr then
-       Trace.instant tr ~ts:(Engine.now t.eng) ~tid:(Engine.self_tid t.eng)
-         ~node:t.node ~cat:"req" ~name:"reply"
-         [ ("conn", Trace.Int c.vid);
-           ("bytes", Trace.Int (String.length payload)) ]);
+    if Engine.tracing t.eng then
+      Engine.emit t.eng ~node:t.node
+        (Trace.Reply { conn = c.vid; bytes = String.length payload });
     if not c.vclosed then t.handlers.respond ~conn:c.vid payload
   in
   match t.clocking with

@@ -53,7 +53,6 @@ type t = {
   mutable next_obj : int;
   mutable gate : gate option;
   mutable tick_hooks : (int * (unit -> unit)) list;
-  mutable switches : int;
   mutable stopped : bool;
   mutable label : string; (* replica name for trace attribution *)
   mutable idle_alone : bool; (* idle thread alone when it last ran the gate *)
@@ -62,7 +61,6 @@ type t = {
 
 let engine t = t.eng
 let clock t = t.clock
-let context_switches t = t.switches
 let set_gate t gate = t.gate <- Some gate
 let set_label t node = t.label <- node
 let lane_count t = Array.length t.lanes
@@ -94,15 +92,15 @@ let me t =
 let is_thread t = Tids.mem t.threads (Engine.self_tid t.eng)
 let current_lane t = match self t with Some th -> th.lane | None -> 0
 
-(* Sanitizer hook: stream a "sync" event through the engine's recorder. *)
-let ev t name args =
-  let tr = Engine.trace t.eng in
-  if Trace.enabled tr then
-    Trace.instant tr ~ts:(Engine.now t.eng) ~tid:(Engine.self_tid t.eng)
-      ~node:t.label ~cat:"sync" ~name args
+(* Sanitizer hook: stream a sync event through the engine's recorder. *)
+let sync t op o =
+  if Engine.tracing t.eng then Engine.emit t.eng ~node:t.label (Trace.Sync (op, o))
 
-let obj_args ~id ~kind ~label =
-  [ ("obj", Trace.Int id); ("kind", Trace.Str kind); ("label", Trace.Str label) ]
+(* A fresh synchronization object, labelled [name] or "<kind>#<id>". *)
+let sync_obj ?name t kind prefix =
+  let obj = new_obj t in
+  let label = match name with Some n -> n | None -> Printf.sprintf "%s#%d" prefix obj in
+  { Trace.obj; kind; label }
 
 let is_head t th = match (lane_of t th).lq with h :: _ -> h == th | [] -> false
 
@@ -121,17 +119,11 @@ let wake_head t lane =
    park to resumption is the round-robin turn wait the paper's overhead
    analysis attributes to DMT. *)
 let park t th =
-  t.switches <- t.switches + 1;
-  let tr = Engine.trace t.eng in
-  let traced = Trace.enabled tr in
-  if traced then
-    Trace.span_begin tr ~ts:(Engine.now t.eng) ~tid:th.dtid ~node:t.label
-      ~cat:"dmt" ~name:"turn_wait"
-      [ ("runq", Trace.Int (List.length (lane_of t th).lq)) ];
+  let traced = Engine.tracing t.eng in
+  let runq = if traced then List.length (lane_of t th).lq else 0 in
+  if traced then Engine.emit t.eng ~node:t.label ~ph:Trace.Begin (Trace.Turn_wait { runq });
   Engine.suspend t.eng (fun wake -> th.parked <- Some wake);
-  if traced then
-    Trace.span_end tr ~ts:(Engine.now t.eng) ~tid:th.dtid ~node:t.label
-      ~cat:"dmt" ~name:"turn_wait" [];
+  if traced then Engine.emit t.eng ~node:t.label ~ph:Trace.End (Trace.Turn_wait { runq });
   assert (is_head t th)
 
 let get_turn t =
@@ -270,11 +262,6 @@ let signal_all ?lane t ~obj =
       signal ?lane t ~obj
     done
 
-let waiters t ~obj =
-  match Hashtbl.find_opt t.waitq obj with
-  | None -> 0
-  | Some q -> Queue.length q
-
 let block_external t f =
   let th = me t in
   get_turn t;
@@ -298,7 +285,7 @@ let spawn t ~name body =
         let cleanup () =
           let th = me t in
           get_turn t;
-          ev t "thread_exit" [];
+          if Engine.tracing t.eng then Engine.emit t.eng ~node:t.label Trace.Thread_exit;
           leave_runq t th;
           Tids.remove t.threads th.dtid
         in
@@ -399,7 +386,6 @@ let create ?(turn_cost = Time.ns 150) ?(idle_period = Time.us 10) ?(lanes = 1)
       next_obj = 1;
       gate = None;
       tick_hooks = [];
-      switches = 0;
       stopped = false;
       label = "";
       idle_alone = false;
@@ -413,114 +399,97 @@ let create ?(turn_cost = Time.ns 150) ?(idle_period = Time.us 10) ?(lanes = 1)
 (* Pthreads wrappers (paper Figure 9). *)
 
 module Mutex = struct
-  type m = { t : t; mobj : int; mlabel : string; mutable locked : bool }
+  type m = { t : t; id : Trace.sync_obj; mutable locked : bool }
 
-  let create ?name t =
-    let mobj = new_obj t in
-    let mlabel = match name with Some n -> n | None -> Printf.sprintf "mutex#%d" mobj in
-    { t; mobj; mlabel; locked = false }
-
-  let obj m = m.mobj
-  let args m = obj_args ~id:m.mobj ~kind:"mutex" ~label:m.mlabel
+  let create ?name t = { t; id = sync_obj ?name t Trace.Mutex "mutex"; locked = false }
 
   let lock m =
     get_turn m.t;
     run_gate m.t;
     while m.locked do
-      wait m.t ~obj:m.mobj
+      wait m.t ~obj:m.id.obj
     done;
     m.locked <- true;
-    ev m.t "acquire" (args m);
+    sync m.t Trace.Acquire m.id;
     put_turn m.t
 
   let unlock m =
     get_turn m.t;
     if not m.locked then invalid_arg "Dmt.Mutex.unlock: not locked";
     m.locked <- false;
-    ev m.t "release" (args m);
-    signal m.t ~obj:m.mobj;
+    sync m.t Trace.Release m.id;
+    signal m.t ~obj:m.id.obj;
     put_turn m.t
 
   (* Relock without gate or put_turn: the tail of cond_wait. *)
   let relock_holding_turn m =
     while m.locked do
-      wait m.t ~obj:m.mobj
+      wait m.t ~obj:m.id.obj
     done;
     m.locked <- true;
-    ev m.t "acquire" (args m)
+    sync m.t Trace.Acquire m.id
 end
 
 module Cond = struct
-  type c = { t : t; cobj : int; clabel : string }
+  type c = { t : t; id : Trace.sync_obj }
 
-  let create ?name t =
-    let cobj = new_obj t in
-    let clabel = match name with Some n -> n | None -> Printf.sprintf "cond#%d" cobj in
-    { t; cobj; clabel }
-
-  let args c = obj_args ~id:c.cobj ~kind:"cond" ~label:c.clabel
+  let create ?name t = { t; id = sync_obj ?name t Trace.Cond "cond" }
 
   let wait c (mu : Mutex.m) =
     get_turn c.t;
     if not mu.Mutex.locked then invalid_arg "Dmt.Cond.wait: mutex not held";
-    ev c.t "cond_wait"
-      (args c
-      @ [ ("mutex", Trace.Int mu.Mutex.mobj); ("mutex_label", Trace.Str mu.Mutex.mlabel) ]);
+    if Engine.tracing c.t.eng then
+      Engine.emit c.t.eng ~node:c.t.label (Trace.Cond_wait { cond = c.id; mutex = mu.Mutex.id });
     mu.Mutex.locked <- false;
-    ev c.t "release" (Mutex.args mu);
-    signal c.t ~obj:(Mutex.obj mu);
-    wait c.t ~obj:c.cobj;
-    ev c.t "cond_woken" (args c);
+    sync c.t Trace.Release mu.Mutex.id;
+    signal c.t ~obj:mu.Mutex.id.obj;
+    wait c.t ~obj:c.id.obj;
+    sync c.t Trace.Cond_woken c.id;
     Mutex.relock_holding_turn mu;
     put_turn c.t
 
   let signal c =
     get_turn c.t;
-    ev c.t "cond_signal" (args c);
-    signal c.t ~obj:c.cobj;
+    sync c.t Trace.Cond_signal c.id;
+    signal c.t ~obj:c.id.obj;
     put_turn c.t
 
   let broadcast c =
     get_turn c.t;
-    ev c.t "cond_signal" (args c);
-    signal_all c.t ~obj:c.cobj;
+    sync c.t Trace.Cond_signal c.id;
+    signal_all c.t ~obj:c.id.obj;
     put_turn c.t
 end
 
 module Rwlock = struct
   type rw = {
     t : t;
-    robj : int;
-    rlabel : string;
+    id : Trace.sync_obj;
     mutable readers : int;
     mutable writer : bool;
   }
 
   let create ?name t =
-    let robj = new_obj t in
-    let rlabel = match name with Some n -> n | None -> Printf.sprintf "rwlock#%d" robj in
-    { t; robj; rlabel; readers = 0; writer = false }
-
-  let args l = obj_args ~id:l.robj ~kind:"rwlock" ~label:l.rlabel
+    { t; id = sync_obj ?name t Trace.Rwlock "rwlock"; readers = 0; writer = false }
 
   let rdlock l =
     get_turn l.t;
     run_gate l.t;
     while l.writer do
-      wait l.t ~obj:l.robj
+      wait l.t ~obj:l.id.obj
     done;
     l.readers <- l.readers + 1;
-    ev l.t "acquire_rd" (args l);
+    sync l.t Trace.Acquire_rd l.id;
     put_turn l.t
 
   let wrlock l =
     get_turn l.t;
     run_gate l.t;
     while l.writer || l.readers > 0 do
-      wait l.t ~obj:l.robj
+      wait l.t ~obj:l.id.obj
     done;
     l.writer <- true;
-    ev l.t "acquire" (args l);
+    sync l.t Trace.Acquire l.id;
     put_turn l.t
 
   let unlock l =
@@ -528,64 +497,54 @@ module Rwlock = struct
     if l.writer then l.writer <- false
     else if l.readers > 0 then l.readers <- l.readers - 1
     else invalid_arg "Dmt.Rwlock.unlock: not held";
-    ev l.t "release" (args l);
-    signal_all l.t ~obj:l.robj;
+    sync l.t Trace.Release l.id;
+    signal_all l.t ~obj:l.id.obj;
     put_turn l.t
 end
 
 module Sem = struct
-  type s = { t : t; sobj : int; slabel : string; mutable count : int }
+  type s = { t : t; id : Trace.sync_obj; mutable count : int }
 
-  let create ?name t count =
-    let sobj = new_obj t in
-    let slabel = match name with Some n -> n | None -> Printf.sprintf "sem#%d" sobj in
-    { t; sobj; slabel; count }
-
-  let args s = obj_args ~id:s.sobj ~kind:"sem" ~label:s.slabel
+  let create ?name t count = { t; id = sync_obj ?name t Trace.Sem "sem"; count }
 
   let post s =
     get_turn s.t;
     s.count <- s.count + 1;
-    ev s.t "sem_post" (args s);
-    signal s.t ~obj:s.sobj;
+    sync s.t Trace.Sem_post s.id;
+    signal s.t ~obj:s.id.obj;
     put_turn s.t
 
   let wait s =
     get_turn s.t;
     run_gate s.t;
     while s.count = 0 do
-      wait s.t ~obj:s.sobj
+      wait s.t ~obj:s.id.obj
     done;
     s.count <- s.count - 1;
-    ev s.t "sem_wait" (args s);
+    sync s.t Trace.Sem_wait s.id;
     put_turn s.t
 end
 
 module Barrier = struct
-  type b = { t : t; bobj : int; blabel : string; n : int; mutable arrived : int }
+  type b = { t : t; id : Trace.sync_obj; n : int; mutable arrived : int }
 
-  let create ?name t n =
-    let bobj = new_obj t in
-    let blabel = match name with Some nm -> nm | None -> Printf.sprintf "barrier#%d" bobj in
-    { t; bobj; blabel; n; arrived = 0 }
-
-  let args b = obj_args ~id:b.bobj ~kind:"barrier" ~label:b.blabel
+  let create ?name t n = { t; id = sync_obj ?name t Trace.Barrier "barrier"; n; arrived = 0 }
 
   (* Same event discipline as the Pthread barrier: all "barrier_arrive"
      of a round precede every "barrier_leave", giving the sanitizer its
      all-to-all edges. *)
   let wait b =
     get_turn b.t;
-    ev b.t "barrier_arrive" (args b);
+    sync b.t Trace.Barrier_arrive b.id;
     b.arrived <- b.arrived + 1;
     if b.arrived >= b.n then begin
       b.arrived <- 0;
-      signal_all b.t ~obj:b.bobj;
-      ev b.t "barrier_leave" (args b)
+      signal_all b.t ~obj:b.id.obj;
+      sync b.t Trace.Barrier_leave b.id
     end
     else begin
-      wait b.t ~obj:b.bobj;
-      ev b.t "barrier_leave" (args b)
+      wait b.t ~obj:b.id.obj;
+      sync b.t Trace.Barrier_leave b.id
     end;
     put_turn b.t
 end

@@ -53,10 +53,6 @@ val spawn : t -> name:string -> (unit -> unit) -> unit
 val clock : t -> int
 (** Current logical clock (total turn handoffs so far). *)
 
-val context_switches : t -> int
-(** Times a thread parked waiting for its turn (the PARROT-side number in
-    the MediaTomb context-switch comparison of §7.3). *)
-
 val set_label : t -> string -> unit
 (** Replica name used to attribute this scheduler's trace events (DMT
     [turn_wait] spans) to a process in the flight recorder. *)
@@ -133,8 +129,6 @@ val relane : t -> lane:int -> unit
     never re-laned by the signal and must move itself at the
     execute-window boundary. *)
 
-val waiters : t -> obj:int -> int
-
 val block_external : t -> (unit -> 'a) -> 'a
 (** PARROT's nondeterministic blocking call path: leave the run queue,
     run [f] (which may block on the engine), rejoin at the tail in
@@ -152,7 +146,6 @@ module Mutex : sig
   val create : ?name:string -> t -> m
   val lock : m -> unit
   val unlock : m -> unit
-  val obj : m -> int
 end
 
 module Cond : sig

@@ -7,8 +7,6 @@ module Trace = Crane_trace.Trace
 type node = string
 type endpoint = { node : node; port : int }
 
-let endpoint_pp fmt e = Format.fprintf fmt "%s:%d" e.node e.port
-
 type message = ..
 
 (* A send parked in the controlled fabric, waiting for the scheduler to
@@ -122,11 +120,8 @@ let sample_delay t rng =
    paths want drops on the replica's timeline. *)
 let note_drop t ~src ~dst ~reason =
   t.dropped <- t.dropped + 1;
-  let tr = Engine.trace t.eng in
-  if Trace.enabled tr then
-    Trace.instant tr ~ts:(Engine.now t.eng) ~tid:(Engine.self_tid t.eng)
-      ~node:dst.node ~cat:"net" ~name:"drop"
-      [ ("src", Trace.Str src.node); ("reason", Trace.Str reason) ]
+  if Engine.tracing t.eng then
+    Engine.emit t.eng ~node:dst.node (Trace.Drop { src = src.node; reason })
 
 (* Application-level rejection of an already-delivered message — e.g.
    paxos fencing a stale config epoch.  Counts and traces like a fabric

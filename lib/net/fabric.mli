@@ -13,8 +13,6 @@ type node = string
 
 type endpoint = { node : node; port : int }
 
-val endpoint_pp : Format.formatter -> endpoint -> unit
-
 type message = ..
 (** Extensible payload type: each protocol layer adds its constructors. *)
 

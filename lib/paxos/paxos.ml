@@ -322,7 +322,6 @@ let fire_demote t =
   t.handlers.on_demote ()
 
 let ep node = { Fabric.node; port = paxos_port }
-let trace t = Engine.trace t.eng
 
 (* ------------------------------------------------------------------ *)
 (* Membership as a replicated value.  A Reconfig is an ordinary log
@@ -397,21 +396,12 @@ let maybe_grant_lease (t : t) =
     if until > t.lease_until then begin
       if Engine.now t.eng >= t.lease_until then begin
         t.leases_held <- t.leases_held + 1;
-        let tr = trace t in
-        if Trace.enabled tr then
-          Trace.instant tr ~ts:(Engine.now t.eng) ~tid:(Engine.self_tid t.eng)
-            ~node:t.self ~cat:"paxos" ~name:"lease_grant"
-            [ ("view", Trace.Int t.view); ("until", Trace.Int until) ]
+        if Engine.tracing t.eng then
+          Engine.emit t.eng ~node:t.self (Trace.Lease_grant { view = t.view; until })
       end;
       t.lease_until <- until
     end
   end
-
-let member_event (t : t) ~name args =
-  let tr = trace t in
-  if Trace.enabled tr then
-    Trace.member tr ~ts:(Engine.now t.eng) ~tid:(Engine.self_tid t.eng)
-      ~node:t.self ~name args
 
 (* A fenced replica is out of the configuration for good: shed clients,
    forget any primaryship or election, and go silent.  The inbound path
@@ -421,8 +411,8 @@ let fence_self (t : t) ~epoch =
     t.fenced <- true;
     t.primary <- None;
     t.election <- None;
-    member_event t ~name:"fence"
-      [ ("node", Trace.Str t.self); ("epoch", Trace.Int epoch) ];
+    if Engine.tracing t.eng then
+      Engine.emit t.eng ~node:t.self (Trace.Fence { node = t.self; epoch });
     fire_demote t;
     t.handlers.on_fence ~epoch
   end
@@ -463,8 +453,8 @@ let activate_config (t : t) ~epoch ~members =
       (fun n ->
         if not (List.mem n old) then begin
           Hashtbl.replace t.peer_heard n (Engine.now t.eng);
-          member_event t ~name:"join"
-            [ ("node", Trace.Str n); ("epoch", Trace.Int epoch) ]
+          if Engine.tracing t.eng then
+            Engine.emit t.eng ~node:t.self (Trace.Join { node = n; epoch })
         end)
       members;
     List.iter
@@ -472,8 +462,8 @@ let activate_config (t : t) ~epoch ~members =
         if not (List.mem n members) then begin
           Hashtbl.remove t.peer_heard n;
           Hashtbl.remove t.peer_applied n;
-          member_event t ~name:"leave"
-            [ ("node", Trace.Str n); ("epoch", Trace.Int epoch) ]
+          if Engine.tracing t.eng then
+            Engine.emit t.eng ~node:t.self (Trace.Leave { node = n; epoch })
         end)
       old;
     refresh_pending_config t;
@@ -517,15 +507,12 @@ let rec apply (t : t) =
     | Some (_, value) ->
       t.applied <- t.applied + 1;
       t.decisions <- t.decisions + 1;
-      let tr = trace t in
-      if Trace.enabled tr then begin
-        let ts = Engine.now t.eng and tid = Engine.self_tid t.eng in
-        Trace.instant tr ~ts ~tid ~node:t.self ~cat:"paxos" ~name:"commit"
-          [ ("index", Trace.Int t.applied) ];
+      if Engine.tracing t.eng then begin
+        Engine.emit t.eng ~node:t.self (Trace.Commit { index = t.applied });
         (* Close the proposer-side decide span (open only where this
            replica proposed the entry). *)
-        Trace.async_end tr ~ts ~tid ~id:t.applied ~node:t.self ~cat:"paxos"
-          ~name:"decide" []
+        Engine.emit t.eng ~node:t.self ~ph:(Trace.Async_end t.applied)
+          (Trace.Decide { index = t.applied })
       end;
       (* Config entries are consumed by consensus itself: they activate
          the new membership instead of reaching the application. *)
@@ -614,11 +601,8 @@ let advance_commits t =
     let next = t.committed + 1 in
     match Hashtbl.find_opt t.acks next with
     | Some l when quorum_reached t l ->
-      (let tr = trace t in
-       if Trace.enabled tr then
-         Trace.instant tr ~ts:(Engine.now t.eng) ~tid:(Engine.self_tid t.eng)
-           ~node:t.self ~cat:"paxos" ~name:"quorum_ack"
-           [ ("index", Trace.Int next); ("acks", Trace.Int (List.length l)) ]);
+      if Engine.tracing t.eng then
+        Engine.emit t.eng ~node:t.self (Trace.Quorum_ack { index = next; acks = List.length l });
       set_committed t next;
       progressed := true
     | Some _ | None -> continue_ := false
@@ -652,11 +636,8 @@ let compact_to (t : t) wm =
       done;
       t.base <- wm;
       t.compactions <- t.compactions + 1;
-      (let tr = trace t in
-       if Trace.enabled tr then
-         Trace.instant tr ~ts:(Engine.now t.eng) ~tid:(Engine.self_tid t.eng)
-           ~node:t.self ~cat:"paxos" ~name:"compact"
-           [ ("watermark", Trace.Int wm); ("snapshot", Trace.Int s_index) ]);
+      if Engine.tracing t.eng then
+        Engine.emit t.eng ~node:t.self (Trace.Compact { watermark = wm; snapshot = s_index });
       let header =
         Marshal.to_string
           (Wal_trunc
@@ -702,11 +683,9 @@ let offer_snapshot (t : t) ~index ~blob =
   | Some (i, _) when i >= index -> ()
   | Some _ | None ->
     t.snapshot <- Some (index, blob);
-    (let tr = trace t in
-     if Trace.enabled tr then
-       Trace.instant tr ~ts:(Engine.now t.eng) ~tid:(Engine.self_tid t.eng)
-         ~node:t.self ~cat:"paxos" ~name:"snapshot_offer"
-         [ ("index", Trace.Int index); ("bytes", Trace.Int (String.length blob)) ]);
+    if Engine.tracing t.eng then
+      Engine.emit t.eng ~node:t.self
+        (Trace.Snapshot_offer { index; bytes = String.length blob });
     List.iter
       (fun n ->
         Fabric.send t.fabric ~bytes:(String.length blob) ~src:(ep t.self)
@@ -720,14 +699,10 @@ let offer_snapshot (t : t) ~index ~blob =
    of each index into its fsync component vs. the consensus round that
    overlaps it. *)
 let fsync_done t ~lo ~hi =
-  let tr = trace t in
-  if Trace.enabled tr then begin
-    let ts = Engine.now t.eng and tid = Engine.self_tid t.eng in
+  if Engine.tracing t.eng then
     for index = lo to hi do
-      Trace.instant tr ~ts ~tid ~node:t.self ~cat:"req" ~name:"fsync_done"
-        [ ("index", Trace.Int index) ]
+      Engine.emit t.eng ~node:t.self (Trace.Fsync_done { index })
     done
-  end
 
 (* One consensus round: indices are assigned per value (so decisions,
    checkpoints and catch-up are oblivious to batching) but the broadcast,
@@ -739,16 +714,11 @@ let submit t values =
     let lo = t.last_index + 1 in
     List.iteri (fun i value -> store_entry t ~index:(lo + i) ~eview:aview ~value) values;
     let hi = t.last_index in
-    let tr = trace t in
-    if Trace.enabled tr then begin
-      let ts = Engine.now t.eng and tid = Engine.self_tid t.eng in
+    if Engine.tracing t.eng then
       for index = lo to hi do
-        Trace.instant tr ~ts ~tid ~node:t.self ~cat:"paxos" ~name:"propose"
-          [ ("index", Trace.Int index); ("view", Trace.Int aview) ];
-        Trace.async_begin tr ~ts ~tid ~id:index ~node:t.self ~cat:"paxos"
-          ~name:"decide" [ ("index", Trace.Int index) ]
-      done
-    end;
+        Engine.emit t.eng ~node:t.self (Trace.Propose { index; view = aview });
+        Engine.emit t.eng ~node:t.self ~ph:(Trace.Async_begin index) (Trace.Decide { index })
+      done;
     cast t (Accept { aview; lo; values; committed = t.committed });
     Queue.add (hi, hi - lo + 1) t.open_batches;
     Wal.append_async t.wal
@@ -772,9 +742,8 @@ let submit_reconfig (t : t) members' =
   else if List.sort compare members' = List.sort compare t.members then None
   else begin
     let epoch = t.epoch + 1 in
-    member_event t ~name:"reconfig_propose"
-      [ ("epoch", Trace.Int epoch);
-        ("members", Trace.Str (String.concat "," members')) ];
+    if Engine.tracing t.eng then
+      Engine.emit t.eng ~node:t.self (Trace.Reconfig_propose { epoch; members = members' });
     (* Set the joint quorum before casting so the very Accept carrying
        the config entry already needs both majorities to commit. *)
     t.pending_members <- Some members';
@@ -839,10 +808,7 @@ let become_backup t ~nview ~primary =
 let abdicate (t : t) =
   t.primary <- None;
   t.abdications <- t.abdications + 1;
-  (let tr = trace t in
-   if Trace.enabled tr then
-     Trace.instant tr ~ts:(Engine.now t.eng) ~tid:(Engine.self_tid t.eng)
-       ~node:t.self ~cat:"paxos" ~name:"abdicate" [ ("view", Trace.Int t.view) ]);
+  if Engine.tracing t.eng then Engine.emit t.eng ~node:t.self (Trace.Abdicate { view = t.view });
   fire_demote t
 
 let rec heartbeat_loop t =
@@ -853,11 +819,9 @@ let rec heartbeat_loop t =
           && Engine.now t.eng - t.last_peer_contact >= t.cfg.election_timeout
         then abdicate t
         else begin
-          let tr = trace t in
-          if Trace.enabled tr then
-            Trace.instant tr ~ts:(Engine.now t.eng) ~tid:(Engine.self_tid t.eng)
-              ~node:t.self ~cat:"paxos" ~name:"heartbeat"
-              [ ("view", Trace.Int t.view); ("committed", Trace.Int t.committed) ];
+          if Engine.tracing t.eng then
+            Engine.emit t.eng ~node:t.self
+              (Trace.Heartbeat { view = t.view; committed = t.committed });
           t.hb_seq <- t.hb_seq + 1;
           t.hb_sent <- Engine.now t.eng;
           t.hb_acks <- [ t.self ];
@@ -892,12 +856,10 @@ let become_primary (t : t) election =
   t.election <- None;
   t.view_changes <- t.view_changes + 1;
   t.last_election_duration <- Some (Engine.now t.eng - election.started_at);
-  (let tr = trace t in
-   if Trace.enabled tr then
-     Trace.instant tr ~ts:(Engine.now t.eng) ~tid:(Engine.self_tid t.eng)
-       ~node:t.self ~cat:"paxos" ~name:"view_change"
-       [ ("view", Trace.Int t.view);
-         ("election_ns", Trace.Int (Engine.now t.eng - election.started_at)) ]);
+  if Engine.tracing t.eng then
+    Engine.emit t.eng ~node:t.self
+      (Trace.View_change
+         { view = t.view; election_ns = Engine.now t.eng - election.started_at });
   (* Step 3: announce. *)
   cast t (New_view { nview = t.view; entries; committed });
   if committed > t.committed then begin
@@ -935,11 +897,8 @@ let rec start_election t =
       }
     in
     t.election <- Some election;
-    (let tr = trace t in
-     if Trace.enabled tr then
-       Trace.instant tr ~ts:(Engine.now t.eng) ~tid:(Engine.self_tid t.eng)
-         ~node:t.self ~cat:"paxos" ~name:"election_start"
-         [ ("view", Trace.Int nview) ]);
+    if Engine.tracing t.eng then
+      Engine.emit t.eng ~node:t.self (Trace.Election_start { view = nview });
     cast t (View_change { nview; cand_committed = t.committed });
     (* Single-node "cluster": immediately win. *)
     check_election_progress t election;
@@ -998,11 +957,8 @@ let serve_entries (t : t) ~dst ~from_index =
 let send_catchup (t : t) ~dst ~from_index =
   match t.snapshot with
   | Some (s_index, blob) when from_index <= t.base && s_index >= from_index ->
-    (let tr = trace t in
-     if Trace.enabled tr then
-       Trace.instant tr ~ts:(Engine.now t.eng) ~tid:(Engine.self_tid t.eng)
-         ~node:t.self ~cat:"paxos" ~name:"snapshot_serve"
-         [ ("index", Trace.Int s_index); ("to", Trace.Str dst) ]);
+    if Engine.tracing t.eng then
+      Engine.emit t.eng ~node:t.self (Trace.Snapshot_serve { index = s_index; dst });
     Fabric.send t.fabric ~bytes:(String.length blob) ~src:(ep t.self)
       ~dst:(ep dst)
       (Epoched
@@ -1216,12 +1172,9 @@ let handle (t : t) ~src msg =
          replica's configuration directly. *)
       if s_epoch > t.epoch then activate_config t ~epoch:s_epoch ~members:s_members;
       t.snapshots_installed <- t.snapshots_installed + 1;
-      (let tr = trace t in
-       if Trace.enabled tr then
-         Trace.instant tr ~ts:(Engine.now t.eng) ~tid:(Engine.self_tid t.eng)
-           ~node:t.self ~cat:"paxos" ~name:"snapshot_install"
-           [ ("index", Trace.Int s_index);
-             ("behind", Trace.Int (s_index - t.applied)) ]);
+      if Engine.tracing t.eng then
+        Engine.emit t.eng ~node:t.self
+          (Trace.Snapshot_install { index = s_index; behind = s_index - t.applied });
       t.hooks.install_snapshot ~index:s_index blob;
       (* Fast-forward: everything at or below the snapshot index is
          covered by the image, so jump applied/committed over it, drop

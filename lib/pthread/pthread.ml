@@ -3,45 +3,38 @@ module Engine = Crane_sim.Engine
 module Rng = Crane_sim.Rng
 module Trace = Crane_trace.Trace
 
-type cost = { uncontended : Time.t; context_switch : Time.t; wake_jitter : Time.t }
+(* The cost model: an uncontended operation is cheap (fast-path
+   lock/unlock); blocking and being woken costs a context switch
+   (futex-style) plus OS wake-to-run latency, a uniform random delay in
+   [0, wake_jitter) — the scheduler noise that makes contended Pthreads
+   runs slow and nondeterministic. *)
+let uncontended = Time.ns 60
+let context_switch = Time.ns 1500
+let wake_jitter = Time.us 150
 
-let default_cost =
-  { uncontended = Time.ns 60; context_switch = Time.ns 1500; wake_jitter = Time.us 150 }
-
-type t = {
-  eng : Engine.t;
-  rng : Rng.t;
-  cost : cost;
-  mutable sync_ops : int;
-  mutable context_switches : int;
-  mutable next_obj : int;
-}
+type t = { eng : Engine.t; rng : Rng.t; mutable next_obj : int }
 
 (* Object ids start at 1: id 0 is reserved for the DMT scheduler's turn
    pseudo-lock, so sanitizer reports use one id space per process across
    both runtimes. *)
-let create ?(cost = default_cost) eng rng =
-  { eng; rng; cost; sync_ops = 0; context_switches = 0; next_obj = 1 }
-
+let create eng rng = { eng; rng; next_obj = 1 }
 let engine t = t.eng
-let sync_ops t = t.sync_ops
-let context_switches t = t.context_switches
 
-let new_obj t =
-  let o = t.next_obj in
-  t.next_obj <- o + 1;
-  o
+(* A fresh synchronization object, labelled [name] or "<kind>#<id>". *)
+let sync_obj ?name rt kind prefix =
+  let obj = rt.next_obj in
+  rt.next_obj <- obj + 1;
+  let label = match name with Some n -> n | None -> Printf.sprintf "%s#%d" prefix obj in
+  { Trace.obj; kind; label }
 
-(* Sanitizer hook: every synchronization operation streams a "sync" event
+(* Sanitizer hook: every synchronization operation streams a sync event
    through the engine's flight recorder.  One branch when tracing is off. *)
-let ev rt name args =
-  let tr = Engine.trace rt.eng in
-  if Trace.enabled tr then
-    Trace.instant tr ~ts:(Engine.now rt.eng) ~tid:(Engine.self_tid rt.eng)
-      ~group:(match Engine.self_group rt.eng with Some g -> g | None -> -1)
-      ~cat:"sync" ~name args
+let ev rt event =
+  Engine.emit rt.eng
+    ~group:(match Engine.self_group rt.eng with Some g -> g | None -> -1)
+    event
 
-let obj_args ~id ~kind ~label = [ ("obj", Trace.Int id); ("kind", Trace.Str kind); ("label", Trace.Str label) ]
+let sync rt op o = if Engine.tracing rt.eng then ev rt (Trace.Sync (op, o))
 
 (* A wait set with randomized wake order: the OS scheduler model. *)
 module Waitset = struct
@@ -50,14 +43,10 @@ module Waitset = struct
   let create rt = { rt; waiters = [] }
 
   let park w =
-    w.rt.context_switches <- w.rt.context_switches + 1;
     Engine.suspend w.rt.eng (fun wake -> w.waiters <- w.waiters @ [ wake ]);
     (* Charge the wake-up half of the context switch, plus OS scheduling
        latency (wake-to-run delay on a loaded machine). *)
-    let jitter =
-      if w.rt.cost.wake_jitter > 0 then Rng.int w.rt.rng w.rt.cost.wake_jitter else 0
-    in
-    Engine.sleep w.rt.eng (w.rt.cost.context_switch + jitter)
+    Engine.sleep w.rt.eng (context_switch + Rng.int w.rt.rng wake_jitter)
 
   (* Wake one waiter chosen at random; returns false when none was woken. *)
   let rec wake_one w =
@@ -75,20 +64,15 @@ module Waitset = struct
     List.iter (fun wake -> ignore (wake ())) (Rng.shuffle w.rt.rng all)
 end
 
-let charge_fast rt =
-  rt.sync_ops <- rt.sync_ops + 1;
-  if rt.cost.uncontended > 0 then Engine.sleep rt.eng rt.cost.uncontended
+let charge_fast rt = Engine.sleep rt.eng uncontended
 
 module Mutex = struct
-  type m = { rt : t; id : int; label : string; mutable owner : int option; ws : Waitset.w }
+  type m = { rt : t; id : Trace.sync_obj; mutable owner : int option; ws : Waitset.w }
 
   let create ?name rt =
-    let id = new_obj rt in
-    let label = match name with Some n -> n | None -> Printf.sprintf "mutex#%d" id in
-    { rt; id; label; owner = None; ws = Waitset.create rt }
+    { rt; id = sync_obj ?name rt Trace.Mutex "mutex"; owner = None; ws = Waitset.create rt }
 
   let locked m = m.owner <> None
-  let args m = obj_args ~id:m.id ~kind:"mutex" ~label:m.label
 
   let rec lock m =
     charge_fast m.rt;
@@ -98,16 +82,7 @@ module Mutex = struct
     end
     else begin
       m.owner <- Some (Engine.self_tid m.rt.eng);
-      ev m.rt "acquire" (args m)
-    end
-
-  let try_lock m =
-    charge_fast m.rt;
-    if locked m then false
-    else begin
-      m.owner <- Some (Engine.self_tid m.rt.eng);
-      ev m.rt "acquire" (args m);
-      true
+      sync m.rt Trace.Acquire m.id
     end
 
   let unlock m =
@@ -116,60 +91,51 @@ module Mutex = struct
     | Some tid when tid <> Engine.self_tid m.rt.eng ->
       invalid_arg
         (Printf.sprintf "Pthread.Mutex.unlock: %s held by thread %d, unlocked by %d"
-           m.label tid (Engine.self_tid m.rt.eng))
+           m.id.label tid (Engine.self_tid m.rt.eng))
     | Some _ -> ());
     charge_fast m.rt;
     m.owner <- None;
-    ev m.rt "release" (args m);
+    sync m.rt Trace.Release m.id;
     ignore (Waitset.wake_one m.ws)
 end
 
 module Cond = struct
-  type c = { rt : t; id : int; label : string; ws : Waitset.w }
+  type c = { rt : t; id : Trace.sync_obj; ws : Waitset.w }
 
-  let create ?name rt =
-    let id = new_obj rt in
-    let label = match name with Some n -> n | None -> Printf.sprintf "cond#%d" id in
-    { rt; id; label; ws = Waitset.create rt }
-
-  let args c = obj_args ~id:c.id ~kind:"cond" ~label:c.label
+  let create ?name rt = { rt; id = sync_obj ?name rt Trace.Cond "cond"; ws = Waitset.create rt }
 
   let wait c (mu : Mutex.m) =
     charge_fast c.rt;
-    ev c.rt "cond_wait"
-      (args c @ [ ("mutex", Trace.Int mu.Mutex.id); ("mutex_label", Trace.Str mu.Mutex.label) ]);
+    if Engine.tracing c.rt.eng then
+      ev c.rt (Trace.Cond_wait { cond = c.id; mutex = mu.Mutex.id });
     Mutex.unlock mu;
     Waitset.park c.ws;
-    ev c.rt "cond_woken" (args c);
+    sync c.rt Trace.Cond_woken c.id;
     Mutex.lock mu
 
   let signal c =
     charge_fast c.rt;
-    ev c.rt "cond_signal" (args c);
+    sync c.rt Trace.Cond_signal c.id;
     ignore (Waitset.wake_one c.ws)
 
   let broadcast c =
     charge_fast c.rt;
-    ev c.rt "cond_signal" (args c);
+    sync c.rt Trace.Cond_signal c.id;
     Waitset.wake_all c.ws
 end
 
 module Rwlock = struct
   type rw = {
     rt : t;
-    id : int;
-    label : string;
+    id : Trace.sync_obj;
     mutable readers : int;
     mutable writer : bool;
     ws : Waitset.w;
   }
 
   let create ?name rt =
-    let id = new_obj rt in
-    let label = match name with Some n -> n | None -> Printf.sprintf "rwlock#%d" id in
-    { rt; id; label; readers = 0; writer = false; ws = Waitset.create rt }
-
-  let args l = obj_args ~id:l.id ~kind:"rwlock" ~label:l.label
+    { rt; id = sync_obj ?name rt Trace.Rwlock "rwlock"; readers = 0; writer = false;
+      ws = Waitset.create rt }
 
   let rec rdlock l =
     charge_fast l.rt;
@@ -179,7 +145,7 @@ module Rwlock = struct
     end
     else begin
       l.readers <- l.readers + 1;
-      ev l.rt "acquire_rd" (args l)
+      sync l.rt Trace.Acquire_rd l.id
     end
 
   let rec wrlock l =
@@ -190,7 +156,7 @@ module Rwlock = struct
     end
     else begin
       l.writer <- true;
-      ev l.rt "acquire" (args l)
+      sync l.rt Trace.Acquire l.id
     end
 
   let unlock l =
@@ -198,31 +164,27 @@ module Rwlock = struct
     if l.writer then l.writer <- false
     else if l.readers > 0 then l.readers <- l.readers - 1
     else invalid_arg "Pthread.Rwlock.unlock: not held";
-    ev l.rt "release" (args l);
+    sync l.rt Trace.Release l.id;
     Waitset.wake_all l.ws
 end
 
 module Sem = struct
-  type s = { rt : t; id : int; label : string; mutable count : int; ws : Waitset.w }
+  type s = { rt : t; id : Trace.sync_obj; mutable count : int; ws : Waitset.w }
 
   let create ?name rt count =
-    let id = new_obj rt in
-    let label = match name with Some n -> n | None -> Printf.sprintf "sem#%d" id in
-    { rt; id; label; count; ws = Waitset.create rt }
-
-  let args s = obj_args ~id:s.id ~kind:"sem" ~label:s.label
+    { rt; id = sync_obj ?name rt Trace.Sem "sem"; count; ws = Waitset.create rt }
 
   let post s =
     charge_fast s.rt;
     s.count <- s.count + 1;
-    ev s.rt "sem_post" (args s);
+    sync s.rt Trace.Sem_post s.id;
     ignore (Waitset.wake_one s.ws)
 
   let rec wait s =
     charge_fast s.rt;
     if s.count > 0 then begin
       s.count <- s.count - 1;
-      ev s.rt "sem_wait" (args s)
+      sync s.rt Trace.Sem_wait s.id
     end
     else begin
       Waitset.park s.ws;
@@ -231,30 +193,26 @@ module Sem = struct
 end
 
 module Barrier = struct
-  type b = { rt : t; id : int; label : string; n : int; mutable arrived : int; ws : Waitset.w }
+  type b = { rt : t; id : Trace.sync_obj; n : int; mutable arrived : int; ws : Waitset.w }
 
   let create ?name rt n =
-    let id = new_obj rt in
-    let label = match name with Some nm -> nm | None -> Printf.sprintf "barrier#%d" id in
-    { rt; id; label; n; arrived = 0; ws = Waitset.create rt }
-
-  let args b = obj_args ~id:b.id ~kind:"barrier" ~label:b.label
+    { rt; id = sync_obj ?name rt Trace.Barrier "barrier"; n; arrived = 0; ws = Waitset.create rt }
 
   (* All "barrier_arrive" events of a round precede every "barrier_leave":
      waiters emit arrive before parking, and the releasing thread emits its
      own leave only after the round is complete. *)
   let wait b =
     charge_fast b.rt;
-    ev b.rt "barrier_arrive" (args b);
+    sync b.rt Trace.Barrier_arrive b.id;
     b.arrived <- b.arrived + 1;
     if b.arrived >= b.n then begin
       b.arrived <- 0;
       Waitset.wake_all b.ws;
-      ev b.rt "barrier_leave" (args b)
+      sync b.rt Trace.Barrier_leave b.id
     end
     else begin
       Waitset.park b.ws;
-      ev b.rt "barrier_leave" (args b)
+      sync b.rt Trace.Barrier_leave b.id
     end
 end
 
@@ -268,7 +226,7 @@ let spawn rt ~name body =
   let tid =
     Engine.spawn_with_tid rt.eng ~name (fun () ->
         let finish () =
-          ev rt "thread_exit" [];
+          if Engine.tracing rt.eng then ev rt Trace.Thread_exit;
           th.finished <- true;
           Waitset.wake_all th.tws
         in
@@ -285,4 +243,4 @@ let join th =
   while not th.finished do
     Waitset.park th.tws
   done;
-  ev th.trt "thread_join" [ ("joined", Trace.Int th.ttid) ]
+  if Engine.tracing th.trt.eng then ev th.trt (Trace.Thread_join { joined = th.ttid })

@@ -7,8 +7,7 @@
 
     A cost model charges virtual time per operation: an uncontended
     operation is cheap; blocking and being woken costs a context switch
-    (futex-style).  The counters feed the MediaTomb sync-context-switch
-    comparison of §7.3.
+    (futex-style) plus a random OS wake-to-run delay.
 
     Every operation also streams a "sync" event through the engine's
     flight recorder (object id, primitive kind, human label), which is
@@ -18,26 +17,9 @@
 type t
 (** One runtime instance per simulated process. *)
 
-type cost = {
-  uncontended : Crane_sim.Time.t;  (** fast-path lock/unlock *)
-  context_switch : Crane_sim.Time.t;  (** block + wake under contention *)
-  wake_jitter : Crane_sim.Time.t;
-      (** OS wake-to-run latency bound: each wake-up adds a uniform random
-          delay in [0, wake_jitter) — the scheduler noise that makes
-          contended Pthreads runs slow and nondeterministic. *)
-}
-
-val default_cost : cost
-
-val create : ?cost:cost -> Crane_sim.Engine.t -> Crane_sim.Rng.t -> t
+val create : Crane_sim.Engine.t -> Crane_sim.Rng.t -> t
 
 val engine : t -> Crane_sim.Engine.t
-
-val sync_ops : t -> int
-(** Total synchronization operations performed. *)
-
-val context_switches : t -> int
-(** Times a thread blocked and was later woken under contention. *)
 
 module Mutex : sig
   type m
@@ -49,8 +31,6 @@ module Mutex : sig
   (** @raise Invalid_argument when unlocking a free mutex, or when the
       calling thread is not the owner (pthreads undefined behaviour,
       promoted to a hard error). *)
-
-  val try_lock : m -> bool
 end
 
 module Cond : sig

@@ -9,7 +9,6 @@ let create eng n =
   if n < 1 then invalid_arg "Cores.create: need at least one core";
   { eng; n; in_use = 0; waiters = Queue.create () }
 
-let capacity t = t.n
 let busy t = t.in_use
 
 let acquire t =

@@ -13,8 +13,6 @@ type t
 val create : Engine.t -> int -> t
 (** [create eng n] is a pool of [n] cores ([n >= 1]). *)
 
-val capacity : t -> int
-
 val work : t -> Time.t -> unit
 (** Occupy one core for a duration.  Blocks the calling thread until a
     core is free, then for the duration itself.  Zero-duration work

@@ -96,6 +96,7 @@ let now t = t.clock
 
 let trace t = t.trace
 let set_trace t tr = t.trace <- tr
+let tracing t = Trace.enabled t.trace
 
 let sched t = t.sched
 let set_sched t s = t.sched <- Some s
@@ -118,8 +119,7 @@ let on_kill t g hook =
 let kill_group t g =
   if group_alive t g then begin
     if Trace.enabled t.trace then
-      Trace.instant t.trace ~ts:t.clock ~tid:(-1) ~group:g ~cat:"sim"
-        ~name:"group_kill" [ ("group", Trace.Int g) ];
+      Trace.record t.trace ~ts:t.clock ~tid:(-1) ~group:g (Trace.Group_kill { group = g });
     Hashtbl.add t.dead_groups g ();
     match Hashtbl.find_opt t.kill_hooks g with
     | None -> ()
@@ -217,13 +217,13 @@ type _ Effect.t +=
 
 let blocked_begin t th =
   if Trace.enabled t.trace then
-    Trace.span_begin t.trace ~ts:t.clock ~tid:th.tid ~group:(gid th.tgroup)
-      ~cat:"sim" ~name:"blocked" []
+    Trace.record t.trace ~ts:t.clock ~tid:th.tid ~group:(gid th.tgroup) ~ph:Trace.Begin
+      Trace.Blocked
 
 let blocked_end t th =
   if Trace.enabled t.trace then
-    Trace.span_end t.trace ~ts:t.clock ~tid:th.tid ~group:(gid th.tgroup)
-      ~cat:"sim" ~name:"blocked" []
+    Trace.record t.trace ~ts:t.clock ~tid:th.tid ~group:(gid th.tgroup) ~ph:Trace.End
+      Trace.Blocked
 
 (* One spinner step, run from the ready FIFO where the resume of
    [sleep period] would run: a step that returns [true] sleeps again, the
@@ -295,12 +295,9 @@ let spawn_with_tid t ?group ~name body =
   let tid = t.next_tid in
   t.next_tid <- tid + 1;
   let th = { tid; name; tgroup = group } in
-  if Trace.enabled t.trace then begin
-    let parent = t.current.tid in
-    Trace.instant t.trace ~ts:t.clock ~tid ~group:(gid group) ~cat:"sim"
-      ~name:"thread_spawn"
-      [ ("thread", Trace.Str name); ("parent", Trace.Int parent) ]
-  end;
+  if Trace.enabled t.trace then
+    Trace.record t.trace ~ts:t.clock ~tid ~group:(gid group)
+      (Trace.Thread_spawn { thread = name; parent = t.current.tid });
   schedule t t.clock (fun () ->
       if alive t th.tgroup then begin
         let saved = t.current in
@@ -324,9 +321,13 @@ let spin (_ : t) ~period ?(ahead = fun () -> 0) ?(skip = ignore) step =
   Effect.perform
     (Spin { r_period = period; r_step = step; r_ahead = ahead; r_skip = skip })
 
-let self_name t = t.current.name
 let self_tid t = t.current.tid
 let self_group t = t.current.tgroup
+
+(* Every layer's instrumentation site: the event happens now, on the
+   running thread. *)
+let emit t ?group ?node ?ph event =
+  Trace.record t.trace ~ts:t.clock ~tid:t.current.tid ?group ?node ?ph event
 
 (* [run ~until] below the current instant moves the clock back.  The
    ready events keep their instant, so they join the heap behind every

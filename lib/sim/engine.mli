@@ -44,9 +44,18 @@ val trace : t -> Crane_trace.Trace.t
     simulated cluster. *)
 
 val set_trace : t -> Crane_trace.Trace.t -> unit
-(** Attach a flight recorder.  Engine-level events are: [thread_spawn]
-    and [group_kill] instants and [blocked] suspend/resume spans, all in
-    category "sim". *)
+(** Attach a flight recorder.  Engine-level events are:
+    [Thread_spawn] and [Group_kill] instants and [Blocked]
+    suspend/resume spans. *)
+
+val tracing : t -> bool
+(** The recorder is enabled: instrumentation sites check this before
+    building an event. *)
+
+val emit :
+  t -> ?group:int -> ?node:string -> ?ph:Crane_trace.Trace.phase ->
+  Crane_trace.Trace.event -> unit
+(** Record an event at the current instant on the running thread. *)
 
 val sched : t -> Sched.t option
 (** The installed schedule enumerator, if any.  Consumers with
@@ -131,9 +140,6 @@ val spin :
     no closed-form step.  Applied steps count two events each against
     [run]'s [limit], and a batch that would cross it is stepped instead,
     so {!Limit_exceeded} fires at the same step as without batching. *)
-
-val self_name : t -> string
-(** Name of the running thread ("-" outside any thread). *)
 
 val self_tid : t -> int
 (** Unique id of the running thread (-1 outside any thread). *)

@@ -20,10 +20,6 @@ let int t bound =
   (* Modulo bias is negligible for the small bounds used here. *)
   Int64.to_int (Int64.rem (Int64.shift_right_logical (next t) 1) (Int64.of_int bound))
 
-let int_in t lo hi =
-  if hi < lo then invalid_arg "Rng.int_in: empty range";
-  lo + int t (hi - lo + 1)
-
 let float t bound =
   let u = Int64.to_float (Int64.shift_right_logical (next t) 11) in
   bound *. (u /. 9007199254740992.0 (* 2^53 *))

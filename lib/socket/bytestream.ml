@@ -37,4 +37,3 @@ let take t ~max =
     s
   end
 
-let take_all t = take t ~max:t.length

@@ -13,4 +13,3 @@ val push : t -> string -> unit
 val take : t -> max:int -> string
 (** Remove and return up to [max] bytes ("" when empty). *)
 
-val take_all : t -> string

@@ -68,13 +68,8 @@ let ep node = { Fabric.node; port = transport_port }
    connection and shared by both endpoints, so an rx event on the serving
    replica anchors the client-queueing stage of a request span, and one on
    the client's node anchors the reply stage. *)
-let rx_event w ~node ~name ~cid ~bytes =
-  let tr = Engine.trace w.eng in
-  if Trace.enabled tr then
-    Trace.instant tr ~ts:(Engine.now w.eng) ~tid:(Engine.self_tid w.eng)
-      ~node ~cat:"net" ~name
-      (("conn", Trace.Int cid)
-      :: (if bytes > 0 then [ ("bytes", Trace.Int bytes) ] else []))
+let rx_event w ~node rx ~cid ~bytes =
+  if Engine.tracing w.eng then Engine.emit w.eng ~node (Trace.Rx { rx; conn = cid; bytes })
 
 let handle w ~node ~src msg =
   let find cid = Hashtbl.find_opt w.conns (node, cid) in
@@ -95,7 +90,7 @@ let handle w ~node ~src msg =
         }
       in
       Hashtbl.replace w.conns (node, cid) c;
-      rx_event w ~node ~name:"rx_syn" ~cid ~bytes:0;
+      rx_event w ~node Trace.Syn ~cid ~bytes:0;
       Queue.add c l.backlog;
       wake_one l.accept_waiters;
       Fabric.send w.fabric ~src:(ep node) ~dst:src (Syn_ack { cid })
@@ -116,14 +111,14 @@ let handle w ~node ~src msg =
   | Data { cid; payload } -> (
     match find cid with
     | Some c when not c.closed ->
-      rx_event w ~node ~name:"rx_data" ~cid ~bytes:(String.length payload);
+      rx_event w ~node Trace.Data ~cid ~bytes:(String.length payload);
       Bytestream.push c.rx payload;
       wake_one c.rx_waiters
     | Some _ | None -> ())
   | Fin { cid } -> (
     match find cid with
     | Some c ->
-      rx_event w ~node ~name:"rx_fin" ~cid ~bytes:0;
+      rx_event w ~node Trace.Fin ~cid ~bytes:0;
       mark_eof c
     | None -> ())
   | _ -> ()
@@ -251,8 +246,6 @@ let recv ?timeout (c : conn) ~max =
   in
   loop false
 
-let recv_ready (c : conn) = (not (Bytestream.is_empty c.rx)) || c.eof
-
 let close (c : conn) =
   if not c.closed then begin
     c.closed <- true;
@@ -263,7 +256,6 @@ let close (c : conn) =
   end
 
 let id (c : conn) = c.cid
-let peer_node (c : conn) = c.remote
 let is_open (c : conn) = not (c.closed || c.eof)
 
 (* A node (re)joining the world — a reboot or a reconfiguration booting a

@@ -46,16 +46,12 @@ val recv : ?timeout:Crane_sim.Time.t -> conn -> max:int -> string
 (** Block until data is available and return up to [max] bytes.  Returns
     [""] on EOF (peer closed or crashed) and on timeout. *)
 
-val recv_ready : conn -> bool
-(** Data available or EOF pending: recv would not block. *)
-
 val close : conn -> unit
 (** Idempotent full close; the peer sees EOF after draining. *)
 
 val id : conn -> int
 (** Globally unique connection id (stable across both endpoints). *)
 
-val peer_node : conn -> Crane_net.Fabric.node
 val is_open : conn -> bool
 
 val node_crashed : world -> Crane_net.Fabric.node -> unit

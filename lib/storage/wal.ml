@@ -55,20 +55,14 @@ let stable_time t =
    total device latency).  The WAL is named after its replica, so the
    events land on that node's timeline. *)
 let trace_submit t ~bytes ~group_size =
-  let tr = Engine.trace t.eng in
-  if Trace.enabled tr then
-    Trace.instant tr ~ts:(Engine.now t.eng) ~tid:(Engine.self_tid t.eng)
-      ~node:t.wname ~cat:"wal" ~name:"write_submit"
-      [ ("bytes", Trace.Int bytes); ("group", Trace.Int group_size);
-        ("queued", Trace.Int (Hashtbl.length t.inflight)) ]
+  if Engine.tracing t.eng then
+    Engine.emit t.eng ~node:t.wname
+      (Trace.Wal_submit { bytes; group = group_size; queued = Hashtbl.length t.inflight })
 
 let trace_durable t ~submitted_at ~group_size =
-  let tr = Engine.trace t.eng in
-  if Trace.enabled tr then
-    Trace.instant tr ~ts:(Engine.now t.eng) ~tid:(Engine.self_tid t.eng)
-      ~node:t.wname ~cat:"wal" ~name:"write_durable"
-      [ ("lat_ns", Trace.Int (Engine.now t.eng - submitted_at));
-        ("group", Trace.Int group_size) ]
+  if Engine.tracing t.eng then
+    Engine.emit t.eng ~node:t.wname
+      (Trace.Wal_durable { lat_ns = Engine.now t.eng - submitted_at; group = group_size })
 
 (* Group commit: the whole list shares one position in the flash-channel
    queue and one write-latency charge, so a one-record list is a plain

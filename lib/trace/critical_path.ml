@@ -75,7 +75,7 @@ let stage_order =
 
 type req = {
   index : int;
-  mutable kind : string;
+  mutable call : Trace.call option;  (* None until the proposal is seen *)
   mutable conn : int;
   mutable rview : int;
   mutable proposer : string;
@@ -96,7 +96,7 @@ type req = {
 let new_req index =
   {
     index;
-    kind = "";
+    call = None;
     conn = -1;
     rview = 0;
     proposer = "";
@@ -187,8 +187,8 @@ let analyze tr =
       Hashtbl.add reqs index r;
       r
   in
-  (* (node, conn, event-name) -> chronological occurrence list *)
-  let rx : (string * int * string) Cursor.t = Cursor.create () in
+  (* (node, conn, transport event) -> chronological occurrence list *)
+  let rx : (string * int * Trace.rx) Cursor.t = Cursor.create () in
   let replies : (string * int) Cursor.t = Cursor.create () in
   (* blocking intervals per node: (node, label) -> (start, end) list *)
   let blocking : (string * string, (int * int) list ref) Hashtbl.t =
@@ -201,73 +201,56 @@ let analyze tr =
   in
   let open_spans : (string * int * string, int) Hashtbl.t = Hashtbl.create 64 in
   let open_conds : (string * int, int * string) Hashtbl.t = Hashtbl.create 64 in
-  let ints ev k = Trace.find_int ev k in
-  let int_arg ev k ~default = Option.value (ints ev k) ~default in
+  let span_end node (ev : Trace.ev) label =
+    let k = (node, ev.tid, label) in
+    match Hashtbl.find_opt open_spans k with
+    | Some t0 ->
+      Hashtbl.remove open_spans k;
+      add_blocking node label (t0, ev.ts)
+    | None -> ()
+  in
   List.iter
     (fun (ev : Trace.ev) ->
       let node = Trace.resolve_node tr ev in
-      match (ev.Trace.cat, ev.Trace.name, ev.Trace.ph) with
-      | "req", "proposed", Trace.Instant -> (
-        match ints ev "index" with
-        | None -> ()
-        | Some index ->
-          let r = req index in
-          r.proposals <- r.proposals + 1;
-          r.kind <- Option.value (Trace.find_str ev "kind") ~default:"";
-          r.conn <- int_arg ev "conn" ~default:(-1);
-          r.rview <- int_arg ev "view" ~default:0;
-          r.proposer <- node;
-          r.propose_ts <- ev.Trace.ts;
-          r.queued_ns <- int_arg ev "queued_ns" ~default:0)
-      | "req", "fsync_done", Trace.Instant -> (
-        match ints ev "index" with
-        | None -> ()
-        | Some index ->
-          let r = req index in
-          if r.fsync_ts = None then r.fsync_ts <- Some ev.Trace.ts)
-      | "paxos", "commit", Trace.Instant -> (
-        match ints ev "index" with
-        | None -> ()
-        | Some index ->
-          let r = req index in
-          r.commit_any <- min_opt r.commit_any ev.Trace.ts;
-          if r.proposer <> "" && node = r.proposer && r.commit_local = None then
-            r.commit_local <- Some ev.Trace.ts)
-      | "seq", "admit", Trace.Instant -> (
-        match ints ev "index" with
-        | None | Some 0 -> ()
-        | Some index ->
-          let r = req index in
-          r.admit_any <- min_opt r.admit_any ev.Trace.ts;
-          if r.proposer <> "" && node = r.proposer && r.admit_local = None then
-            r.admit_local <- Some ev.Trace.ts)
-      | "net", (("rx_data" | "rx_syn" | "rx_fin") as name), Trace.Instant -> (
-        match ints ev "conn" with
-        | None -> ()
-        | Some conn -> Cursor.push rx (node, conn, name) ev.Trace.ts)
-      | "req", "reply", Trace.Instant -> (
-        match ints ev "conn" with
-        | None -> ()
-        | Some conn -> Cursor.push replies (node, conn) ev.Trace.ts)
-      | "gate", "block", Trace.Begin | "dmt", "turn_wait", Trace.Begin ->
-        Hashtbl.replace open_spans (node, ev.Trace.tid, ev.Trace.name) ev.Trace.ts
-      | "gate", "block", Trace.End | "dmt", "turn_wait", Trace.End -> (
-        let k = (node, ev.Trace.tid, ev.Trace.name) in
-        match Hashtbl.find_opt open_spans k with
-        | Some t0 ->
-          Hashtbl.remove open_spans k;
-          let label = if ev.Trace.name = "block" then "gate.block" else "dmt.turn_wait" in
-          add_blocking node label (t0, ev.Trace.ts)
-        | None -> ())
-      | "sync", "cond_wait", Trace.Instant ->
-        Hashtbl.replace open_conds (node, ev.Trace.tid)
-          (ev.Trace.ts, Option.value (Trace.find_str ev "label") ~default:"?")
-      | "sync", "cond_woken", Trace.Instant -> (
-        let k = (node, ev.Trace.tid) in
+      match (ev.event, ev.ph) with
+      | Trace.Proposed { index; conn; call; queued_ns; view }, Trace.Instant ->
+        let r = req index in
+        r.proposals <- r.proposals + 1;
+        r.call <- Some call;
+        r.conn <- conn;
+        r.rview <- view;
+        r.proposer <- node;
+        r.propose_ts <- ev.ts;
+        r.queued_ns <- queued_ns
+      | Trace.Fsync_done { index }, Trace.Instant ->
+        let r = req index in
+        if r.fsync_ts = None then r.fsync_ts <- Some ev.ts
+      | Trace.Commit { index }, Trace.Instant ->
+        let r = req index in
+        r.commit_any <- min_opt r.commit_any ev.ts;
+        if r.proposer <> "" && node = r.proposer && r.commit_local = None then
+          r.commit_local <- Some ev.ts
+      | Trace.Admit { index; _ }, Trace.Instant when index <> 0 ->
+        let r = req index in
+        r.admit_any <- min_opt r.admit_any ev.ts;
+        if r.proposer <> "" && node = r.proposer && r.admit_local = None then
+          r.admit_local <- Some ev.ts
+      | Trace.Rx { rx = kind; conn; _ }, Trace.Instant -> Cursor.push rx (node, conn, kind) ev.ts
+      | Trace.Reply { conn; _ }, Trace.Instant -> Cursor.push replies (node, conn) ev.ts
+      | Trace.Gate_block, Trace.Begin ->
+        Hashtbl.replace open_spans (node, ev.tid, "gate.block") ev.ts
+      | Trace.Turn_wait _, Trace.Begin ->
+        Hashtbl.replace open_spans (node, ev.tid, "dmt.turn_wait") ev.ts
+      | Trace.Gate_block, Trace.End -> span_end node ev "gate.block"
+      | Trace.Turn_wait _, Trace.End -> span_end node ev "dmt.turn_wait"
+      | Trace.Cond_wait { cond; _ }, Trace.Instant ->
+        Hashtbl.replace open_conds (node, ev.tid) (ev.ts, cond.label)
+      | Trace.Sync (Trace.Cond_woken, _), Trace.Instant -> (
+        let k = (node, ev.tid) in
         match Hashtbl.find_opt open_conds k with
         | Some (t0, label) ->
           Hashtbl.remove open_conds k;
-          add_blocking node ("cond:" ^ label) (t0, ev.Trace.ts)
+          add_blocking node ("cond:" ^ label) (t0, ev.ts)
         | None -> ())
       | _ -> ())
     (Trace.events tr);
@@ -276,14 +259,14 @@ let analyze tr =
   (* ---------------- per-request resolution ---------------- *)
   let all = Hashtbl.fold (fun _ r acc -> r :: acc) reqs [] in
   let calls =
-    List.filter (fun r -> r.proposals > 0 && r.kind <> "bubble") all
+    List.filter (fun r -> r.proposals > 0 && r.call <> Some Trace.Bubble) all
     |> List.sort (fun a b ->
            compare (a.propose_ts, a.index) (b.propose_ts, b.index))
   in
   let client_sides : (int, string list ref) Hashtbl.t = Hashtbl.create 64 in
   Hashtbl.iter
-    (fun (node, conn, name) _ ->
-      if name = "rx_data" then
+    (fun (node, conn, kind) _ ->
+      if kind = Trace.Data then
         match Hashtbl.find_opt client_sides conn with
         | Some r -> if not (List.mem node !r) then r := node :: !r
         | None -> Hashtbl.add client_sides conn (ref [ node ]))
@@ -292,20 +275,20 @@ let analyze tr =
     (fun r ->
       let submit_ts = r.propose_ts - r.queued_ns in
       (* which transport event carried this call to the proxy *)
-      let rx_name =
-        match r.kind with
-        | "connect" -> Some "rx_syn"
-        | "send" -> Some "rx_data"
-        | "close" -> Some "rx_fin"
-        | _ -> None
+      let carrier =
+        match r.call with
+        | Some Trace.Connect -> Some Trace.Syn
+        | Some Trace.Send -> Some Trace.Data
+        | Some Trace.Close -> Some Trace.Fin
+        | Some Trace.Bubble | None -> None
       in
-      (match rx_name with
-      | Some name ->
-        r.rx_ts <- Cursor.pop_le rx (r.proposer, r.conn, name) ~le:submit_ts
+      (match carrier with
+      | Some kind ->
+        r.rx_ts <- Cursor.pop_le rx (r.proposer, r.conn, kind) ~le:submit_ts
       | None -> ());
       let admit = match r.admit_local with Some _ as a -> a | None -> r.admit_any in
-      (match (r.kind, admit) with
-      | "send", Some admit_ts -> (
+      (match (r.call, admit) with
+      | Some Trace.Send, Some admit_ts -> (
         r.reply_ts <- Cursor.pop_ge replies (r.proposer, r.conn) ~ge:admit_ts;
         match (r.reply_ts, Hashtbl.find_opt client_sides r.conn) with
         | Some reply_ts, Some { contents = sides } ->
@@ -316,7 +299,7 @@ let analyze tr =
               (fun acc n ->
                 match acc with
                 | Some _ -> acc
-                | None -> Cursor.pop_ge rx (n, r.conn, "rx_data") ~ge:reply_ts)
+                | None -> Cursor.pop_ge rx (n, r.conn, Trace.Data) ~ge:reply_ts)
               None far
         | _ -> ())
       | _ -> ()))
@@ -409,7 +392,7 @@ let analyze tr =
   in
   let bubbles =
     List.length
-      (List.filter (fun r -> r.kind = "bubble" && r.commit_any <> None) all)
+      (List.filter (fun r -> r.call = Some Trace.Bubble && r.commit_any <> None) all)
   in
   let unattributed =
     List.length

@@ -43,9 +43,6 @@ type report = {
   errors : string list;  (** malformed span DAGs; empty on a healthy trace *)
 }
 
-val stage_order : string list
-(** The seven stage names, in pipeline order. *)
-
 val analyze : Trace.t -> report
 (** Walk a retained trace's request spans.  Deterministic: the same
     trace yields the same report (including row order). *)

@@ -7,7 +7,7 @@
     same (cat, name, id) contributes one duration sample under
     ["cat.name"] (per-replica attribution can be kept with [per_node]).
     [Instant] events increment the counter ["cat.name"]; [Counter]
-    events record a gauge's latest value.
+    samples stay in the exported trace only.
 
     Attach to a live recorder with {!attach} (streaming, constant
     memory pressure on the trace) or fold a retained trace afterwards
@@ -28,7 +28,6 @@ type summary = {
 type t = {
   per_node : bool;  (** prefix histogram/counter keys with "node/" *)
   counts : (string, int ref) Hashtbl.t;
-  gauges : (string, int) Hashtbl.t;
   samples : (string, int list ref) Hashtbl.t;  (** newest first *)
   open_spans : (string * int * string * string, int list ref) Hashtbl.t;
       (** (node, tid, cat, name) -> begin-ts stack *)
@@ -40,7 +39,6 @@ let create ?(per_node = false) () =
   {
     per_node;
     counts = Hashtbl.create 64;
-    gauges = Hashtbl.create 16;
     samples = Hashtbl.create 64;
     open_spans = Hashtbl.create 64;
     open_async = Hashtbl.create 64;
@@ -56,8 +54,6 @@ let observe t name v =
   | Some r -> r := v :: !r
   | None -> Hashtbl.add t.samples name (ref [ v ])
 
-let set_gauge t name v = Hashtbl.replace t.gauges name v
-
 (* ------------------------------------------------------------------ *)
 
 let key t ~node ~cat ~name =
@@ -66,29 +62,29 @@ let key t ~node ~cat ~name =
 
 let ingest t tr (ev : Trace.ev) =
   let node = Trace.resolve_node tr ev in
-  match ev.Trace.ph with
-  | Trace.Instant -> incr t (key t ~node ~cat:ev.Trace.cat ~name:ev.Trace.name)
-  | Trace.Counter v -> set_gauge t (key t ~node ~cat:"" ~name:ev.Trace.name) v
-  | Trace.Begin ->
-    let k = (node, ev.Trace.tid, ev.Trace.cat, ev.Trace.name) in
-    (match Hashtbl.find_opt t.open_spans k with
-    | Some stack -> stack := ev.Trace.ts :: !stack
-    | None -> Hashtbl.add t.open_spans k (ref [ ev.Trace.ts ]))
-  | Trace.End -> (
-    let k = (node, ev.Trace.tid, ev.Trace.cat, ev.Trace.name) in
+  let cat, name, _ = Trace.describe ev in
+  match ev.ph with
+  | Instant -> incr t (key t ~node ~cat ~name)
+  | Counter _ -> ()
+  | Begin -> (
+    let k = (node, ev.tid, cat, name) in
+    match Hashtbl.find_opt t.open_spans k with
+    | Some stack -> stack := ev.ts :: !stack
+    | None -> Hashtbl.add t.open_spans k (ref [ ev.ts ]))
+  | End -> (
+    let k = (node, ev.tid, cat, name) in
     match Hashtbl.find_opt t.open_spans k with
     | Some ({ contents = t0 :: rest } as stack) ->
       stack := rest;
-      observe t (key t ~node ~cat:ev.Trace.cat ~name:ev.Trace.name) (ev.Trace.ts - t0)
+      observe t (key t ~node ~cat ~name) (ev.ts - t0)
     | Some _ | None -> () (* unmatched End: dropped Begin or truncated trace *))
-  | Trace.Async_begin id ->
-    Hashtbl.replace t.open_async (ev.Trace.cat, ev.Trace.name, id) ev.Trace.ts
-  | Trace.Async_end id -> (
-    let k = (ev.Trace.cat, ev.Trace.name, id) in
+  | Async_begin id -> Hashtbl.replace t.open_async (cat, name, id) ev.ts
+  | Async_end id -> (
+    let k = (cat, name, id) in
     match Hashtbl.find_opt t.open_async k with
     | Some t0 ->
       Hashtbl.remove t.open_async k;
-      observe t (key t ~node ~cat:ev.Trace.cat ~name:ev.Trace.name) (ev.Trace.ts - t0)
+      observe t (key t ~node ~cat ~name) (ev.ts - t0)
     | None -> ())
 
 let attach t tr = Trace.add_sink tr (fun ev -> ingest t tr ev)
@@ -102,8 +98,6 @@ let of_trace ?per_node tr =
 
 let counter_value t name =
   match Hashtbl.find_opt t.counts name with Some r -> !r | None -> 0
-
-let gauge_value t name = Hashtbl.find_opt t.gauges name
 
 (* Degenerate series are answered directly instead of trusting the
    percentile machinery with them: an empty series is all zeros (callers
@@ -133,7 +127,6 @@ let sorted_bindings tbl value =
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
 let counters t = sorted_bindings t.counts (fun r -> !r)
-let gauges t = sorted_bindings t.gauges (fun v -> v)
 let summaries t = sorted_bindings t.samples (fun r -> summarize !r)
 
 (* ------------------------------------------------------------------ *)
@@ -143,12 +136,6 @@ let summaries t = sorted_bindings t.samples (fun r -> summarize !r)
 
 let merge ~into src =
   Hashtbl.iter (fun k r -> incr into ~by:!r k) src.counts;
-  Hashtbl.iter
-    (fun k v ->
-      (* Gauges are last-sampled values: cluster-wide, sum them (an
-         "admitted" gauge of 40 per replica means 120 admissions). *)
-      set_gauge into k (v + Option.value (Hashtbl.find_opt into.gauges k) ~default:0))
-    src.gauges;
   Hashtbl.iter
     (fun k r ->
       match Hashtbl.find_opt into.samples k with

@@ -30,9 +30,6 @@ val observe : t -> string -> int -> unit
 val counter_value : t -> string -> int
 (** Occurrences of instants named "cat.name" (0 if never seen). *)
 
-val gauge_value : t -> string -> int option
-(** Latest sampled value of a [Counter]-phase gauge. *)
-
 val summary : t -> string -> summary option
 (** Percentile summary of the histogram "cat.name" (spans pair
     Begin/End per thread, Async_begin/Async_end per id). *)
@@ -43,7 +40,6 @@ val total : t -> string -> int
 val counters : t -> (string * int) list
 (** All counters, sorted by name. *)
 
-val gauges : t -> (string * int) list
 val summaries : t -> (string * summary) list
 
 val summarize : int list -> summary
@@ -52,8 +48,7 @@ val summarize : int list -> summary
     singleton yields the sample at every percentile. *)
 
 val merge : into:t -> t -> unit
-(** Fold [src] into [into]: counters add, gauges sum (a last-value gauge
-    per replica becomes a cluster total), histogram samples concatenate —
+(** Fold [src] into [into]: counters add, histogram samples concatenate —
     so percentiles of the merged aggregation cover the union of the
     per-replica series. *)
 

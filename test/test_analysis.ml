@@ -30,14 +30,11 @@ let monitored () =
   Engine.set_trace eng tr;
   let mon = Hb.create () in
   Hb.attach mon tr;
-  (eng, tr, mon)
+  (eng, mon)
 
 (* Hand-emitted memory access, standing in for the R.cell wrappers when
    a test drives the runtime primitives directly. *)
-let mem tr eng op ~loc ~site =
-  Trace.instant tr ~ts:(Engine.now eng) ~tid:(Engine.self_tid eng) ~cat:"mem"
-    ~name:op
-    [ ("loc", Trace.Int loc); ("site", Trace.Str site) ]
+let mem eng ~write ~loc ~site = Engine.emit eng (Trace.Mem { write; loc; site })
 
 let races_on (r : Hb.report) site =
   List.filter (fun (x : Hb.race) -> x.Hb.r_site = site) r.Hb.races
@@ -81,7 +78,7 @@ let test_report_byte_identical () =
 (* Lock-order lint *)
 
 let test_lock_inversion_cycle () =
-  let eng, _tr, mon = monitored () in
+  let eng, mon = monitored () in
   let rt = Pthread.create eng (Rng.create 11) in
   let a = Pthread.Mutex.create ~name:"A" rt in
   let b = Pthread.Mutex.create ~name:"B" rt in
@@ -106,7 +103,7 @@ let test_lock_inversion_cycle () =
   Alcotest.(check (list string)) "cycle is {A, B}" [ "A"; "B" ] inv.Hb.i_locks
 
 let test_no_inversion_with_consistent_order () =
-  let eng, _tr, mon = monitored () in
+  let eng, mon = monitored () in
   let rt = Pthread.create eng (Rng.create 12) in
   let a = Pthread.Mutex.create ~name:"A" rt in
   let b = Pthread.Mutex.create ~name:"B" rt in
@@ -131,18 +128,18 @@ let test_no_inversion_with_consistent_order () =
    these would be (false-positive) races. *)
 
 let test_sem_hb_native () =
-  let eng, tr, mon = monitored () in
+  let eng, mon = monitored () in
   let rt = Pthread.create eng (Rng.create 21) in
   let sem = Pthread.Sem.create ~name:"sem" rt 0 in
   let x = ref 0 in
   Engine.spawn eng ~name:"producer" (fun () ->
       Engine.sleep eng (Time.us 10);
-      mem tr eng "write" ~loc:900 ~site:"sem.x";
+      mem eng ~write:true ~loc:900 ~site:"sem.x";
       x := 41;
       Pthread.Sem.post sem);
   Engine.spawn eng ~name:"consumer" (fun () ->
       Pthread.Sem.wait sem;
-      mem tr eng "read" ~loc:900 ~site:"sem.x";
+      mem eng ~write:false ~loc:900 ~site:"sem.x";
       x := !x + 1);
   Engine.run eng;
   check_no_failures eng;
@@ -151,18 +148,18 @@ let test_sem_hb_native () =
   Alcotest.(check int) "both threads really ran" 42 !x
 
 let test_barrier_hb_native () =
-  let eng, tr, mon = monitored () in
+  let eng, mon = monitored () in
   let rt = Pthread.create eng (Rng.create 22) in
   let bar = Pthread.Barrier.create ~name:"bar" rt 2 in
   let slot = [| 0; 0 |] in
   for i = 0 to 1 do
     Engine.spawn eng ~name:(Printf.sprintf "w%d" i) (fun () ->
         Engine.sleep eng (Time.us (7 * (i + 1)));
-        mem tr eng "write" ~loc:(910 + i) ~site:(Printf.sprintf "bar.slot%d" i);
+        mem eng ~write:true ~loc:(910 + i) ~site:(Printf.sprintf "bar.slot%d" i);
         slot.(i) <- i + 1;
         Pthread.Barrier.wait bar;
         let j = 1 - i in
-        mem tr eng "read" ~loc:(910 + j) ~site:(Printf.sprintf "bar.slot%d" j);
+        mem eng ~write:false ~loc:(910 + j) ~site:(Printf.sprintf "bar.slot%d" j);
         ignore slot.(j))
   done;
   Engine.run eng;
@@ -171,17 +168,17 @@ let test_barrier_hb_native () =
     (List.length (Hb.report mon).Hb.races)
 
 let test_sem_hb_dmt () =
-  let eng, tr, mon = monitored () in
+  let eng, mon = monitored () in
   let dmt = Dmt.create eng in
   let sem = Dmt.Sem.create ~name:"sem" dmt 0 in
   let x = ref 0 in
   Dmt.spawn dmt ~name:"producer" (fun () ->
-      mem tr eng "write" ~loc:920 ~site:"dsem.x";
+      mem eng ~write:true ~loc:920 ~site:"dsem.x";
       x := 41;
       Dmt.Sem.post sem);
   Dmt.spawn dmt ~name:"consumer" (fun () ->
       Dmt.Sem.wait sem;
-      mem tr eng "read" ~loc:920 ~site:"dsem.x";
+      mem eng ~write:false ~loc:920 ~site:"dsem.x";
       x := !x + 1);
   Engine.at eng (Time.ms 10) (fun () -> Dmt.stop dmt);
   Engine.run eng;
@@ -191,18 +188,18 @@ let test_sem_hb_dmt () =
   Alcotest.(check int) "both threads really ran" 42 !x
 
 let test_barrier_hb_dmt () =
-  let eng, tr, mon = monitored () in
+  let eng, mon = monitored () in
   let dmt = Dmt.create eng in
   let bar = Dmt.Barrier.create ~name:"bar" dmt 2 in
   let slot = [| 0; 0 |] in
   let done_ = ref 0 in
   for i = 0 to 1 do
     Dmt.spawn dmt ~name:(Printf.sprintf "w%d" i) (fun () ->
-        mem tr eng "write" ~loc:(930 + i) ~site:(Printf.sprintf "dbar.slot%d" i);
+        mem eng ~write:true ~loc:(930 + i) ~site:(Printf.sprintf "dbar.slot%d" i);
         slot.(i) <- i + 1;
         Dmt.Barrier.wait bar;
         let j = 1 - i in
-        mem tr eng "read" ~loc:(930 + j) ~site:(Printf.sprintf "dbar.slot%d" j);
+        mem eng ~write:false ~loc:(930 + j) ~site:(Printf.sprintf "dbar.slot%d" j);
         ignore slot.(j);
         incr done_)
   done;
@@ -216,11 +213,11 @@ let test_barrier_hb_dmt () =
 (* Sanity for the hand-emitted path itself: with NO synchronization the
    same shape must race. *)
 let test_unsynced_mem_races () =
-  let eng, tr, mon = monitored () in
+  let eng, mon = monitored () in
   for i = 0 to 1 do
     Engine.spawn eng ~name:(Printf.sprintf "u%d" i) (fun () ->
         Engine.sleep eng (Time.us (3 * (i + 1)));
-        mem tr eng "write" ~loc:940 ~site:"unsync.x")
+        mem eng ~write:true ~loc:940 ~site:"unsync.x")
   done;
   Engine.run eng;
   check_no_failures eng;

@@ -236,8 +236,9 @@ let test_pool_footprint_once () =
     List.length
       (List.filter
          (fun (e : Trace.ev) ->
-           e.Trace.cat = "req" && e.Trace.name = "proposed"
-           && Trace.find_str e "kind" = Some "send")
+           match e.Trace.event with
+           | Trace.Proposed { call = Trace.Send; _ } -> true
+           | _ -> false)
          (Trace.events trace))
   in
   Alcotest.(check bool) "sends decided" true (sends > 0);
@@ -368,26 +369,13 @@ let test_idle_batched_no_bubbling () =
 (* ------------------------------------------------------------------ *)
 (* Certifier verdicts on synthetic schedules *)
 
-let ev ?(ts = 0) ?(tid = 1) ~cat ~name args =
-  {
-    Trace.ts;
-    tid;
-    group = -1;
-    node = "n1";
-    cat;
-    name;
-    ph = Trace.Instant;
-    args;
-  }
+let ev ~ts ~tid event = { Trace.ts; tid; group = -1; node = "n1"; ph = Trace.Instant; event }
 
 let exec_begin ~ts ~tid index =
-  ev ~ts ~tid ~cat:"exec" ~name:"begin" [ ("index", Trace.Int index) ]
+  ev ~ts ~tid (Trace.Exec_begin { index; conn = 0; lane = 1 })
 
-let exec_end ~ts ~tid = ev ~ts ~tid ~cat:"exec" ~name:"end" []
-
-let mem ~ts ~tid ~op loc =
-  ev ~ts ~tid ~cat:"mem" ~name:op
-    [ ("loc", Trace.Int loc); ("site", Trace.Str "cell") ]
+let exec_end ~ts ~tid = ev ~ts ~tid (Trace.Exec_end { conn = 0 })
+let mem ~ts ~tid ~write loc = ev ~ts ~tid (Trace.Mem { write; loc; site = "cell" })
 
 let resolve (e : Trace.ev) = e.Trace.node
 
@@ -398,10 +386,10 @@ let test_certifier_true_negative () =
     Certifier.check_events ~resolve_node:resolve
       [
         exec_begin ~ts:10 ~tid:1 1;
-        mem ~ts:11 ~tid:1 ~op:"write" 5;
+        mem ~ts:11 ~tid:1 ~write:true 5;
         exec_end ~ts:12 ~tid:1;
         exec_begin ~ts:20 ~tid:2 2;
-        mem ~ts:21 ~tid:2 ~op:"write" 5;
+        mem ~ts:21 ~tid:2 ~write:true 5;
         exec_end ~ts:22 ~tid:2;
       ]
   in
@@ -418,10 +406,10 @@ let test_certifier_true_positive () =
     Certifier.check_events ~resolve_node:resolve
       [
         exec_begin ~ts:10 ~tid:2 2;
-        mem ~ts:11 ~tid:2 ~op:"write" 5;
+        mem ~ts:11 ~tid:2 ~write:true 5;
         exec_end ~ts:12 ~tid:2;
         exec_begin ~ts:20 ~tid:1 1;
-        mem ~ts:21 ~tid:1 ~op:"write" 5;
+        mem ~ts:21 ~tid:1 ~write:true 5;
         exec_end ~ts:22 ~tid:1;
       ]
   in
@@ -438,10 +426,10 @@ let test_certifier_true_positive () =
     Certifier.check_events ~resolve_node:resolve
       [
         exec_begin ~ts:10 ~tid:1 2;
-        mem ~ts:11 ~tid:1 ~op:"write" 5;
+        mem ~ts:11 ~tid:1 ~write:true 5;
         exec_end ~ts:12 ~tid:1;
         exec_begin ~ts:20 ~tid:1 1;
-        mem ~ts:21 ~tid:1 ~op:"write" 5;
+        mem ~ts:21 ~tid:1 ~write:true 5;
         exec_end ~ts:22 ~tid:1;
       ]
   in
@@ -456,10 +444,10 @@ let test_certifier_read_write () =
     Certifier.check_events ~resolve_node:resolve
       [
         exec_begin ~ts:10 ~tid:2 2;
-        mem ~ts:11 ~tid:2 ~op:"read" 5;
+        mem ~ts:11 ~tid:2 ~write:false 5;
         exec_end ~ts:12 ~tid:2;
         exec_begin ~ts:20 ~tid:1 1;
-        mem ~ts:21 ~tid:1 ~op:"read" 5;
+        mem ~ts:21 ~tid:1 ~write:false 5;
         exec_end ~ts:22 ~tid:1;
       ]
   in
@@ -469,10 +457,10 @@ let test_certifier_read_write () =
     Certifier.check_events ~resolve_node:resolve
       [
         exec_begin ~ts:10 ~tid:2 2;
-        mem ~ts:11 ~tid:2 ~op:"read" 5;
+        mem ~ts:11 ~tid:2 ~write:false 5;
         exec_end ~ts:12 ~tid:2;
         exec_begin ~ts:20 ~tid:1 1;
-        mem ~ts:21 ~tid:1 ~op:"write" 5;
+        mem ~ts:21 ~tid:1 ~write:true 5;
         exec_end ~ts:22 ~tid:1;
       ]
   in
