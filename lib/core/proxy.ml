@@ -218,13 +218,16 @@ let submit t ev =
   end
 
 (* Per-client pump: every chunk of bytes the client sends is one Send
-   request; EOF becomes Close. *)
+   request; EOF becomes Close.  The proxy's side is closed at EOF too: the
+   client's FIN is already in, so this sends nothing, and the server's
+   later close finds no attached client to shed. *)
 let client_rx_loop t conn =
   let id = Sock.id conn in
   let rec loop () =
     let data = Sock.recv conn ~max:65536 in
     if data = "" then begin
       Hashtbl.remove t.client_conns id;
+      Sock.close conn;
       ignore (submit t (Event.Close { conn = id }))
     end
     else if submit t (Event.Send { conn = id; payload = data }) then loop ()
@@ -349,17 +352,21 @@ let read_acceptor_loop t listener =
    consensus so all replicas' servers clean up identically. *)
 let close_orphans t =
   if Paxos.is_primary t.paxos then
-    Hashtbl.iter
-      (fun vid (c : Vhost.vconn) ->
+    Hashtbl.fold
+      (fun vid (c : Vhost.vconn) acc ->
         if
           (not c.Vhost.vclosed) && (not c.Vhost.veof)
           && (not (Hashtbl.mem t.client_conns vid))
           && not (Hashtbl.mem t.orphans_closed vid)
-        then begin
-          Hashtbl.add t.orphans_closed vid ();
-          ignore (submit t (Event.Close { conn = vid }))
-        end)
-      t.vhost.Vhost.conns
+        then vid :: acc
+        else acc)
+      t.vhost.Vhost.conns []
+    (* Proposal order is decision order: take it from the ids, not from
+       bucket order, which moves with the table's size. *)
+    |> List.sort compare
+    |> List.iter (fun vid ->
+           Hashtbl.add t.orphans_closed vid ();
+           ignore (submit t (Event.Close { conn = vid })))
 
 let rec orphan_monitor t =
   Engine.after t.eng ~group:t.group (Time.ms 100) (fun () ->
@@ -423,7 +430,7 @@ let create ~eng ~node ~world ~port ~paxos ~vhost ~group ~skip_upto
         (fun () ->
           if
             Paxos.is_primary t.paxos
-            && (Paxos.stats t.paxos).Paxos.pending + Queue.length t.buf < 32
+            && Paxos.pending t.paxos + Queue.length t.buf < 32
           then ignore (submit t (Event.Time_bubble { nclock = Vhost.nclock vhost })));
     };
   Paxos.set_handlers paxos

@@ -555,13 +555,13 @@ let deliver t ?index ?view ev =
         drain ()
       | Some (Event.Connect { conn; port }) ->
         Paxos_seq.drop_head t.seq;
-        let (_ : vconn) = make_vconn t conn in
         note_admit t;
         (match Hashtbl.find_opt t.listeners port with
         | Some l ->
+          let (_ : vconn) = make_vconn t conn in
           Queue.add conn l.pending;
           signal_one t l.lobj
-        | None -> Hashtbl.remove t.conns conn);
+        | None -> ());
         drain ()
       | Some (Event.Send { conn; payload }) ->
         let ix = Paxos_seq.drop_head_ix t.seq in
@@ -757,10 +757,14 @@ let send t (c : vconn) payload =
     Dmt.put_turn dmt
   | Immediate -> deliver ()
 
+(* A closed vconn leaves [conns]: every reader treats a missing
+   connection exactly like a closed one, so the table holds open
+   connections only ([Hashtbl.length conns = open_conns]). *)
 let close t (c : vconn) =
   let perform () =
     if not c.vclosed then begin
       c.vclosed <- true;
+      Hashtbl.remove t.conns c.vid;
       t.open_conns <- t.open_conns - 1;
       t.epoch <- t.epoch + 1;
       Hashtbl.remove t.inflight c.vid;

@@ -210,12 +210,16 @@ let insert_at t lane pos th =
    worker into the lane of its command's conflict footprint.  Without it,
    the waiter joins the signaller's lane (the 1-lane behaviour).  A
    cross-lane insert can land at the head of an idle lane, where nobody
-   would ever rotate to it — wake it directly. *)
+   would ever rotate to it — wake it directly.  A queue leaves the table
+   once it is empty ([wait] makes a fresh one), so the table holds only
+   objects someone waits on. *)
 let signal ?lane t ~obj =
   match Hashtbl.find_opt t.waitq obj with
   | None -> ()
   | Some q -> (
-    match Queue.take_opt q with
+    let next = Queue.take_opt q in
+    if Queue.is_empty q then Hashtbl.remove t.waitq obj;
+    match next with
     | None -> ()
     | Some th ->
       let target =

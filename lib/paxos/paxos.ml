@@ -272,6 +272,7 @@ let members (t : t) = t.members
 let epoch (t : t) = t.epoch
 let fenced (t : t) = t.fenced
 let reconfig_pending (t : t) = t.pending_members <> None
+let pending (t : t) = t.last_index - t.committed
 let set_handlers t handlers = t.handlers <- handlers
 let set_compaction_hooks t hooks = t.hooks <- hooks
 
@@ -282,7 +283,7 @@ let stats (t : t) : stats =
     abdications = t.abdications;
     catchup_installed = t.catchup_installed;
     wal_torn_discarded = t.wal_torn_discarded;
-    pending = t.last_index - t.committed;
+    pending = pending t;
     last_election_duration = t.last_election_duration;
     batches_committed = t.batches_committed;
     events_per_batch =

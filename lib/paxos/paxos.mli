@@ -171,6 +171,10 @@ val reconfig_pending : t -> bool
 (** True while a Reconfig entry sits in the log uncommitted (the joint
     quorum window). *)
 
+val pending : t -> int
+(** {!stats.pending} without building the record: the proxy reads it on
+    every time-bubble request. *)
+
 val suspects : t -> Crane_net.Fabric.node list
 (** Failure detector output: members not heard from for
     [suspect_timeout].  Meaningful on the primary (which hears every live

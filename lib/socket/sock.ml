@@ -246,9 +246,13 @@ let recv ?timeout (c : conn) ~max =
   in
   loop false
 
+(* A closed connection leaves the table: it drops incoming [Data] and
+   [Fin]/[Rst] would only mark EOF on it, so a missing entry behaves the
+   same and the table holds open connections only. *)
 let close (c : conn) =
   if not c.closed then begin
     c.closed <- true;
+    Hashtbl.remove c.w.conns (c.local, c.cid);
     if not c.eof then
       Fabric.send c.w.fabric ~src:(ep c.local) ~dst:(ep c.remote)
         (Fin { cid = c.cid });

@@ -10,6 +10,7 @@ module Event = Crane_core.Event
 module Paxos_seq = Crane_core.Paxos_seq
 module Output_log = Crane_core.Output_log
 module Instance = Crane_core.Instance
+module Vhost = Crane_core.Vhost
 module Cluster = Crane_core.Cluster
 module Standalone = Crane_core.Standalone
 
@@ -232,6 +233,36 @@ let test_bubbles_flow () =
       Alcotest.(check bool) (node ^ " received bubbles") true (bubbles > 10))
     (Cluster.instances cluster)
 
+(* A closed connection leaves every replica's vhost table: after twenty
+   echo requests, each connected and closed by its client, the table on
+   each replica holds exactly its open connections, and none are open. *)
+let test_vhost_frees_closed () =
+  let cluster = Cluster.create ~cfg:(test_cfg Instance.Full) ~server:echo_server () in
+  Cluster.start ~checkpoints:false cluster;
+  let eng = Cluster.engine cluster in
+  let served = ref 0 in
+  for i = 1 to 20 do
+    Engine.spawn eng ~name:(Printf.sprintf "client%d" i) (fun () ->
+        Engine.sleep eng (Time.ms (5 * i));
+        match
+          one_request cluster ~from:(Printf.sprintf "c%d" i) ~node:"replica1"
+            ~msg:(Printf.sprintf "req%d" i)
+        with
+        | Some _ -> incr served
+        | None -> ())
+  done;
+  Cluster.run ~until:(Time.sec 3) cluster;
+  Cluster.check_failures cluster;
+  Alcotest.(check int) "all requests served" 20 !served;
+  List.iter
+    (fun (node, inst) ->
+      let vhost = inst.Instance.vhost in
+      Alcotest.(check int) (node ^ ": no connection left open") 0
+        (Vhost.open_conns vhost);
+      Alcotest.(check int) (node ^ ": table holds only open connections")
+        (Vhost.open_conns vhost) (Hashtbl.length vhost.Vhost.conns))
+    (Cluster.instances cluster)
+
 let suite =
   [
     ( "crane.e2e",
@@ -243,5 +274,7 @@ let suite =
         Alcotest.test_case "standalone native+parrot" `Quick
           test_standalone_native_and_parrot;
         Alcotest.test_case "bubbles flow when idle" `Quick test_bubbles_flow;
+        Alcotest.test_case "vhost frees closed connections" `Quick
+          test_vhost_frees_closed;
       ] );
   ]

@@ -296,6 +296,38 @@ let test_sock_wait_acceptable () =
   Alcotest.(check bool) "poll times out when idle" false !first;
   Alcotest.(check bool) "poll sees pending connection" true !second
 
+(* Closing frees a connection: a world that served a thousand short
+   connections, closed from either end, holds no more than one that
+   served ten.  Odd cycles close server-first (the client reads EOF,
+   then closes), even cycles client-first. *)
+let test_sock_table_bounded () =
+  let eng, fabric = setup () in
+  let w = Sock.world fabric in
+  let l = Sock.listen w ~node:"srv" ~port:80 in
+  let cycle i =
+    let server_first = i mod 2 = 1 in
+    Engine.spawn eng ~name:"server" (fun () ->
+        let c = Sock.accept l in
+        Sock.send c (Sock.recv c ~max:100);
+        if not server_first then ignore (Sock.recv c ~max:100);
+        Sock.close c);
+    Engine.spawn eng ~name:"client" (fun () ->
+        let c = Sock.connect w ~from:"cli" ~node:"srv" ~port:80 in
+        Sock.send c "ping";
+        ignore (Sock.recv c ~max:100);
+        if server_first then ignore (Sock.recv c ~max:100);
+        Sock.close c);
+    Engine.run eng
+  in
+  let words () = Obj.reachable_words (Obj.repr w) in
+  for i = 1 to 10 do cycle i done;
+  let base = words () in
+  for i = 11 to 1000 do cycle i done;
+  check_no_failures eng;
+  let grown = words () - base in
+  if grown > 200 then
+    Alcotest.failf "world grew by %d words over 990 closed connections" grown
+
 (* Bytestream *)
 
 let prop_bytestream_roundtrip =
@@ -340,6 +372,7 @@ let suite =
         Alcotest.test_case "many clients" `Quick test_sock_many_clients;
         Alcotest.test_case "port conflict" `Quick test_sock_listener_port_conflict;
         Alcotest.test_case "wait_acceptable" `Quick test_sock_wait_acceptable;
+        Alcotest.test_case "closed connections are freed" `Quick test_sock_table_bounded;
         qcheck prop_bytestream_roundtrip;
       ] );
   ]

@@ -432,6 +432,44 @@ let test_dmt_idle_keeps_clock_alive () =
   Alcotest.(check bool) "waiter woken" true !woke;
   Alcotest.(check bool) "idle ticked while blocked" true (Dmt.clock dmt > 10)
 
+(* A wait queue lives only while someone waits on its object: a thread
+   that waits once on each of 1,000 fresh objects, each signalled once,
+   leaves the scheduler no bigger than after the first 10.  Both sizes are
+   taken at the same point of the waiter's loop. *)
+let test_dmt_waitq_freed () =
+  let eng = Engine.create () in
+  let dmt = Dmt.create eng in
+  let waiting = ref None and finished = ref false in
+  let base = ref 0 and last = ref 0 in
+  Dmt.spawn dmt ~name:"waiter" (fun () ->
+      for i = 1 to 1000 do
+        Dmt.get_turn dmt;
+        let obj = Dmt.new_obj dmt in
+        waiting := Some obj;
+        Dmt.wait dmt ~obj;
+        if i = 10 then base := Obj.reachable_words (Obj.repr dmt);
+        if i = 1000 then last := Obj.reachable_words (Obj.repr dmt);
+        Dmt.put_turn dmt
+      done;
+      finished := true;
+      Dmt.stop dmt);
+  Dmt.spawn dmt ~name:"signaller" (fun () ->
+      while not !finished do
+        Dmt.get_turn dmt;
+        (match !waiting with
+        | Some obj ->
+          waiting := None;
+          Dmt.signal dmt ~obj
+        | None -> ());
+        Dmt.put_turn dmt
+      done);
+  Engine.run eng;
+  check_no_failures eng;
+  Alcotest.(check bool) "waiter finished" true !finished;
+  let grown = !last - !base in
+  if grown > 200 then
+    Alcotest.failf "scheduler grew by %d words over 990 signalled objects" grown
+
 let qcheck = QCheck_alcotest.to_alcotest
 
 let suite =
@@ -468,5 +506,6 @@ let suite =
           test_dmt_soft_barrier_timeout;
         Alcotest.test_case "idle keeps clock alive" `Quick
           test_dmt_idle_keeps_clock_alive;
+        Alcotest.test_case "wait queues freed" `Quick test_dmt_waitq_freed;
       ] );
   ]
