@@ -756,9 +756,7 @@ let run ?(cfg = chaos_config) ?trace ~seed scenario =
   in
   let deadline = Engine.now eng + Time.sec 30 in
   Cluster.run ~until:(Engine.now eng + Time.ms 200) cluster;
-  while (not (converged ())) && Engine.now eng < deadline do
-    Cluster.run ~until:(Engine.now eng + Time.ms 100) cluster
-  done;
+  Loadgen.step_until eng ~step:(Time.ms 100) ~deadline converged;
   sample d;
   d.sampler_on <- false;
   let sum f =

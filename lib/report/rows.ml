@@ -18,15 +18,17 @@ type t = { bench : string; seed : int; quick : bool; rows : row list }
 
 let row case metric unit better value = { case; metric; unit; better; value }
 
-(** A yes/no outcome as a row: 1 for true.  The bench command also
-    gates on every flag: a false one fails the run. *)
+(** A yes/no outcome as a row: 1 for true.  Each bench gates on its
+    flags with {!is_set}. *)
 let flag case metric b = row case metric "bool" Higher (if b then 1.0 else 0.0)
 
-(** Every flag in [rows] as a gate: its label and whether it is set. *)
-let flags rows =
-  List.filter_map
-    (fun r -> if r.unit = "bool" then Some (r.case ^ ": " ^ r.metric, r.value = 1.0) else None)
-    rows
+(** The value of [case]/[metric] in [rows]; nan when absent, which
+    fails every gate below, so a missing row fails only the gates that
+    read it. *)
+let find rows case metric =
+  match List.find_opt (fun r -> r.case = case && r.metric = metric) rows with
+  | Some r -> r.value
+  | None -> Float.nan
 
 (** A bench's pass/fail condition: its label and whether it held.
     Bounds are constants, never derived from a baseline. *)
@@ -36,13 +38,8 @@ let at_least what v bound = (Printf.sprintf "%s %.4g >= %.4g" what v bound, v >=
 let at_most what v bound = (Printf.sprintf "%s %.4g <= %.4g" what v bound, v <= bound)
 let none what v = (Printf.sprintf "%s %.0f (0 allowed)" what v, v = 0.)
 
-(** The value of [case]/[metric] in [rows]; raises [Not_found]. *)
-let value rows case metric =
-  (List.find (fun r -> r.case = case && r.metric = metric) rows).value
-
-(** The values of [metric] across every case in [rows]. *)
-let values rows metric =
-  List.filter_map (fun r -> if r.metric = metric then Some r.value else None) rows
+(** The flag [case]/[metric] as a gate: set, and present. *)
+let is_set rows case metric = (case ^ ": " ^ metric, find rows case metric = 1.0)
 
 (* ---- writer and reader ----
 

@@ -120,15 +120,14 @@ let run ?(name = "load") ?(think = Time.zero) ?(retries = 0)
     finished = (fun () -> !finished <> None);
   }
 
+(** Step [eng] in [step]s until [finished] holds or [deadline] passes. *)
+let step_until eng ~step ~deadline finished =
+  while (not (finished ())) && Engine.now eng < deadline do
+    Engine.run ~until:(min deadline (Engine.now eng + step)) eng
+  done
+
 (* Step the engine until the workload completes (or the timeout passes):
    avoids simulating hours of idle cluster after the last response. *)
 let drive ?(timeout = Time.sec 600) target handle =
   let eng = target.Target.eng in
-  let deadline = Engine.now eng + timeout in
-  let rec go () =
-    if (not (handle.finished ())) && Engine.now eng < deadline then begin
-      Engine.run ~until:(min deadline (Engine.now eng + Time.ms 500)) eng;
-      go ()
-    end
-  in
-  go ()
+  step_until eng ~step:(Time.ms 500) ~deadline:(Engine.now eng + timeout) handle.finished
