@@ -211,8 +211,15 @@ type spin_req = {
   r_skip : int -> unit;
 }
 
+(* A timed suspension's timer: its heap key once armed ([tseq] is -1
+   while unarmed, or when the timeout was due at once and went to the
+   ready FIFO), so that the waker that wins can take it out of the
+   queue. *)
+type timer = { mutable fired : bool; mutable ttime : Time.t; mutable tseq : int }
+
 type _ Effect.t +=
   | Suspend : (('a -> bool) -> unit) -> 'a Effect.t
+  | Suspend_timeout : Time.t * (('a -> bool) -> unit) -> 'a option Effect.t
   | Spin : spin_req -> unit Effect.t
 
 let blocked_begin t th =
@@ -244,6 +251,17 @@ let fire t sp =
     t.current <- saved
   end
 
+(* A waker won: the thread resumes with [v] in a fresh event now. *)
+let resume t th k v =
+  schedule t t.clock (fun () ->
+      if alive t th.tgroup then begin
+        blocked_end t th;
+        let saved = t.current in
+        t.current <- th;
+        Effect.Deep.continue k v;
+        t.current <- saved
+      end)
+
 let handler t th =
   let open Effect.Deep in
   {
@@ -271,18 +289,43 @@ let handler t th =
                 if !fired || not (alive t th.tgroup) then false
                 else begin
                   fired := true;
-                  schedule t t.clock (fun () ->
-                      if alive t th.tgroup then begin
-                        blocked_end t th;
-                        let saved = t.current in
-                        t.current <- th;
-                        continue k v;
-                        t.current <- saved
-                      end);
+                  resume t th k v;
                   true
                 end
               in
               f waker)
+        | Suspend_timeout (d, f) ->
+          Some
+            (fun (k : (a, unit) continuation) ->
+              blocked_begin t th;
+              let tm = { fired = false; ttime = 0; tseq = -1 } in
+              let waker v =
+                if tm.fired || not (alive t th.tgroup) then false
+                else begin
+                  tm.fired <- true;
+                  if tm.tseq >= 0 then Pheap.remove t.events ~time:tm.ttime ~seq:tm.tseq;
+                  resume t th k (Some v);
+                  true
+                end
+              in
+              f waker;
+              (* Armed after [f], where [after t d] at the end of [f]
+                 would take its key. *)
+              if not tm.fired then begin
+                let expire () =
+                  if (not tm.fired) && alive t th.tgroup then begin
+                    tm.fired <- true;
+                    resume t th k None
+                  end
+                in
+                let time = t.clock + d in
+                if time <= t.clock then ready_push t expire
+                else begin
+                  tm.ttime <- time;
+                  tm.tseq <- fresh_seq t;
+                  Pheap.push t.events ~time ~seq:tm.tseq expire
+                end
+              end)
         | _ -> None);
   }
 
@@ -310,6 +353,8 @@ let spawn_with_tid t ?group ~name body =
 let spawn t ?group ~name body = ignore (spawn_with_tid t ?group ~name body)
 
 let suspend (_ : t) f = Effect.perform (Suspend f)
+
+let suspend_timeout (_ : t) d f = Effect.perform (Suspend_timeout (d, f))
 
 let sleep t d =
   suspend t (fun wake -> schedule t (t.clock + d) (fun () -> ignore (wake ())))

@@ -10,7 +10,7 @@
     performing {!suspend}, which hands a one-shot [waker] to the caller;
     whoever holds the waker resumes the thread (a timer, a mutex release, a
     packet arrival...).  Wakers are idempotent and report whether they won,
-    which gives race-free blocking-with-timeout.
+    which gives race-free blocking-with-timeout ({!suspend_timeout}).
 
     Threads belong to a {e group} (one group per replica incarnation).
     Killing a group models a process crash (SIGKILL): its threads never run
@@ -101,6 +101,17 @@ val suspend : t -> ('a waker -> unit) -> 'a
     (still on the current thread's stack) and returns when the waker is
     fired.  Must be called from a simulated thread. *)
 
+val suspend_timeout : t -> Time.t -> ('a waker -> unit) -> 'a option
+(** [suspend_timeout t d f] is {!suspend} with a timeout the engine owns:
+    it returns [Some v] when a waker fires with [v] first and [None] when
+    [d] passes first.  The timer is armed right after [f] returns, which
+    is the key [after t d] would take at the end of [f], so every other
+    event keeps its [(time, seq)] order.  A waker that wins takes the
+    timer out of the queue at once: a timeout that loses its race leaves
+    no event behind, and nothing it holds stays reachable.  (With
+    [d <= 0] the timer is due now and joins this instant's ready events;
+    it stays queued, as a no-op once a waker won, until its turn.) *)
+
 val sleep : t -> Time.t -> unit
 (** Block for a virtual duration. *)
 
@@ -149,13 +160,19 @@ val self_group : t -> group option
 val run : ?until:Time.t -> ?limit:int -> t -> unit
 (** Drain the event queue.  [until] stops the clock at a given instant
     (remaining events stay queued); [limit] bounds the number of events
-    processed (default 200 million).  @raise Limit_exceeded *)
+    processed (default 200 million).
+
+    When the queue drains before [until], [run] returns with the clock at
+    the last event it ran, not at [until]: nothing is left to move it.  A
+    caller that steps the engine towards a deadline must stop when
+    {!pending_events} is 0.  @raise Limit_exceeded *)
 
 val failures : t -> (string * exn) list
 (** Threads that died with an uncaught exception, oldest first. *)
 
 val pending_events : t -> int
-(** Events queued and not yet run, in both tiers, plus armed spinners. *)
+(** Events queued and not yet run, in both tiers, plus armed spinners.
+    A {!suspend_timeout} timer counts until it fires or its waker wins. *)
 
 type stats = {
   events_run : int;  (** events executed (batched spinner steps excluded) *)

@@ -170,11 +170,10 @@ let wait_acceptable ?timeout l =
   if not (Queue.is_empty l.backlog) then true
   else if l.lclosed then false
   else begin
-    Engine.suspend l.lw.eng (fun wake ->
-        Queue.add (fun () -> wake ()) l.accept_waiters;
-        match timeout with
-        | None -> ()
-        | Some d -> Engine.after l.lw.eng d (fun () -> ignore (wake ())));
+    let wait wake = Queue.add wake l.accept_waiters in
+    (match timeout with
+    | None -> Engine.suspend l.lw.eng wait
+    | Some d -> ignore (Engine.suspend_timeout l.lw.eng d wait));
     not (Queue.is_empty l.backlog)
   end
 
@@ -183,8 +182,7 @@ let rec accept l =
   | Some c -> c
   | None ->
     if l.lclosed then raise Connection_closed;
-    Engine.suspend l.lw.eng (fun wake ->
-        Queue.add (fun () -> wake ()) l.accept_waiters);
+    Engine.suspend l.lw.eng (fun wake -> Queue.add wake l.accept_waiters);
     accept l
 
 let connect w ~from ~node ~port =
@@ -205,15 +203,16 @@ let connect w ~from ~node ~port =
   in
   Hashtbl.replace w.conns (from, cid) c;
   Fabric.send w.fabric ~src:(ep from) ~dst:(ep node) (Syn { cid; dst_port = port });
+  (* Connect timeout: a dead or partitioned server refuses after 1s. *)
   let ok =
-    Engine.suspend w.eng (fun wake ->
-        Hashtbl.replace w.pending_connects cid (fun ok -> wake ok);
-        (* Connect timeout: a dead or partitioned server refuses after 1s. *)
-        Engine.after w.eng (Time.sec 1) (fun () ->
-            if Hashtbl.mem w.pending_connects cid then begin
-              Hashtbl.remove w.pending_connects cid;
-              ignore (wake false)
-            end))
+    match
+      Engine.suspend_timeout w.eng (Time.sec 1) (fun wake ->
+          Hashtbl.replace w.pending_connects cid wake)
+    with
+    | Some ok -> ok
+    | None ->
+      Hashtbl.remove w.pending_connects cid;
+      false
   in
   if not ok then begin
     Hashtbl.remove w.conns (from, cid);
@@ -227,24 +226,20 @@ let send (c : conn) payload =
     Fabric.send c.w.fabric ~src:(ep c.local) ~dst:(ep c.remote)
       (Data { cid = c.cid; payload })
 
-let recv ?timeout (c : conn) ~max =
-  let rec loop deadline_armed =
-    if not (Bytestream.is_empty c.rx) then Bytestream.take c.rx ~max
-    else if c.eof || c.closed then ""
-    else if deadline_armed then ""
-    else begin
-      let timed_out = ref false in
-      Engine.suspend c.w.eng (fun wake ->
-          Queue.add (fun () -> wake ()) c.rx_waiters;
-          match timeout with
-          | None -> ()
-          | Some d ->
-            Engine.after c.w.eng d (fun () ->
-                if wake () then timed_out := true));
-      loop !timed_out
-    end
-  in
-  loop false
+let rec recv ?timeout (c : conn) ~max =
+  if not (Bytestream.is_empty c.rx) then Bytestream.take c.rx ~max
+  else if c.eof || c.closed then ""
+  else
+    let wait wake = Queue.add wake c.rx_waiters in
+    match timeout with
+    | None ->
+      Engine.suspend c.w.eng wait;
+      recv c ~max
+    | Some d -> (
+      match Engine.suspend_timeout c.w.eng d wait with
+      | Some () -> recv ?timeout c ~max
+      (* Timed out: whatever arrived meanwhile, or "". *)
+      | None -> Bytestream.take c.rx ~max)
 
 (* A closed connection leaves the table: it drops incoming [Data] and
    [Fin]/[Rst] would only mark EOF on it, so a missing entry behaves the

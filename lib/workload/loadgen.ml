@@ -120,9 +120,10 @@ let run ?(name = "load") ?(think = Time.zero) ?(retries = 0)
     finished = (fun () -> !finished <> None);
   }
 
-(** Step [eng] in [step]s until [finished] holds or [deadline] passes. *)
+(** Step [eng] in [step]s until [finished] holds, [deadline] passes or
+    the engine drains (a drained [run] leaves the clock where it is). *)
 let step_until eng ~step ~deadline finished =
-  while (not (finished ())) && Engine.now eng < deadline do
+  while (not (finished ())) && Engine.now eng < deadline && Engine.pending_events eng > 0 do
     Engine.run ~until:(min deadline (Engine.now eng + step)) eng
   done
 

@@ -328,6 +328,77 @@ let test_sock_table_bounded () =
   if grown > 200 then
     Alcotest.failf "world grew by %d words over 990 closed connections" grown
 
+(* A timeout that loses its race leaves the queue.  A thousand cycles of
+   connect plus [recv ~timeout:5s], each answered within the cycle's
+   10 ms, keep the engine's queue near empty and its reachable size flat
+   from cycle 10 on: no dead timer stays queued holding the client's
+   fiber for 1 s (connect) or 5 s (recv).  A cycle the timeout wins
+   still returns [""] exactly 5 s after the recv began, and a connect
+   refused by [Rst] leaves no timer either.  Two 1 ms ticks half a
+   period apart, like a cluster's heartbeats, keep a live event at the
+   head of the queue even while one of them runs, so dead timers cannot
+   simply leave it from the top. *)
+let test_sock_lost_race_timeouts () =
+  let eng, fabric = setup () in
+  let w = Sock.world fabric in
+  let l = Sock.listen w ~node:"srv" ~port:80 in
+  let rec tick () = Engine.after eng (Time.ms 1) tick in
+  tick ();
+  Engine.after eng (Time.us 500) tick;
+  let step () = Engine.run ~until:(Engine.now eng + Time.ms 10) eng in
+  let cycle ~reply =
+    let got = ref None in
+    Engine.spawn eng ~name:"server" (fun () ->
+        let c = Sock.accept l in
+        let req = Sock.recv c ~max:100 in
+        if reply then Sock.send c req;
+        ignore (Sock.recv c ~max:100);
+        Sock.close c);
+    Engine.spawn eng ~name:"client" (fun () ->
+        let c = Sock.connect w ~from:"cli" ~node:"srv" ~port:80 in
+        Sock.send c "ping";
+        let t0 = Engine.now eng in
+        let r = Sock.recv ~timeout:(Time.sec 5) c ~max:100 in
+        got := Some (r, Engine.now eng - t0);
+        Sock.close c);
+    got
+  in
+  let engine_words () = Obj.reachable_words (Obj.repr eng) in
+  let base = ref 0 in
+  for i = 1 to 1000 do
+    let got = cycle ~reply:true in
+    step ();
+    (match !got with
+    | Some ("ping", _) -> ()
+    | _ -> Alcotest.failf "cycle %d: no reply within its 10 ms" i);
+    if Engine.pending_events eng > 4 then
+      Alcotest.failf "cycle %d: %d events still queued" i (Engine.pending_events eng);
+    if i = 10 then base := engine_words ()
+  done;
+  check_no_failures eng;
+  let grown = engine_words () - !base in
+  if grown > 200 then Alcotest.failf "engine grew by %d words over 990 answered cycles" grown;
+  let got = cycle ~reply:false in
+  Engine.run ~until:(Engine.now eng + Time.sec 6) eng;
+  (match !got with
+  | Some (r, waited) ->
+    Alcotest.(check string) "timeout yields empty" "" r;
+    Alcotest.(check int) "returns at exactly t0 + 5 s" (Time.sec 5) waited
+  | None -> Alcotest.fail "timed recv never returned");
+  let refused_after = ref None in
+  Engine.spawn eng ~name:"refused" (fun () ->
+      let t0 = Engine.now eng in
+      match Sock.connect w ~from:"cli" ~node:"srv" ~port:81 with
+      | (_ : Sock.conn) -> ()
+      | exception Sock.Connection_refused _ -> refused_after := Some (Engine.now eng - t0));
+  step ();
+  check_no_failures eng;
+  (match !refused_after with
+  | Some d when d < Time.ms 10 -> ()
+  | _ -> Alcotest.fail "no Rst refusal within 10 ms");
+  Alcotest.(check int) "a refused connect leaves no timer, only the ticks" 2
+    (Engine.pending_events eng)
+
 (* Bytestream *)
 
 let prop_bytestream_roundtrip =
@@ -373,6 +444,7 @@ let suite =
         Alcotest.test_case "port conflict" `Quick test_sock_listener_port_conflict;
         Alcotest.test_case "wait_acceptable" `Quick test_sock_wait_acceptable;
         Alcotest.test_case "closed connections are freed" `Quick test_sock_table_bounded;
+        Alcotest.test_case "lost-race timeouts leave the queue" `Quick test_sock_lost_race_timeouts;
         qcheck prop_bytestream_roundtrip;
       ] );
   ]

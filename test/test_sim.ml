@@ -7,6 +7,7 @@ module Rng = Crane_sim.Rng
 module Pheap = Crane_sim.Pheap
 module Engine = Crane_sim.Engine
 module Cores = Crane_sim.Cores
+module Loadgen = Crane_workload.Loadgen
 
 let check_no_failures eng =
   match Engine.failures eng with
@@ -48,6 +49,61 @@ let prop_pheap_sorted =
       let popped = drain [] in
       let sorted = List.sort compare popped in
       popped = sorted)
+
+(* Random pushes, removals of pushed entries and pops, against a model
+   that keeps the surviving keys in a sorted list: every pop returns the
+   model's least key, and [length] and [min_time] always agree with it. *)
+type pheap_op = Push of int | Remove of int | Pop
+
+let prop_pheap_remove =
+  let gen =
+    QCheck.Gen.(
+      list_size (int_bound 200)
+        (frequency
+           [ (4, map (fun t -> Push t) (int_bound 20)); (2, map (fun i -> Remove i) nat); (1, return Pop) ]))
+  in
+  let print ops =
+    String.concat " "
+      (List.map (function Push t -> Printf.sprintf "push%d" t | Remove i -> Printf.sprintf "rm%d" i | Pop -> "pop") ops)
+  in
+  QCheck.Test.make ~name:"pheap with removals pops survivors in (time, seq) order" ~count:300
+    (QCheck.make ~print gen)
+    (fun ops ->
+      let h = Pheap.create () in
+      let model = ref [] and seq = ref 0 in
+      let agree () =
+        Pheap.length h = List.length !model
+        && Pheap.min_time h = (match !model with (t, _) :: _ -> t | [] -> max_int)
+      in
+      let step = function
+        | Push t ->
+          Pheap.push h ~time:t ~seq:!seq (t, !seq);
+          model := List.merge compare [ (t, !seq) ] !model;
+          incr seq;
+          true
+        | Remove i -> (
+          match !model with
+          | [] -> true
+          | m ->
+            let ((time, seq) as key) = List.nth m (i mod List.length m) in
+            Pheap.remove h ~time ~seq;
+            model := List.filter (( <> ) key) m;
+            true)
+        | Pop -> (
+          match !model with
+          | [] -> Pheap.is_empty h
+          | key :: rest ->
+            model := rest;
+            Pheap.pop_min h = key)
+      in
+      List.for_all (fun op -> step op && agree ()) ops
+      &&
+      let rec drain () =
+        match !model with
+        | [] -> Pheap.is_empty h
+        | key :: rest -> model := rest; Pheap.pop_min h = key && agree () && drain ()
+      in
+      drain ())
 
 (* ------------------------------------------------------------------ *)
 (* Rng *)
@@ -184,6 +240,15 @@ let test_run_until () =
   Engine.run eng;
   Alcotest.(check bool) "resumes" true !fired
 
+(* A drained [run ~until] leaves the clock at the last event, so a loop
+   stepping towards a deadline has to stop when nothing is pending. *)
+let test_step_until_drained () =
+  let eng = Engine.create () in
+  Engine.at eng (Time.ms 3) ignore;
+  Loadgen.step_until eng ~step:(Time.ms 1) ~deadline:(Time.sec 10) (fun () -> false);
+  Alcotest.(check int) "clock at the last event" (Time.ms 3) (Engine.now eng);
+  Alcotest.(check int) "drained" 0 (Engine.pending_events eng)
+
 let test_spawn_inherits_group () =
   let eng = Engine.create () in
   let g = Engine.new_group eng in
@@ -264,7 +329,9 @@ let test_tiers_heap_before_ready () =
    {!Engine}: times below now are clamped to now, a spawn starts now (in
    its parent's group unless given one), a waker schedules its resume now
    and loses once the thread's group is dead, [sleep d] is a wake-up
-   event at [now + d], [spin] is the naive [sleep; step] loop, and
+   event at [now + d], a timed wait queues its timer after its setup
+   runs and drops it from the queue when the waker wins (unless it was
+   due at once), [spin] is the naive [sleep; step] loop, and
    [run ~until] sets the clock to [until] when the next event lies beyond
    it. *)
 module Ref_engine = struct
@@ -276,7 +343,9 @@ module Ref_engine = struct
     mutable cur : int option;  (** group of the running thread *)
   }
 
-  type _ Effect.t += Wait : ((int -> bool) -> unit) -> int Effect.t
+  type _ Effect.t +=
+    | Wait : ((int -> bool) -> unit) -> int Effect.t
+    | Wait_timeout : int * ((int -> bool) -> unit) -> int option Effect.t
 
   let create () = { clock = 0; seq = 0; q = []; dead = []; cur = None }
 
@@ -304,23 +373,52 @@ module Ref_engine = struct
                   exnc = raise;
                   effc =
                     (fun (type a) (e : a Effect.t) ->
+                      let resume (k : (a, unit) continuation) v =
+                        schedule t t.clock (fun () ->
+                            if alive t group then enter t group (fun () -> continue k v))
+                      in
                       match e with
                       | Wait f ->
                         Some
-                          (fun (k : (a, unit) continuation) ->
+                          (fun k ->
                             let fired = ref false in
                             f (fun v ->
                                 if !fired || not (alive t group) then false
                                 else begin
                                   fired := true;
-                                  schedule t t.clock (fun () ->
-                                      if alive t group then enter t group (fun () -> continue k v));
+                                  resume k v;
                                   true
                                 end))
+                      | Wait_timeout (d, f) ->
+                        (* The timer is queued after [f] runs and leaves
+                           the queue when the waker wins, unless it was
+                           due at once. *)
+                        Some
+                          (fun k ->
+                            let fired = ref false and timer = ref None in
+                            f (fun v ->
+                                if !fired || not (alive t group) then false
+                                else begin
+                                  fired := true;
+                                  Option.iter
+                                    (fun s -> t.q <- List.filter (fun (_, s', _) -> s' <> s) t.q)
+                                    !timer;
+                                  resume k (Some v);
+                                  true
+                                end);
+                            if not !fired then begin
+                              if d > 0 then timer := Some t.seq;
+                              schedule t (t.clock + d) (fun () ->
+                                  if (not !fired) && alive t group then begin
+                                    fired := true;
+                                    resume k None
+                                  end)
+                            end)
                       | _ -> None);
                 }))
 
   let suspend f = Effect.perform (Wait f)
+  let suspend_timeout d f = Effect.perform (Wait_timeout (d, f))
 
   let sleep t d = ignore (suspend (fun wake -> schedule t (t.clock + d) (fun () -> ignore (wake 0))))
 
@@ -355,6 +453,7 @@ type sim_api = {
   sleep : int -> unit;
   yield : unit -> unit;
   suspend : ((int -> bool) -> unit) -> int;
+  suspend_timeout : int -> ((int -> bool) -> unit) -> int option;
   spin : int -> ahead:(unit -> int) -> skip:(int -> unit) -> (unit -> bool) -> unit;
   run : int option -> unit;
   pending : unit -> int;
@@ -372,6 +471,7 @@ let real_api () =
     sleep = (fun d -> Engine.sleep eng d);
     yield = (fun () -> Engine.yield eng);
     suspend = (fun f -> Engine.suspend eng f);
+    suspend_timeout = (fun d f -> Engine.suspend_timeout eng d f);
     spin = (fun period ~ahead ~skip step -> Engine.spin eng ~period ~ahead ~skip step);
     run = (fun until -> Engine.run ?until eng);
     pending = (fun () -> Engine.pending_events eng);
@@ -388,6 +488,7 @@ let ref_api () =
     sleep = (fun d -> Ref_engine.sleep e d);
     yield = (fun () -> Ref_engine.sleep e 0);
     suspend = Ref_engine.suspend;
+    suspend_timeout = Ref_engine.suspend_timeout;
     spin = (fun period ~ahead:_ ~skip:_ step -> Ref_engine.spin e ~period step);
     run = (fun until -> Ref_engine.run ?until e);
     pending = (fun () -> List.length e.Ref_engine.q);
@@ -409,6 +510,7 @@ type op =
   | Sleep of int
   | Yield
   | Park of int * int option  (** suspend, waker in a slot, maybe a timeout *)
+  | Park_timed of int * int  (** suspend with an engine-owned timeout *)
   | Wake of int * int  (** fire the waker in a slot *)
   | Timer of int * int * op list  (** a timer, its canceller in a slot *)
   | Cancel of int
@@ -430,6 +532,7 @@ let rec pp_op = function
   | Yield -> "yield"
   | Park (s, t) ->
     Printf.sprintf "park%d%s" s (match t with Some d -> Printf.sprintf "/%d" d | None -> "")
+  | Park_timed (s, d) -> Printf.sprintf "tpark%d/%d" s d
   | Wake (s, v) -> Printf.sprintf "wake%d=%d" s v
   | Timer (s, d, ops) -> Printf.sprintf "timer%d+%d[%s]" s d (pp_ops ops)
   | Cancel s -> Printf.sprintf "cancel%d" s
@@ -450,6 +553,7 @@ let gen_ops =
         (2, map (fun d -> Sleep d) delay);
         (1, return Yield);
         (2, map2 (fun s t -> Park (s, t)) slot (opt delay));
+        (2, map2 (fun s d -> Park_timed (s, d)) slot delay);
         (2, map2 (fun s v -> Wake (s, v)) slot (int_bound 99));
         (1, map (fun s -> Cancel s) slot);
         (1, map (fun g -> Kill g) (int_bound 1));
@@ -515,6 +619,12 @@ let run_program api (ops, rounds) =
               | None -> ())
         in
         note "R%d:%d" s v
+      end
+    | Park_timed (s, d) ->
+      if thread then begin
+        match api.suspend_timeout d (fun wake -> wakers.(s) <- Some wake) with
+        | Some v -> note "R%d:%d" s v
+        | None -> note "T%d" s
       end
     | Wake (s, v) -> (
       match wakers.(s) with Some w -> note "W%d:%b" s (w v) | None -> note "W%d:-" s)
@@ -656,6 +766,7 @@ let suite =
       [
         Alcotest.test_case "ordering" `Quick test_pheap_order;
         qcheck prop_pheap_sorted;
+        qcheck prop_pheap_remove;
       ] );
     ( "sim.rng",
       [
@@ -674,6 +785,7 @@ let suite =
         Alcotest.test_case "kill group" `Quick test_kill_group;
         Alcotest.test_case "timer cancel" `Quick test_timer_cancel;
         Alcotest.test_case "run until" `Quick test_run_until;
+        Alcotest.test_case "step_until returns on a drained engine" `Quick test_step_until_drained;
         Alcotest.test_case "spawn inherits group" `Quick test_spawn_inherits_group;
         Alcotest.test_case "failure recorded" `Quick test_failure_recorded;
         Alcotest.test_case "event limit" `Quick test_limit;
