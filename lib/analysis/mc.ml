@@ -140,23 +140,15 @@ let instance_config cfg =
   {
     Instance.default_config with
     Instance.paxos = { mc_paxos_config with Paxos.mutation = cfg.mutation };
-    (* Keep full CRANE semantics (DMT + time bubbling) but throttle the
-       idle machinery: at the default 100us bubble timeout an idle
-       cluster floods consensus with clock-sync entries — thousands of
-       extra deliveries per run for the enumerator to wade through — and
-       its perpetual commit traffic masks exactly the quiescent-tail
-       bugs the mutation self-check reintroduces: a replica wedged on a
-       log hole heals at the next commit movement, and with bubbling on
-       commits never stop moving.  Plan II (§7.2) keeps DMT + PAXOS
-       semantics with bubbling off.  Without the bubbling gate to park
-       it, the DMT idle thread spins at turn_cost on a gate with nothing
-       to do.  The engine applies those idle steps in closed form, so the
-       spin no longer costs host time.  turn_cost stays at 50 us because
-       it times every handoff of every explored schedule: changing it
-       would change the schedules and their recorded counterexamples. *)
+    (* Plan II (§7.2): DMT + PAXOS with bubbling off, so every delivery
+       the enumerator explores is a client call and no bubble traffic
+       heals the quiescent-tail bugs the mutation self-check reintroduces
+       (a replica wedged on a log hole heals at the next commit).  The
+       idle thread spins at turn_cost, in closed form.  turn_cost stays
+       at 50 us because it times every handoff of every explored
+       schedule: changing it would change the recorded counterexamples. *)
     mode = Instance.No_bubbling;
     turn_cost = Time.us 50;
-    usleep = Time.us 100;
     idle_period = Time.us 100;
     read_fastpath = cfg.read_fastpath;
     pool_workers = cfg.pool_workers;

@@ -12,12 +12,6 @@ let encode (t : t) = Marshal.to_string t []
 let decode s : t = Marshal.from_string s 0
 
 let is_bubble = function Time_bubble _ -> true | Connect _ | Send _ | Close _ -> false
-let is_call ev = not (is_bubble ev)
-
-let encode_batch (evs : t list) = List.map encode evs
-(** Encode a burst of events for {!Crane_paxos.Paxos.submit}: one
-    consensus round, one record per event (each keeps its own global
-    index, so batching never changes the decision sequence). *)
 
 let pp fmt = function
   | Connect { conn; port } -> Format.fprintf fmt "connect(conn=%d,port=%d)" conn port

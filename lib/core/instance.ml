@@ -26,7 +26,6 @@ type config = {
   mode : mode;
   wtimeout : Time.t;
   nclock : int;
-  usleep : Time.t;
   cores : int;
   service_port : int;
   read_fastpath : bool;
@@ -68,7 +67,6 @@ let default_config =
     mode = Full;
     wtimeout = Time.us 100;
     nclock = 1000;
-    usleep = Time.us 10;
     cores = 24;
     service_port = 80;
     read_fastpath = true;
@@ -107,7 +105,6 @@ let vhost_config (cfg : config) =
     Vhost.wtimeout = cfg.wtimeout;
     nclock = cfg.nclock;
     bubbling = (match cfg.mode with Full -> true | No_bubbling | Paxos_only -> false);
-    usleep = cfg.usleep;
     pool = (match cfg.mode with Full | No_bubbling -> cfg.pool_workers | Paxos_only -> 1);
   }
 

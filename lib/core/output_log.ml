@@ -28,7 +28,6 @@ let entries t = List.rev t.entries
 let length t = List.length t.entries
 let dropped t = t.dropped
 let total t = t.dropped + List.length t.entries
-let prefix_digest t = t.digest
 
 (* Strip lines that carry physical time (HTTP Date headers and our
    servers' "X-Time:" equivalents). *)

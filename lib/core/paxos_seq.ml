@@ -1,8 +1,9 @@
 (** The PAXOS sequence (paper §3.2): the queue of decided client socket
     calls and time bubbles between a replica's proxy and its server
     process (Boost shared memory in the paper).  The server's wrappers
-    admit calls from its head; bubbles at the head are drained one logical
-    clock at a time. *)
+    admit calls from its head; the gate drains bubbles at the head clock
+    by clock.  Gates park on the sequence while it is empty (one per
+    scheduler lane in pool mode), and every append wakes them. *)
 
 module Time = Crane_sim.Time
 module Engine = Crane_sim.Engine
@@ -41,6 +42,7 @@ type t = {
   mutable version : int;
       (* Bumped by every change to what the sequence holds, so the pool
          gate can tell that a scan would see what the last one saw. *)
+  mutable waiters : unit Engine.waker list; (* gates parked in [park] *)
 }
 
 let create ?(node = "") eng =
@@ -56,10 +58,30 @@ let create ?(node = "") eng =
     max_depth = 0;
     depth_view = 0;
     version = 0;
+    waiters = [];
   }
 
 let bump t = t.version <- t.version + 1
 let version t = t.version
+
+let wake t =
+  let ws = t.waiters in
+  t.waiters <- [];
+  List.iter (fun w -> ignore (w () : bool)) (List.rev ws)
+
+(* Park the calling fiber until the next [append] or [wake], or until
+   [timeout] passes (its waker then leaves the list). *)
+let park ?timeout t =
+  let mine = ref (fun () -> false) in
+  let arm w =
+    mine := w;
+    t.waiters <- w :: t.waiters
+  in
+  match timeout with
+  | None -> Engine.suspend t.eng arm
+  | Some d ->
+    if Engine.suspend_timeout t.eng d arm = None then
+      t.waiters <- List.filter (fun w -> w != !mine) t.waiters
 
 let append t ?(index = 0) ?(view = 0) ev =
   Queue.add { index; ev; fp = Unclassified } t.q;
@@ -77,7 +99,8 @@ let append t ?(index = 0) ?(view = 0) ev =
   else begin
     t.calls <- t.calls + 1;
     t.queued_calls <- t.queued_calls + 1
-  end
+  end;
+  wake t
 
 (* Promote a bubble reaching the head of the queue into the counter. *)
 let normalize t =
@@ -203,15 +226,6 @@ let drain_bubble t =
   bump t;
   n
 
-(* Consume one logical clock from the bubble at the head. *)
-let decrement_bubble t =
-  normalize t;
-  if t.bubble_left > 0 then begin
-    t.bubble_left <- t.bubble_left - 1;
-    bump t
-  end
-  else invalid_arg "Paxos_seq.decrement_bubble: head is not a bubble"
-
 (* Consume up to [n] logical clocks from the bubble at the head. *)
 let drain_bubble_upto t n =
   normalize t;
@@ -241,7 +255,6 @@ let lowest_index t =
   normalize t;
   Option.map (fun e -> e.index) (Queue.peek_opt t.q)
 
-let length t = Queue.length t.q + if t.bubble_left > 0 then 1 else 0
 let max_depth t = t.max_depth
 let max_depth_view t = t.depth_view
 let queued_calls t = t.queued_calls

@@ -200,9 +200,9 @@ let submit t ev =
   if not (Paxos.is_primary t.paxos) then false
   else begin
     Queue.add (Event.encode ev, ev, Engine.now t.eng) t.buf;
-    (* Bubbles flush immediately: they are only requested during
-       quiescence (nothing to amortize them with), and holding one back
-       batch_delay would just stall the gate it is meant to unblock.
+    (* Bubbles flush immediately: they are only requested while the
+       sequence is empty (nothing to amortize them with), and holding one
+       back batch_delay would just stall the gate it is meant to unblock.
        Flushing the buffer keeps arrival order intact. *)
     if Event.is_bubble ev || Queue.length t.buf >= t.batch_max then flush t
     else schedule_flush t;
@@ -419,19 +419,19 @@ let create ~eng ~node ~world ~port ~paxos ~vhost ~group ~skip_upto
               Sock.close c
             | None -> ());
       (* DMT -> consensus path for time bubbles (Figure 13).  Backpressure:
-         the gate re-requests every wtimeout while the sequence stays empty,
-         so if commits stall (lossy network, lost quorum contact) an
-         unthrottled loop would append ~10k junk bubbles per virtual second
-         that every replica must later commit and drain.  Skip the request
-         when the pipeline is already deep; bubbling resumes as soon as the
-         backlog commits.  Buffered-but-unflushed events count toward the
-         depth. *)
+         the gate re-requests every wtimeout while the sequence stays empty
+         and a thread can spend the clocks, so if commits stall (lossy
+         network, lost quorum contact) an unthrottled loop would append
+         ~10k junk bubbles per virtual second that every replica must later
+         commit and drain.  Skip the request when the pipeline is already
+         deep; bubbling resumes as soon as the backlog commits.
+         Buffered-but-unflushed events count toward the depth. *)
       request_bubble =
-        (fun () ->
+        (fun nclock ->
           if
             Paxos.is_primary t.paxos
             && Paxos.pending t.paxos + Queue.length t.buf < 32
-          then ignore (submit t (Event.Time_bubble { nclock = Vhost.nclock vhost })));
+          then ignore (submit t (Event.Time_bubble { nclock })));
     };
   Paxos.set_handlers paxos
     {

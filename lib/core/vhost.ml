@@ -8,8 +8,10 @@
     [check_add_timebubble], installed into every DMT lock wrapper and the
     idle thread — blocks while the sequence is empty (so logical clocks
     only tick when it is not), requests a time bubble from the proxy after
-    Wtimeout of emptiness, drains bubbles one clock at a time, and signals
-    the thread blocked on the socket object matching the head entry.
+    Wtimeout of emptiness when some thread could spend its clocks, drains
+    bubbles at the synchronization rate (at once when no thread can
+    observe them), and signals the thread blocked on the socket object
+    matching the head entry.
 
     In {e immediate} mode ("w/ Paxos only" and the plan-II ablation's
     building block) entries are admitted the moment consensus delivers
@@ -24,9 +26,10 @@ module Trace = Crane_trace.Trace
 
 type config = {
   wtimeout : Time.t;  (** empty-sequence duration before requesting a bubble (default 100 us) *)
-  nclock : int;  (** logical clocks granted per bubble (default 1000) *)
+  nclock : int;
+      (** logical clocks granted per bubble (default 1000); a bubble
+          requested for runnable threads in 1-lane mode grants a tenth *)
   bubbling : bool;  (** plan II of §7.2 sets this false *)
-  usleep : Time.t;  (** polling period of Figure 10's usleep (default 10 us) *)
   pool : int;
       (** execute-stage worker pool width.  1 (default) is classic CRANE:
           entries admitted strictly from the sequence head.  Above 1 the
@@ -42,7 +45,6 @@ let default_config =
     wtimeout = Time.us 100;
     nclock = 1000;
     bubbling = true;
-    usleep = Time.us 10;
     pool = 1;
   }
 
@@ -76,14 +78,14 @@ type clocking = Clocked of Dmt.t | Immediate
 type handlers = {
   respond : conn:int -> string -> unit;
   on_server_close : int -> unit;
-  request_bubble : unit -> unit;
+  request_bubble : int -> unit;  (** propose a bubble of that many clocks *)
 }
 
 let null_handlers =
   {
     respond = (fun ~conn:_ _ -> ());
     on_server_close = (fun _ -> ());
-    request_bubble = (fun () -> ());
+    request_bubble = ignore;
   }
 
 (* Pool mode: one admitted-but-unretired command per connection.  Its
@@ -358,8 +360,8 @@ let pool_scan t dmt =
    and how many idle-cycle calls ahead are pure, so the three cannot
    drift apart. *)
 type gate_state =
-  | Wait_entries  (** bubbling on, nothing queued: sleep until a delivery *)
-  | Bulk_drain  (** bubble at the head, idle thread alone: paced drain (sleeps) *)
+  | Wait_entries  (** bubbling on, nothing queued: park until a delivery *)
+  | Bulk_drain  (** bubble at the head, idle thread alone: drain at once *)
   | Delta_drain  (** bubble at the head: drain the ticks since the last call *)
   | Scan  (** pool mode: admission scan *)
   | Rescan  (** pool mode: nothing changed since a scan that admitted nothing *)
@@ -375,28 +377,43 @@ let gate_state t dmt =
     else Scan
   else Dispatch
 
-(* Block while the sequence is empty (logical clocks only tick when it is
-   not), requesting a time bubble after Wtimeout of emptiness. *)
-let wait_entries t =
+(* The size of a bubble worth requesting now, if any.  Only a runnable
+   thread besides the idle thread, or a pending soft-barrier timeout, can
+   observe the clock; otherwise a bubble is a wasted consensus round that
+   delays the calls decided behind it.  Runnable threads drain bubbles at
+   their sync rate: in one lane the clock moves only as they synchronize,
+   and a tenth of [nclock] lasts; in pool mode the idle thread ticks its
+   own lane at the turn rate, and spanning a Wtimeout takes all of it. *)
+let bubble_wanted t dmt =
+  if not (Dmt.only_one_runnable dmt) then
+    Some (if pool_mode t then t.cfg.nclock else max 1 (t.cfg.nclock / 10))
+  else if Dmt.next_tick_hook dmt <> None then Some t.cfg.nclock
+  else None
+
+(* Park while the sequence is empty (logical clocks only tick when it is
+   not) until an append, or the Wtimeout deadline when a bubble is worth
+   requesting. *)
+let wait_entries t dmt =
   let t0 = Engine.now t.eng in
   t.gate_blocks <- t.gate_blocks + 1;
   let traced = Engine.tracing t.eng in
   if traced then Engine.emit t.eng ~node:t.node ~ph:Trace.Begin Trace.Gate_block;
   while Paxos_seq.is_empty t.seq && not t.stopped do
-    let now = Engine.now t.eng in
-    if
-      Paxos_seq.empty_for t.seq >= t.cfg.wtimeout
-      && now - t.last_bubble_request >= t.cfg.wtimeout
-    then begin
-      t.last_bubble_request <- now;
-      t.handlers.request_bubble ()
-    end;
-    Engine.sleep t.eng t.cfg.usleep
+    match bubble_wanted t dmt with
+    | None -> Paxos_seq.park t.seq
+    | Some clocks ->
+      let now = Engine.now t.eng in
+      let waited = min (Paxos_seq.empty_for t.seq) (now - t.last_bubble_request) in
+      if waited >= t.cfg.wtimeout then begin
+        t.last_bubble_request <- now;
+        t.handlers.request_bubble clocks
+      end
+      else Paxos_seq.park t.seq ~timeout:(t.cfg.wtimeout - waited)
   done;
   if traced then Engine.emit t.eng ~node:t.node ~ph:Trace.End Trace.Gate_block;
   t.gate_block_time <- t.gate_block_time + (Engine.now t.eng - t0)
 
-(* Everything but [wait_entries]: only [Bulk_drain] sleeps. *)
+(* Everything but [wait_entries]; none of it blocks. *)
 let gate_act t dmt state =
   (* A bubble promises Nclock *synchronizations* (every turn handoff
      ticks the logical clock), but this hook only runs on lock wrappers
@@ -408,22 +425,22 @@ let gate_act t dmt state =
   match state with
   | Wait_entries | Rescan | Nothing -> ()
   | Bulk_drain ->
-    (* Only the idle thread is runnable.  Drain the bubble at a paced
-       rate rather than instantly: a bubble must outlive the short
-       quiet gaps between request arrivals (that is its whole job —
-       §4's bursts), while still being exhausted "rapidly" relative to
-       request processing times.  One pacing sleep drains a few clocks,
-       so a default bubble spans ~1 ms of true quiescence. *)
+    (* Only the idle thread is runnable, so nothing observes the clocks:
+       drain at once ("exhausted rapidly", §4), but stop at a pending
+       soft-barrier deadline, where released threads drain the rest at
+       their sync rate.  The idle thread's [put_turn] ticks the last. *)
     t.bulk_drains <- t.bulk_drains + 1;
-    (* Chunked pacing (10x usleep per chunk) keeps the idle event rate
-       low without changing the ~1 us/clock drain rate. *)
-    let chunk = t.cfg.usleep * 10 in
-    Engine.sleep t.eng chunk;
-    let per_cycle = max 1 (chunk / Time.us 1) in
+    let left = Paxos_seq.bubble_left t.seq in
+    let clocks =
+      match Dmt.next_tick_hook dmt with
+      | Some deadline -> max 1 (min left (deadline - now_clock))
+      | None -> left
+    in
     if Engine.tracing t.eng then
-      Engine.emit t.eng ~node:t.node (Trace.Bubble_drain { clocks = per_cycle; bulk = true });
-    Paxos_seq.drain_bubble_upto t.seq per_cycle;
-    Dmt.advance_clock dmt (per_cycle - 1)
+      Engine.emit t.eng ~node:t.node (Trace.Bubble_drain { clocks; bulk = true });
+    Paxos_seq.drain_bubble_upto t.seq clocks;
+    Dmt.advance_clock dmt (clocks - 1);
+    t.last_gate_clock <- now_clock + clocks
   | Delta_drain ->
     t.delta_drained <- t.delta_drained + 1;
     if Engine.tracing t.eng then
@@ -455,12 +472,12 @@ let gate_act t dmt state =
     | Event.Time_bubble _ -> assert false (* [gate_state] said no bubble *))
 
 let gate t dmt =
-  if t.cfg.bubbling && Paxos_seq.is_empty t.seq then wait_entries t;
+  if t.cfg.bubbling && Paxos_seq.is_empty t.seq then wait_entries t dmt;
   gate_act t dmt (gate_state t dmt)
 
 let try_gate t dmt =
   match gate_state t dmt with
-  | Wait_entries | Bulk_drain -> false
+  | Wait_entries -> false
   | state ->
     gate_act t dmt state;
     true
@@ -526,6 +543,7 @@ let create ?(node = "") eng ~cfg ~clocking =
         try_run = (fun () -> try_gate t dmt);
         ahead = (fun () -> gate_ahead t dmt);
         skip = (fun n -> gate_skip t dmt n);
+        wake = (fun () -> Paxos_seq.wake t.seq);
       }
   | Immediate -> ());
   t
@@ -544,14 +562,7 @@ let deliver t ?index ?view ev =
       | None -> ()
       | Some (Event.Time_bubble _) ->
         (* No clocking to grant: bubbles are inert here. *)
-        let rec exhaust () =
-          match Paxos_seq.head t.seq with
-          | Some (Event.Time_bubble _) ->
-            Paxos_seq.decrement_bubble t.seq;
-            exhaust ()
-          | Some _ | None -> ()
-        in
-        exhaust ();
+        ignore (Paxos_seq.drain_bubble t.seq : int);
         drain ()
       | Some (Event.Connect { conn; port }) ->
         Paxos_seq.drop_head t.seq;
@@ -587,9 +598,6 @@ let deliver t ?index ?view ev =
 (* ------------------------------------------------------------------ *)
 (* Socket-call wrappers: clocked mode (Figures 10-11). *)
 
-let dmt_of t =
-  match t.clocking with Clocked d -> d | Immediate -> assert false
-
 let listen t ~port =
   if Hashtbl.mem t.listeners port then
     invalid_arg (Printf.sprintf "Vhost.listen: port %d taken" port);
@@ -606,61 +614,43 @@ let head_is_connect_for t l =
 let raw_wait t q =
   Engine.suspend t.eng (fun wake -> Queue.add (fun () -> wake ()) q)
 
-let poll t l =
+(* Run [f] holding the turn (clocked mode). *)
+let with_turn t f =
   match t.clocking with
-  | Clocked dmt when pool_mode t ->
-    (* Pool mode admits Connects into the pending queue from the scan. *)
-    Dmt.get_turn dmt;
-    (match l.lobj with
-    | Dobj o -> while Queue.is_empty l.pending do Dmt.wait dmt ~obj:o done
-    | Raw _ -> assert false);
-    Dmt.put_turn dmt
   | Clocked dmt ->
     Dmt.get_turn dmt;
-    (match l.lobj with
-    | Dobj o -> while not (head_is_connect_for t l) do Dmt.wait dmt ~obj:o done
-    | Raw _ -> assert false);
-    Dmt.put_turn dmt
-  | Immediate -> (
-    match l.lobj with
-    | Raw q -> while Queue.is_empty l.pending do raw_wait t q done
-    | Dobj _ -> assert false)
+    let r = f () in
+    Dmt.put_turn dmt;
+    r
+  | Immediate -> f ()
+
+(* Where [accept] finds a connection: at the sequence head in 1-lane
+   clocked mode, else in [pending] (pool scan, immediate delivery). *)
+let admits_at_head t = match t.clocking with Clocked _ -> not (pool_mode t) | Immediate -> false
+
+let await_connect t l =
+  while
+    not (if admits_at_head t then head_is_connect_for t l else not (Queue.is_empty l.pending))
+  do
+    match (t.clocking, l.lobj) with
+    | Clocked dmt, Dobj o -> Dmt.wait dmt ~obj:o
+    | Immediate, Raw q -> raw_wait t q
+    | (Clocked _ | Immediate), (Dobj _ | Raw _) -> assert false
+  done
+
+let poll t l = with_turn t (fun () -> await_connect t l)
 
 let accept t l =
-  match t.clocking with
-  | Clocked dmt when pool_mode t ->
-    Dmt.get_turn dmt;
-    (match l.lobj with
-    | Dobj o -> while Queue.is_empty l.pending do Dmt.wait dmt ~obj:o done
-    | Raw _ -> assert false);
-    let vid = Queue.pop l.pending in
-    let c = Hashtbl.find t.conns vid in
-    Dmt.put_turn dmt;
-    c
-  | Clocked dmt ->
-    Dmt.get_turn dmt;
-    (match l.lobj with
-    | Dobj o -> while not (head_is_connect_for t l) do Dmt.wait dmt ~obj:o done
-    | Raw _ -> assert false);
-    let c =
-      match Paxos_seq.head t.seq with
-      | Some (Event.Connect { conn; _ }) ->
-        Paxos_seq.drop_head t.seq;
-        note_admit t;
-        make_vconn t conn
-      | Some _ | None -> assert false
-    in
-    Dmt.put_turn dmt;
-    c
-  | Immediate -> (
-    match l.lobj with
-    | Raw q ->
-      while Queue.is_empty l.pending do
-        raw_wait t q
-      done;
-      let vid = Queue.pop l.pending in
-      Hashtbl.find t.conns vid
-    | Dobj _ -> assert false)
+  with_turn t (fun () ->
+      await_connect t l;
+      if not (admits_at_head t) then Hashtbl.find t.conns (Queue.pop l.pending)
+      else
+        match Paxos_seq.head t.seq with
+        | Some (Event.Connect { conn; _ }) ->
+          Paxos_seq.drop_head t.seq;
+          note_admit t;
+          make_vconn t conn
+        | Some _ | None -> assert false)
 
 (* Move entries for [c] sitting at the sequence head into its buffer. *)
 let rec consume_admitted t (c : vconn) =
@@ -749,13 +739,8 @@ let send t (c : vconn) payload =
         (Trace.Reply { conn = c.vid; bytes = String.length payload });
     if not c.vclosed then t.handlers.respond ~conn:c.vid payload
   in
-  match t.clocking with
-  | Clocked dmt ->
-    (* Outgoing calls are scheduled by DMT but need no consensus (§2.1). *)
-    Dmt.get_turn dmt;
-    deliver ();
-    Dmt.put_turn dmt
-  | Immediate -> deliver ()
+  (* Outgoing calls are scheduled by DMT but need no consensus (§2.1). *)
+  with_turn t deliver
 
 (* A closed vconn leaves [conns]: every reader treats a missing
    connection exactly like a closed one, so the table holds open
@@ -772,13 +757,9 @@ let close t (c : vconn) =
       t.handlers.on_server_close c.vid
     end
   in
-  match t.clocking with
-  | Clocked dmt ->
-    Dmt.get_turn dmt;
-    exec_end t c;
-    perform ();
-    Dmt.put_turn dmt
-  | Immediate -> perform ()
+  with_turn t (fun () ->
+      exec_end t c;
+      perform ())
 
 let conn_id (c : vconn) = c.vid
 
@@ -811,5 +792,4 @@ let set_footprint t f =
   t.epoch <- t.epoch + 1
 (** Install the server's conflict-footprint classifier (pool mode). *)
 
-let nclock t = t.cfg.nclock
 let pool t = t.cfg.pool

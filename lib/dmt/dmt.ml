@@ -36,6 +36,7 @@ type gate = {
   try_run : unit -> bool;
   ahead : unit -> int;
   skip : int -> unit;
+  wake : unit -> unit;
 }
 
 (* Where the idle thread picks up when its spin ends: pace with
@@ -142,6 +143,9 @@ let tick t =
     List.iter (fun (_, f) -> f ()) due
 
 let at_tick t deadline f = t.tick_hooks <- t.tick_hooks @ [ (deadline, f) ]
+
+let next_tick_hook t =
+  List.fold_left (fun acc (d, _) -> Some (Option.fold ~none:d ~some:(min d) acc)) None t.tick_hooks
 
 (* Bulk clock advance: used when the idle thread is alone in the run
    queue and drains a whole time bubble at once — equivalent to that many
@@ -266,6 +270,10 @@ let signal_all ?lane t ~obj =
       signal ?lane t ~obj
     done
 
+(* The two ways into a run queue without the turn; every other one
+   ([signal], [relane], soft-barrier release) cannot race a blocked gate. *)
+let joined_outside t = match t.gate with Some g -> g.wake () | None -> ()
+
 let block_external t f =
   let th = me t in
   get_turn t;
@@ -275,7 +283,7 @@ let block_external t f =
      nondeterminism re-enters a plain PARROT execution. *)
   let l = lane_of t th in
   l.lq <- l.lq @ [ th ];
-  if is_head t th then () (* we are running already; just continue *);
+  joined_outside t;
   result
 
 (* Thread creation is itself a synchronization operation: the child's
@@ -306,7 +314,8 @@ let spawn t ~name body =
   end
   else begin
     let l = lane_of t th in
-    l.lq <- l.lq @ [ th ]
+    l.lq <- l.lq @ [ th ];
+    joined_outside t
   end
 
 let run_gate t = match t.gate with Some g -> g.run () | None -> ()

@@ -75,6 +75,10 @@ type gate = {
   skip : int -> unit;
       (** Apply [n <= ahead ()] such calls, after the clock has ticked
           [n] times. *)
+  wake : unit -> unit;
+      (** A thread joined a run queue without the turn (an outside
+          {!spawn}, a {!block_external} rejoin): a blocked [run] must
+          look again. *)
 }
 
 val set_gate : t -> gate -> unit
@@ -133,6 +137,10 @@ val block_external : t -> (unit -> 'a) -> 'a
 (** PARROT's nondeterministic blocking call path: leave the run queue,
     run [f] (which may block on the engine), rejoin at the tail in
     completion order. *)
+
+val next_tick_hook : t -> int option
+(** The earliest logical clock at which a pending deterministic timeout
+    (a {!Soft_barrier} release) fires, if any. *)
 
 val only_one_runnable : t -> bool
 (** Exactly one thread sits in the run queues, across all lanes: the

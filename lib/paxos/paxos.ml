@@ -543,7 +543,11 @@ let note_committed_batches t =
   in
   go ()
 
-let set_committed t idx =
+(* A commit marker covers every index up to its own: recovery keeps the
+   highest, so one marker per commit advance is enough. *)
+let mark_committed t = Wal.append_async t.wal [ encode (Wal_commit t.committed) ] ignore
+
+let set_committed ?(mark = true) t idx =
   let moved = idx > t.committed in
   if moved then begin
     (* Commit advancement retires the ack sets: once an index is
@@ -553,7 +557,7 @@ let set_committed t idx =
     done;
     t.committed <- idx;
     note_committed_batches t;
-    Wal.append_async t.wal [ encode (Wal_commit idx) ] (fun () -> ())
+    if mark then mark_committed t
   end;
   (* Always try to apply, even when the commit index did not move: the
      caller may have just filled a log hole {e below} it (catch-up after a
@@ -604,11 +608,14 @@ let advance_commits t =
     | Some l when quorum_reached t l ->
       if Engine.tracing t.eng then
         Engine.emit t.eng ~node:t.self (Trace.Quorum_ack { index = next; acks = List.length l });
-      set_committed t next;
+      set_committed ~mark:false t next;
       progressed := true
     | Some _ | None -> continue_ := false
   done;
-  if !progressed then cast t (Commit { cview = t.view; committed = t.committed })
+  if !progressed then begin
+    mark_committed t;
+    cast t (Commit { cview = t.view; committed = t.committed })
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Checkpoint-coordinated log compaction (§5.2: recovery is a checkpoint

@@ -220,18 +220,198 @@ let test_standalone_native_and_parrot () =
       | None -> Alcotest.fail "no response")
     [ Standalone.Native; Standalone.Parrot ]
 
-let test_bubbles_flow () =
-  (* With no client traffic at all, the primary still inserts bubbles so
-     replicas' logical clocks advance identically. *)
+(* ---- Time bubbles: proposed only when a thread can spend them ---- *)
+
+module Dmt = Crane_dmt.Dmt
+module Trace = Crane_trace.Trace
+
+let dmt_clock (inst : Instance.t) =
+  match inst.Instance.dmt with Some d -> Dmt.clock d | None -> -1
+
+let bubbles_committed cluster =
+  List.map (fun (_, inst) -> snd (Instance.seq_stats inst)) (Cluster.instances cluster)
+
+(* A cluster whose trace feeds [sink] with each event and the logical
+   clock of the replica that emitted it, read at the emitting instant. *)
+let traced_cluster ~server sink =
+  let tr = Trace.create ~retain:false () in
+  let cluster = Cluster.create ~cfg:(test_cfg Instance.Full) ~trace:tr ~server () in
+  Trace.add_sink tr (fun ev ->
+      match Cluster.instance cluster ev.Trace.node with
+      | Some inst -> sink ev (dmt_clock inst)
+      | None -> ());
+  Cluster.start ~checkpoints:false cluster;
+  cluster
+
+(* With every server thread parked in poll, nothing can observe the
+   logical clock, so a settled idle cluster proposes no bubble at all,
+   and its replicas' clocks stand still at the same value. *)
+let test_idle_cluster_no_bubbles () =
   let cluster = Cluster.create ~cfg:(test_cfg Instance.Full) ~server:echo_server () in
   Cluster.start ~checkpoints:false cluster;
-  Cluster.run ~until:(Time.ms 500) cluster;
+  Cluster.run ~until:(Time.sec 1) cluster;
+  let before = bubbles_committed cluster in
+  Cluster.run ~until:(Time.ms 1500) cluster;
   Cluster.check_failures cluster;
+  Alcotest.(check (list int)) "no bubble committed over 500 ms of idleness" before
+    (bubbles_committed cluster);
+  match List.map (fun (_, inst) -> dmt_clock inst) (Cluster.instances cluster) with
+  | c :: rest -> List.iter (Alcotest.(check int) "replica clocks agree" c) rest
+  | [] -> Alcotest.fail "no replicas"
+
+(* One server thread alternates compute and sleep with a mutex round
+   between, and no client ever sends: it is runnable while the sequence
+   is empty, so the gate requests bubbles for it.  Every replica runs all
+   rounds, each at the same logical clock on every replica.  The bubbles
+   drain at the thread's synchronization rate, so a handful covers all
+   forty rounds; draining each at once would cost one bubble a round. *)
+let rounds = 40
+
+let ticker_server : Api.server =
+  {
+    echo_server with
+    Api.name = "ticker";
+    boot =
+      (fun api ->
+        let module R = (val api : Api.API) in
+        let n = ref 0 in
+        let mu = R.mutex ~name:"ticker" () in
+        R.spawn ~name:"ticker" (fun () ->
+            for i = 1 to rounds do
+              if i mod 2 = 0 then R.work (Time.us 300) else R.sleep (Time.us 300);
+              R.lock mu;
+              incr n;
+              R.unlock mu
+            done);
+        Api.handle ~name:"ticker"
+          ~state_of:(fun () -> string_of_int !n)
+          ~load_state:(fun s -> n := int_of_string s)
+          ~mem_bytes:(fun () -> 1_000_000)
+          ~stop:ignore ());
+  }
+
+let test_busy_thread_gets_bubbles () =
+  let acquired = Hashtbl.create 3 in
+  let cluster =
+    traced_cluster ~server:ticker_server (fun ev clock ->
+        match ev.Trace.event with
+        | Trace.Sync (Trace.Acquire, { Trace.label = "ticker"; _ }) ->
+          Hashtbl.replace acquired ev.Trace.node
+            (clock :: Option.value (Hashtbl.find_opt acquired ev.Trace.node) ~default:[])
+        | _ -> ())
+  in
+  Cluster.run ~until:(Time.sec 2) cluster;
+  Cluster.check_failures cluster;
+  let clocks =
+    List.map
+      (fun (node, inst) ->
+        Alcotest.(check string) (node ^ " ran every round") (string_of_int rounds)
+          (inst.Instance.handle.Api.state_of ());
+        List.rev (Option.value (Hashtbl.find_opt acquired node) ~default:[]))
+      (Cluster.instances cluster)
+  in
+  (match clocks with
+  | c :: rest ->
+    Alcotest.(check int) "every round traced" rounds (List.length c);
+    List.iter (Alcotest.(check (list int)) "rounds at the same clocks" c) rest
+  | [] -> Alcotest.fail "no replicas");
+  List.iter
+    (fun b ->
+      Alcotest.(check bool) (Printf.sprintf "bubbles drain at the sync rate (%d)" b) true
+        (b >= 1 && b <= rounds / 4))
+    (bubbles_committed cluster)
+
+(* A thread parked alone at a soft barrier leaves the idle thread alone
+   in the run queue, but the barrier's timeout is a pending tick hook:
+   bubbles still come, and the barrier releases with no input at all. *)
+let test_soft_barrier_fires_idle () =
+  let released = ref [] in
+  let server =
+    {
+      echo_server with
+      Api.name = "hinted";
+      boot =
+        (fun api ->
+          let module R = (val api : Api.API) in
+          let passed = ref 0 in
+          let sb = R.soft_barrier ~n:2 ~timeout_ticks:5000 in
+          R.spawn ~name:"lonely" (fun () ->
+              R.soft_barrier_wait sb;
+              passed := 1;
+              released := R.node :: !released);
+          Api.handle ~name:"hinted"
+            ~state_of:(fun () -> string_of_int !passed)
+            ~load_state:(fun s -> passed := int_of_string s)
+            ~mem_bytes:(fun () -> 1_000_000)
+            ~stop:ignore ());
+    }
+  in
+  let cluster = Cluster.create ~cfg:(test_cfg Instance.Full) ~server () in
+  Cluster.start ~checkpoints:false cluster;
+  Cluster.run ~until:(Time.sec 2) cluster;
+  Cluster.check_failures cluster;
+  Alcotest.(check int) "released on every replica" 3 (List.length !released);
   List.iter
     (fun (node, inst) ->
-      let _, bubbles = Instance.seq_stats inst in
-      Alcotest.(check bool) (node ^ " received bubbles") true (bubbles > 10))
+      Alcotest.(check string) (node ^ " passed the barrier") "1"
+        (inst.Instance.handle.Api.state_of ()))
     (Cluster.instances cluster)
+
+(* With every server thread parked, a bubble drains at once: the call
+   decided right behind it is admitted within microseconds of reaching
+   each replica's sequence, at the same logical clock everywhere. *)
+let test_call_behind_bubble () =
+  let appends = Hashtbl.create 3 and admits = Hashtbl.create 3 in
+  let cluster =
+    traced_cluster ~server:echo_server (fun ev clock ->
+        let node = ev.Trace.node in
+        match ev.Trace.event with
+        | Trace.Append { bubble; index; _ } ->
+          Hashtbl.replace appends node
+            ((bubble, index, ev.Trace.ts)
+            :: Option.value (Hashtbl.find_opt appends node) ~default:[])
+        | Trace.Admit { index; _ } ->
+          if not (Hashtbl.mem admits (node, index)) then
+            Hashtbl.replace admits (node, index) (ev.Trace.ts, clock)
+        | _ -> ())
+  in
+  Cluster.run ~until:(Time.sec 1) cluster;
+  let _, primary = Option.get (Cluster.primary cluster) in
+  let eng = Cluster.engine cluster in
+  let reply = ref None in
+  Engine.at eng (Time.sec 1) (fun () ->
+      primary.Instance.vhost.Vhost.handlers.Vhost.request_bubble 1000;
+      Engine.spawn eng ~name:"client" (fun () ->
+          reply := one_request cluster ~from:"c1" ~node:(Instance.node primary) ~msg:"hi"));
+  Cluster.run ~until:(Time.ms 1500) cluster;
+  Cluster.check_failures cluster;
+  Alcotest.(check bool) "request answered" true (!reply <> None);
+  let admitted =
+    List.map
+      (fun (node, _) ->
+        (* The first call appended after the injected bubble. *)
+        let log = List.rev (Option.value (Hashtbl.find_opt appends node) ~default:[]) in
+        let rec behind = function
+          | (true, _, bts) :: (false, ix, ts) :: _ when bts >= Time.sec 1 -> (ix, ts)
+          | _ :: rest -> behind rest
+          | [] -> Alcotest.failf "%s: no call decided right behind a bubble" node
+        in
+        let ix, appended = behind log in
+        match Hashtbl.find_opt admits (node, ix) with
+        | Some (ts, clock) ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s admits within 5 us of the append (%d ns)" node
+               (ts - appended))
+            true
+            (ts - appended <= Time.us 5);
+          (ix, clock)
+        | None -> Alcotest.failf "%s never admitted index %d" node ix)
+      (Cluster.instances cluster)
+  in
+  match admitted with
+  | a :: rest ->
+    List.iter (Alcotest.(check (pair int int)) "same index, same logical clock" a) rest
+  | [] -> Alcotest.fail "no replicas"
 
 (* A closed connection leaves every replica's vhost table: after twenty
    echo requests, each connected and closed by its client, the table on
@@ -273,7 +453,13 @@ let suite =
         Alcotest.test_case "checkpoint restart" `Quick test_checkpoint_restart;
         Alcotest.test_case "standalone native+parrot" `Quick
           test_standalone_native_and_parrot;
-        Alcotest.test_case "bubbles flow when idle" `Quick test_bubbles_flow;
+        Alcotest.test_case "idle cluster proposes no bubbles" `Quick
+          test_idle_cluster_no_bubbles;
+        Alcotest.test_case "busy thread gets bubbles" `Quick test_busy_thread_gets_bubbles;
+        Alcotest.test_case "soft-barrier timeout fires idle" `Quick
+          test_soft_barrier_fires_idle;
+        Alcotest.test_case "call behind a bubble admitted at once" `Quick
+          test_call_behind_bubble;
         Alcotest.test_case "vhost frees closed connections" `Quick
           test_vhost_frees_closed;
       ] );

@@ -134,6 +134,31 @@ let test_wal_recovery () =
     (List.init 8 (fun i -> Printf.sprintf "v%d" (i + 1)))
     (Paxos.get_committed_range p2' ~lo:1 ~hi:8)
 
+(* A commit advance writes one commit marker, however many indices it
+   commits: a batch of eight values commits in one [Accept_ok] round, and
+   the primary's WAL grows by the eight accepts plus one marker.
+   Recovery takes the highest marker, so a crash and restart of the
+   primary still restores all eight. *)
+let test_one_commit_marker_per_advance () =
+  let sim, nodes = G.start () in
+  let p1 = (List.hd nodes).G.n_p in
+  let wal = Hashtbl.find sim.G.wals "n1" in
+  let before = ref 0 in
+  let values = List.init 8 (fun i -> Printf.sprintf "v%d" (i + 1)) in
+  Engine.spawn sim.eng ~name:"client" (fun () ->
+      Engine.sleep sim.eng (Time.ms 10);
+      before := Crane_storage.Wal.length wal;
+      ignore (Paxos.submit p1 values));
+  Engine.run ~until:(Time.ms 200) sim.eng;
+  Alcotest.(check int) "batch committed" 8 (Paxos.committed p1);
+  Alcotest.(check int) "eight accepts and one commit marker" (8 + 1)
+    (Crane_storage.Wal.length wal - !before);
+  G.kill_node sim "n1";
+  let p1' = (G.add_node sim "n1").G.n_p in
+  Alcotest.(check int) "committed recovered from the one marker" 8 (Paxos.committed p1');
+  Alcotest.(check (list string)) "values recovered" values
+    (Paxos.get_committed_range p1' ~lo:1 ~hi:8)
+
 (* The asymmetric-partition escape hatch: block traffic *into* the
    primary only.  Backups still hear its heartbeats, so they never start
    an election — the primary must notice it hears nobody for
@@ -308,6 +333,8 @@ let suite =
         Alcotest.test_case "isolated primary abdicates" `Quick
           test_primary_abdicates_when_isolated;
         Alcotest.test_case "wal recovery" `Quick test_wal_recovery;
+        Alcotest.test_case "one commit marker per advance" `Quick
+          test_one_commit_marker_per_advance;
         Alcotest.test_case "no quorum, no progress" `Quick test_no_progress_without_quorum;
         Alcotest.test_case "retransmit repairs lost batch acks" `Quick
           test_retransmit_repairs_lost_batch_acks;

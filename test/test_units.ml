@@ -61,12 +61,12 @@ let test_seq_bubble_drain () =
   Paxos_seq.append seq (Event.Time_bubble { nclock = 5 });
   Paxos_seq.append seq (Event.Close { conn = 9 });
   for _ = 1 to 4 do
-    Paxos_seq.decrement_bubble seq
+    Paxos_seq.drain_bubble_upto seq 1
   done;
   (match Paxos_seq.head seq with
   | Some (Event.Time_bubble { nclock = 1 }) -> ()
   | _ -> Alcotest.fail "one clock left");
-  Paxos_seq.decrement_bubble seq;
+  Paxos_seq.drain_bubble_upto seq 1;
   (match Paxos_seq.head seq with
   | Some (Event.Close { conn = 9 }) -> ()
   | _ -> Alcotest.fail "bubble exhausted, close surfaces");
@@ -123,6 +123,28 @@ let test_seq_empty_for () =
   Engine.at eng (Time.ms 8) (fun () ->
       Alcotest.(check int) "not empty now" 0 (Paxos_seq.empty_for seq));
   Engine.run eng
+
+(* Gates park on the sequence: an append wakes every parked fiber at
+   once, whether its park is timed or not, and a timed park that expires
+   leaves no waker behind. *)
+let test_seq_park () =
+  let eng = Engine.create () in
+  let seq = Paxos_seq.create eng in
+  let woke = ref [] in
+  let parker name ?timeout () =
+    Engine.spawn eng ~name (fun () ->
+        Paxos_seq.park ?timeout seq;
+        woke := (name, Engine.now eng) :: !woke)
+  in
+  parker "untimed" ();
+  parker "timed" ~timeout:(Time.us 100) ();
+  Engine.at eng (Time.us 50) (fun () -> Paxos_seq.append seq (Event.Close { conn = 1 }));
+  parker "expires" ~timeout:(Time.us 10) ();
+  Engine.run eng;
+  Alcotest.(check (list (pair string int))) "woken by the append or the timeout"
+    [ ("expires", Time.us 10); ("untimed", Time.us 50); ("timed", Time.us 50) ]
+    (List.rev !woke);
+  Alcotest.(check int) "no waker left" 0 (List.length seq.Paxos_seq.waiters)
 
 (* ------------------------------------------------------------------ *)
 (* Output_log *)
@@ -260,6 +282,7 @@ let suite =
         Alcotest.test_case "drain upto clamps" `Quick test_seq_drain_upto;
         Alcotest.test_case "max_depth per view" `Quick test_seq_max_depth_per_view;
         Alcotest.test_case "empty_for" `Quick test_seq_empty_for;
+        Alcotest.test_case "park wakes on append" `Quick test_seq_park;
       ] );
     ( "units.output_log",
       [
