@@ -2,14 +2,36 @@
     bubbles (paper §2.1, §4).  Encoded to opaque strings for the consensus
     component and its durable log. *)
 
+module Codec = Crane_storage.Codec
+
 type t =
   | Connect of { conn : int; port : int }  (** client connect() *)
   | Send of { conn : int; payload : string }  (** client send() *)
   | Close of { conn : int }  (** client close() *)
   | Time_bubble of { nclock : int }
 
-let encode (t : t) = Marshal.to_string t []
-let decode s : t = Marshal.from_string s 0
+(* A tag byte (0..3: no event starts with Paxos's "CRANE-CFG:" tag), varint
+   fields and a length-prefixed payload.  [encode] raises [Invalid_argument]
+   on a negative field; [decode] raises [Codec.Malformed] on an unknown
+   tag, truncated input or trailing bytes. *)
+let encode : t -> string = function
+  | Connect { conn; port } -> Codec.record '\000' [ conn; port ]
+  | Send { conn; payload } -> Codec.record ~payload '\001' [ conn ]
+  | Close { conn } -> Codec.record '\002' [ conn ]
+  | Time_bubble { nclock } -> Codec.record '\003' [ nclock ]
+
+let decode s : t =
+  Codec.parse s (fun r ->
+      match Codec.byte r with
+      | 0 ->
+        let conn = Codec.uint r in
+        Connect { conn; port = Codec.uint r }
+      | 1 ->
+        let conn = Codec.uint r in
+        Send { conn; payload = Codec.payload r }
+      | 2 -> Close { conn = Codec.uint r }
+      | 3 -> Time_bubble { nclock = Codec.uint r }
+      | _ -> raise Codec.Malformed)
 
 let is_bubble = function Time_bubble _ -> true | Connect _ | Send _ | Close _ -> false
 

@@ -94,22 +94,6 @@ type Fabric.message +=
       (** authoritative rejection: the sender is not a member of config
           epoch [f_epoch] — stop voting and serving *)
 
-type wal_record =
-  | Wal_accept of int * int * string
-  | Wal_commit of int
-  | Wal_trunc of
-      { watermark : int;
-        s_index : int;
-        blob : string;
-        t_epoch : int;
-        t_members : Fabric.node list
-      }
-      (** truncation header: entries <= [watermark] live in the snapshot
-          [blob] taken at [s_index]; everything older in the WAL is
-          logically void even if a crash left it on disk.  The config in
-          force at truncation time is recorded so recovery of a compacted
-          WAL still knows its membership. *)
-
 type handlers = {
   on_commit : index:int -> string -> unit;
   on_demote : unit -> unit;
@@ -165,8 +149,12 @@ type t = {
   mutable view : int;
   mutable primary : Fabric.node option;
   mutable max_view_seen : int;
-  (* Replicated log. *)
-  log : (int, int * string) Hashtbl.t; (* index -> (view, value) *)
+  (* Replicated log, dense above the compaction base: slot [i] holds
+     index [base + 1 + i] as its view ([absent] for a hole) and value;
+     [resident] counts the present slots. *)
+  mutable log_views : int array;
+  mutable log_values : string array;
+  mutable resident : int;
   mutable last_index : int;
   mutable committed : int;
   mutable applied : int;
@@ -276,6 +264,47 @@ let pending (t : t) = t.last_index - t.committed
 let set_handlers t handlers = t.handlers <- handlers
 let set_compaction_hooks t hooks = t.hooks <- hooks
 
+let absent = -1
+
+let log_view t idx =
+  let i = idx - t.base - 1 in
+  if i < 0 || i >= Array.length t.log_views then absent else t.log_views.(i)
+
+let log_mem t idx = log_view t idx <> absent
+
+(* Only for a present index. *)
+let log_value t idx = t.log_values.(idx - t.base - 1)
+
+let log_set t idx view value =
+  let i = idx - t.base - 1 in
+  let cap = Array.length t.log_views in
+  if i >= cap then begin
+    let n = max (i + 1) (max 64 (cap + (cap / 2))) in
+    let views = Array.make n absent and values = Array.make n "" in
+    Array.blit t.log_views 0 views 0 cap;
+    Array.blit t.log_values 0 values 0 cap;
+    t.log_views <- views;
+    t.log_values <- values
+  end;
+  if t.log_views.(i) = absent then t.resident <- t.resident + 1;
+  t.log_views.(i) <- view;
+  t.log_values.(i) <- value
+
+(* Drop every index up to [wm] and raise [base] to it.  The suffix moves
+   into arrays sized for it, so the prefix's slots are freed. *)
+let release_prefix t wm =
+  if wm > t.base then begin
+    let cap = Array.length t.log_views in
+    let shift = min (wm - t.base) cap in
+    for i = 0 to shift - 1 do
+      if t.log_views.(i) <> absent then t.resident <- t.resident - 1
+    done;
+    let keep = max 0 (min (cap - shift) (t.last_index - wm)) in
+    t.log_views <- Array.sub t.log_views shift keep;
+    t.log_values <- Array.sub t.log_values shift keep;
+    t.base <- wm
+  end
+
 let stats (t : t) : stats =
   {
     decisions = t.decisions;
@@ -292,7 +321,7 @@ let stats (t : t) : stats =
     max_batch = t.max_batch;
     compactions = t.compactions;
     snapshots_installed = t.snapshots_installed;
-    log_resident = Hashtbl.length t.log;
+    log_resident = t.resident;
     peak_log_resident = t.peak_log;
     acks_resident = Hashtbl.length t.acks;
     epoch = t.epoch;
@@ -329,8 +358,8 @@ let ep node = { Fabric.node; port = paxos_port }
    entry whose payload is a tagged (epoch, members) pair; it flows
    through the same Accept/ack/commit machinery as client commands and
    activates when applied.  The tag keeps config entries distinguishable
-   from opaque application values (which are Marshal blobs and never
-   start with it). *)
+   from opaque application values (whose encodings never start with
+   it). *)
 
 let config_tag = "CRANE-CFG:"
 
@@ -338,9 +367,9 @@ let encode_config ~epoch ~members =
   config_tag ^ Marshal.to_string ((epoch, members) : int * Fabric.node list) []
 
 let decode_config v =
-  let tl = String.length config_tag in
-  if String.length v > tl && String.sub v 0 tl = config_tag then
-    try Some (Marshal.from_string v tl : int * Fabric.node list) with _ -> None
+  if String.starts_with ~prefix:config_tag v then
+    try Some (Marshal.from_string v (String.length config_tag) : int * Fabric.node list)
+    with _ -> None
   else None
 
 let is_config_value v = decode_config v <> None
@@ -425,12 +454,11 @@ let refresh_pending_config (t : t) =
     if idx > t.last_index then best
     else
       let best =
-        match Hashtbl.find_opt t.log idx with
-        | Some (_, v) -> (
-          match decode_config v with
+        if not (log_mem t idx) then best
+        else
+          match decode_config (log_value t idx) with
           | Some (e, m) when e > t.epoch -> Some m
-          | _ -> best)
-        | None -> best
+          | _ -> best
       in
       scan (idx + 1) best
   in
@@ -498,29 +526,26 @@ let suspects (t : t) =
            | None -> true)
       t.members
 
-let encode (record : wal_record) = Marshal.to_string record []
-
-(* Deliver committed values to the application, in order. *)
+(* Deliver committed values to the application, in order; a gap waits
+   for catch-up. *)
 let rec apply (t : t) =
-  if t.applied < t.committed then begin
-    match Hashtbl.find_opt t.log (t.applied + 1) with
-    | None -> () (* gap: wait for catch-up *)
-    | Some (_, value) ->
-      t.applied <- t.applied + 1;
-      t.decisions <- t.decisions + 1;
-      if Engine.tracing t.eng then begin
-        Engine.emit t.eng ~node:t.self (Trace.Commit { index = t.applied });
-        (* Close the proposer-side decide span (open only where this
-           replica proposed the entry). *)
-        Engine.emit t.eng ~node:t.self ~ph:(Trace.Async_end t.applied)
-          (Trace.Decide { index = t.applied })
-      end;
-      (* Config entries are consumed by consensus itself: they activate
-         the new membership instead of reaching the application. *)
-      (match decode_config value with
-      | Some (epoch, members) -> activate_config t ~epoch ~members
-      | None -> t.handlers.on_commit ~index:t.applied value);
-      apply t
+  if t.applied < t.committed && log_mem t (t.applied + 1) then begin
+    let value = log_value t (t.applied + 1) in
+    t.applied <- t.applied + 1;
+    t.decisions <- t.decisions + 1;
+    if Engine.tracing t.eng then begin
+      Engine.emit t.eng ~node:t.self (Trace.Commit { index = t.applied });
+      (* Close the proposer-side decide span (open only where this
+         replica proposed the entry). *)
+      Engine.emit t.eng ~node:t.self ~ph:(Trace.Async_end t.applied)
+        (Trace.Decide { index = t.applied })
+    end;
+    (* Config entries are consumed by consensus itself: they activate
+       the new membership instead of reaching the application. *)
+    (match decode_config value with
+    | Some (epoch, members) -> activate_config t ~epoch ~members
+    | None -> t.handlers.on_commit ~index:t.applied value);
+    apply t
   end
 
 (* Retire proposed batches whose whole index range has now committed.
@@ -545,7 +570,8 @@ let note_committed_batches t =
 
 (* A commit marker covers every index up to its own: recovery keeps the
    highest, so one marker per commit advance is enough. *)
-let mark_committed t = Wal.append_async t.wal [ encode (Wal_commit t.committed) ] ignore
+let mark_committed t =
+  Wal.append_async t.wal [ Wal_record.encode (Commit t.committed) ] ignore
 
 let set_committed ?(mark = true) t idx =
   let moved = idx > t.committed in
@@ -572,16 +598,10 @@ let store_entry t ~index ~eview ~value =
      resurrect a dropped prefix). *)
   if index > t.base then begin
     let touches_config =
-      is_config_value value
-      || match Hashtbl.find_opt t.log index with
-         | Some (_, old) -> is_config_value old
-         | None -> false
+      is_config_value value || (log_mem t index && is_config_value (log_value t index))
     in
-    (match Hashtbl.find_opt t.log index with
-    | Some (v, _) when v > eview -> ()
-    | Some _ | None -> Hashtbl.replace t.log index (eview, value));
-    let n = Hashtbl.length t.log in
-    if n > t.peak_log then t.peak_log <- n;
+    if log_view t index <= eview then log_set t index eview value;
+    if t.resident > t.peak_log then t.peak_log <- t.resident;
     if index > t.last_index then t.last_index <- index;
     (* A Reconfig landing in (or leaving) the uncommitted suffix changes
        the joint-quorum requirement immediately, on backups too. *)
@@ -622,12 +642,9 @@ let advance_commits t =
    plus the post-checkpoint suffix, so everything below the watermark can
    be dropped from every long-lived structure). *)
 
+(* Older truncation headers are superseded by the newer one. *)
 let wal_drop_record wm data =
-  match (Marshal.from_string data 0 : wal_record) with
-  | Wal_accept (_, idx, _) -> idx <= wm
-  | Wal_commit idx -> idx <= wm
-  | Wal_trunc _ -> true (* superseded by the newer header *)
-  | exception _ -> true
+  match Wal_record.index data with Some idx -> idx <= wm | None -> true
 
 (* Drop log/ack entries <= wm and truncate the WAL to a (watermark,
    snapshot) header plus suffix.  Only safe — and only attempted — when a
@@ -639,19 +656,15 @@ let compact_to (t : t) wm =
     match t.snapshot with
     | Some (s_index, blob) when s_index >= wm ->
       for idx = t.base + 1 to wm do
-        Hashtbl.remove t.log idx;
         Hashtbl.remove t.acks idx
       done;
-      t.base <- wm;
+      release_prefix t wm;
       t.compactions <- t.compactions + 1;
       if Engine.tracing t.eng then
         Engine.emit t.eng ~node:t.self (Trace.Compact { watermark = wm; snapshot = s_index });
       let header =
-        Marshal.to_string
-          (Wal_trunc
-             { watermark = wm; s_index; blob; t_epoch = t.epoch; t_members = t.members }
-            : wal_record)
-          []
+        Wal_record.encode
+          (Trunc { watermark = wm; s_index; blob; t_epoch = t.epoch; t_members = t.members })
       in
       Wal.truncate_to t.wal ~header ~drop:(wal_drop_record wm) (fun () -> ());
       t.hooks.on_compact ~watermark:wm
@@ -730,7 +743,7 @@ let submit t values =
     cast t (Accept { aview; lo; values; committed = t.committed });
     Queue.add (hi, hi - lo + 1) t.open_batches;
     Wal.append_async t.wal
-      (List.mapi (fun i value -> encode (Wal_accept (aview, lo + i, value))) values)
+      (List.mapi (fun i value -> Wal_record.encode (Accept (aview, lo + i, value))) values)
       (fun () ->
         fsync_done t ~lo ~hi;
         if t.view = aview && is_primary t then begin
@@ -769,9 +782,8 @@ let log_tail t ~from_index =
   let rec collect idx acc =
     if idx > t.last_index then List.rev acc
     else
-      match Hashtbl.find_opt t.log idx with
-      | Some (v, value) -> collect (idx + 1) ((idx, v, value) :: acc)
-      | None -> collect (idx + 1) acc
+      let v = log_view t idx in
+      collect (idx + 1) (if v = absent then acc else (idx, v, log_value t idx) :: acc)
   in
   collect (max 1 from_index) []
 
@@ -846,12 +858,9 @@ let rec heartbeat_loop t =
              would change message counts and every link's RNG draws. *)
           let hi = min t.last_index (t.committed + 64) in
           for index = t.committed + 1 to hi do
-            match Hashtbl.find_opt t.log index with
-            | Some (_, value) ->
-              cast t
-                (Accept
-                   { aview = t.view; lo = index; values = [ value ]; committed = t.committed })
-            | None -> ()
+            if log_mem t index then
+              let values = [ log_value t index ] in
+              cast t (Accept { aview = t.view; lo = index; values; committed = t.committed })
           done;
           heartbeat_loop t
         end)
@@ -877,13 +886,13 @@ let become_primary (t : t) election =
   (* Re-propose the uncommitted suffix under the new view. *)
   let rec repropose idx =
     if idx <= t.last_index then begin
-      (match Hashtbl.find_opt t.log idx with
-      | Some (_, value) ->
-        Hashtbl.replace t.log idx (t.view, value);
+      if log_mem t idx then begin
+        let value = log_value t idx in
+        log_set t idx t.view value;
         Hashtbl.replace t.acks idx [ t.self ];
         cast t
           (Accept { aview = t.view; lo = idx; values = [ value ]; committed = t.committed })
-      | None -> ());
+      end;
       repropose (idx + 1)
     end
   in
@@ -950,9 +959,8 @@ let serve_entries (t : t) ~dst ~from_index =
   let rec collect idx acc n =
     if idx > t.committed || n >= chunk then List.rev acc
     else
-      match Hashtbl.find_opt t.log idx with
-      | Some (_, value) -> collect (idx + 1) ((idx, value) :: acc) (n + 1)
-      | None -> collect (idx + 1) acc n
+      if log_mem t idx then collect (idx + 1) ((idx, log_value t idx) :: acc) (n + 1)
+      else collect (idx + 1) acc n
   in
   let entries = collect (max (t.base + 1) from_index) [] 0 in
   tell t dst
@@ -991,12 +999,7 @@ let handle (t : t) ~src msg =
     if aview = t.view && Some from = t.primary then begin
       let hi = lo + List.length values - 1 in
       let dup =
-        List.for_all
-          (fun i ->
-            match Hashtbl.find_opt t.log i with
-            | Some (v, _) -> v = aview
-            | None -> false)
-          (List.init (hi - lo + 1) (fun i -> lo + i))
+        List.for_all (fun i -> log_view t i = aview) (List.init (hi - lo + 1) (fun i -> lo + i))
       in
       List.iteri (fun i value -> store_entry t ~index:(lo + i) ~eview:aview ~value) values;
       t.last_heartbeat <- Engine.now t.eng;
@@ -1011,7 +1014,7 @@ let handle (t : t) ~src msg =
       else
         (* Group commit: the whole range becomes durable with one fsync. *)
         Wal.append_async t.wal
-          (List.mapi (fun i value -> encode (Wal_accept (aview, lo + i, value))) values)
+          (List.mapi (fun i value -> Wal_record.encode (Accept (aview, lo + i, value))) values)
           (fun () -> if t.view = aview then tell t from (Accept_ok { aview; lo; hi }));
       set_committed t (min committed hi)
     end
@@ -1055,7 +1058,7 @@ let handle (t : t) ~src msg =
          rejoined replica that missed a range while current Accepts keep
          raising its last_index).  Heartbeats re-request the missing
          range until the log is contiguous again. *)
-      if t.applied < t.committed && not (Hashtbl.mem t.log (t.applied + 1)) then
+      if t.applied < t.committed && not (log_mem t (t.applied + 1)) then
         tell t from (Catchup_req { from_index = t.applied + 1 })
     end
   | Heartbeat_ok { hview; hseq; h_applied } ->
@@ -1151,7 +1154,7 @@ let handle (t : t) ~src msg =
       let applied_before = t.applied in
       List.iter
         (fun (idx, value) ->
-          if not (Hashtbl.mem t.log idx) then
+          if not (log_mem t idx) then
             t.catchup_installed <- t.catchup_installed + 1;
           store_entry t ~index:idx ~eview:rview ~value)
         entries;
@@ -1243,18 +1246,15 @@ let recover_from_wal (t : t) =
        truth, catch-up refills the rest from live replicas. *)
     if e.Wal.torn then t.wal_torn_discarded <- t.wal_torn_discarded + 1
     else
-      match (Marshal.from_string e.Wal.data 0 : wal_record) with
-      | Wal_accept (v, idx, value) -> store_entry t ~index:idx ~eview:v ~value
-      | Wal_commit idx -> if idx > t.committed then t.committed <- idx
-      | Wal_trunc { watermark; s_index; blob; t_epoch; t_members } ->
+      match Wal_record.decode e.Wal.data with
+      | Accept (v, idx, value) -> store_entry t ~index:idx ~eview:v ~value
+      | Commit idx -> if idx > t.committed then t.committed <- idx
+      | Trunc { watermark; s_index; blob; t_epoch; t_members } ->
         (* A crash between the header write and the physical prefix drop
            leaves both on disk: records already absorbed below the
            watermark are void (the snapshot covers them), so processing
            headers in log order makes recovery idempotent. *)
-        for idx = t.base + 1 to watermark do
-          Hashtbl.remove t.log idx
-        done;
-        if watermark > t.base then t.base <- watermark;
+        release_prefix t watermark;
         if watermark > t.committed then t.committed <- watermark;
         if watermark > t.last_index then t.last_index <- watermark;
         if t_epoch > t.epoch then begin
@@ -1273,7 +1273,7 @@ let recover_from_wal (t : t) =
      the rest from live replicas, and checkpoint replay never sees a
      gap. *)
   let rec contiguous idx =
-    if Hashtbl.mem t.log (idx + 1) then contiguous (idx + 1) else idx
+    if log_mem t (idx + 1) then contiguous (idx + 1) else idx
   in
   t.committed <- min t.committed (contiguous t.base);
   (* The server restarts from a checkpoint and replays explicitly
@@ -1283,14 +1283,12 @@ let recover_from_wal (t : t) =
      committed one, and re-learn any still-pending one. *)
   let rec rescan idx =
     if idx <= t.committed then begin
-      (match Hashtbl.find_opt t.log idx with
-      | Some (_, v) -> (
-        match decode_config v with
-        | Some (e, m) when e > t.epoch ->
-          t.epoch <- e;
-          t.members <- m
-        | _ -> ())
-      | None -> ());
+      (if log_mem t idx then
+         match decode_config (log_value t idx) with
+         | Some (e, m) when e > t.epoch ->
+           t.epoch <- e;
+           t.members <- m
+         | _ -> ());
       rescan (idx + 1)
     end
   in
@@ -1323,7 +1321,9 @@ let create ?(config = default_config) ~fabric ~rng ~wal ~members ~node ~group ()
       view = 0;
       primary = None;
       max_view_seen = 0;
-      log = Hashtbl.create 1024;
+      log_views = [||];
+      log_values = [||];
+      resident = 0;
       last_index = 0;
       committed = 0;
       applied = 0;
@@ -1395,8 +1395,6 @@ let get_committed_range t ~lo ~hi =
   let rec collect idx acc =
     if idx > hi || idx > t.committed then List.rev acc
     else
-      match Hashtbl.find_opt t.log idx with
-      | Some (_, value) -> collect (idx + 1) (value :: acc)
-      | None -> List.rev acc
+      if log_mem t idx then collect (idx + 1) (log_value t idx :: acc) else List.rev acc
   in
   collect (max 1 lo) []

@@ -8,7 +8,11 @@ type t = {
   eng : Engine.t;
   wname : string;
   write_latency : Time.t;
-  mutable stable : entry list; (* newest first *)
+  (* Stable records, oldest first, in [recs.(0 .. len - 1)]; [torn_at]
+     holds the positions of torn tails. *)
+  mutable recs : string array;
+  mutable len : int;
+  mutable torn_at : int list;
   mutable writes : int;
   (* Writes become stable in submission order even when issued
      concurrently: model a single flash channel. *)
@@ -31,7 +35,9 @@ let create ?(write_latency = Time.us 15) eng ~name =
     eng;
     wname = name;
     write_latency;
-    stable = [];
+    recs = [||];
+    len = 0;
+    torn_at = [];
     writes = 0;
     last_stable_at = Time.zero;
     inflight = Hashtbl.create 8;
@@ -43,6 +49,15 @@ let create ?(write_latency = Time.us 15) eng ~name =
   }
 
 let name t = t.wname
+
+let push t data =
+  if t.len = Array.length t.recs then begin
+    let recs = Array.make (max 16 (t.len + (t.len / 2))) "" in
+    Array.blit t.recs 0 recs 0 t.len;
+    t.recs <- recs
+  end;
+  t.recs.(t.len) <- data;
+  t.len <- t.len + 1
 
 let stable_time t =
   let now = Engine.now t.eng in
@@ -97,7 +112,7 @@ let append_async t records k =
            the group: it never reached the device intact. *)
         if intact t first last then begin
           for id = first to last do
-            t.stable <- { data = Hashtbl.find t.inflight id; torn = false } :: t.stable;
+            push t (Hashtbl.find t.inflight id);
             Hashtbl.remove t.inflight id
           done;
           trace_durable t ~submitted_at ~group_size;
@@ -120,20 +135,23 @@ let truncate_to t ~header ~drop k =
       Engine.at t.eng (stable_time t) (fun () ->
           if Hashtbl.mem t.pending_truncs tid then begin
             Hashtbl.remove t.pending_truncs tid;
-            (* [stable] is newest first; keep everything from the head
-               down to and including the header, filter what's older. *)
-            let rec split acc = function
-              | [] -> (List.rev acc, [])
-              | e :: rest when (not e.torn) && e.data == header ->
-                (List.rev (e :: acc), rest)
-              | e :: rest -> split (e :: acc) rest
-            in
-            let newer, older = split [] t.stable in
+            (* Keep everything from the newest copy of the header on (a
+               torn tail is a fresh copy, never the header itself);
+               filter what's older. *)
+            let rec find i = if i < 0 || t.recs.(i) == header then i else find (i - 1) in
+            let h = max 0 (find (t.len - 1)) in
             let kept =
-              List.filter (fun e -> (not e.torn) && not (drop e.data)) older
+              List.init h Fun.id
+              |> List.filter (fun i -> not (List.mem i t.torn_at || drop t.recs.(i)))
             in
-            t.dropped <- t.dropped + (List.length older - List.length kept);
-            t.stable <- newer @ kept;
+            let gone = h - List.length kept in
+            List.iteri (fun j i -> t.recs.(j) <- t.recs.(i)) kept;
+            Array.blit t.recs h t.recs (h - gone) (t.len - h);
+            Array.fill t.recs (t.len - gone) gone "";
+            t.len <- t.len - gone;
+            t.dropped <- t.dropped + gone;
+            t.torn_at <-
+              List.filter_map (fun i -> if i >= h then Some (i - gone) else None) t.torn_at;
             k ()
           end))
 
@@ -151,22 +169,25 @@ let crash_torn_tail t =
   | (_, data) :: _ ->
     (* The oldest in-flight record was mid-write: a partial prefix lands
        on disk; younger in-flight writes are lost outright. *)
-    let partial = String.sub data 0 (String.length data / 2) in
-    t.stable <- { data = partial; torn = true } :: t.stable;
+    t.torn_at <- t.len :: t.torn_at;
+    push t (String.sub data 0 (String.length data / 2));
     true
 
-let entries t = List.rev t.stable
+let entries t =
+  List.init t.len (fun i -> { data = t.recs.(i); torn = List.mem i t.torn_at })
 
 let records t =
   List.filter_map (fun e -> if e.torn then None else Some e.data) (entries t)
 
-let length t = List.length t.stable
+let length t = t.len
 let writes t = t.writes
 let truncations t = t.truncations
 let dropped t = t.dropped
 
 let reset t =
-  t.stable <- [];
+  t.recs <- [||];
+  t.len <- 0;
+  t.torn_at <- [];
   t.writes <- 0;
   Hashtbl.reset t.inflight;
   Hashtbl.reset t.pending_truncs

@@ -14,21 +14,61 @@ module Stats = Crane_report.Stats
 (* ------------------------------------------------------------------ *)
 (* Event codec *)
 
+(* Fields anywhere in the non-negative int range (the varint edges
+   included) and binary payloads: empty, with newlines, or led by Paxos's
+   config tag. *)
 let arbitrary_event =
-  QCheck.(
-    map
-      (fun (tag, conn, port, payload) ->
-        match tag mod 4 with
-        | 0 -> Event.Connect { conn; port }
-        | 1 -> Event.Send { conn; payload }
-        | 2 -> Event.Close { conn }
-        | _ -> Event.Time_bubble { nclock = 1 + (conn mod 5000) })
-      (quad small_nat small_nat small_nat small_printable_string))
+  let open QCheck.Gen in
+  let field = frequency [ (3, small_nat); (3, pint); (1, oneofl [ 0; 127; 128; max_int ]) ] in
+  let payload =
+    frequency
+      [ (1, return "");
+        (4, string_size ~gen:char (0 -- 300));
+        (1, map (fun s -> "CRANE-CFG:" ^ s) (string ~gen:char));
+        (1, map (fun s -> s ^ "\n" ^ s) (string ~gen:printable)) ]
+  in
+  QCheck.make
+    ~print:(fun ev ->
+      Format.asprintf "%a" Event.pp ev
+      ^ match ev with Event.Send { payload; _ } -> " " ^ String.escaped payload | _ -> "")
+    (oneof
+       [ map2 (fun conn port -> Event.Connect { conn; port }) field field;
+         map2 (fun conn payload -> Event.Send { conn; payload }) field payload;
+         map (fun conn -> Event.Close { conn }) field;
+         map (fun nclock -> Event.Time_bubble { nclock }) field ])
 
 let prop_event_roundtrip =
   QCheck.Test.make ~name:"event encode/decode roundtrip" ~count:300
     arbitrary_event
     (fun ev -> Event.decode (Event.encode ev) = ev)
+
+let malformed s =
+  match Event.decode s with _ -> false | exception Crane_storage.Codec.Malformed -> true
+
+let prop_event_length_checked =
+  QCheck.Test.make ~name:"event decode rejects strict prefixes and trailing bytes"
+    ~count:300 arbitrary_event (fun ev ->
+      let s = Event.encode ev in
+      List.for_all (fun n -> malformed (String.sub s 0 n)) (List.init (String.length s) Fun.id)
+      && malformed (s ^ "\000"))
+
+let prop_event_not_config =
+  QCheck.Test.make ~name:"no event encodes as a config value" ~count:300 arbitrary_event
+    (fun ev -> not (Crane_paxos.Paxos.is_config_value (Event.encode ev)))
+
+(* Negative fields are refused at encode time; unknown tags and varints
+   past 63 bits at decode time. *)
+let test_event_codec_rejects () =
+  List.iter
+    (fun ev ->
+      Alcotest.check_raises "negative field" (Invalid_argument "Codec.add_uint: negative")
+        (fun () -> ignore (Event.encode ev)))
+    [ Event.Connect { conn = 1; port = -1 }; Event.Send { conn = -1; payload = "" };
+      Event.Close { conn = min_int }; Event.Time_bubble { nclock = -5 } ];
+  List.iter
+    (fun s -> Alcotest.(check bool) (String.escaped s) true (malformed s))
+    [ ""; "\004"; "\255\001"; "\003" ^ String.make 9 '\255' ^ "\001";
+      "\003" ^ String.make 8 '\255' ^ "\064" ]
 
 let test_event_is_bubble () =
   Alcotest.(check bool) "bubble" true (Event.is_bubble (Event.Time_bubble { nclock = 3 }));
@@ -273,6 +313,9 @@ let suite =
     ( "units.event",
       [
         qcheck prop_event_roundtrip;
+        qcheck prop_event_length_checked;
+        qcheck prop_event_not_config;
+        Alcotest.test_case "codec rejects" `Quick test_event_codec_rejects;
         Alcotest.test_case "is_bubble" `Quick test_event_is_bubble;
       ] );
     ( "units.paxos_seq",
