@@ -166,21 +166,8 @@ let chaos_cmd scenario seed list =
           r)
         to_run
     in
-    let failed = List.filter (fun r -> not (Chaos.passed r)) reports in
-    Table.print ~title:"chaos suite summary" ~header:[ "scenario"; "verdict" ]
-      (List.map
-         (fun r ->
-           [ r.Chaos.r_scenario; (if Chaos.passed r then "PASS" else "FAIL") ])
-         reports);
-    if failed = [] then begin
-      Printf.printf "\nall %d scenarios passed (seed %d)\n" (List.length reports) seed;
-      0
-    end
-    else begin
-      Printf.printf "\n%d of %d scenarios FAILED (seed %d)\n" (List.length failed)
-        (List.length reports) seed;
-      1
-    end
+    print_string (Chaos.render_summary ~seed reports);
+    if List.for_all Chaos.passed reports then 0 else 1
 
 (* ---- bench: run benches, write their rows, print their gates ----
 
@@ -206,15 +193,7 @@ let bench_cmd chosen quick seed check =
     let drift =
       match baseline with
       | None -> []
-      | Some None -> [ (Printf.sprintf "drift: no readable baseline %s" path, false) ]
-      | Some (Some baseline) -> (
-        match Rows.drift ~baseline ~current with
-        | Error e -> [ ("drift: not comparable: " ^ e, false) ]
-        | Ok [] ->
-          [ (Printf.sprintf "drift: all %d rows of %s within %.0f%%"
-               (List.length baseline.Rows.rows) path (100. *. Rows.tolerance),
-             true) ]
-        | Ok failures -> List.map (fun f -> ("drift: " ^ f, false)) failures)
+      | Some baseline -> Rows.drift_gates ~path ~baseline ~current
     in
     let gates = b.gates current @ drift in
     List.iter
@@ -262,86 +241,35 @@ let analyze_cmd targets seed list =
 
 module Mc = Crane_analysis.Mc
 
-let mc_print_violation (v : Mc.violation) =
-  Printf.printf "VIOLATION (schedule %d): %s — %s\n" v.v_run v.v_invariant
-    v.v_detail;
-  Printf.printf "counterexample schedule (%d choices):\n"
-    (List.length v.v_choices);
-  List.iter
-    (fun (c : Mc.choice) ->
-      Printf.printf "  %-12s %d/%d  %s\n" c.c_label c.c_taken c.c_width c.c_key)
-    v.v_choices
-
-(* Wall time goes to stderr: stdout stays deterministic for diffing. *)
-let mc_explore ~name cfg =
+(* Run one checked exploration and print it; true iff it passed.  Wall
+   time goes to stderr: stdout stays deterministic for diffing. *)
+let mc_step ~name ~must_fail ?trace cfg =
   let t0 = Sys.time () in
-  let o = Mc.explore cfg in
-  let dt = Sys.time () -. t0 in
-  Printf.printf "[%s] %d schedules, %d deliveries, %s\n" name o.Mc.o_runs
-    o.Mc.o_transitions
+  let k = Mc.check ?trace cfg in
+  let o = k.Mc.k_outcome in
+  Printf.printf "[%s] %d schedules, %d deliveries, %s\n" name o.Mc.o_runs o.Mc.o_transitions
     (if o.Mc.o_complete then "explored to bound" else "run budget hit");
-  Printf.eprintf "[%s] wall %.1fs\n%!" name dt;
-  o
-
-(* Prove the checker finds a reintroduced bug, and that the recorded
-   counterexample replays to the same invariant violation. *)
-let mc_kill_mutation ~seed m file =
-  let cfg = { (Mc.mutation_preset m) with Mc.seed } in
-  let name = "mutate:" ^ Mc.mutation_name m in
-  let o = mc_explore ~name cfg in
-  match o.Mc.o_violation with
-  | None ->
-    Printf.printf "[%s] NOT KILLED: no violation within the bounds\n" name;
-    false
-  | Some v ->
-    Printf.printf "[%s] killed by %s — %s\n" name v.Mc.v_invariant v.Mc.v_detail;
-    Mc.write_trace cfg v file;
-    Printf.printf "[%s] counterexample written to %s\n" name file;
-    let _, expect, verdict = Mc.replay file in
-    (match verdict with
-    | Some (inv, _) when inv = expect ->
-      Printf.printf "[%s] replay reproduces the %s violation\n" name inv;
-      true
-    | Some (inv, d) ->
-      Printf.printf "[%s] replay diverged: got %s — %s\n" name inv d;
-      false
-    | None ->
-      Printf.printf "[%s] replay FAILED to reproduce the violation\n" name;
-      false)
-
-let mc_smoke seed =
-  let ok = ref true in
-  let clean name cfg =
-    let o = mc_explore ~name cfg in
-    match o.Mc.o_violation with
-    | Some v ->
-      mc_print_violation v;
-      Mc.write_trace cfg v ("mc_" ^ name ^ ".trace");
-      Printf.printf "[%s] counterexample written to mc_%s.trace\n" name name;
-      ok := false
-    | None -> Printf.printf "[%s] no violations\n" name
-  in
-  clean "clean" { Mc.default with Mc.seed };
-  clean "clean-crash"
-    {
-      Mc.default with
-      Mc.seed;
-      clients = 1;
-      crash_budget = 1;
-      crash_window = 6;
-    };
-  if not (mc_kill_mutation ~seed Mc.Hole_backfill "mc_hole_backfill.trace") then
-    ok := false;
-  if not (mc_kill_mutation ~seed Mc.Dup_accept "mc_dup_accept.trace") then
-    ok := false;
-  if !ok then begin
-    print_endline "mc smoke: PASS";
-    0
-  end
-  else begin
-    print_endline "mc smoke: FAIL";
-    1
-  end
+  Printf.eprintf "[%s] wall %.1fs\n%!" name (Sys.time () -. t0);
+  (match o.Mc.o_violation with
+  | None when must_fail -> Printf.printf "[%s] NOT KILLED: no violation within the bounds\n" name
+  | None -> Printf.printf "[%s] no violations\n" name
+  | Some v -> (
+    if must_fail then Printf.printf "[%s] killed by %s — %s\n" name v.v_invariant v.v_detail
+    else begin
+      Printf.printf "VIOLATION (schedule %d): %s — %s\n" v.v_run v.v_invariant v.v_detail;
+      Printf.printf "counterexample schedule (%d choices):\n" (List.length v.v_choices);
+      List.iter
+        (fun (c : Mc.choice) ->
+          Printf.printf "  %-12s %d/%d  %s\n" c.c_label c.c_taken c.c_width c.c_key)
+        v.v_choices
+    end;
+    Option.iter (Printf.printf "[%s] counterexample written to %s\n" name) trace;
+    match k.Mc.k_replay with
+    | Some Mc.Reproduced -> Printf.printf "[%s] replay reproduces the %s violation\n" name v.v_invariant
+    | Some (Mc.Diverged (inv, d)) -> Printf.printf "[%s] replay diverged: got %s — %s\n" name inv d
+    | Some Mc.Lost -> Printf.printf "[%s] replay FAILED to reproduce the violation\n" name
+    | None -> ()));
+  Mc.passed ~must_fail k
 
 let mc_cmd seed replicas clients writes reads crashes drops delay_mult naive
     no_fastpath pool mutate max_branch max_runs trace_out replay smoke =
@@ -358,86 +286,61 @@ let mc_cmd seed replicas clients writes reads crashes drops delay_mult naive
     | None ->
       print_endline "no violation on replay";
       1)
+  | None when smoke ->
+    (* every step runs, even after one fails *)
+    let results =
+      List.map
+        (fun (s : Mc.step) ->
+          mc_step ~name:s.s_name ~must_fail:s.s_must_fail ~trace:s.s_trace s.s_cfg)
+        (Mc.smoke ~seed)
+    in
+    let ok = List.for_all Fun.id results in
+    print_endline (if ok then "mc smoke: PASS" else "mc smoke: FAIL");
+    if ok then 0 else 1
   | None ->
-    if smoke then mc_smoke seed
-    else begin
-      let base =
-        match mutate with Some m -> Mc.mutation_preset m | None -> Mc.default
-      in
-      let ov v = function Some x -> x | None -> v in
-      let cfg =
-        {
-          base with
-          Mc.seed;
-          replicas = ov base.Mc.replicas replicas;
-          clients = ov base.Mc.clients clients;
-          writes = ov base.Mc.writes writes;
-          reads = ov base.Mc.reads reads;
-          crash_budget = ov base.Mc.crash_budget crashes;
-          drop_budget = ov base.Mc.drop_budget drops;
-          delays =
-            (match delay_mult with
-            | Some m when m > 1 -> [| 1; m |]
-            | _ -> base.Mc.delays);
-          dpor = not naive;
-          read_fastpath = base.Mc.read_fastpath && not no_fastpath;
-          pool_workers = ov base.Mc.pool_workers pool;
-          max_branch = ov base.Mc.max_branch max_branch;
-          max_runs = ov base.Mc.max_runs max_runs;
-        }
-      in
-      let name =
-        match mutate with
-        | Some m -> "mutate:" ^ Mc.mutation_name m
-        | None -> "explore"
-      in
-      let o = mc_explore ~name cfg in
-      match (o.Mc.o_violation, mutate) with
-      | Some v, _ ->
-        mc_print_violation v;
-        (match trace_out with
-        | Some file ->
-          Mc.write_trace cfg v file;
-          Printf.printf "counterexample written to %s\n" file
-        | None -> ());
-        (* finding the reintroduced bug is the expected outcome *)
-        if mutate = None then 1 else 0
-      | None, Some _ ->
-        print_endline "mutation NOT killed within the bounds";
-        1
-      | None, None ->
-        print_endline "no violations";
-        0
-    end
+    let base = match mutate with Some m -> Mc.mutation_preset m | None -> Mc.default in
+    let ov v = function Some x -> x | None -> v in
+    let cfg =
+      {
+        base with
+        Mc.seed;
+        replicas = ov base.Mc.replicas replicas;
+        clients = ov base.Mc.clients clients;
+        writes = ov base.Mc.writes writes;
+        reads = ov base.Mc.reads reads;
+        crash_budget = ov base.Mc.crash_budget crashes;
+        drop_budget = ov base.Mc.drop_budget drops;
+        delays =
+          (match delay_mult with Some m when m > 1 -> [| 1; m |] | _ -> base.Mc.delays);
+        dpor = not naive;
+        read_fastpath = base.Mc.read_fastpath && not no_fastpath;
+        pool_workers = ov base.Mc.pool_workers pool;
+        max_branch = ov base.Mc.max_branch max_branch;
+        max_runs = ov base.Mc.max_runs max_runs;
+      }
+    in
+    let name = match mutate with Some m -> "mutate:" ^ Mc.mutation_name m | None -> "explore" in
+    if mc_step ~name ~must_fail:(mutate <> None) ?trace:trace_out cfg then 0 else 1
 
 (* ---- profile: commit critical path and the what-if latency lab ---- *)
-
-let whatif_row ~(base : Latency.profile) ~(variant : Latency.profile) w =
-  let b = base.report.Critical_path.e2e and v = variant.report.Critical_path.e2e in
-  let delta = b.Metrics.mean -. v.Metrics.mean in
-  [ Latency.whatif_name w; Latency.whatif_doc w;
-    Printf.sprintf "%.1f" (b.Metrics.mean /. 1e3);
-    Printf.sprintf "%.1f" (v.Metrics.mean /. 1e3);
-    Printf.sprintf "%+.1f" (delta /. 1e3);
-    (if b.Metrics.mean > 0.0 then Printf.sprintf "%+.1f%%" (100. *. delta /. b.Metrics.mean)
-     else "-") ]
 
 let profile_cmd (s : Servers.t) clients requests seed whatifs trace_out =
   Printf.printf "profiling %s: %d clients, %d requests, seed %d (crane mode)\n"
     s.name clients requests seed;
   let base = Latency.profiled_run s ~clients ~requests ~seed ~tweak:None in
   print_string (Critical_path.render base.report);
-  if whatifs <> [] then begin
-    let rows =
-      List.map
-        (fun w ->
-          let variant = Latency.profiled_run s ~clients ~requests ~seed ~tweak:(Some w) in
-          whatif_row ~base ~variant w)
-        whatifs
-    in
+  (* each what-if run's table row, and its trace's dropped-event count *)
+  let variants =
+    List.map
+      (fun w ->
+        let variant = Latency.profiled_run s ~clients ~requests ~seed ~tweak:(Some w) in
+        (Latency.whatif_row ~base ~variant w, (Latency.whatif_name w, Trace.dropped variant.trace)))
+      whatifs
+  in
+  if variants <> [] then begin
     Table.print ~title:"what-if latency lab (same seed, virtual speedup)"
       ~header:[ "what-if"; "change"; "base e2e mean us"; "e2e mean us"; "delta us"; "delta" ]
-      rows;
+      (List.map fst variants);
     print_newline ()
   end;
   Option.iter
@@ -447,12 +350,19 @@ let profile_cmd (s : Servers.t) clients requests seed whatifs trace_out =
          regardless of export options *)
       Printf.eprintf "base-run trace -> %s\n" path)
     trace_out;
-  if base.report.Critical_path.errors <> [] then begin
-    Printf.printf "profile: %d malformed span DAG(s)\n"
-      (List.length base.report.Critical_path.errors);
-    1
-  end
-  else 0
+  (* A run whose trace overflowed was decomposed from a prefix only. *)
+  let truncated =
+    List.filter
+      (fun (_, n) -> n > 0)
+      (("base", Trace.dropped base.trace) :: List.map snd variants)
+  in
+  List.iter
+    (fun (run, n) ->
+      Printf.printf "profile: %s run dropped %d trace events beyond the limit\n" run n)
+    truncated;
+  let errors = List.length base.report.Critical_path.errors in
+  if errors > 0 then Printf.printf "profile: %d malformed span DAG(s)\n" errors;
+  if errors > 0 || truncated <> [] then 1 else 0
 
 (* ---- cmdliner plumbing ---- *)
 

@@ -30,9 +30,7 @@ module Target = Crane_workload.Target
 module Clients = Crane_workload.Clients
 module Table = Crane_report.Table
 
-type mode = Native | Parrot
-
-let mode_name = function Native -> "native" | Parrot -> "parrot"
+let mode_name = function Standalone.Native -> "native" | Standalone.Parrot -> "parrot"
 
 type spec = {
   s_name : string;
@@ -199,12 +197,7 @@ let run_one ~seed ~mode spec =
   let tr = Trace.create ~retain:false () in
   let mon = Hb.create () in
   Hb.attach mon tr;
-  let standalone_mode =
-    match mode with Native -> Standalone.Native | Parrot -> Standalone.Parrot
-  in
-  let sa =
-    Standalone.boot ~seed ~mode:standalone_mode ~server:(spec.s_server ()) ~trace:tr ()
-  in
+  let sa = Standalone.boot ~seed ~mode ~server:(spec.s_server ()) ~trace:tr () in
   let eng = Standalone.engine sa in
   (match spec.s_port with
   | Some port -> spec.s_drive eng (Target.standalone sa ~port)
@@ -248,7 +241,7 @@ let analyze ~seed ?(targets = target_names) () =
       targets
   in
   List.concat_map
-    (fun spec -> [ analyze_one ~seed spec Native; analyze_one ~seed spec Parrot ])
+    (fun spec -> List.map (analyze_one ~seed spec) [ Standalone.Native; Standalone.Parrot ])
     selected
 
 (* ------------------------------------------------------------------ *)

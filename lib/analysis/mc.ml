@@ -830,3 +830,68 @@ let replay_with ~mutation path =
   let cfg = { cfg with mutation } in
   let exec = run_one cfg ~forced in
   (cfg, expect, exec.x_verdict)
+
+(* ------------------------------------------------------------------ *)
+(* Checked exploration                                                 *)
+
+type replayed =
+  | Reproduced  (** the written trace replays to the violation it records *)
+  | Diverged of string * string  (** it replays to another violation *)
+  | Lost  (** it replays clean *)
+
+type check = {
+  k_outcome : outcome;
+  k_replay : replayed option;  (** [None]: no violation, or no trace written *)
+}
+
+(* Explore [cfg]; on a violation with a [trace] path, write the
+   counterexample there and re-execute it from the file alone, so a
+   counterexample only counts as reproducible when its file is. *)
+let check ?trace cfg =
+  let o = explore cfg in
+  let replay_from path v =
+    write_trace cfg v path;
+    match replay path with
+    | _, expect, Some (inv, _) when inv = expect && expect = v.v_invariant -> Reproduced
+    | _, _, Some (inv, detail) -> Diverged (inv, detail)
+    | _, _, None -> Lost
+  in
+  {
+    k_outcome = o;
+    k_replay =
+      (match (o.o_violation, trace) with
+      | Some v, Some path -> Some (replay_from path v)
+      | _ -> None);
+  }
+
+(* A clean config passes with no violation; a mutated one ([must_fail])
+   only when the bug is found and any counterexample written replays. *)
+let passed ~must_fail k =
+  match (k.k_outcome.o_violation, k.k_replay) with
+  | None, _ -> not must_fail
+  | Some _, (None | Some Reproduced) -> must_fail
+  | Some _, Some (Diverged _ | Lost) -> false
+
+type step = { s_name : string; s_cfg : config; s_trace : string; s_must_fail : bool }
+
+(* The smoke matrix: the default config with and without a crash must
+   explore to its bound cleanly, and both reintroduced paxos bugs must be
+   killed with a counterexample that replays. *)
+let smoke ~seed =
+  let clean name cfg =
+    { s_name = name; s_cfg = cfg; s_trace = "mc_" ^ name ^ ".trace"; s_must_fail = false }
+  in
+  let mutant m file =
+    {
+      s_name = "mutate:" ^ mutation_name m;
+      s_cfg = { (mutation_preset m) with seed };
+      s_trace = file;
+      s_must_fail = true;
+    }
+  in
+  [
+    clean "clean" { default with seed };
+    clean "clean-crash" { default with seed; clients = 1; crash_budget = 1; crash_window = 6 };
+    mutant Hole_backfill "mc_hole_backfill.trace";
+    mutant Dup_accept "mc_dup_accept.trace";
+  ]

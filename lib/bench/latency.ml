@@ -37,6 +37,18 @@ let profiled_run (s : Servers.t) ~clients ~requests ~seed ~tweak =
          closed_loop ~clients ~requests ~rng:(Rng.create (seed + 1)) s));
   { report = Critical_path.analyze tr; trace = tr }
 
+(* One row of the what-if table: [w]'s end-to-end mean against the base
+   run's, in microseconds. *)
+let whatif_row ~(base : profile) ~(variant : profile) w =
+  let b = base.report.Critical_path.e2e and v = variant.report.Critical_path.e2e in
+  let delta = b.Metrics.mean -. v.Metrics.mean in
+  [ whatif_name w; whatif_doc w;
+    Printf.sprintf "%.1f" (b.Metrics.mean /. 1e3);
+    Printf.sprintf "%.1f" (v.Metrics.mean /. 1e3);
+    Printf.sprintf "%+.1f" (delta /. 1e3);
+    (if b.Metrics.mean > 0.0 then Printf.sprintf "%+.1f%%" (100. *. delta /. b.Metrics.mean)
+     else "-") ]
+
 let summary_rows case prefix (s : Metrics.summary) =
   let ns name v = Rows.row case (prefix ^ "." ^ name) "ns" Rows.Lower (float v) in
   [ Rows.row case (prefix ^ ".count") "count" Rows.Higher (float s.Metrics.count);

@@ -226,6 +226,17 @@ let render_report r =
   line "verdict: %s" (if passed r then "PASS" else "FAIL");
   Buffer.contents b
 
+(* The suite's closing summary: one verdict per scenario, then the count. *)
+let render_summary ~seed reports =
+  let n = List.length reports in
+  let failed = List.length (List.filter (fun r -> not (passed r)) reports) in
+  Table.render ~title:"chaos suite summary" ~header:[ "scenario"; "verdict" ]
+    (List.map (fun r -> [ r.r_scenario; (if passed r then "PASS" else "FAIL") ]) reports)
+  ^ "\n\n"
+  ^
+  if failed = 0 then Printf.sprintf "all %d scenarios passed (seed %d)\n" n seed
+  else Printf.sprintf "%d of %d scenarios FAILED (seed %d)\n" failed n seed
+
 (* ------------------------------------------------------------------ *)
 (* Driver state                                                        *)
 

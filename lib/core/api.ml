@@ -3,36 +3,26 @@
     A server program in this reproduction is written once against [API]
     and runs unmodified under any of the bindings, exactly as a Linux
     server binary runs unmodified under different [LD_PRELOAD]
-    interpositions:
+    interpositions.  CRANE interposes on two layers, so [API] is the
+    product of two halves, each swappable on its own ({!Runtime.create}):
 
-    - {e native}: nondeterministic Pthreads + direct sockets (the paper's
-      un-replicated baseline);
-    - {e parrot}: the DMT scheduler, sockets via PARROT's nondeterministic
-      blocking-call path ("w/ Parrot only" in Figure 14);
-    - {e crane}: DMT + socket calls virtualized over the PAXOS sequence
-      with time bubbling (the full system);
-    - {e paxos-only}: Pthreads + PAXOS-ordered socket delivery with
-      immediate admission ("w/ Paxos only" in Figure 14).
+    - [SYNC], the libpthread layer: nondeterministic Pthreads, or the
+      PARROT DMT scheduler;
+    - [NET], the socket layer: direct sockets, or CRANE's virtualized
+      socket calls over the PAXOS sequence.
 
-    Soft barriers are PARROT's performance hints: a no-op under native. *)
+    The paper's deployments are the four cells of that product: native
+    (Pthreads + direct; the un-replicated baseline), PARROT alone (DMT +
+    direct, "w/ Parrot only" in Figure 14), Paxos-only (Pthreads + PAXOS
+    sequence) and CRANE (DMT + PAXOS sequence, with time bubbling).
+
+    Soft barriers are PARROT's performance hints: a no-op under Pthreads. *)
 
 module Time = Crane_sim.Time
 
-module type API = sig
-  val node : string
-  (** Replica identity (host name). *)
-
-  val fs : Crane_fs.Memfs.t
-  (** The server's working/installation filesystem (checkpointed). *)
-
-  val now : unit -> Time.t
-  val sleep : Time.t -> unit
-
+module type SYNC = sig
   val spawn : name:string -> (unit -> unit) -> unit
   (** pthread_create. *)
-
-  val work : Time.t -> unit
-  (** A CPU burst: occupies one core of the replica machine. *)
 
   type mutex
   type cond
@@ -60,6 +50,13 @@ module type API = sig
   val cell_get : 'a cell -> 'a
   val cell_set : 'a cell -> 'a -> unit
 
+  type soft_barrier
+
+  val soft_barrier : n:int -> timeout_ticks:int -> soft_barrier
+  val soft_barrier_wait : soft_barrier -> unit
+end
+
+module type NET = sig
   type listener
   type conn
 
@@ -74,11 +71,23 @@ module type API = sig
   val send : conn -> string -> unit
   val close : conn -> unit
   val conn_id : conn -> int
+end
 
-  type soft_barrier
+module type API = sig
+  val node : string
+  (** Replica identity (host name). *)
 
-  val soft_barrier : n:int -> timeout_ticks:int -> soft_barrier
-  val soft_barrier_wait : soft_barrier -> unit
+  val fs : Crane_fs.Memfs.t
+  (** The server's working/installation filesystem (checkpointed). *)
+
+  val now : unit -> Time.t
+  val sleep : Time.t -> unit
+
+  val work : Time.t -> unit
+  (** A CPU burst: occupies one core of the replica machine. *)
+
+  include SYNC
+  include NET
 end
 
 type api = (module API)

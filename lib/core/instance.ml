@@ -164,12 +164,12 @@ let boot ~eng ~fabric ~world ~rng ~wal ~members ~node ~(cfg : config) ~(server :
       ~on_config ~on_fence ()
   in
   let runtime =
-    match (cfg.mode, dmt) with
-    | (Full | No_bubbling), Some dmt ->
-      Runtime.crane ~eng ~node ~fs:fsys ~cores ~dmt ~vhost ()
-    | Paxos_only, None ->
-      Runtime.paxos_only ~eng ~node ~fs:fsys ~cores ~rng:(Rng.split rng) ~vhost ()
-    | (Full | No_bubbling), None | Paxos_only, Some _ -> assert false
+    let sync =
+      match dmt with
+      | Some dmt -> Runtime.Dmt dmt
+      | None -> Runtime.Pthreads (Crane_pthread.Pthread.create eng (Rng.split rng))
+    in
+    Runtime.create ~eng ~node ~fs:fsys ~cores sync (Runtime.Vhost vhost)
   in
   (* Boot the server program inside the instance. *)
   let handle = server.Api.boot runtime.Runtime.api in

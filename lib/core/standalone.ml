@@ -1,6 +1,7 @@
 (** Un-replicated deployments for the paper's baselines: the same server
     program on a single machine, under plain Pthreads (the nondeterministic
-    baseline of Figure 14) or under PARROT alone ("w/ Parrot only"). *)
+    baseline of Figure 14) or under PARROT alone ("w/ Parrot only"), each
+    on the runtime's direct socket half. *)
 
 module Time = Crane_sim.Time
 module Engine = Crane_sim.Engine
@@ -9,6 +10,8 @@ module Cores = Crane_sim.Cores
 module Fabric = Crane_net.Fabric
 module Sock = Crane_socket.Sock
 module Memfs = Crane_fs.Memfs
+module Pthread = Crane_pthread.Pthread
+module Dmt = Crane_dmt.Dmt
 
 type mode = Native | Parrot
 
@@ -19,7 +22,7 @@ type t = {
   node : string;
   runtime : Runtime.t;
   handle : Api.handle;
-  dmt : Crane_dmt.Dmt.t option;
+  dmt : Dmt.t option;
 }
 
 let boot ?(seed = 42) ?(node = "server") ?(cores = 24) ?turn_cost
@@ -32,16 +35,15 @@ let boot ?(seed = 42) ?(node = "server") ?(cores = 24) ?turn_cost
   let fs = Memfs.create () in
   server.Api.install fs;
   let pool = Cores.create eng cores in
-  let runtime, dmt =
+  let sync, dmt =
     match mode with
-    | Native ->
-      ( Runtime.native ~eng ~world ~node ~fs ~cores:pool ~rng:(Rng.split rng) (),
-        None )
+    | Native -> (Runtime.Pthreads (Pthread.create eng (Rng.split rng)), None)
     | Parrot ->
-      let rt, dmt = Runtime.parrot ?turn_cost ~eng ~world ~node ~fs ~cores:pool () in
-      Crane_dmt.Dmt.set_label dmt node;
-      (rt, Some dmt)
+      let dmt = Dmt.create ?turn_cost eng in
+      Dmt.set_label dmt node;
+      (Runtime.Dmt dmt, Some dmt)
   in
+  let runtime = Runtime.create ~eng ~node ~fs ~cores:pool sync (Runtime.Direct world) in
   let handle = server.Api.boot runtime.Runtime.api in
   { eng; fabric; world; node; runtime; handle; dmt }
 
@@ -51,7 +53,7 @@ let output t = t.runtime.Runtime.output
 
 let stop t =
   t.handle.Api.stop ();
-  match t.dmt with Some d -> Crane_dmt.Dmt.stop d | None -> ()
+  match t.dmt with Some d -> Dmt.stop d | None -> ()
 
 let check_failures t =
   match Engine.failures t.eng with

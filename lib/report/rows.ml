@@ -146,3 +146,17 @@ let drift ~baseline ~current =
                  (Printf.sprintf "%s: %s %s vs baseline %s (%s is better)" name
                     (number c.value) c.unit (number b.value) (better_name b.better)))
          baseline.rows)
+
+(** {!drift} as gates for the committed file [path]; [baseline] is that
+    file as read before the run overwrote it, [None] if unreadable. *)
+let drift_gates ~path ~baseline ~current =
+  match baseline with
+  | None -> [ (Printf.sprintf "drift: no readable baseline %s" path, false) ]
+  | Some baseline -> (
+    match drift ~baseline ~current with
+    | Error e -> [ ("drift: not comparable: " ^ e, false) ]
+    | Ok [] ->
+      [ (Printf.sprintf "drift: all %d rows of %s within %.0f%%" (List.length baseline.rows)
+           path (100. *. tolerance),
+         true) ]
+    | Ok failures -> List.map (fun f -> ("drift: " ^ f, false)) failures)

@@ -255,7 +255,7 @@ let close (c : conn) =
   end
 
 let id (c : conn) = c.cid
-let is_open (c : conn) = not (c.closed || c.eof)
+let closed (c : conn) = c.closed
 
 (* A node (re)joining the world — a reboot or a reconfiguration booting a
    fresh replacement: make sure its transport is bound and clear any

@@ -52,7 +52,8 @@ val close : conn -> unit
 val id : conn -> int
 (** Globally unique connection id (stable across both endpoints). *)
 
-val is_open : conn -> bool
+val closed : conn -> bool
+(** This side has closed the connection (EOF from the peer does not count). *)
 
 val node_crashed : world -> Crane_net.Fabric.node -> unit
 (** Model a machine crash: peers of every connection touching the node

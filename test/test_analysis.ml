@@ -15,6 +15,7 @@ module Pthread = Crane_pthread.Pthread
 module Dmt = Crane_dmt.Dmt
 module Hb = Crane_analysis.Hb
 module Driver = Crane_analysis.Driver
+module Standalone = Crane_core.Standalone
 
 let check_no_failures eng =
   match Engine.failures eng with
@@ -43,19 +44,19 @@ let races_on (r : Hb.report) site =
 (* End-to-end: the seeded race *)
 
 let test_race_true_positive () =
-  let r = Driver.run_one ~seed:1 ~mode:Driver.Native Driver.racy_spec in
+  let r = Driver.run_one ~seed:1 ~mode:Standalone.Native Driver.racy_spec in
   Alcotest.(check bool) "seeded race detected" true (races_on r "racy.count" <> []);
   let kinds = List.map (fun (x : Hb.race) -> x.Hb.r_kind) (races_on r "racy.count") in
   Alcotest.(check bool) "a write-write race is among them" true
     (List.mem "write-write" kinds)
 
 let test_no_false_positive_on_locked_counter () =
-  let r = Driver.run_one ~seed:1 ~mode:Driver.Native Driver.racy_spec in
+  let r = Driver.run_one ~seed:1 ~mode:Standalone.Native Driver.racy_spec in
   Alcotest.(check int) "mutex-protected counter never flagged" 0
     (List.length (races_on r "racy.safe_count"))
 
 let test_dmt_serializes_the_race_away () =
-  let r = Driver.run_one ~seed:1 ~mode:Driver.Parrot Driver.racy_spec in
+  let r = Driver.run_one ~seed:1 ~mode:Standalone.Parrot Driver.racy_spec in
   Alcotest.(check int) "no races under DMT" 0 (List.length r.Hb.races)
 
 let test_certifier () =

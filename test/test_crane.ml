@@ -443,6 +443,117 @@ let test_vhost_frees_closed () =
         (Vhost.open_conns vhost) (Hashtbl.length vhost.Vhost.conns))
     (Cluster.instances cluster)
 
+(* ---- Runtime conformance: each half wired where it belongs ---- *)
+
+module Runtime = Crane_core.Runtime
+
+(* An echo server whose handler threads bump a monitored cell per
+   request, and which counts its own sends per node in [sends]. *)
+let cell_echo_server sends : Api.server =
+  {
+    Api.name = "cell-echo";
+    install = ignore;
+    boot =
+      (fun api ->
+        let module R = (val api : Api.API) in
+        let hits = R.cell ~name:"echo.hits" 0 in
+        let stopped = ref false in
+        R.spawn ~name:"echo-listener" (fun () ->
+            let l = R.listen ~port:80 in
+            while not !stopped do
+              R.poll l;
+              let c = R.accept l in
+              R.spawn ~name:"echo-handler" (fun () ->
+                  let rec serve () =
+                    match R.recv c ~max:4096 with
+                    | "" -> R.close c
+                    | req ->
+                      R.cell_set hits (R.cell_get hits + 1);
+                      R.send c req;
+                      Hashtbl.replace sends R.node
+                        (1 + Option.value ~default:0 (Hashtbl.find_opt sends R.node));
+                      serve ()
+                  in
+                  serve ())
+            done);
+        Api.handle ~name:"cell-echo" ~state_of:(fun () -> "") ~load_state:ignore
+          ~mem_bytes:(fun () -> 0) ~stop:(fun () -> stopped := true) ());
+  }
+
+(* Boot [cell_echo_server] under one (sync, net) cell of the runtime
+   product — Direct through Standalone, Vhost through a cluster — drive
+   three clients of two requests each, and check what each half alone
+   must produce: the direct half's connection gauge, the vhost half's
+   recv_return marks, turn-bracketed cells under DMT only, connections
+   released after the clients close, and an output log entry per send. *)
+let conformance ~dmt ~vhost () =
+  let cell =
+    Printf.sprintf "%s+%s" (if dmt then "dmt" else "pthreads") (if vhost then "vhost" else "direct")
+  in
+  let tr = Trace.create ~retain:false () in
+  let gauges = ref 0 and recv_returns = ref 0 and mems = ref 0 and bracketed = ref 0 in
+  let in_turn = Hashtbl.create 16 in
+  Trace.add_sink tr (fun ev ->
+      match ev.Trace.event with
+      | Trace.Open_conns -> incr gauges
+      | Trace.Recv_return _ -> incr recv_returns
+      | Trace.Sync (Trace.Acquire, { Trace.kind = Trace.Turn; _ }) ->
+        Hashtbl.replace in_turn ev.Trace.tid ()
+      | Trace.Sync (Trace.Release, { Trace.kind = Trace.Turn; _ }) ->
+        Hashtbl.remove in_turn ev.Trace.tid
+      | Trace.Mem _ ->
+        incr mems;
+        if Hashtbl.mem in_turn ev.Trace.tid then incr bracketed
+      | _ -> ());
+  let sends = Hashtbl.create 4 in
+  let server = cell_echo_server sends in
+  let eng, world, node, runtimes, check_failures =
+    if vhost then begin
+      let mode = if dmt then Instance.Full else Instance.Paxos_only in
+      let cluster = Cluster.create ~cfg:(test_cfg mode) ~trace:tr ~server () in
+      Cluster.start ~checkpoints:false cluster;
+      ( Cluster.engine cluster, Cluster.world cluster, "replica1",
+        (fun () ->
+          List.map (fun (n, i) -> (n, i.Instance.runtime)) (Cluster.instances cluster)),
+        fun () -> Cluster.check_failures cluster )
+    end
+    else begin
+      let mode = if dmt then Standalone.Parrot else Standalone.Native in
+      let sa = Standalone.boot ~mode ~trace:tr ~server () in
+      ( Standalone.engine sa, Standalone.world sa, "server",
+        (fun () -> [ ("server", sa.Standalone.runtime) ]),
+        fun () -> Standalone.check_failures sa )
+    end
+  in
+  let replies = ref 0 in
+  for i = 1 to 3 do
+    Engine.spawn eng ~name:(Printf.sprintf "client%d" i) (fun () ->
+        Engine.sleep eng (Time.ms (10 * i));
+        let conn = Sock.connect world ~from:(Printf.sprintf "c%d" i) ~node ~port:80 in
+        for j = 1 to 2 do
+          Sock.send conn (Printf.sprintf "req%d.%d" i j);
+          if Sock.recv ~timeout:(Time.sec 1) conn ~max:4096 <> "" then incr replies
+        done;
+        Sock.close conn)
+  done;
+  Engine.run ~until:(Time.sec 2) eng;
+  check_failures ();
+  let check what = Alcotest.(check bool) (cell ^ ": " ^ what) true in
+  Alcotest.(check int) (cell ^ ": every request answered") 6 !replies;
+  check "open_conns gauge only from the direct half" (vhost = (!gauges = 0));
+  check "recv_return only from the vhost half" (vhost = (!recv_returns > 0));
+  check "server threads touched the cell" (!mems > 0);
+  check "cells turn-bracketed exactly under DMT"
+    (!bracketed = if dmt then !mems else 0);
+  List.iter
+    (fun (n, (rt : Runtime.t)) ->
+      Alcotest.(check int) (cell ^ ": " ^ n ^ " released every connection") 0
+        (rt.Runtime.alive_conns ());
+      Alcotest.(check int) (cell ^ ": " ^ n ^ " logged every send")
+        (Option.value ~default:0 (Hashtbl.find_opt sends n))
+        (Output_log.total rt.Runtime.output))
+    (runtimes ())
+
 let suite =
   [
     ( "crane.e2e",
@@ -462,5 +573,14 @@ let suite =
           test_call_behind_bubble;
         Alcotest.test_case "vhost frees closed connections" `Quick
           test_vhost_frees_closed;
+      ] );
+    ( "crane.runtime",
+      [
+        Alcotest.test_case "pthreads+direct conformance" `Quick
+          (conformance ~dmt:false ~vhost:false);
+        Alcotest.test_case "dmt+direct conformance" `Quick (conformance ~dmt:true ~vhost:false);
+        Alcotest.test_case "pthreads+vhost conformance" `Quick
+          (conformance ~dmt:false ~vhost:true);
+        Alcotest.test_case "dmt+vhost conformance" `Quick (conformance ~dmt:true ~vhost:true);
       ] );
   ]

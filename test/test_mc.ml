@@ -164,26 +164,14 @@ let test_mc_dpor_prunes () =
    violation with the fault on — and to none with the fault off (the
    explorer only accepts discriminating counterexamples). *)
 let mutation_killed m =
-  let cfg = Mc.mutation_preset m in
-  let o = Mc.explore cfg in
-  match o.Mc.o_violation with
-  | None -> Alcotest.failf "%s not killed" (Mc.mutation_name m)
-  | Some v ->
-    let path =
-      Filename.temp_file ("crane_mc_" ^ Mc.mutation_name m) ".trace"
-    in
-    Mc.write_trace cfg v path;
-    let _, expect, verdict = Mc.replay path in
-    Alcotest.(check string) "trace expects the found invariant"
-      v.Mc.v_invariant expect;
-    (match verdict with
-    | Some (inv, _) ->
-      Alcotest.(check string) "replay reproduces it" expect inv
-    | None -> Alcotest.fail "replay found no violation");
-    let _, _, fixed_verdict = Mc.replay_with ~mutation:Mc.No_mutation path in
-    Alcotest.(check bool) "fixed code is clean on the same schedule" true
-      (fixed_verdict = None);
-    Sys.remove path
+  let path = Filename.temp_file ("crane_mc_" ^ Mc.mutation_name m) ".trace" in
+  let k = Mc.check ~trace:path (Mc.mutation_preset m) in
+  Alcotest.(check bool) "killed, and the written trace replays to it" true
+    (k.Mc.k_replay = Some Mc.Reproduced);
+  let _, _, fixed_verdict = Mc.replay_with ~mutation:Mc.No_mutation path in
+  Alcotest.(check bool) "fixed code is clean on the same schedule" true
+    (fixed_verdict = None);
+  Sys.remove path
 
 let test_mc_kills_hole_backfill () = mutation_killed Mc.Hole_backfill
 let test_mc_kills_dup_accept () = mutation_killed Mc.Dup_accept
