@@ -498,9 +498,10 @@ let mc_term =
 let whatif_arg =
   let choice = Arg.enum Latency.all_whatifs in
   Arg.(value & opt_all choice []
-       & info [ "what-if"; "w" ]
-           ~doc:"Re-run the same seed with a stage's virtual cost scaled and \
-                 report the end-to-end delta (fsync2x, nobatch); repeatable.")
+       & info [ "what-if"; "w" ] ~docv:"WHATIF"
+           ~doc:("Re-run the same seed with a stage's virtual cost scaled and \
+                  report the end-to-end delta; repeatable.  $(docv) must be "
+                 ^ Arg.doc_alts_enum Latency.all_whatifs ^ "."))
 
 let profile_trace_out_arg =
   Arg.(value & opt (some string) None

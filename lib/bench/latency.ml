@@ -4,22 +4,19 @@
 
 open Harness
 
-type whatif = Fsync2x | Nobatch
+type whatif = Fsync2x
 
-let all_whatifs = [ ("fsync2x", Fsync2x); ("nobatch", Nobatch) ]
+let all_whatifs = [ ("fsync2x", Fsync2x) ]
 
 let whatif_name w = fst (List.find (fun (_, v) -> v = w) all_whatifs)
 
-let whatif_doc = function
-  | Fsync2x -> "WAL fsync device 2x faster"
-  | Nobatch -> "proxy batch delay removed"
+let whatif_doc = function Fsync2x -> "WAL fsync device 2x faster"
 
 (* Virtual speedup, Coz-style: instead of sampling and inflating
    everything else, the simulator re-runs the same seed with one stage's
    modeled cost scaled, and the delta is measured end to end. *)
 let whatif_cfg (cfg : Instance.config) = function
   | Fsync2x -> { cfg with Instance.wal_write_latency = cfg.Instance.wal_write_latency / 2 }
-  | Nobatch -> { cfg with Instance.batch_delay = 0 }
 
 type profile = { report : Critical_path.report; trace : Trace.t }
 
@@ -67,7 +64,8 @@ let run ~quick ~seed =
   let clients = clients quick and requests = requests quick in
   let per_server (s : Servers.t) =
     let case = case ~quick s in
-    let r = (profiled_run s ~clients ~requests ~seed ~tweak:None).report in
+    let base = profiled_run s ~clients ~requests ~seed ~tweak:None in
+    let r = base.report in
     let whatif (wname, w) =
       let v = (profiled_run s ~clients ~requests ~seed ~tweak:(Some w)).report in
       let ve = v.Critical_path.e2e.Metrics.mean in
@@ -80,7 +78,10 @@ let run ~quick ~seed =
       [ row case "committed" "count" Higher (float r.Critical_path.committed);
         row case "complete" "count" Higher (float r.Critical_path.complete);
         row case "coverage" "ratio" Higher r.Critical_path.coverage;
-        row case "span_errors" "count" Lower (float (List.length r.Critical_path.errors)) ]
+        row case "span_errors" "count" Lower (float (List.length r.Critical_path.errors));
+        (* events the retained store could not keep: the rows above
+           decompose only the prefix it did *)
+        row case "trace_dropped" "events" Lower (float (Trace.dropped base.trace)) ]
     @ summary_rows case "e2e" r.Critical_path.e2e
     @ List.concat_map
         (fun s -> summary_rows case s.Critical_path.stage s.Critical_path.summary)

@@ -199,7 +199,8 @@ let run_one app ~case ~pool ~clients ~per_client ~seed =
         row case "cert_locations" "count" Higher (float cert.Certifier.locations);
         row case "cert_confined" "count" Higher (float cert.Certifier.confined);
         row case "cert_violations" "count" Lower
-          (float (List.length cert.Certifier.violations)) ],
+          (float (List.length cert.Certifier.violations));
+        row case "trace_dropped" "events" Lower (float (Trace.dropped tr)) ],
     (* canonical per-client transcript (times stripped) and the primary's
        application state: the byte-identity probe's two halves *)
     (outputs, state) )

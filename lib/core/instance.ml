@@ -38,10 +38,8 @@ type config = {
   paxos : Paxos.config;
   batch_max : int;
       (** proxy batching: flush a pending batch at this many events
-          (1 = batching off, the pre-batching commit path) *)
-  batch_delay : Time.t;
-      (** proxy batching: flush a non-full pending batch after this much
-          virtual time *)
+          (1 = batching off, the pre-batching commit path); a non-full
+          batch leaves when the round in flight commits *)
   pool_workers : int;
       (** dependency-aware parallel delivery: number of execute-stage
           worker lanes (1 = off, the classic head-of-sequence admission).
@@ -75,7 +73,6 @@ let default_config =
     idle_period = Time.us 10;
     paxos = Paxos.default_config;
     batch_max = 64;
-    batch_delay = Time.us 100;
     pool_workers = 1;
     wal_write_latency = Time.us 15;
     checkpoint_period = Time.sec 60;
@@ -159,7 +156,7 @@ let boot ~eng ~fabric ~world ~rng ~wal ~members ~node ~(cfg : config) ~(server :
   let vhost = Vhost.create ~node eng ~cfg:(vhost_config cfg) ~clocking in
   let proxy =
     Proxy.create ~eng ~node ~world ~port:cfg.service_port ~paxos ~vhost ~group
-      ~skip_upto ~batch_max:cfg.batch_max ~batch_delay:cfg.batch_delay
+      ~skip_upto ~batch_max:cfg.batch_max
       ?read_port:(if cfg.read_fastpath then Some cfg.read_port else None)
       ~on_config ~on_fence ()
   in

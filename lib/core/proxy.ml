@@ -30,16 +30,15 @@ type t = {
   client_conns : (int, Sock.conn) Hashtbl.t;
   orphans_closed : (int, unit) Hashtbl.t;
   mutable skip_upto : int; (* decisions already captured by a restored checkpoint *)
-  (* Batching (group commit): concurrently-arriving events accumulate
-     here and are proposed as one consensus round.  Arrival order is
-     preserved, so the decision sequence is exactly the unbatched one. *)
+  (* Batching (group commit), self-clocked: events that arrive while a
+     round is in flight accumulate here and are proposed as one round
+     when a commit empties the pipeline.  Arrival order is preserved, so
+     the decision sequence is exactly the unbatched one. *)
   batch_max : int;
-  batch_delay : Time.t;
   buf : (string * Event.t * Time.t) Queue.t;
       (* (encoded, event, enqueue instant) awaiting flush, arrival order:
          the enqueue instant is the batch-wait origin of the request's
          causal span *)
-  mutable flush_scheduled : bool;
   (* Read fast path: the booted server's pure-read hook ([Api.handle.read]),
      installed by the instance after boot.  None = this replica serves no
      fast-path reads (every request stays on the consensus funnel). *)
@@ -186,26 +185,22 @@ let flush t =
         entries
   end
 
-let schedule_flush t =
-  if not t.flush_scheduled then begin
-    t.flush_scheduled <- true;
-    Engine.after t.eng ~group:t.group t.batch_delay (fun () ->
-        t.flush_scheduled <- false;
-        if not t.stopped then flush t)
-  end
+(* The self-clock: the commit (or configuration activation) that
+   empties the pipeline sends whatever arrived during the round. *)
+let flush_if_idle t = if Paxos.pending t.paxos = 0 then flush t
 
-(* Every event takes the buffered path; with [batch_max = 1] the buffer
-   flushes at once, so each event is its own one-value round. *)
+(* Every event takes the buffered path.  It leaves at once when nothing
+   is in flight (there is no round to ride along with), when the buffer
+   is full, or when it is a bubble: bubbles are only requested while the
+   sequence is empty, and holding one back would stall the gate it is
+   meant to unblock.  Flushing the buffer keeps arrival order intact.
+   With [batch_max = 1] each event is its own one-value round. *)
 let submit t ev =
   if not (Paxos.is_primary t.paxos) then false
   else begin
     Queue.add (Event.encode ev, ev, Engine.now t.eng) t.buf;
-    (* Bubbles flush immediately: they are only requested while the
-       sequence is empty (nothing to amortize them with), and holding one
-       back batch_delay would just stall the gate it is meant to unblock.
-       Flushing the buffer keeps arrival order intact. *)
     if Event.is_bubble ev || Queue.length t.buf >= t.batch_max then flush t
-    else schedule_flush t;
+    else flush_if_idle t;
     if Engine.tracing t.eng then
       Engine.emit t.eng ~node:t.node
         (match ev with
@@ -376,7 +371,7 @@ let rec orphan_monitor t =
       end)
 
 let create ~eng ~node ~world ~port ~paxos ~vhost ~group ~skip_upto
-    ?(batch_max = 1) ?(batch_delay = Time.us 100) ?read_port
+    ~batch_max ?read_port
     ?(on_config = fun ~epoch:_ _ -> ()) ?(on_fence = fun ~epoch:_ -> ()) () =
   let t =
     {
@@ -391,9 +386,7 @@ let create ~eng ~node ~world ~port ~paxos ~vhost ~group ~skip_upto
       orphans_closed = Hashtbl.create 64;
       skip_upto;
       batch_max;
-      batch_delay;
       buf = Queue.create ();
-      flush_scheduled = false;
       read_handler = None;
       lease_reads = 0;
       backup_reads = 0;
@@ -441,7 +434,8 @@ let create ~eng ~node ~world ~port ~paxos ~vhost ~group ~skip_upto
         (fun ~index value ->
           if index > t.skip_upto then
             Vhost.deliver vhost ~index ~view:(Paxos.view t.paxos)
-              (Event.decode value));
+              (Event.decode value);
+          flush_if_idle t);
       (* Deposed or abdicated: shed every attached client immediately so
          they see EOF and retry against the new primary, instead of
          waiting out a recv timeout on a node that can no longer commit
@@ -458,8 +452,13 @@ let create ~eng ~node ~world ~port ~paxos ~vhost ~group ~skip_upto
             (List.sort (fun (a, _) (b, _) -> compare a b) shed));
       (* Membership changed under us: the hosting layer re-resolves (the
          cluster records the new config; client targets re-read it per
-         retry). *)
-      on_config = (fun ~epoch members -> on_config ~epoch members);
+         retry).  A config entry never reaches [on_commit], so when it was
+         the last one in flight its activation is what empties the
+         pipeline. *)
+      on_config =
+        (fun ~epoch members ->
+          on_config ~epoch members;
+          flush_if_idle t);
       (* Reconfigured out: on_demote already shed the clients (fencing
          demotes first); tell the hosting layer so it retires this
          instance. *)

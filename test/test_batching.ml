@@ -1,7 +1,8 @@
 (* Batching and group commit: equivalence with the unbatched pipeline
-   (same seed, byte-identical outputs), flush-policy boundary cases
-   (flush-by-size, flush-by-timeout), group-commit WAL semantics, and
-   demotion mid-batch. *)
+   (same seed, byte-identical outputs), the self-clocked flush policy
+   (propose at once when idle, flush on the commit that empties the
+   pipeline or at batch_max), group-commit WAL semantics, and demotion
+   mid-batch. *)
 
 module Time = Crane_sim.Time
 module Engine = Crane_sim.Engine
@@ -15,6 +16,7 @@ module Instance = Crane_core.Instance
 module Cluster = Crane_core.Cluster
 module Output_log = Crane_core.Output_log
 module Chaos = Crane_chaos.Chaos
+module Trace = Crane_trace.Trace
 module G = Paxos_group
 
 (* ------------------------------------------------------------------ *)
@@ -146,14 +148,24 @@ let test_demotion_mid_batch () =
 (* ------------------------------------------------------------------ *)
 (* Proxy flush policy, exercised end to end through a cluster. *)
 
+(* Client [i] connects at 3i ms, sends its request and closes at once:
+   the send and the close land while the connect's round is in flight,
+   so with batching on they leave as one batch when it commits.  (Two
+   sends would not do: in Paxos-only mode the server's recv returns
+   whatever has been delivered, so a batched pair reads as one request
+   where the unbatched run may read two.)  The reply is never read; the
+   replica output logs record it all the same. *)
 let stagger_clients cluster n =
   let eng = Cluster.engine cluster in
   for i = 1 to n do
     Engine.spawn eng ~name:(Printf.sprintf "client%d" i) (fun () ->
         Engine.sleep eng (Time.ms (3 * i));
-        ignore
-          (Test_crane.one_request cluster ~from:(Printf.sprintf "c%d" i)
-             ~node:"replica1" ~msg:(Printf.sprintf "req%d" i)))
+        let conn =
+          Sock.connect (Cluster.world cluster) ~from:(Printf.sprintf "c%d" i)
+            ~node:"replica1" ~port:80
+        in
+        Sock.send conn (Printf.sprintf "req%d" i);
+        Sock.close conn)
   done
 
 let primary_stats cluster =
@@ -161,71 +173,99 @@ let primary_stats cluster =
   | Some (_, inst) -> Paxos.stats inst.Instance.paxos
   | None -> Alcotest.fail "cluster has no primary"
 
-(* Flush by size: with batch_max 4 and a flush timer parked far away, a
-   connection that feeds 4 events inside the timer window must flush on
-   the size trigger alone. *)
-let test_flush_by_size () =
+(* A traced Paxos-only cluster on a slow WAL device (2 ms per fsync), so
+   a round stays in flight long enough for later arrivals to land in
+   it.  Client [i] connects to the primary at [List.nth ats i] and holds
+   the connection open.  Returns the primary's proposals
+   [(ts, index, queued_ns)], batch flushes [(ts, events)] and commits
+   [(ts, index)], each in trace order. *)
+let connect_at ?(batch_max = 64) ats =
   let cfg =
     { (Test_crane.test_cfg Instance.Paxos_only) with
-      batch_max = 4; batch_delay = Time.ms 50 }
+      batch_max; wal_write_latency = Time.ms 2 }
+  in
+  let tr = Trace.create () in
+  let cluster = Cluster.create ~cfg ~trace:tr ~server:Test_crane.echo_server () in
+  Cluster.start ~checkpoints:false cluster;
+  let eng = Cluster.engine cluster in
+  List.iteri
+    (fun i at ->
+      Engine.spawn eng ~name:(Printf.sprintf "client%d" i) (fun () ->
+          Engine.sleep eng at;
+          ignore
+            (Sock.connect (Cluster.world cluster) ~from:(Printf.sprintf "c%d" i)
+               ~node:"replica1" ~port:80)))
+    ats;
+  Cluster.run ~until:(Time.ms 100) cluster;
+  Cluster.check_failures cluster;
+  let on_primary = List.filter (fun ev -> ev.Trace.node = "replica1") (Trace.events tr) in
+  let pick f = List.filter_map (fun ev -> f ev.Trace.ts ev.Trace.event) on_primary in
+  ( pick (fun ts -> function
+      | Trace.Proposed { index; queued_ns; _ } -> Some (ts, index, queued_ns)
+      | _ -> None),
+    pick (fun ts -> function Trace.Batch_flush { events } -> Some (ts, events) | _ -> None),
+    pick (fun ts -> function Trace.Commit { index } -> Some (ts, index) | _ -> None) )
+
+let commit_ts commits index = fst (List.find (fun (_, i) -> i = index) commits)
+
+(* A lone request on an idle primary has no round to ride along with:
+   it is proposed the instant it arrives. *)
+let test_lone_request_proposed_at_once () =
+  match connect_at [ Time.ms 10 ] with
+  | [ (_, _, queued) ], [ (_, 1) ], _ ->
+    Alcotest.(check int) "connect queued 0 ns" 0 queued
+  | p, f, _ ->
+    Alcotest.failf "expected one 1-event proposal, got %d proposals in %d flushes"
+      (List.length p) (List.length f)
+
+(* Events arriving while a round is in flight wait for it, then leave
+   together as one batch the instant its commit empties the pipeline. *)
+let test_inflight_arrivals_leave_together () =
+  match connect_at [ Time.ms 10; Time.ms 10 + Time.us 100; Time.ms 10 + Time.us 200 ] with
+  | [ (_, first, 0); (_, i2, q2); (_, i3, q3) ], [ (_, 1); (flushed, 2) ], commits ->
+    Alcotest.(check int) "flushed at the first round's commit" (commit_ts commits first)
+      flushed;
+    Alcotest.(check (list int)) "consecutive indices" [ first + 1; first + 2 ] [ i2; i3 ];
+    Alcotest.(check bool) "both waited for the round" true (q2 > q3 && q3 > 0)
+  | p, f, _ ->
+    Alcotest.failf "expected flushes of 1 then 2 events, got %d proposals in %d flushes"
+      (List.length p) (List.length f)
+
+(* A full buffer does not wait for the round in flight. *)
+let test_full_buffer_flushes_mid_round () =
+  match
+    connect_at ~batch_max:2 [ Time.ms 10; Time.ms 10 + Time.us 100; Time.ms 10 + Time.us 200 ]
+  with
+  | [ (_, first, 0); (_, _, q2); (_, _, q3) ], [ (_, 1); (flushed, 2) ], commits ->
+    Alcotest.(check bool) "flushed before the first round committed" true
+      (flushed < commit_ts commits first);
+    Alcotest.(check int) "the filling event queued 0 ns" 0 q3;
+    Alcotest.(check bool) "the earlier one waited" true (q2 > 0)
+  | p, f, _ ->
+    Alcotest.failf "expected flushes of 1 then 2 events, got %d proposals in %d flushes"
+      (List.length p) (List.length f)
+
+(* A configuration entry commits through [on_config], never [on_commit]:
+   when it is the round in flight, its activation must still send what
+   arrived behind it, or a lone client waits forever. *)
+let test_flush_after_reconfig () =
+  let cfg =
+    { (Test_crane.test_cfg Instance.Paxos_only) with wal_write_latency = Time.ms 2 }
   in
   let cluster = Cluster.create ~cfg ~server:Test_crane.echo_server () in
   Cluster.start ~checkpoints:false cluster;
   let eng = Cluster.engine cluster in
-  let received = Buffer.create 64 in
+  let reply = ref None in
   Engine.spawn eng ~name:"client" (fun () ->
-      Engine.sleep eng (Time.ms 10);
-      let world = Cluster.world cluster in
-      let conn = Sock.connect world ~from:"c1" ~node:"replica1" ~port:80 in
-      (* Connect + three spaced sends = 4 events, all well inside the
-         50 ms flush timer: only the size trigger can commit them. *)
-      List.iter
-        (fun m ->
-          Sock.send conn m;
-          Engine.sleep eng (Time.us 200))
-        [ "a"; "b"; "c" ];
-      (* The whole batch commits at once, so the server may see (and
-         echo) the three payloads coalesced: read until the last payload
-         has been echoed back, however the chunks land. *)
-      let rec pump () =
-        let data = Sock.recv ~timeout:(Time.sec 2) conn ~max:4096 in
-        if data <> "" then begin
-          Buffer.add_string received data;
-          if not (String.contains (Buffer.contents received) 'c') then pump ()
-        end
-      in
-      pump ();
-      Sock.close conn);
+      Engine.sleep eng (Time.ms 100);
+      let p = (snd (Option.get (Cluster.primary cluster))).Instance.paxos in
+      Alcotest.(check bool) "reconfig proposed" true
+        (Paxos.submit_reconfig p (Cluster.members cluster @ [ "replica4" ]) <> None);
+      reply :=
+        Test_crane.one_request cluster ~from:"c1" ~node:"replica1" ~msg:"hello");
   Cluster.run ~until:(Time.sec 3) cluster;
   Cluster.check_failures cluster;
-  let got = Buffer.contents received in
-  List.iter
-    (fun payload ->
-      Alcotest.(check bool) (payload ^ " echoed back") true
-        (String.contains got payload.[0]))
-    [ "a"; "b"; "c" ];
-  let stats = primary_stats cluster in
-  Alcotest.(check bool) "a full 4-event batch committed" true
-    (List.mem_assoc 4 stats.Paxos.events_per_batch)
-
-(* Flush by timeout: with batch_max far above the traffic, nothing ever
-   fills a batch — commits must still happen, driven by the timer. *)
-let test_flush_by_timeout () =
-  let cfg =
-    { (Test_crane.test_cfg Instance.Paxos_only) with
-      batch_max = 64; batch_delay = Time.us 100 }
-  in
-  let cluster = Cluster.create ~cfg ~server:Test_crane.echo_server () in
-  Cluster.start ~checkpoints:false cluster;
-  stagger_clients cluster 4;
-  Cluster.run ~until:(Time.sec 2) cluster;
-  Cluster.check_failures cluster;
-  let stats = primary_stats cluster in
-  Alcotest.(check bool) "decisions committed without a full batch" true
-    (stats.Paxos.decisions >= 12);
-  Alcotest.(check bool) "batches committed" true (stats.Paxos.batches_committed > 0);
-  Alcotest.(check bool) "no batch ever filled" true
-    (List.for_all (fun (size, _) -> size < 64) stats.Paxos.events_per_batch)
+  Alcotest.(check (option string)) "reply within 2 s" (Some "echo[1]:hello") !reply
 
 (* ------------------------------------------------------------------ *)
 (* End-to-end equivalence: same seed, batching on vs. off, a staggered
@@ -263,8 +303,8 @@ let test_cluster_equivalence () =
   Alcotest.(check bool) "run produced output" true (String.length r_u > 0);
   Alcotest.(check string) "batched output byte-identical to unbatched" r_u r_b;
   Alcotest.(check (list string)) "server states identical" s_u s_b;
-  (* The batched run must actually have batched something (a lone
-     connect rides the flush timer together with its first send). *)
+  (* The batched run must actually have batched something (each
+     client's send and close ride one round behind its connect). *)
   Alcotest.(check bool) "multi-event batches formed" true
     (List.exists (fun (size, _) -> size >= 2) stats_b.Paxos.events_per_batch)
 
@@ -287,8 +327,13 @@ let suite =
         Alcotest.test_case "paxos batched = unbatched" `Quick test_paxos_equivalence;
         Alcotest.test_case "submit refusals" `Quick test_submit_refusals;
         Alcotest.test_case "demotion mid-batch sheds" `Quick test_demotion_mid_batch;
-        Alcotest.test_case "flush by size" `Quick test_flush_by_size;
-        Alcotest.test_case "flush by timeout" `Quick test_flush_by_timeout;
+        Alcotest.test_case "lone request proposed at once" `Quick
+          test_lone_request_proposed_at_once;
+        Alcotest.test_case "in-flight arrivals leave together" `Quick
+          test_inflight_arrivals_leave_together;
+        Alcotest.test_case "full buffer flushes mid-round" `Quick
+          test_full_buffer_flushes_mid_round;
+        Alcotest.test_case "flush after reconfig commit" `Quick test_flush_after_reconfig;
         Alcotest.test_case "cluster byte-identical equivalence" `Quick
           test_cluster_equivalence;
         Alcotest.test_case "chaos config is batched" `Quick test_chaos_config_batched;
