@@ -95,30 +95,36 @@ let failover_cmd (s : Servers.t) seed =
   | None -> print_endline "no primary!");
   0
 
-let write_trace path payload =
-  match open_out path with
+(* Write [tr]'s export to [path].  An export that lost events beyond the
+   retention limit is not the run: its status is 1, and it names the
+   count. *)
+let export tr path to_string =
+  (match open_out path with
   | oc ->
-    output_string oc payload;
+    output_string oc (to_string tr);
     close_out oc
   | exception Sys_error msg ->
     Printf.eprintf "crane: cannot write trace: %s\n" msg;
-    exit 1
+    exit 1);
+  match Trace.dropped tr with
+  | 0 -> 0
+  | n ->
+    Printf.eprintf "crane: trace export dropped %d events beyond the retention limit\n" n;
+    1
 
 (* Run a workload with the flight recorder attached, export the trace
    (chrome://tracing JSON or JSONL) and print the aggregated metrics.
    Deterministic: the same seed yields a byte-identical trace file. *)
 let trace_cmd (s : Servers.t) mode clients requests seed format out =
   let tr = Trace.create () in
+  let met = Metrics.create () in
+  Metrics.attach met tr;
   report "traced run" (fst (run_workload ~trace:tr s mode ~clients ~requests ~seed));
-  let payload =
-    match format with
-    | `Chrome -> Trace.to_chrome tr
-    | `Jsonl -> Trace.to_jsonl tr
+  let status =
+    export tr out (match format with `Chrome -> Trace.to_chrome | `Jsonl -> Trace.to_jsonl)
   in
-  write_trace out payload;
   Printf.printf "trace: %d events (%d dropped beyond limit) -> %s\n"
     (Trace.length tr) (Trace.dropped tr) out;
-  let met = Metrics.of_trace tr in
   Table.print ~title:"event counts" ~header:[ "event"; "count" ]
     (List.map (fun (n, v) -> [ n; string_of_int v ]) (Metrics.counters met));
   Table.print ~title:"virtual-time spans"
@@ -129,7 +135,7 @@ let trace_cmd (s : Servers.t) mode clients requests seed format out =
            Time.to_string s.Metrics.p50; Time.to_string s.Metrics.p90;
            Time.to_string s.Metrics.p99 ])
        (Metrics.summaries met));
-  0
+  status
 
 (* Run the deterministic chaos suite (or one scenario): inject faults
    under load, check SMR invariants, print one report per scenario.
@@ -327,42 +333,31 @@ let mc_cmd seed replicas clients writes reads crashes drops delay_mult naive
 let profile_cmd (s : Servers.t) clients requests seed whatifs trace_out =
   Printf.printf "profiling %s: %d clients, %d requests, seed %d (crane mode)\n"
     s.name clients requests seed;
-  let base = Latency.profiled_run s ~clients ~requests ~seed ~tweak:None in
-  print_string (Critical_path.render base.report);
-  (* each what-if run's table row, and its trace's dropped-event count *)
-  let variants =
-    List.map
-      (fun w ->
-        let variant = Latency.profiled_run s ~clients ~requests ~seed ~tweak:(Some w) in
-        (Latency.whatif_row ~base ~variant w, (Latency.whatif_name w, Trace.dropped variant.trace)))
-      whatifs
-  in
-  if variants <> [] then begin
+  (* only an export keeps events: the analysis streams *)
+  let tr = Trace.create ~retain:(trace_out <> None) () in
+  let run trace tweak = Latency.profiled_run ~trace s ~clients ~requests ~seed ~tweak in
+  let base = run tr None in
+  print_string (Critical_path.render base);
+  let variant w = run (Trace.create ~retain:false ()) (Some w) in
+  if whatifs <> [] then begin
     Table.print ~title:"what-if latency lab (same seed, virtual speedup)"
       ~header:[ "what-if"; "change"; "base e2e mean us"; "e2e mean us"; "delta us"; "delta" ]
-      (List.map fst variants);
+      (List.map (fun w -> Latency.whatif_row ~base ~variant:(variant w) w) whatifs);
     print_newline ()
   end;
-  Option.iter
-    (fun path ->
-      write_trace path (Trace.to_chrome base.trace);
+  let exported =
+    match trace_out with
+    | None -> 0
+    | Some path ->
+      let status = export tr path Trace.to_chrome in
       (* stderr: the report on stdout stays byte-comparable across runs
          regardless of export options *)
-      Printf.eprintf "base-run trace -> %s\n" path)
-    trace_out;
-  (* A run whose trace overflowed was decomposed from a prefix only. *)
-  let truncated =
-    List.filter
-      (fun (_, n) -> n > 0)
-      (("base", Trace.dropped base.trace) :: List.map snd variants)
+      Printf.eprintf "base-run trace -> %s\n" path;
+      status
   in
-  List.iter
-    (fun (run, n) ->
-      Printf.printf "profile: %s run dropped %d trace events beyond the limit\n" run n)
-    truncated;
-  let errors = List.length base.report.Critical_path.errors in
+  let errors = List.length base.Critical_path.errors in
   if errors > 0 then Printf.printf "profile: %d malformed span DAG(s)\n" errors;
-  if errors > 0 || truncated <> [] then 1 else 0
+  if errors > 0 || exported <> 0 then 1 else 0
 
 (* ---- cmdliner plumbing ---- *)
 

@@ -4,7 +4,7 @@
     The pool-mode gate admits footprint-disjoint committed commands
     concurrently, so the execution is no longer literally serial in log
     order — the property the rest of Crane-San leans on.  This module
-    replays a flight-recorder trace and proves the parallel schedule
+    follows a flight-recorder event stream and proves the parallel schedule
     {e equivalent} to serial index order: for every shared location, the
     trace order of conflicting accesses (at least one write) must agree
     with consensus-index order.  If it does, the parallel execution's
@@ -55,7 +55,7 @@ type report = {
   violations : violation list;  (** discovery order *)
 }
 
-let certified r = r.violations = []
+let certified (r : report) = r.violations = []
 
 (* One access extracted from the stream: the (node, location) it touches,
    whether it writes, and the command (index) it belongs to. *)
@@ -77,31 +77,49 @@ let classify (ev : Trace.ev) =
     Some (Printf.sprintf "lock:%d:%s" obj label, op = Trace.Acquire)
   | _ -> None (* turn pseudo-locks and scheduler fabric *)
 
-let check_events (evs : Trace.ev list) ~resolve_node =
-  (* Pass 1: collect in-window accesses, in trace order. *)
-  let open_window : (string * int, int) Hashtbl.t = Hashtbl.create 64 in
-  let windows = ref 0 in
-  let indices : (int, unit) Hashtbl.t = Hashtbl.create 256 in
-  let accesses = ref [] in
-  List.iter
-    (fun (ev : Trace.ev) ->
-      let node = resolve_node ev in
-      match ev.event with
-      | Trace.Exec_begin { index; _ } ->
-        incr windows;
-        Hashtbl.replace indices index ();
-        Hashtbl.replace open_window (node, ev.tid) index
-      | Trace.Exec_end _ -> Hashtbl.remove open_window (node, ev.tid)
-      | _ -> (
-        match Hashtbl.find_opt open_window (node, ev.tid) with
-        | None -> ()
-        | Some index -> (
-          match classify ev with
-          | Some (loc, write) ->
-            accesses := { node; loc; write; index; tid = ev.tid; ts = ev.ts } :: !accesses
-          | None -> ())))
-    evs;
-  let accesses = List.rev !accesses in
+(* The streaming state: pass 1, collecting in-window accesses in trace
+   order as the events arrive. *)
+type t = {
+  resolve_node : Trace.ev -> string;
+  open_window : (string * int, int) Hashtbl.t;  (** (node, tid) -> index *)
+  mutable windows : int;
+  indices : (int, unit) Hashtbl.t;
+  mutable accesses : access list;  (** newest first *)
+}
+
+let create ~resolve_node =
+  {
+    resolve_node;
+    open_window = Hashtbl.create 64;
+    windows = 0;
+    indices = Hashtbl.create 256;
+    accesses = [];
+  }
+
+let ingest st (ev : Trace.ev) =
+  let node = st.resolve_node ev in
+  match ev.event with
+  | Trace.Exec_begin { index; _ } ->
+    st.windows <- st.windows + 1;
+    Hashtbl.replace st.indices index ();
+    Hashtbl.replace st.open_window (node, ev.tid) index
+  | Trace.Exec_end _ -> Hashtbl.remove st.open_window (node, ev.tid)
+  | _ -> (
+    match Hashtbl.find_opt st.open_window (node, ev.tid) with
+    | None -> ()
+    | Some index -> (
+      match classify ev with
+      | Some (loc, write) ->
+        st.accesses <- { node; loc; write; index; tid = ev.tid; ts = ev.ts } :: st.accesses
+      | None -> ()))
+
+let attach tr =
+  let st = create ~resolve_node:(Trace.resolve_node tr) in
+  Trace.add_sink tr (ingest st);
+  st
+
+let report st =
+  let accesses = List.rev st.accesses in
   (* Pass 2: thread confinement per (node, location). *)
   let touched_by : (string * string, int) Hashtbl.t = Hashtbl.create 256 in
   let shared : (string * string, unit) Hashtbl.t = Hashtbl.create 256 in
@@ -148,17 +166,20 @@ let check_events (evs : Trace.ev list) ~resolve_node =
       end)
     accesses;
   {
-    windows = !windows;
-    commands = Hashtbl.length indices;
+    windows = st.windows;
+    commands = Hashtbl.length st.indices;
     in_window_events = List.length accesses;
     locations = Hashtbl.length touched_by;
     confined = Hashtbl.length touched_by - Hashtbl.length shared;
     violations = List.rev !violations;
   }
 
-let check tr = check_events (Trace.events tr) ~resolve_node:(Trace.resolve_node tr)
+let check_events evs ~resolve_node =
+  let st = create ~resolve_node in
+  List.iter (ingest st) evs;
+  report st
 
-let render r =
+let render (r : report) =
   let b = Buffer.create 512 in
   Printf.bprintf b
     "certifier: %d execute windows over %d commands, %d in-window accesses\n"

@@ -18,12 +18,10 @@ let whatif_doc = function Fsync2x -> "WAL fsync device 2x faster"
 let whatif_cfg (cfg : Instance.config) = function
   | Fsync2x -> { cfg with Instance.wal_write_latency = cfg.Instance.wal_write_latency / 2 }
 
-type profile = { report : Critical_path.report; trace : Trace.t }
-
-(** [s]'s closed-loop workload on a traced CRANE cluster, with [tweak]
-    applied, and the commit critical path of the run. *)
-let profiled_run (s : Servers.t) ~clients ~requests ~seed ~tweak =
-  let tr = Trace.create () in
+(** [s]'s closed-loop workload on a CRANE cluster recorded by [trace],
+    with [tweak] applied, and the commit critical path of the run. *)
+let profiled_run ~trace:tr (s : Servers.t) ~clients ~requests ~seed ~tweak =
+  let cp = Critical_path.attach tr in
   let cfg = fast_cfg ~mode:Instance.Full ~port:s.port in
   let cfg = match tweak with None -> cfg | Some w -> whatif_cfg cfg w in
   (* the linger lets trailing closes commit and backup admissions land,
@@ -32,12 +30,12 @@ let profiled_run (s : Servers.t) ~clients ~requests ~seed ~tweak =
     (on_cluster ~trace:tr ~checkpoints:true ~linger:(Time.ms 500) ~seed ~cfg
        ~server:(s.server ~hints:true) (fun _ ->
          closed_loop ~clients ~requests ~rng:(Rng.create (seed + 1)) s));
-  { report = Critical_path.analyze tr; trace = tr }
+  Critical_path.report cp
 
 (* One row of the what-if table: [w]'s end-to-end mean against the base
    run's, in microseconds. *)
-let whatif_row ~(base : profile) ~(variant : profile) w =
-  let b = base.report.Critical_path.e2e and v = variant.report.Critical_path.e2e in
+let whatif_row ~(base : Critical_path.report) ~(variant : Critical_path.report) w =
+  let b = base.Critical_path.e2e and v = variant.Critical_path.e2e in
   let delta = b.Metrics.mean -. v.Metrics.mean in
   [ whatif_name w; whatif_doc w;
     Printf.sprintf "%.1f" (b.Metrics.mean /. 1e3);
@@ -64,10 +62,12 @@ let run ~quick ~seed =
   let clients = clients quick and requests = requests quick in
   let per_server (s : Servers.t) =
     let case = case ~quick s in
-    let base = profiled_run s ~clients ~requests ~seed ~tweak:None in
-    let r = base.report in
+    let run tweak =
+      profiled_run ~trace:(Trace.create ~retain:false ()) s ~clients ~requests ~seed ~tweak
+    in
+    let r = run None in
     let whatif (wname, w) =
-      let v = (profiled_run s ~clients ~requests ~seed ~tweak:(Some w)).report in
+      let v = run (Some w) in
       let ve = v.Critical_path.e2e.Metrics.mean in
       Rows.
         [ row case (wname ^ ".e2e_mean") "ns" Lower ve;
@@ -78,10 +78,7 @@ let run ~quick ~seed =
       [ row case "committed" "count" Higher (float r.Critical_path.committed);
         row case "complete" "count" Higher (float r.Critical_path.complete);
         row case "coverage" "ratio" Higher r.Critical_path.coverage;
-        row case "span_errors" "count" Lower (float (List.length r.Critical_path.errors));
-        (* events the retained store could not keep: the rows above
-           decompose only the prefix it did *)
-        row case "trace_dropped" "events" Lower (float (Trace.dropped base.trace)) ]
+        row case "span_errors" "count" Lower (float (List.length r.Critical_path.errors)) ]
     @ summary_rows case "e2e" r.Critical_path.e2e
     @ List.concat_map
         (fun s -> summary_rows case s.Critical_path.stage s.Critical_path.summary)

@@ -101,7 +101,8 @@ let papp_issue app ~target ~c ~k ~from =
 
 let run_one app ~case ~pool ~clients ~per_client ~seed =
   let server, port = papp_server app in
-  let tr = Trace.create () in
+  let tr = Trace.create ~retain:false () in
+  let cp = Critical_path.attach tr and cert = Certifier.attach tr in
   let cfg = { (fast_cfg ~mode:Instance.Full ~port) with pool_workers = pool } in
   let cluster = Cluster.create ~seed ~cfg ~trace:tr ~server () in
   Cluster.start ~checkpoints:false cluster;
@@ -156,7 +157,7 @@ let run_one app ~case ~pool ~clients ~per_client ~seed =
      analysis. *)
   Cluster.run ~until:(Engine.now eng + Time.ms 500) cluster;
   Cluster.check_failures cluster;
-  let cp = Critical_path.analyze tr in
+  let cp = Critical_path.report cp in
   (* The delivery stage under test is commit -> reply: admission wait
      plus execution.  The raw execute window (admit -> reply) is blind
      to the 1-lane baseline's cost by construction — legacy admits a
@@ -186,7 +187,7 @@ let run_one app ~case ~pool ~clients ~per_client ~seed =
            Printf.sprintf "c%d:%s" c (String.concat "|" (List.rev t)))
          (Array.to_list transcripts))
   in
-  let cert = Certifier.check tr in
+  let cert = Certifier.report cert in
   if not (Certifier.certified cert) then print_string (Certifier.render cert);
   ( Rows.
       [ row case "commit_reply_mean" "ns" Lower exec_mean;
@@ -199,8 +200,7 @@ let run_one app ~case ~pool ~clients ~per_client ~seed =
         row case "cert_locations" "count" Higher (float cert.Certifier.locations);
         row case "cert_confined" "count" Higher (float cert.Certifier.confined);
         row case "cert_violations" "count" Lower
-          (float (List.length cert.Certifier.violations));
-        row case "trace_dropped" "events" Lower (float (Trace.dropped tr)) ],
+          (float (List.length cert.Certifier.violations)) ],
     (* canonical per-client transcript (times stripped) and the primary's
        application state: the byte-identity probe's two halves *)
     (outputs, state) )

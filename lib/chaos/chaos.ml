@@ -598,15 +598,18 @@ let chaos_config =
     output_keep = 256;
   }
 
-let run ?(cfg = chaos_config) ?trace ~seed scenario =
-  (* When the caller doesn't bring a recorder, attach a streaming one
-     (no retention) so the report can still source commit latency from
-     the [req.lifecycle] spans. *)
-  let trace =
-    match trace with Some t -> t | None -> Trace.create ~retain:false ()
-  in
-  let metrics = Metrics.create () in
-  Metrics.attach metrics trace;
+let run ?(cfg = chaos_config) ~seed scenario =
+  (* A recorder that retains nothing: the report sources commit latency
+     from the [req.lifecycle] spans, paired by id. *)
+  let trace = Trace.create ~retain:false () in
+  let opened = Hashtbl.create 256 and lifecycles = ref [] in
+  Trace.add_sink trace (fun ev ->
+      match (ev.Trace.event, ev.Trace.ph) with
+      | Trace.Lifecycle _, Trace.Async_begin id -> Hashtbl.replace opened id ev.Trace.ts
+      | Trace.Lifecycle _, Trace.Async_end id when Hashtbl.mem opened id ->
+        lifecycles := (ev.Trace.ts - Hashtbl.find opened id) :: !lifecycles;
+        Hashtbl.remove opened id
+      | _ -> ());
   let cluster = Cluster.create ~seed ~cfg ~trace ~server:Ledger.server () in
   let eng = Cluster.engine cluster in
   let d =
@@ -865,7 +868,7 @@ let run ?(cfg = chaos_config) ?trace ~seed scenario =
     r_ok = List.length load.Loadgen.latencies;
     r_errors = load.Loadgen.errors;
     r_retries = load.Loadgen.retries;
-    r_latency = Metrics.summary metrics "req.lifecycle";
+    r_latency = (if !lifecycles = [] then None else Some (Metrics.summarize !lifecycles));
     probe_ok = List.length probe_r.Loadgen.latencies;
     probe_errors = probe_r.Loadgen.errors;
     final_primary = Cluster.primary_node cluster;

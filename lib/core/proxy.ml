@@ -71,8 +71,9 @@ type read_result = {
   value : string;
   mode : [ `Lease | `Backup of int ];
       (** [`Lease]: linearizable, served by the lease-holding primary.
-          [`Backup stale]: bounded-stale, [stale] = committed entries the
-          serving replica had not yet reflected at answer time. *)
+          [`Backup stale]: [stale] = entries the serving replica knew to be
+          committed but had not yet reflected at answer time (not a bound
+          on commits it never heard of). *)
   epoch : int;  (** configuration epoch the read was served under *)
   watermark : int;
       (** consensus index the answer is guaranteed to reflect: every

@@ -12,8 +12,10 @@
                  (DMT admits)    (server send)   (client receives)
     v}
 
-    [analyze] walks that chain for each commit and decomposes end-to-end
-    latency into named stages:
+    One pass over the event stream ([attach] to a live recorder, or
+    [analyze] to replay a retained one) collects those chains, and
+    [report] decomposes each commit's end-to-end latency into named
+    stages:
 
     - [client_queue] — bytes arrived at the proxy until the proxy turned
       them into a proposal-eligible event (socket buffering, proxy rx loop
@@ -87,10 +89,6 @@ type req = {
   mutable commit_any : int option;  (* earliest commit on any replica *)
   mutable admit_local : int option;
   mutable admit_any : int option;
-  (* resolved in the matching phase *)
-  mutable rx_ts : int option;
-  mutable reply_ts : int option;
-  mutable client_rx_ts : int option;
 }
 
 let new_req index =
@@ -108,9 +106,6 @@ let new_req index =
     commit_any = None;
     admit_local = None;
     admit_any = None;
-    rx_ts = None;
-    reply_ts = None;
-    client_rx_ts = None;
   }
 
 let min_opt cur ts =
@@ -126,10 +121,14 @@ module Cursor = struct
 
   let push (t : _ t) k ts =
     match Hashtbl.find_opt t k with
-    | Some r -> r := ts :: !r (* newest first; reversed once when sealed *)
+    | Some r -> r := ts :: !r (* newest first; reversed when sealed *)
     | None -> Hashtbl.add t k (ref [ ts ])
 
-  let seal (t : _ t) = Hashtbl.iter (fun _ r -> r := List.rev !r) t
+  (* An oldest-first copy to pop from, leaving [t] to keep growing. *)
+  let sealed (t : _ t) : _ t =
+    let c = Hashtbl.copy t in
+    Hashtbl.filter_map_inplace (fun _ r -> Some (ref (List.rev !r))) c;
+    c
 
   (* Pop the first occurrence at or before [le] (FIFO). *)
   let pop_le (t : _ t) k ~le =
@@ -177,87 +176,91 @@ let overlap_with windows (s, e) =
 
 (* ------------------------------------------------------------------ *)
 
-let analyze tr =
-  let reqs : (int, req) Hashtbl.t = Hashtbl.create 1024 in
+(* The streaming state: everything the single event pass collects.
+   [report] reads it without consuming it. *)
+type t = {
+  tr : Trace.t;  (* resolves each event's replica *)
+  reqs : (int, req) Hashtbl.t;
+  rx : (string * int * Trace.rx) Cursor.t;  (* (node, conn, kind) arrivals *)
+  replies : (string * int) Cursor.t;
+  blocking : (string * string, (int * int) list ref) Hashtbl.t;
+      (* (node, label) -> blocking intervals *)
+  open_spans : (string * int * string, int) Hashtbl.t;  (* (node, tid, label) *)
+}
+
+let create tr =
+  {
+    tr;
+    reqs = Hashtbl.create 1024;
+    rx = Cursor.create ();
+    replies = Cursor.create ();
+    blocking = Hashtbl.create 64;
+    open_spans = Hashtbl.create 64;
+  }
+
+let ingest st (ev : Trace.ev) =
   let req index =
-    match Hashtbl.find_opt reqs index with
+    match Hashtbl.find_opt st.reqs index with
     | Some r -> r
     | None ->
       let r = new_req index in
-      Hashtbl.add reqs index r;
+      Hashtbl.add st.reqs index r;
       r
   in
-  (* (node, conn, transport event) -> chronological occurrence list *)
-  let rx : (string * int * Trace.rx) Cursor.t = Cursor.create () in
-  let replies : (string * int) Cursor.t = Cursor.create () in
-  (* blocking intervals per node: (node, label) -> (start, end) list *)
-  let blocking : (string * string, (int * int) list ref) Hashtbl.t =
-    Hashtbl.create 64
-  in
-  let add_blocking node label iv =
-    match Hashtbl.find_opt blocking (node, label) with
-    | Some r -> r := iv :: !r
-    | None -> Hashtbl.add blocking (node, label) (ref [ iv ])
-  in
-  let open_spans : (string * int * string, int) Hashtbl.t = Hashtbl.create 64 in
-  let open_conds : (string * int, int * string) Hashtbl.t = Hashtbl.create 64 in
-  let span_end node (ev : Trace.ev) label =
+  let node = Trace.resolve_node st.tr ev in
+  let span_begin label = Hashtbl.replace st.open_spans (node, ev.tid, label) ev.ts in
+  let span_end label =
     let k = (node, ev.tid, label) in
-    match Hashtbl.find_opt open_spans k with
-    | Some t0 ->
-      Hashtbl.remove open_spans k;
-      add_blocking node label (t0, ev.ts)
+    match Hashtbl.find_opt st.open_spans k with
+    | Some t0 -> (
+      Hashtbl.remove st.open_spans k;
+      match Hashtbl.find_opt st.blocking (node, label) with
+      | Some r -> r := (t0, ev.ts) :: !r
+      | None -> Hashtbl.add st.blocking (node, label) (ref [ (t0, ev.ts) ]))
     | None -> ()
   in
-  List.iter
-    (fun (ev : Trace.ev) ->
-      let node = Trace.resolve_node tr ev in
-      match (ev.event, ev.ph) with
-      | Trace.Proposed { index; conn; call; queued_ns; view }, Trace.Instant ->
-        let r = req index in
-        r.proposals <- r.proposals + 1;
-        r.call <- Some call;
-        r.conn <- conn;
-        r.rview <- view;
-        r.proposer <- node;
-        r.propose_ts <- ev.ts;
-        r.queued_ns <- queued_ns
-      | Trace.Fsync_done { index }, Trace.Instant ->
-        let r = req index in
-        if r.fsync_ts = None then r.fsync_ts <- Some ev.ts
-      | Trace.Commit { index }, Trace.Instant ->
-        let r = req index in
-        r.commit_any <- min_opt r.commit_any ev.ts;
-        if r.proposer <> "" && node = r.proposer && r.commit_local = None then
-          r.commit_local <- Some ev.ts
-      | Trace.Admit { index; _ }, Trace.Instant when index <> 0 ->
-        let r = req index in
-        r.admit_any <- min_opt r.admit_any ev.ts;
-        if r.proposer <> "" && node = r.proposer && r.admit_local = None then
-          r.admit_local <- Some ev.ts
-      | Trace.Rx { rx = kind; conn; _ }, Trace.Instant -> Cursor.push rx (node, conn, kind) ev.ts
-      | Trace.Reply { conn; _ }, Trace.Instant -> Cursor.push replies (node, conn) ev.ts
-      | Trace.Gate_block, Trace.Begin ->
-        Hashtbl.replace open_spans (node, ev.tid, "gate.block") ev.ts
-      | Trace.Turn_wait _, Trace.Begin ->
-        Hashtbl.replace open_spans (node, ev.tid, "dmt.turn_wait") ev.ts
-      | Trace.Gate_block, Trace.End -> span_end node ev "gate.block"
-      | Trace.Turn_wait _, Trace.End -> span_end node ev "dmt.turn_wait"
-      | Trace.Cond_wait { cond; _ }, Trace.Instant ->
-        Hashtbl.replace open_conds (node, ev.tid) (ev.ts, cond.label)
-      | Trace.Sync (Trace.Cond_woken, _), Trace.Instant -> (
-        let k = (node, ev.tid) in
-        match Hashtbl.find_opt open_conds k with
-        | Some (t0, label) ->
-          Hashtbl.remove open_conds k;
-          add_blocking node ("cond:" ^ label) (t0, ev.ts)
-        | None -> ())
-      | _ -> ())
-    (Trace.events tr);
-  Cursor.seal rx;
-  Cursor.seal replies;
-  (* ---------------- per-request resolution ---------------- *)
-  let all = Hashtbl.fold (fun _ r acc -> r :: acc) reqs [] in
+  match (ev.event, ev.ph) with
+  | Trace.Proposed { index; conn; call; queued_ns; view }, Trace.Instant ->
+    let r = req index in
+    r.proposals <- r.proposals + 1;
+    r.call <- Some call;
+    r.conn <- conn;
+    r.rview <- view;
+    r.proposer <- node;
+    r.propose_ts <- ev.ts;
+    r.queued_ns <- queued_ns
+  | Trace.Fsync_done { index }, Trace.Instant ->
+    let r = req index in
+    if r.fsync_ts = None then r.fsync_ts <- Some ev.ts
+  | Trace.Commit { index }, Trace.Instant ->
+    let r = req index in
+    r.commit_any <- min_opt r.commit_any ev.ts;
+    if r.proposer <> "" && node = r.proposer && r.commit_local = None then
+      r.commit_local <- Some ev.ts
+  | Trace.Admit { index; _ }, Trace.Instant when index <> 0 ->
+    let r = req index in
+    r.admit_any <- min_opt r.admit_any ev.ts;
+    if r.proposer <> "" && node = r.proposer && r.admit_local = None then
+      r.admit_local <- Some ev.ts
+  | Trace.Rx { rx = kind; conn; _ }, Trace.Instant -> Cursor.push st.rx (node, conn, kind) ev.ts
+  | Trace.Reply { conn; _ }, Trace.Instant -> Cursor.push st.replies (node, conn) ev.ts
+  | Trace.Gate_block, Trace.Begin -> span_begin "gate.block"
+  | Trace.Turn_wait _, Trace.Begin -> span_begin "dmt.turn_wait"
+  | Trace.Gate_block, Trace.End -> span_end "gate.block"
+  | Trace.Turn_wait _, Trace.End -> span_end "dmt.turn_wait"
+  (* a thread waits on one condvar at a time, woken by that same object *)
+  | Trace.Cond_wait { cond; _ }, Trace.Instant -> span_begin ("cond:" ^ cond.label)
+  | Trace.Sync (Trace.Cond_woken, cond), Trace.Instant -> span_end ("cond:" ^ cond.label)
+  | _ -> ()
+
+let attach tr =
+  let st = create tr in
+  Trace.add_sink tr (ingest st);
+  st
+
+let report st =
+  let rx = Cursor.sealed st.rx and replies = Cursor.sealed st.replies in
+  let all = Hashtbl.fold (fun _ r acc -> r :: acc) st.reqs [] in
   let calls =
     List.filter (fun r -> r.proposals > 0 && r.call <> Some Trace.Bubble) all
     |> List.sort (fun a b ->
@@ -270,47 +273,12 @@ let analyze tr =
         match Hashtbl.find_opt client_sides conn with
         | Some r -> if not (List.mem node !r) then r := node :: !r
         | None -> Hashtbl.add client_sides conn (ref [ node ]))
-    rx;
-  List.iter
-    (fun r ->
-      let submit_ts = r.propose_ts - r.queued_ns in
-      (* which transport event carried this call to the proxy *)
-      let carrier =
-        match r.call with
-        | Some Trace.Connect -> Some Trace.Syn
-        | Some Trace.Send -> Some Trace.Data
-        | Some Trace.Close -> Some Trace.Fin
-        | Some Trace.Bubble | None -> None
-      in
-      (match carrier with
-      | Some kind ->
-        r.rx_ts <- Cursor.pop_le rx (r.proposer, r.conn, kind) ~le:submit_ts
-      | None -> ());
-      let admit = match r.admit_local with Some _ as a -> a | None -> r.admit_any in
-      (match (r.call, admit) with
-      | Some Trace.Send, Some admit_ts -> (
-        r.reply_ts <- Cursor.pop_ge replies (r.proposer, r.conn) ~ge:admit_ts;
-        match (r.reply_ts, Hashtbl.find_opt client_sides r.conn) with
-        | Some reply_ts, Some { contents = sides } ->
-          (* the reply's arrival on the far (client) side of the conn *)
-          let far = List.filter (fun n -> n <> r.proposer) sides in
-          r.client_rx_ts <-
-            List.fold_left
-              (fun acc n ->
-                match acc with
-                | Some _ -> acc
-                | None -> Cursor.pop_ge rx (n, r.conn, Trace.Data) ~ge:reply_ts)
-              None far
-        | _ -> ())
-      | _ -> ()))
-    calls;
-  (* ---------------- decomposition ---------------- *)
+    st.rx;
   let samples : (string, int list ref) Hashtbl.t = Hashtbl.create 8 in
   List.iter (fun s -> Hashtbl.add samples s (ref [])) stage_order;
   let sample stage v =
-    match Hashtbl.find_opt samples stage with
-    | Some r -> r := v :: !r
-    | None -> ()
+    let r = Hashtbl.find samples stage in
+    r := v :: !r
   in
   let e2e_samples = ref [] in
   let views : (int, (int list ref * int ref)) Hashtbl.t = Hashtbl.create 8 in
@@ -320,13 +288,36 @@ let analyze tr =
   let errors = ref [] in
   let err fmt = Printf.ksprintf (fun s -> errors := s :: !errors) fmt in
   let complete = ref 0 in
+  (* In proposal order, since the transport events pair with calls FIFO
+     per connection. *)
   List.iter
     (fun r ->
+      let submit_ts = r.propose_ts - r.queued_ns in
+      let commit = match r.commit_local with Some _ as c -> c | None -> r.commit_any in
+      let admit = match r.admit_local with Some _ as a -> a | None -> r.admit_any in
+      (* the transport event that carried this call to the proxy *)
+      let rx_ts =
+        match r.call with
+        | Some Trace.Connect -> Cursor.pop_le rx (r.proposer, r.conn, Trace.Syn) ~le:submit_ts
+        | Some Trace.Send -> Cursor.pop_le rx (r.proposer, r.conn, Trace.Data) ~le:submit_ts
+        | Some Trace.Close -> Cursor.pop_le rx (r.proposer, r.conn, Trace.Fin) ~le:submit_ts
+        | Some Trace.Bubble | None -> None
+      in
+      (* the server's reply, and its arrival on the far (client) side *)
+      let reply_ts, client_rx_ts =
+        match (r.call, admit) with
+        | Some Trace.Send, Some admit_ts -> (
+          let reply_ts = Cursor.pop_ge replies (r.proposer, r.conn) ~ge:admit_ts in
+          match (reply_ts, Hashtbl.find_opt client_sides r.conn) with
+          | Some ts, Some { contents = sides } ->
+            let far = List.filter (fun n -> n <> r.proposer) sides in
+            (reply_ts, List.find_map (fun n -> Cursor.pop_ge rx (n, r.conn, Trace.Data) ~ge:ts) far)
+          | _ -> (reply_ts, None))
+        | _ -> (None, None)
+      in
       if r.proposals > 1 then
         err "index %d: %d proposal records (expected 1)" r.index r.proposals;
       if r.queued_ns < 0 then err "index %d: negative batch wait" r.index;
-      let commit = match r.commit_local with Some _ as c -> c | None -> r.commit_any in
-      let admit = match r.admit_local with Some _ as a -> a | None -> r.admit_any in
       match (commit, admit) with
       | Some commit_ts, Some admit_ts ->
         if commit_ts < r.propose_ts then
@@ -338,8 +329,7 @@ let analyze tr =
           err "index %d: fsync completed before proposal" r.index
         | _ -> ());
         incr complete;
-        let submit_ts = r.propose_ts - r.queued_ns in
-        (match r.rx_ts with
+        (match rx_ts with
         | Some rx -> sample "client_queue" (submit_ts - rx)
         | None -> sample "client_queue" 0);
         sample "batch_wait" r.queued_ns;
@@ -351,16 +341,16 @@ let analyze tr =
         sample "fsync" fsync;
         sample "consensus" (max 0 (commit_ts - r.propose_ts) - fsync);
         sample "sched_wait" (admit_ts - commit_ts);
-        (match r.reply_ts with
+        (match reply_ts with
         | Some reply_ts ->
           sample "execute" (reply_ts - admit_ts);
-          (match r.client_rx_ts with
+          (match client_rx_ts with
           | Some crx -> sample "reply" (crx - reply_ts)
           | None -> ())
         | None -> ());
-        let t0 = match r.rx_ts with Some rx -> rx | None -> submit_ts in
+        let t0 = match rx_ts with Some rx -> rx | None -> submit_ts in
         let t1 =
-          match (r.client_rx_ts, r.reply_ts) with
+          match (client_rx_ts, reply_ts) with
           | Some crx, _ -> crx
           | None, Some reply_ts -> reply_ts
           | None, None -> admit_ts
@@ -401,13 +391,7 @@ let analyze tr =
   let denominator = committed_calls + unattributed in
   let stages =
     List.map
-      (fun stage ->
-        let s =
-          match Hashtbl.find_opt samples stage with
-          | Some r -> Metrics.summarize !r
-          | None -> Metrics.summarize []
-        in
-        { stage; summary = s })
+      (fun stage -> { stage; summary = Metrics.summarize !(Hashtbl.find samples stage) })
       stage_order
   in
   let per_view =
@@ -423,36 +407,26 @@ let analyze tr =
              max_stall;
            })
   in
+  (* each blocking interval's overlap with its node's sched_wait windows,
+     summed per label across nodes *)
+  let by_label = Hashtbl.create 8 in
+  Hashtbl.iter
+    (fun (node, label) ivs ->
+      match Hashtbl.find_opt windows_per_node node with
+      | None -> ()
+      | Some w ->
+        let windows = merge_intervals !w in
+        List.iter
+          (fun iv ->
+            let o = overlap_with windows iv in
+            if o > 0 then
+              let hits, ns = Option.value (Hashtbl.find_opt by_label label) ~default:(0, 0) in
+              Hashtbl.replace by_label label (hits + 1, ns + o))
+          !ivs)
+    st.blocking;
   let blocked_on =
-    let merged_windows =
-      Hashtbl.fold
-        (fun node w acc -> (node, merge_intervals !w) :: acc)
-        windows_per_node []
-    in
-    Hashtbl.fold
-      (fun (node, label) ivs acc ->
-        match List.assoc_opt node merged_windows with
-        | None -> acc
-        | Some windows ->
-          let hits = ref 0 and total = ref 0 in
-          List.iter
-            (fun iv ->
-              let o = overlap_with windows iv in
-              if o > 0 then begin
-                incr hits;
-                total := !total + o
-              end)
-            !ivs;
-          if !hits > 0 then (label, !hits, !total) :: acc else acc)
-      blocking []
-    (* the same label may block on several nodes: fold *)
-    |> List.fold_left
-         (fun acc (label, hits, ns) ->
-           match List.assoc_opt label acc with
-           | Some (h, n) -> (label, (h + hits, n + ns)) :: List.remove_assoc label acc
-           | None -> (label, (hits, ns)) :: acc)
-         []
-    |> List.map (fun (label, (hits, blocked_ns)) -> { label; hits; blocked_ns })
+    Hashtbl.fold (fun label (hits, blocked_ns) acc -> { label; hits; blocked_ns } :: acc)
+      by_label []
     |> List.sort (fun a b ->
            compare (b.blocked_ns, a.label) (a.blocked_ns, b.label))
   in
@@ -470,6 +444,11 @@ let analyze tr =
     blocked_on;
     errors = List.rev !errors;
   }
+
+let analyze tr =
+  let st = create tr in
+  List.iter (ingest st) (Trace.events tr);
+  report st
 
 (* ------------------------------------------------------------------ *)
 

@@ -1,6 +1,7 @@
 (** Commit critical-path analysis: decompose every committed request's
-    end-to-end latency into named stages by walking its span DAG in a
-    retained trace.
+    end-to-end latency into named stages by walking its span DAG.  The
+    analysis is a streaming sink: {!attach} it before the run and it
+    sees every event, however many the recorder retains.
 
     The stage taxonomy (virtual ns, telescoping to end-to-end):
 
@@ -43,9 +44,20 @@ type report = {
   errors : string list;  (** malformed span DAGs; empty on a healthy trace *)
 }
 
+type t
+(** The state of one pass over the event stream. *)
+
+val attach : Trace.t -> t
+(** Follow a live recorder's events from now on (a non-retaining
+    recorder suffices). *)
+
+val report : t -> report
+(** The decomposition of every request seen so far.  Deterministic: the
+    same events yield the same report (including row order). *)
+
 val analyze : Trace.t -> report
-(** Walk a retained trace's request spans.  Deterministic: the same
-    trace yields the same report (including row order). *)
+(** Replay a retained trace's events through a fresh pass: covers only
+    what the recorder kept. *)
 
 val render : report -> string
 (** Human-readable tables: stage percentiles, per-view breakdown,

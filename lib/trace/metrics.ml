@@ -9,9 +9,8 @@
     [Instant] events increment the counter ["cat.name"]; [Counter]
     samples stay in the exported trace only.
 
-    Attach to a live recorder with {!attach} (streaming, constant
-    memory pressure on the trace) or fold a retained trace afterwards
-    with {!of_trace}. *)
+    Attach to a live recorder with {!attach} before the run: the
+    aggregation streams, so the recorder need not retain anything. *)
 
 module Stats = Crane_report.Stats
 
@@ -88,11 +87,6 @@ let ingest t tr (ev : Trace.ev) =
     | None -> ())
 
 let attach t tr = Trace.add_sink tr (fun ev -> ingest t tr ev)
-
-let of_trace ?per_node tr =
-  let t = create ?per_node () in
-  List.iter (ingest t tr) (Trace.events tr);
-  t
 
 (* ------------------------------------------------------------------ *)
 

@@ -20,9 +20,6 @@ val attach : t -> Trace.t -> unit
 (** Stream events from a live recorder into this aggregation (works with
     a non-retaining trace: constant memory). *)
 
-val of_trace : ?per_node:bool -> Trace.t -> t
-(** Fold a retained trace into a fresh aggregation. *)
-
 val incr : t -> ?by:int -> string -> unit
 val observe : t -> string -> int -> unit
 (** Direct-use API (no trace required). *)

@@ -16,6 +16,7 @@ module Target = Crane_workload.Target
 module Loadgen = Crane_workload.Loadgen
 module Trace = Crane_trace.Trace
 module Certifier = Crane_analysis.Certifier
+module Critical_path = Crane_trace.Critical_path
 module Ledger = Crane_chaos.Ledger
 module Vhost = Crane_core.Vhost
 module Output_log = Crane_core.Output_log
@@ -164,7 +165,8 @@ let states cluster =
    pass the conflict-serializability certifier (execute windows actually
    opened, so the check is not vacuous). *)
 let test_pool_convergence_certified () =
-  let trace = Trace.create () in
+  let trace = Trace.create ~retain:false () in
+  let cert = Certifier.attach trace in
   let cluster, ledger, load = run_pool_workload ~trace ~seed:23 ~workers:4 () in
   Alcotest.(check int) "no hard errors" 0 load.Loadgen.errors;
   (match states cluster with
@@ -178,13 +180,34 @@ let test_pool_convergence_certified () =
       (fun id ->
         Alcotest.(check bool) (id ^ " durable") true (List.mem id ids))
       (Ledger.acked_ids ledger));
-  let r = Certifier.check trace in
+  let r = Certifier.report cert in
   Alcotest.(check bool) "execute windows recorded" true (r.Certifier.windows > 0);
   Alcotest.(check bool) "commands indexed" true (r.Certifier.commands > 0);
   Alcotest.(check (list string)) "conflict-serializable" []
     (List.map
        (fun v -> v.Certifier.v_loc ^ ":" ^ v.Certifier.v_kind)
        r.Certifier.violations)
+
+(* The passes attached to a recorder and a replay of what it retained see
+   the same events, so the critical path and the certifier must report
+   alike (and [report] leaves the state as it found it). *)
+let test_sinks_equal_replay () =
+  let trace = Trace.create () in
+  let cp = Critical_path.attach trace and cert = Certifier.attach trace in
+  ignore (run_pool_workload ~trace ~seed:23 ~workers:4 ());
+  Alcotest.(check int) "nothing dropped" 0 (Trace.dropped trace);
+  let replayed = Critical_path.analyze trace in
+  Alcotest.(check string) "critical path renders alike" (Critical_path.render replayed)
+    (Critical_path.render (Critical_path.report cp));
+  Alcotest.(check bool) "critical path reports equal" true
+    (Critical_path.report cp = replayed);
+  let replayed =
+    Certifier.check_events (Trace.events trace) ~resolve_node:(Trace.resolve_node trace)
+  in
+  Alcotest.(check bool) "execute windows seen" true (replayed.Certifier.windows > 0);
+  Alcotest.(check string) "certifier renders alike" (Certifier.render replayed)
+    (Certifier.render (Certifier.report cert));
+  Alcotest.(check bool) "certifier reports equal" true (Certifier.report cert = replayed)
 
 (* Pool width must not change what the state machine computes: the same
    seeded workload against 1 worker and 4 workers ends in the same
@@ -226,10 +249,12 @@ let test_pool_footprint_once () =
     }
   in
   let trace = Trace.create () in
+  let cert = Certifier.attach trace in
   let cluster, _, load =
     run_pool_workload ~trace ~server:counted ~seed:23 ~workers:4 ()
   in
-  let plain_trace = Trace.create () in
+  let plain_trace = Trace.create ~retain:false () in
+  let plain_cert = Certifier.attach plain_trace in
   let plain, _, _ = run_pool_workload ~trace:plain_trace ~seed:23 ~workers:4 () in
   Alcotest.(check int) "no hard errors" 0 load.Loadgen.errors;
   let sends =
@@ -246,13 +271,13 @@ let test_pool_footprint_once () =
     [ sends; sends; sends ] (List.rev_map ( ! ) !counts);
   Alcotest.(check (list (pair string string))) "same replica states" (states plain)
     (states cluster);
-  let verdict tr =
-    let r = Certifier.check tr in
+  let verdict cert =
+    let r = Certifier.report cert in
     (Certifier.certified r, r.Certifier.windows, r.Certifier.commands)
   in
-  Alcotest.(check (triple bool int int)) "same certifier verdict" (verdict plain_trace)
-    (verdict trace);
-  Alcotest.(check bool) "certified" true (Certifier.certified (Certifier.check trace))
+  Alcotest.(check (triple bool int int)) "same certifier verdict" (verdict plain_cert)
+    (verdict cert);
+  Alcotest.(check bool) "certified" true (Certifier.certified (Certifier.report cert))
 
 (* ------------------------------------------------------------------ *)
 (* Closed-form idle turns *)
@@ -477,6 +502,8 @@ let suite =
           test_dmt_lanes_independent;
         Alcotest.test_case "pool convergence + certifier" `Slow
           test_pool_convergence_certified;
+        Alcotest.test_case "attached sinks equal retained replay" `Slow
+          test_sinks_equal_replay;
         Alcotest.test_case "state equivalent across pool widths" `Slow
           test_pool_state_equivalent_across_widths;
         Alcotest.test_case "footprint classified once per send" `Slow

@@ -25,10 +25,9 @@ let stage_summary (r : Critical_path.report) name =
   (List.find (fun s -> s.Critical_path.stage = name) r.stages)
     .Critical_path.summary
 
-(* Traced echo cluster under [n] one-request clients. *)
+(* Echo cluster recorded by [tr] under [n] one-request clients. *)
 let traced_run ?(cfg = Test_crane.test_cfg Instance.Full) ?(seed = 7) ?(n = 6)
-    ?(until = Time.sec 3) () =
-  let tr = Trace.create () in
+    ?(until = Time.sec 3) ?(tr = Trace.create ()) () =
   let cluster =
     Cluster.create ~seed ~cfg ~trace:tr ~server:Test_crane.echo_server ()
   in
@@ -150,6 +149,26 @@ let test_same_seed_identical () =
     (Critical_path.render (Critical_path.analyze tr1))
     (Critical_path.render (Critical_path.analyze tr2))
 
+(* A store capped below the run's length keeps only a prefix: replaying
+   it misses the late commits, while the pass attached to the same
+   recorder reports exactly what an uncapped replay does. *)
+let test_truncated_store () =
+  let full = traced_run () in
+  let want = Critical_path.analyze full in
+  let tr = Trace.create ~limit:(Trace.length full / 2) () in
+  let cp = Critical_path.attach tr in
+  ignore (traced_run ~tr ());
+  Alcotest.(check bool) "store truncated" true (Trace.dropped tr > 0);
+  let streamed = Critical_path.report cp and prefix = Critical_path.analyze tr in
+  check_well_formed ~what:"attached" streamed;
+  Alcotest.(check int) "attached covers every committed call" streamed.committed
+    streamed.complete;
+  Alcotest.(check string) "attached equals the uncapped replay"
+    (Critical_path.render want) (Critical_path.render streamed);
+  Alcotest.(check bool)
+    (Printf.sprintf "truncated replay covers %d of %d" prefix.complete streamed.committed)
+    true (prefix.complete < streamed.committed)
+
 (* ---- Metrics guards and cluster-wide merge (satellite) ---- *)
 
 let test_summarize_degenerate () =
@@ -199,6 +218,8 @@ let suite =
         Alcotest.test_case "batched vs unbatched" `Quick test_batched_vs_unbatched;
         Alcotest.test_case "same seed, byte-identical report" `Quick
           test_same_seed_identical;
+        Alcotest.test_case "attached pass outlives a truncated store" `Quick
+          test_truncated_store;
         Alcotest.test_case "summarize: empty and singleton series" `Quick
           test_summarize_degenerate;
         Alcotest.test_case "metrics merge" `Quick test_merge;

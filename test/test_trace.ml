@@ -11,10 +11,12 @@ module Trace = Crane_trace.Trace
 module Metrics = Crane_trace.Metrics
 
 (* One traced run of the echo cluster: [n] clients, one request each,
-   against replica1.  Returns the recorder and the cluster (for ground
-   truth) after the simulation settles. *)
-let traced_run ?(seed = 42) ?(n = 6) () =
+   against replica1, with [met] following the recorder.  Returns the
+   recorder and the cluster (for ground truth) after the simulation
+   settles. *)
+let traced_run ?(seed = 42) ?(n = 6) ?(met = Metrics.create ()) () =
   let tr = Trace.create () in
+  Metrics.attach met tr;
   let cluster =
     Cluster.create ~seed
       ~cfg:(Test_crane.test_cfg Instance.Full)
@@ -63,8 +65,8 @@ let test_seed_sensitivity () =
    entry, so each must log exactly [Paxos.decisions] "paxos.commit"
    instants, and the three replicas must agree. *)
 let test_commit_counts () =
-  let tr, cluster = traced_run () in
-  let met = Metrics.of_trace ~per_node:true tr in
+  let met = Metrics.create ~per_node:true () in
+  let _, cluster = traced_run ~met () in
   let instances = Cluster.instances cluster in
   Alcotest.(check int) "three replicas" 3 (List.length instances);
   List.iter
@@ -87,8 +89,8 @@ let test_commit_counts () =
 (* Spans recorded during the run must aggregate into sane histograms:
    paired, positive, and attributed. *)
 let test_span_metrics () =
-  let tr, _ = traced_run () in
-  let met = Metrics.of_trace tr in
+  let met = Metrics.create () in
+  ignore (traced_run ~met ());
   (match Metrics.summary met "paxos.decide" with
   | None -> Alcotest.fail "no paxos.decide spans recorded"
   | Some s ->
