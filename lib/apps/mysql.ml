@@ -43,11 +43,12 @@ let table_name k = Printf.sprintf "sbtest%d" k
 
 let install (cfg : config) fs =
   Memfs.write fs ~path:"etc/my.cnf" "[mysqld]\ninnodb_buffer_pool_size=64M";
+  (* SysBench's generated data files: what makes C_fs huge.  Every table
+     shares one immutable string, so the sizes cost one copy of host
+     memory. *)
+  let data = String.make cfg.db_file_bytes 'D' in
   for k = 1 to cfg.ntables do
-    (* SysBench's generated data files: what makes C_fs huge. *)
-    Memfs.write fs
-      ~path:(Printf.sprintf "data/%s.ibd" (table_name k))
-      (String.make cfg.db_file_bytes 'D')
+    Memfs.write fs ~path:(Printf.sprintf "data/%s.ibd" (table_name k)) data
   done
 
 let server ?(cfg = default_config) () : Api.server =

@@ -3,6 +3,7 @@ module Engine = Crane_sim.Engine
 module Rng = Crane_sim.Rng
 module Fabric = Crane_net.Fabric
 module Wal = Crane_storage.Wal
+module Arena = Crane_storage.Arena
 module Trace = Crane_trace.Trace
 
 (* Mutation-testing switch (Crane-MC self-check): each non-default value
@@ -149,11 +150,11 @@ type t = {
   mutable view : int;
   mutable primary : Fabric.node option;
   mutable max_view_seen : int;
-  (* Replicated log, dense above the compaction base: slot [i] holds
-     index [base + 1 + i] as its view ([absent] for a hole) and value;
-     [resident] counts the present slots. *)
-  mutable log_views : int array;
-  mutable log_values : string array;
+  (* Replicated log, dense above the compaction base: slot [i] locates
+     index [base + 1 + i] in [store], tagged with its view ([absent] for
+     a hole); [resident] counts the present slots. *)
+  mutable log : int array;
+  mutable store : Arena.t;
   mutable resident : int;
   mutable last_index : int;
   mutable committed : int;
@@ -266,42 +267,45 @@ let set_compaction_hooks t hooks = t.hooks <- hooks
 
 let absent = -1
 
-let log_view t idx =
+let log_loc t idx =
   let i = idx - t.base - 1 in
-  if i < 0 || i >= Array.length t.log_views then absent else t.log_views.(i)
+  if i < 0 || i >= Array.length t.log then absent else t.log.(i)
 
-let log_mem t idx = log_view t idx <> absent
+let log_view t idx =
+  let loc = log_loc t idx in
+  if loc = absent then absent else Arena.tag t.store loc
+
+let log_mem t idx = log_loc t idx <> absent
 
 (* Only for a present index. *)
-let log_value t idx = t.log_values.(idx - t.base - 1)
+let log_value t idx = Arena.get t.store (log_loc t idx)
 
 let log_set t idx view value =
   let i = idx - t.base - 1 in
-  let cap = Array.length t.log_views in
+  let cap = Array.length t.log in
   if i >= cap then begin
-    let n = max (i + 1) (max 64 (cap + (cap / 2))) in
-    let views = Array.make n absent and values = Array.make n "" in
-    Array.blit t.log_views 0 views 0 cap;
-    Array.blit t.log_values 0 values 0 cap;
-    t.log_views <- views;
-    t.log_values <- values
+    let log = Array.make (max (i + 1) (max 64 (cap + (cap / 2)))) absent in
+    Array.blit t.log 0 log 0 cap;
+    t.log <- log
   end;
-  if t.log_views.(i) = absent then t.resident <- t.resident + 1;
-  t.log_views.(i) <- view;
-  t.log_values.(i) <- value
+  if t.log.(i) = absent then t.resident <- t.resident + 1;
+  t.log.(i) <- Arena.add t.store ~tag:view value
 
 (* Drop every index up to [wm] and raise [base] to it.  The suffix moves
-   into arrays sized for it, so the prefix's slots are freed. *)
+   into an array and a store sized for it, freeing the prefix. *)
 let release_prefix t wm =
   if wm > t.base then begin
-    let cap = Array.length t.log_views in
+    let cap = Array.length t.log in
     let shift = min (wm - t.base) cap in
     for i = 0 to shift - 1 do
-      if t.log_views.(i) <> absent then t.resident <- t.resident - 1
+      if t.log.(i) <> absent then t.resident <- t.resident - 1
     done;
     let keep = max 0 (min (cap - shift) (t.last_index - wm)) in
-    t.log_views <- Array.sub t.log_views shift keep;
-    t.log_values <- Array.sub t.log_values shift keep;
+    let kept = Array.sub t.log shift keep and old = t.store in
+    let span n loc = if loc = absent then n else n + Arena.span old loc in
+    t.store <- Arena.create ~size:(Array.fold_left span 0 kept) ();
+    let copy loc = if loc = absent then absent else Arena.add t.store ~tag:(Arena.tag old loc) (Arena.get old loc) in
+    t.log <- Array.map copy kept;
     t.base <- wm
   end
 
@@ -373,6 +377,11 @@ let decode_config v =
   else None
 
 let is_config_value v = decode_config v <> None
+
+(* Whether a present index holds a config entry, tested in place. *)
+let log_is_config t idx =
+  let loc = log_loc t idx in
+  loc <> absent && Arena.has_prefix t.store loc config_tag
 
 (* Joint consensus: between a Reconfig entering the log and its
    activation, progress (commits AND elections) needs a majority of the
@@ -454,7 +463,7 @@ let refresh_pending_config (t : t) =
     if idx > t.last_index then best
     else
       let best =
-        if not (log_mem t idx) then best
+        if not (log_is_config t idx) then best
         else
           match decode_config (log_value t idx) with
           | Some (e, m) when e > t.epoch -> Some m
@@ -597,9 +606,7 @@ let store_entry t ~index ~eview ~value =
      the log never holds them again (a stale retransmission must not
      resurrect a dropped prefix). *)
   if index > t.base then begin
-    let touches_config =
-      is_config_value value || (log_mem t index && is_config_value (log_value t index))
-    in
+    let touches_config = is_config_value value || log_is_config t index in
     if log_view t index <= eview then log_set t index eview value;
     if t.resident > t.peak_log then t.peak_log <- t.resident;
     if index > t.last_index then t.last_index <- index;
@@ -1283,7 +1290,7 @@ let recover_from_wal (t : t) =
      committed one, and re-learn any still-pending one. *)
   let rec rescan idx =
     if idx <= t.committed then begin
-      (if log_mem t idx then
+      (if log_is_config t idx then
          match decode_config (log_value t idx) with
          | Some (e, m) when e > t.epoch ->
            t.epoch <- e;
@@ -1321,8 +1328,8 @@ let create ?(config = default_config) ~fabric ~rng ~wal ~members ~node ~group ()
       view = 0;
       primary = None;
       max_view_seen = 0;
-      log_views = [||];
-      log_values = [||];
+      log = [||];
+      store = Arena.create ();
       resident = 0;
       last_index = 0;
       committed = 0;

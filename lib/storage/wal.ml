@@ -8,11 +8,10 @@ type t = {
   eng : Engine.t;
   wname : string;
   write_latency : Time.t;
-  (* Stable records, oldest first, in [recs.(0 .. len - 1)]; [torn_at]
-     holds the positions of torn tails. *)
-  mutable recs : string array;
+  (* Stable records, oldest first; a torn tail is tagged 1, an intact
+     record 0. *)
+  mutable recs : Arena.t;
   mutable len : int;
-  mutable torn_at : int list;
   mutable writes : int;
   (* Writes become stable in submission order even when issued
      concurrently: model a single flash channel. *)
@@ -35,9 +34,8 @@ let create ?(write_latency = Time.us 15) eng ~name =
     eng;
     wname = name;
     write_latency;
-    recs = [||];
+    recs = Arena.create ();
     len = 0;
-    torn_at = [];
     writes = 0;
     last_stable_at = Time.zero;
     inflight = Hashtbl.create 8;
@@ -50,13 +48,8 @@ let create ?(write_latency = Time.us 15) eng ~name =
 
 let name t = t.wname
 
-let push t data =
-  if t.len = Array.length t.recs then begin
-    let recs = Array.make (max 16 (t.len + (t.len / 2))) "" in
-    Array.blit t.recs 0 recs 0 t.len;
-    t.recs <- recs
-  end;
-  t.recs.(t.len) <- data;
+let push ?(torn = false) t data =
+  ignore (Arena.add t.recs ~tag:(Bool.to_int torn) data);
   t.len <- t.len + 1
 
 let stable_time t =
@@ -129,29 +122,27 @@ let append_async t records k =
 let truncate_to t ~header ~drop k =
   t.truncations <- t.truncations + 1;
   append_async t [ header ] (fun () ->
+      (* The header is the newest record.  Until its drop runs, only
+         earlier truncations remove records, all of them older than it. *)
+      let at = t.len - 1 + t.dropped in
       let tid = t.next_trunc_id in
       t.next_trunc_id <- tid + 1;
       Hashtbl.replace t.pending_truncs tid ();
       Engine.at t.eng (stable_time t) (fun () ->
           if Hashtbl.mem t.pending_truncs tid then begin
             Hashtbl.remove t.pending_truncs tid;
-            (* Keep everything from the newest copy of the header on (a
-               torn tail is a fresh copy, never the header itself);
-               filter what's older. *)
-            let rec find i = if i < 0 || t.recs.(i) == header then i else find (i - 1) in
-            let h = max 0 (find (t.len - 1)) in
-            let kept =
-              List.init h Fun.id
-              |> List.filter (fun i -> not (List.mem i t.torn_at || drop t.recs.(i)))
-            in
-            let gone = h - List.length kept in
-            List.iteri (fun j i -> t.recs.(j) <- t.recs.(i)) kept;
-            Array.blit t.recs h t.recs (h - gone) (t.len - h);
-            Array.fill t.recs (t.len - gone) gone "";
-            t.len <- t.len - gone;
-            t.dropped <- t.dropped + gone;
-            t.torn_at <-
-              List.filter_map (fun i -> if i >= h then Some (i - gone) else None) t.torn_at;
+            (* Keep everything from the header on; filter what's older. *)
+            let h = at - t.dropped in
+            let recs = Arena.create () and i = ref 0 and kept = ref 0 in
+            Arena.iter t.recs (fun tag data ->
+                if !i >= h || (tag = 0 && not (drop data)) then begin
+                  ignore (Arena.add recs ~tag data);
+                  incr kept
+                end;
+                incr i);
+            t.dropped <- t.dropped + t.len - !kept;
+            t.recs <- recs;
+            t.len <- !kept;
             k ()
           end))
 
@@ -169,12 +160,13 @@ let crash_torn_tail t =
   | (_, data) :: _ ->
     (* The oldest in-flight record was mid-write: a partial prefix lands
        on disk; younger in-flight writes are lost outright. *)
-    t.torn_at <- t.len :: t.torn_at;
-    push t (String.sub data 0 (String.length data / 2));
+    push ~torn:true t (String.sub data 0 (String.length data / 2));
     true
 
 let entries t =
-  List.init t.len (fun i -> { data = t.recs.(i); torn = List.mem i t.torn_at })
+  let acc = ref [] in
+  Arena.iter t.recs (fun tag data -> acc := { data; torn = tag = 1 } :: !acc);
+  List.rev !acc
 
 let records t =
   List.filter_map (fun e -> if e.torn then None else Some e.data) (entries t)
@@ -185,9 +177,8 @@ let truncations t = t.truncations
 let dropped t = t.dropped
 
 let reset t =
-  t.recs <- [||];
+  t.recs <- Arena.create ();
   t.len <- 0;
-  t.torn_at <- [];
   t.writes <- 0;
   Hashtbl.reset t.inflight;
   Hashtbl.reset t.pending_truncs

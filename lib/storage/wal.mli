@@ -4,8 +4,8 @@
     global index) to a Berkeley DB on SSD.  Here a record is an opaque
     string; an append charges the SSD fsync latency once per group and
     invokes a continuation when the write is stable.
-    Contents survive "process crashes" (the record array lives outside any
-    engine group), which is what replica recovery replays. *)
+    Contents survive "process crashes" (the records, packed in an arena,
+    live outside any engine group), which is what replica recovery replays. *)
 
 type t
 

@@ -89,6 +89,25 @@ let test_wal_truncate_crash_between_phases () =
   Alcotest.(check (list string)) "re-truncation converges" [ "H2" ] (Wal.records wal);
   Alcotest.(check int) "orphans dropped" 3 (Wal.dropped wal)
 
+(* Two truncations in flight: the second header is durable before the
+   first drop runs, which then moves it two records down.  Each drop
+   still finds its own header and keeps everything from it on. *)
+let test_wal_truncate_overlapping () =
+  let eng = Engine.create () in
+  let wal = Wal.create eng ~name:"w" in
+  List.iter (fun r -> Wal.append_async wal [ r ] (fun () -> ())) [ "a"; "b" ];
+  Wal.truncate_to wal ~header:"H1" ~drop:(fun _ -> true) (fun () -> ());
+  Wal.append_async wal [ "c" ] (fun () -> ());
+  let before_drops = ref [] in
+  Wal.truncate_to wal ~header:"H2" ~drop:(fun _ -> true) (fun () -> ());
+  Wal.append_async wal [ "d" ] (fun () -> before_drops := Wal.records wal);
+  Engine.run eng;
+  Alcotest.(check (list string)) "second header durable before the first drop"
+    [ "a"; "b"; "H1"; "c"; "H2"; "d" ] !before_drops;
+  Alcotest.(check (list string)) "each drop keeps its header's suffix" [ "H2"; "d" ]
+    (Wal.records wal);
+  Alcotest.(check int) "four records dropped" 4 (Wal.dropped wal)
+
 (* ------------------------------------------------------------------ *)
 (* Paxos-level compaction and snapshot catch-up *)
 
@@ -342,6 +361,8 @@ let suite =
           test_wal_truncate_crash_before_header;
         Alcotest.test_case "wal crash between phases" `Quick
           test_wal_truncate_crash_between_phases;
+        Alcotest.test_case "wal overlapping truncations" `Quick
+          test_wal_truncate_overlapping;
         Alcotest.test_case "compaction bounds the log" `Quick
           test_compaction_bounds_log;
         Alcotest.test_case "snapshot catch-up converges" `Quick

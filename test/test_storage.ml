@@ -1,12 +1,14 @@
-(* What a replica stores per decision: WAL torn-tail recovery as a
-   property over random accept batches, commit markers and crash points,
-   and the words each WAL record and each log entry costs. *)
+(* What a replica stores per decision: the record arena as a round-trip
+   property, WAL torn-tail recovery as a property over random accept
+   batches, commit markers and crash points, and the words each WAL
+   record and each log entry costs. *)
 
 module Time = Crane_sim.Time
 module Rng = Crane_sim.Rng
 module Engine = Crane_sim.Engine
 module Fabric = Crane_net.Fabric
 module Wal = Crane_storage.Wal
+module Arena = Crane_storage.Arena
 module Paxos = Crane_paxos.Paxos
 module Wal_record = Crane_paxos.Wal_record
 module Event = Crane_core.Event
@@ -17,6 +19,30 @@ let recover wal =
   let eng = Engine.create () in
   Paxos.create ~fabric:(Fabric.create eng (Rng.create 1)) ~rng:(Rng.create 2) ~wal
     ~members:[ "n1" ] ~node:"n1" ~group:(Engine.new_group eng) ()
+
+(* Records from empty to several chunks long, with tags of one to nine
+   varint bytes, read back by locator and in insertion order. *)
+let prop_arena_round_trip =
+  QCheck.Test.make ~name:"arena records round-trip by locator and in order" ~count:100
+    QCheck.(
+      list_of_size Gen.(0 -- 30)
+        (pair (oneof [ small_nat; int_bound max_int ])
+           (string_gen_of_size
+              Gen.(frequency [ (20, 0 -- 40); (4, 400 -- 1500); (1, 65_000 -- 140_000) ])
+              Gen.char)))
+    (fun records ->
+      let a = Arena.create () in
+      let locs = List.map (fun (tag, s) -> Arena.add a ~tag s) records in
+      let seen = ref [] in
+      Arena.iter a (fun tag s -> seen := (tag, s) :: !seen);
+      List.for_all2
+        (fun loc (tag, s) ->
+          Arena.get a loc = s
+          && Arena.tag a loc = tag
+          && Arena.has_prefix a loc (String.sub s 0 (String.length s / 2))
+          && not (Arena.has_prefix a loc (s ^ "x")))
+        locs records
+      && List.rev !seen = records)
 
 (* Each step is one group append of accepts for the next indices,
    optionally followed by a commit marker for an index drawn from all
@@ -96,8 +122,7 @@ let put i = Event.encode (Event.Send { conn = i; payload = Printf.sprintf "PUT i
    The WAL and the replica both reach the engine and so each other, so
    the words they cost are told apart by wiping the WAL: what that frees
    is the WAL's, the rest of the replica's growth is the log's.  Array
-   slack counts.  Marshal blobs in a list of records and a (view, value)
-   Hashtbl cost about 13 words each. *)
+   slack and unused arena chunk space count. *)
 let test_footprint () =
   let eng = Engine.create () in
   let wal = Wal.create eng ~name:"n1" in
@@ -122,10 +147,10 @@ let test_footprint () =
   let log = words () - before in
   let per_record = float (full - before - log) /. float (2 * rounds)
   and per_entry = float log /. float rounds in
-  if per_record > 8.0 then Alcotest.failf "%.2f words per WAL record (bound 8)" per_record;
-  if per_entry > 8.0 then Alcotest.failf "%.2f words per log entry (bound 8)" per_entry;
+  if per_record > 3.0 then Alcotest.failf "%.2f words per WAL record (bound 3)" per_record;
+  if per_entry > 5.0 then Alcotest.failf "%.2f words per log entry (bound 5)" per_entry;
   (* Compacting to the midpoint drops half the entries and sizes the log
-     for the other half. *)
+     and its arena for the other half. *)
   Paxos.offer_snapshot p ~index:(rounds / 2) ~blob:"snapshot";
   Engine.run ~until:(Time.ms 700) eng;
   Alcotest.(check int) "compacted to the midpoint" (rounds / 2) (Paxos.base p);
@@ -139,6 +164,7 @@ let suite =
   [
     ( "storage.records",
       [
+        qcheck prop_arena_round_trip;
         qcheck prop_wal_torn_tail_recovery;
         Alcotest.test_case "words per WAL record and log entry" `Quick test_footprint;
       ] );
