@@ -186,8 +186,11 @@ let server ?(cfg = default_config) () : Api.server =
     done;
     Api.handle ~name:"mysql"
       ~state_of:(fun () ->
-        Printf.sprintf "%d|%s" (B.Sharded_counter.get queries)
-          (Sqlkit.serialize !db))
+        let buf = Buffer.create 4096 in
+        Buffer.add_string buf (string_of_int (B.Sharded_counter.get queries));
+        Buffer.add_char buf '|';
+        Sqlkit.serialize_into buf !db;
+        Buffer.contents buf)
       ~load_state:(fun s ->
         match String.index_opt s '|' with
         | Some i ->

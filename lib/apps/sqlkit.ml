@@ -21,20 +21,31 @@ let select t ~id = Hashtbl.find_opt t.rows id
 let update t ~id ~value = Hashtbl.replace t.rows id value
 let row_count t = Hashtbl.length t.rows
 
-(* Deterministic serialization: sorted tables, sorted rows. *)
+(* Deterministic serialization, "name:id=v,id=v;name:...": tables by
+   name, rows by id, written straight into [buf]. *)
+let serialize_into buf db =
+  let tables = Hashtbl.fold (fun _ t acc -> t :: acc) db.tables [] in
+  List.iteri
+    (fun i t ->
+      if i > 0 then Buffer.add_char buf ';';
+      Buffer.add_string buf t.name;
+      Buffer.add_char buf ':';
+      let ids = Array.make (Hashtbl.length t.rows) 0 and n = ref 0 in
+      Hashtbl.iter (fun id _ -> ids.(!n) <- id; incr n) t.rows;
+      Array.sort Int.compare ids;
+      Array.iteri
+        (fun j id ->
+          if j > 0 then Buffer.add_char buf ',';
+          Buffer.add_string buf (string_of_int id);
+          Buffer.add_char buf '=';
+          Buffer.add_string buf (string_of_int (Hashtbl.find t.rows id)))
+        ids)
+    (List.sort (fun a b -> String.compare a.name b.name) tables)
+
 let serialize db =
-  let tables =
-    Hashtbl.fold (fun _ t acc -> t :: acc) db.tables []
-    |> List.sort (fun a b -> compare a.name b.name)
-  in
-  let render t =
-    let rows =
-      Hashtbl.fold (fun id v acc -> (id, v) :: acc) t.rows [] |> List.sort compare
-    in
-    Printf.sprintf "%s:%s" t.name
-      (String.concat "," (List.map (fun (id, v) -> Printf.sprintf "%d=%d" id v) rows))
-  in
-  String.concat ";" (List.map render tables)
+  let buf = Buffer.create 4096 in
+  serialize_into buf db;
+  Buffer.contents buf
 
 let deserialize s =
   let db = create_db () in

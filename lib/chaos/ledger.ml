@@ -78,7 +78,8 @@ let server : Api.server =
                       serve rest
                     | None ->
                       let chunk = R.recv c ~max:4096 in
-                      if chunk = "" then R.close c else serve (buf ^ chunk)
+                      if chunk = "" then R.close c
+                      else serve (if buf = "" then chunk else buf ^ chunk)
                   in
                   serve "")
             done);
@@ -136,7 +137,7 @@ let call ~timeout ~max conn msg =
     else
       let chunk = Sock.recv ~timeout conn ~max in
       if chunk = "" then if buf = "" then None else Some buf
-      else read (buf ^ chunk)
+      else read (if buf = "" then chunk else buf ^ chunk)
   in
   let resp =
     try
@@ -155,7 +156,8 @@ let read_call ~timeout conn =
     | Some (r, _) -> Some r
     | None ->
       let chunk = Sock.recv ~timeout conn ~max:65536 in
-      if chunk = "" then None else read (buf ^ chunk)
+      if chunk = "" then None
+      else read (if buf = "" then chunk else buf ^ chunk)
   in
   let reply =
     try

@@ -29,15 +29,31 @@ let length t = List.length t.entries
 let dropped t = t.dropped
 let total t = t.dropped + List.length t.entries
 
-(* Strip lines that carry physical time (HTTP Date headers and our
-   servers' "X-Time:" equivalents). *)
+let starts_at s i p =
+  let n = String.length p in
+  String.length s - i >= n
+  &&
+  let rec from k = k = n || (s.[i + k] = p.[k] && from (k + 1)) in
+  from 0
+
+(* Lines that carry physical time: HTTP Date headers and our servers'
+   "X-Time:" equivalents. *)
+let timed_at s i = starts_at s i "Date:" || starts_at s i "X-Time:"
+
+let rec has_timed_line s i =
+  timed_at s i
+  || match String.index_from s i '\n' with
+     | j -> has_timed_line s (j + 1)
+     | exception Not_found -> false
+
+(* Strip the timed lines.  Only HTTP replies have any, so every other
+   payload comes back as it is, uncopied. *)
 let normalize_payload payload =
-  String.split_on_char '\n' payload
-  |> List.filter (fun line ->
-         not
-           (String.starts_with ~prefix:"Date:" line
-           || String.starts_with ~prefix:"X-Time:" line))
-  |> String.concat "\n"
+  if not (has_timed_line payload 0) then payload
+  else
+    String.split_on_char '\n' payload
+    |> List.filter (fun line -> not (timed_at line 0))
+    |> String.concat "\n"
 
 (* The chain digest always folds the normalized form: a trimmed prefix
    can no longer be compared with timestamps intact. *)

@@ -329,7 +329,8 @@ let read_rx_loop t conn =
     | None -> recv_more buf
   and recv_more buf =
     let chunk = Sock.recv conn ~max:65536 in
-    if chunk = "" then Sock.close conn else loop (buf ^ chunk)
+    if chunk = "" then Sock.close conn
+    else loop (if buf = "" then chunk else buf ^ chunk)
   in
   try loop "" with Sock.Connection_closed -> ()
 

@@ -105,6 +105,7 @@ type t = {
   listeners : (int, vlistener) Hashtbl.t;
   output : Output_log.t;
   pool_active : (int, pool_entry) Hashtbl.t;  (* conn -> active command *)
+  lane_load : int array;  (* per DMT lane: active commands placed on it *)
   mutable pool_fp : string -> Api.footprint option;
   mutable handlers : handlers;
   mutable last_bubble_request : Time.t;
@@ -189,15 +190,25 @@ let fp_conflict a b =
 let pool_has_barrier t =
   Hashtbl.fold (fun _ e acc -> acc || e.afp = None) t.pool_active false
 
+let pool_activate t conn e =
+  Hashtbl.replace t.pool_active conn e;
+  t.lane_load.(e.alane) <- t.lane_load.(e.alane) + 1
+
+(* Whether [conn] had an active command. *)
+let pool_deactivate t conn =
+  match Hashtbl.find_opt t.pool_active conn with
+  | Some e ->
+    Hashtbl.remove t.pool_active conn;
+    t.lane_load.(e.alane) <- t.lane_load.(e.alane) - 1;
+    true
+  | None -> false
+
 (* The connection's worker proved quiescent: everything admitted on it has
    fully executed, so its footprint stops blocking later commands and the
    read watermark may advance past it. *)
 let pool_retire t (c : vconn) =
   Hashtbl.remove t.inflight c.vid;
-  if Hashtbl.mem t.pool_active c.vid then begin
-    Hashtbl.remove t.pool_active c.vid;
-    t.epoch <- t.epoch + 1
-  end
+  if pool_deactivate t c.vid then t.epoch <- t.epoch + 1
 
 (* Execute-window brackets for the conflict-serializability certifier:
    [begin] when recv hands admitted bytes to server code, [end] when the
@@ -223,10 +234,7 @@ let pool_pick_lane t dmt =
   let lanes = Dmt.lane_count dmt in
   if lanes <= 1 then 0
   else begin
-    let load = Array.make lanes 0 in
-    Hashtbl.iter
-      (fun _ e -> if e.alane < lanes then load.(e.alane) <- load.(e.alane) + 1)
-      t.pool_active;
+    let load = t.lane_load in
     let nw = lanes - 1 in
     let best = ref (1 + (t.pool_rr mod nw)) in
     for i = 1 to nw - 1 do
@@ -308,8 +316,7 @@ let pool_scan t dmt =
                   (* barrier admitted alone, in strict log order *)
                   Bytestream.push c.buf payload;
                   Hashtbl.replace t.inflight conn ix;
-                  Hashtbl.replace t.pool_active conn
-                    { aix = ix; afp = None; alane = 0 };
+                  pool_activate t conn { aix = ix; afp = None; alane = 0 };
                   barrier_live := true;
                   note_admit t;
                   signal_one ~lane:0 t c.cobj;
@@ -328,8 +335,7 @@ let pool_scan t dmt =
                   let lane = pool_pick_lane t dmt in
                   Bytestream.push c.buf payload;
                   Hashtbl.replace t.inflight conn ix;
-                  Hashtbl.replace t.pool_active conn
-                    { aix = ix; afp = Some fp; alane = lane };
+                  pool_activate t conn { aix = ix; afp = Some fp; alane = lane };
                   note_admit t;
                   signal_one ~lane t c.cobj;
                   `Admit
@@ -516,6 +522,8 @@ let create ?(node = "") eng ~cfg ~clocking =
       listeners = Hashtbl.create 4;
       output = Output_log.create ();
       pool_active = Hashtbl.create 8;
+      lane_load =
+        Array.make (match clocking with Clocked dmt -> Dmt.lane_count dmt | Immediate -> 1) 0;
       pool_fp = (fun _ -> None);
       handlers = null_handlers;
       last_bubble_request = Time.zero;
@@ -753,7 +761,7 @@ let close t (c : vconn) =
       t.open_conns <- t.open_conns - 1;
       t.epoch <- t.epoch + 1;
       Hashtbl.remove t.inflight c.vid;
-      Hashtbl.remove t.pool_active c.vid;
+      ignore (pool_deactivate t c.vid);
       t.handlers.on_server_close c.vid
     end
   in

@@ -23,7 +23,7 @@ type lane = {
 }
 
 (* Engine tids are small sequential ints: hash them as themselves.
-   [me] runs on every turn. *)
+   [me] runs on every turn, and remembers the thread it resolved last. *)
 module Tids = Hashtbl.Make (struct
   include Int
 
@@ -50,6 +50,7 @@ type t = {
   lanes : lane array; (* lane 0 hosts the idle thread and fresh spawns *)
   waitq : (int, dthread Queue.t) Hashtbl.t;
   threads : dthread Tids.t; (* engine tid -> dthread *)
+  mutable last : dthread; (* the thread [me] resolved last *)
   mutable clock : int;
   mutable next_obj : int;
   mutable gate : gate option;
@@ -83,15 +84,28 @@ let new_obj t =
   t.next_obj <- o + 1;
   o
 
-let self t = Tids.find_opt t.threads (Engine.self_tid t.eng)
+(* No registered thread: [last] before any lookup, and what [find] returns
+   for an unregistered caller.  No engine tid is [min_int]. *)
+let no_dthread = { dtid = min_int; dname = "-"; parked = None; lane = 0 }
+
+let find t =
+  let tid = Engine.self_tid t.eng in
+  if t.last.dtid = tid then t.last
+  else
+    match Tids.find_opt t.threads tid with
+    | Some th ->
+      t.last <- th;
+      th
+    | None -> no_dthread
 
 let me t =
-  match self t with
-  | Some th -> th
-  | None -> failwith "Dmt: calling thread is not registered with this scheduler"
+  let th = find t in
+  if th == no_dthread then
+    failwith "Dmt: calling thread is not registered with this scheduler";
+  th
 
-let is_thread t = Tids.mem t.threads (Engine.self_tid t.eng)
-let current_lane t = match self t with Some th -> th.lane | None -> 0
+let is_thread t = find t != no_dthread
+let current_lane t = (find t).lane
 
 (* Sanitizer hook: stream a sync event through the engine's recorder. *)
 let sync t op o =
@@ -299,7 +313,8 @@ let spawn t ~name body =
           get_turn t;
           if Engine.tracing t.eng then Engine.emit t.eng ~node:t.label Trace.Thread_exit;
           leave_runq t th;
-          Tids.remove t.threads th.dtid
+          Tids.remove t.threads th.dtid;
+          if t.last == th then t.last <- no_dthread
         in
         match body () with () -> cleanup () | exception e -> cleanup (); raise e)
   in
@@ -395,6 +410,7 @@ let create ?(turn_cost = Time.ns 150) ?(idle_period = Time.us 10) ?(lanes = 1)
       lanes = Array.init (max 1 lanes) (fun _ -> { lq = []; lsig = 1 });
       waitq = Hashtbl.create 64;
       threads = Tids.create 64;
+      last = no_dthread;
       clock = 0;
       next_obj = 1;
       gate = None;

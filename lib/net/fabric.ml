@@ -9,11 +9,44 @@ type endpoint = { node : node; port : int }
 
 type message = ..
 
+type handler = src:endpoint -> message -> unit
+
+(* A node's up-state and port handlers.  [Unseen] until a bind, a send
+   from it or an explicit up/down names it: such a node is down as a
+   destination, and its first send brings it up. *)
+type status = Unseen | Up | Down
+
+type node_state = {
+  name : node;
+  mutable status : status;
+  mutable ports : (int * handler) list;
+}
+
+(* One (src, dst) pair, resolved once: its jitter/loss stream, its FIFO
+   floor and both ends' states, so a send does one lookup and a delivery
+   none.  [lid] numbers links in creation order. *)
+type link = {
+  lid : int;
+  lsrc : node_state;
+  ldst : node_state;
+  rng : Rng.t;
+  mutable floor : Time.t; (* latest delivery scheduled on the link *)
+}
+
+(* (src, dst) names compared as strings, not by polymorphic compare. *)
+module Pairs = Hashtbl.Make (struct
+  type t = node * node
+
+  let equal (a, b) (c, d) = String.equal a c && String.equal b d
+  let hash = Hashtbl.hash
+end)
+
 (* A send parked in the controlled fabric, waiting for the scheduler to
    deliver it.  Ids are assigned in send order, so the FIFO head of a
    link is its pending message with the smallest id. *)
 type ctl_msg = {
   cm_id : int;
+  cm_link : link;
   cm_src : endpoint;
   cm_dst : endpoint;
   cm_msg : message;
@@ -31,15 +64,11 @@ type t = {
      comparisons across configurations.  The per-link seed depends only
      on (seed, src, dst), never on creation order. *)
   link_seed : int;
-  link_rngs : (node * node, Rng.t) Hashtbl.t;
+  links : link Pairs.t;
+  nodes : (node, node_state) Hashtbl.t;
   mutable base : Time.t;
   mutable jitter : Time.t;
   mutable loss : float;
-  up : (node, bool) Hashtbl.t;
-  handlers : (node * int, src:endpoint -> message -> unit) Hashtbl.t;
-  (* FIFO guarantee: never schedule a delivery on a link earlier than the
-     previous one. *)
-  last_delivery : (node * node, Time.t) Hashtbl.t;
   (* A partition blocks [src] -> [dst]; symmetric ones block the reverse
      direction too. *)
   mutable partitions : (node list * node list * bool) list;
@@ -60,13 +89,11 @@ let create eng rng =
     eng;
     link_seed = Int64.to_int (Rng.next rng);
     rng;
-    link_rngs = Hashtbl.create 64;
+    links = Pairs.create 64;
+    nodes = Hashtbl.create 16;
     base = Time.us 40;
     jitter = Time.us 20;
     loss = 0.0;
-    up = Hashtbl.create 16;
-    handlers = Hashtbl.create 64;
-    last_delivery = Hashtbl.create 64;
     partitions = [];
     delivered = 0;
     dropped = 0;
@@ -81,9 +108,17 @@ let set_latency t ~base ~jitter =
   t.jitter <- jitter
 
 let set_loss t loss = t.loss <- loss
-let node_up t n = Hashtbl.replace t.up n true
-let node_down t n = Hashtbl.replace t.up n false
-let is_up t n = match Hashtbl.find_opt t.up n with Some b -> b | None -> false
+
+let node_state t n =
+  match Hashtbl.find_opt t.nodes n with
+  | Some ns -> ns
+  | None ->
+    let ns = { name = n; status = Unseen; ports = [] } in
+    Hashtbl.replace t.nodes n ns;
+    ns
+
+let node_up t n = (node_state t n).status <- Up
+let node_down t n = (node_state t n).status <- Down
 
 let partition t a b = t.partitions <- (a, b, true) :: t.partitions
 let partition_oneway t ~from ~to_ = t.partitions <- (from, to_, false) :: t.partitions
@@ -97,19 +132,38 @@ let partitioned t a b =
   List.exists blocks t.partitions
 
 let bind t ep handler =
-  node_up t ep.node;
-  Hashtbl.replace t.handlers (ep.node, ep.port) handler
+  let ns = node_state t ep.node in
+  ns.status <- Up;
+  ns.ports <- (ep.port, handler) :: List.remove_assoc ep.port ns.ports
 
-let unbind t ep = Hashtbl.remove t.handlers (ep.node, ep.port)
+let unbind t ep =
+  let ns = node_state t ep.node in
+  ns.ports <- List.remove_assoc ep.port ns.ports
 
-let link_rng t link =
-  match Hashtbl.find_opt t.link_rngs link with
-  | Some r -> r
+let rec handler_of port = function
+  | [] -> None
+  | (p, h) :: rest -> if p = port then Some h else handler_of port rest
+
+let link t src dst =
+  match Pairs.find_opt t.links (src, dst) with
+  | Some l -> l
   | None ->
-    let src, dst = link in
-    let r = Rng.create (Hashtbl.hash (t.link_seed, src, dst)) in
-    Hashtbl.replace t.link_rngs link r;
-    r
+    let l =
+      {
+        lid = Pairs.length t.links;
+        lsrc = node_state t src;
+        ldst = node_state t dst;
+        rng = Rng.create (Hashtbl.hash (t.link_seed, src, dst));
+        floor = min_int;
+      }
+    in
+    Pairs.replace t.links (src, dst) l;
+    l
+
+(* Whether a message on [l] may arrive now: both ends up, no partition. *)
+let passable t l =
+  l.lsrc.status = Up && l.ldst.status = Up
+  && not (partitioned t l.lsrc.name l.ldst.name)
 
 let sample_delay t rng =
   let j = if t.jitter > 0 then Rng.int rng t.jitter else 0 in
@@ -156,10 +210,9 @@ let ctl_eligible t =
   let heads = Hashtbl.create 16 in
   Hashtbl.iter
     (fun _ m ->
-      let link = (m.cm_src.node, m.cm_dst.node) in
-      match Hashtbl.find_opt heads link with
+      match Hashtbl.find_opt heads m.cm_link.lid with
       | Some m' when m'.cm_id < m.cm_id -> ()
-      | _ -> Hashtbl.replace heads link m)
+      | _ -> Hashtbl.replace heads m.cm_link.lid m)
     t.ctl_pending;
   let elig =
     Hashtbl.fold
@@ -179,10 +232,7 @@ let ctl_pump t sched =
       let m = arr.(Sched.choose sched ~label:"net.deliver" ~keys) in
       Hashtbl.remove t.ctl_pending m.cm_id;
       let src = m.cm_src and dst = m.cm_dst in
-      if
-        (not (is_up t src.node && is_up t dst.node))
-        || partitioned t src.node dst.node
-      then note_drop t ~src ~dst ~reason:"partitioned"
+      if not (passable t m.cm_link) then note_drop t ~src ~dst ~reason:"partitioned"
       else begin
         let key = ctl_key m in
         let fate =
@@ -191,7 +241,7 @@ let ctl_pump t sched =
         in
         if fate = 1 then note_drop t ~src ~dst ~reason:"mc_drop"
         else
-          match Hashtbl.find_opt t.handlers (dst.node, dst.port) with
+          match handler_of dst.port m.cm_link.ldst.ports with
           | Some handler ->
             t.delivered <- t.delivered + 1;
             sched.Sched.on_deliver ~id:m.cm_id ~src:src.node ~dst:dst.node;
@@ -207,8 +257,8 @@ let ctl_pump t sched =
   in
   loop ()
 
-let ctl_send ~bytes t sched ~src ~dst msg =
-  if not (is_up t src.node) then note_drop t ~src ~dst ~reason:"src_down"
+let ctl_send ~bytes t sched link ~src ~dst msg =
+  if link.lsrc.status <> Up then note_drop t ~src ~dst ~reason:"src_down"
   else begin
     let id = t.ctl_next_id in
     t.ctl_next_id <- id + 1;
@@ -229,35 +279,35 @@ let ctl_send ~bytes t sched ~src ~dst msg =
       Engine.now t.eng + (mult * sched.Sched.base) + (bytes * byte_cost)
     in
     Hashtbl.replace t.ctl_pending id
-      { cm_id = id; cm_src = src; cm_dst = dst; cm_msg = msg; cm_ready = ready };
+      {
+        cm_id = id;
+        cm_link = link;
+        cm_src = src;
+        cm_dst = dst;
+        cm_msg = msg;
+        cm_ready = ready;
+      };
     Engine.at t.eng ready (fun () -> ctl_pump t sched)
   end
 
 let send ?(bytes = 0) t ~src ~dst msg =
-  if not (Hashtbl.mem t.up src.node) then node_up t src.node;
+  let link = link t src.node dst.node in
+  if link.lsrc.status = Unseen then link.lsrc.status <- Up;
   match Engine.sched t.eng with
-  | Some sched -> ctl_send ~bytes t sched ~src ~dst msg
+  | Some sched -> ctl_send ~bytes t sched link ~src ~dst msg
   | None ->
-  let link = (src.node, dst.node) in
-  let rng = link_rng t link in
-  if not (is_up t src.node) || Rng.chance rng t.loss then
-    note_drop t ~src ~dst
-      ~reason:(if is_up t src.node then "loss" else "src_down")
+  let up = link.lsrc.status = Up in
+  if not up || Rng.chance link.rng t.loss then
+    note_drop t ~src ~dst ~reason:(if up then "loss" else "src_down")
   else begin
     let arrival =
-      let earliest =
-        Engine.now t.eng + sample_delay t rng + (bytes * byte_cost)
-      in
-      match Hashtbl.find_opt t.last_delivery link with
-      | Some prev when prev > earliest -> prev
-      | _ -> earliest
+      Int.max link.floor
+        (Engine.now t.eng + sample_delay t link.rng + (bytes * byte_cost))
     in
-    Hashtbl.replace t.last_delivery link arrival;
+    link.floor <- arrival;
     Engine.at t.eng arrival (fun () ->
-        if is_up t src.node && is_up t dst.node
-           && not (partitioned t src.node dst.node)
-        then
-          match Hashtbl.find_opt t.handlers (dst.node, dst.port) with
+        if passable t link then
+          match handler_of dst.port link.ldst.ports with
           | Some handler ->
             t.delivered <- t.delivered + 1;
             handler ~src msg

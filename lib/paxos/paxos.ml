@@ -241,6 +241,7 @@ type stats = {
   compactions : int;
   snapshots_installed : int;
   log_resident : int;
+  log_bytes : int;
   peak_log_resident : int;
   acks_resident : int;
   epoch : int;
@@ -326,6 +327,7 @@ let stats (t : t) : stats =
     compactions = t.compactions;
     snapshots_installed = t.snapshots_installed;
     log_resident = t.resident;
+    log_bytes = Arena.bytes t.store;
     peak_log_resident = t.peak_log;
     acks_resident = Hashtbl.length t.acks;
     epoch = t.epoch;
@@ -607,7 +609,15 @@ let store_entry t ~index ~eview ~value =
      resurrect a dropped prefix). *)
   if index > t.base then begin
     let touches_config = is_config_value value || log_is_config t index in
-    if log_view t index <= eview then log_set t index eview value;
+    (* A retransmission of the entry already held (same view, same
+       bytes) leaves the log as it is. *)
+    let loc = log_loc t index in
+    if
+      loc = absent
+      ||
+      let view = Arena.tag t.store loc in
+      view < eview || (view = eview && not (Arena.equal t.store loc value))
+    then log_set t index eview value;
     if t.resident > t.peak_log then t.peak_log <- t.resident;
     if index > t.last_index then t.last_index <- index;
     (* A Reconfig landing in (or leaving) the uncommitted suffix changes

@@ -292,6 +292,9 @@ type stats = {
       (** snapshots this node installed via catch-up (fast-forwarding
           past its missing prefix) *)
   log_resident : int;  (** entries currently resident in the log table *)
+  log_bytes : int;
+      (** bytes the log's record arena holds: resident entries plus the
+          copies a rewrite left behind, until compaction drops them *)
   peak_log_resident : int;
       (** high-water mark of resident log entries — the boundedness
           metric BENCH_recovery.json plots against history length *)

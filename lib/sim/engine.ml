@@ -52,7 +52,9 @@ type t = {
   mutable current : thread;
   mutable next_group : int;
   mutable next_tid : int;
-  dead_groups : (group, unit) Hashtbl.t;
+  (* Bit [g] set: group [g] is dead.  Groups are sequential ints, and
+     liveness is checked on every resume, waker and grouped callback. *)
+  mutable dead_groups : Bytes.t;
   kill_hooks : (group, (unit -> unit) list ref) Hashtbl.t;
   mutable failed : (string * exn) list;
   mutable trace : Trace.t;
@@ -82,7 +84,7 @@ let create () =
     current = no_thread;
     next_group = 0;
     next_tid = 0;
-    dead_groups = Hashtbl.create 16;
+    dead_groups = Bytes.make 8 '\000';
     kill_hooks = Hashtbl.create 16;
     failed = [];
     trace = Trace.null;
@@ -109,7 +111,10 @@ let new_group t =
   t.next_group <- g + 1;
   g
 
-let group_alive t g = not (Hashtbl.mem t.dead_groups g)
+let group_alive t g =
+  let i = g lsr 3 in
+  i >= Bytes.length t.dead_groups
+  || Char.code (Bytes.unsafe_get t.dead_groups i) land (1 lsl (g land 7)) = 0
 
 let on_kill t g hook =
   match Hashtbl.find_opt t.kill_hooks g with
@@ -120,7 +125,15 @@ let kill_group t g =
   if group_alive t g then begin
     if Trace.enabled t.trace then
       Trace.record t.trace ~ts:t.clock ~tid:(-1) ~group:g (Trace.Group_kill { group = g });
-    Hashtbl.add t.dead_groups g ();
+    let i = g lsr 3 in
+    let n = Bytes.length t.dead_groups in
+    if i >= n then begin
+      let b = Bytes.make (max (2 * n) (i + 1)) '\000' in
+      Bytes.blit t.dead_groups 0 b 0 n;
+      t.dead_groups <- b
+    end;
+    Bytes.set t.dead_groups i
+      (Char.unsafe_chr (Char.code (Bytes.get t.dead_groups i) lor (1 lsl (g land 7))));
     match Hashtbl.find_opt t.kill_hooks g with
     | None -> ()
     | Some l ->

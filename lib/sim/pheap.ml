@@ -1,9 +1,12 @@
-(* Struct of arrays: keys live unboxed in two int arrays, so neither
-   [push] nor [pop_min] allocates (outside the occasional [grow]). *)
-type 'a heap = {
+(* Struct of arrays: keys live unboxed in two int arrays, and each entry
+   names the slot of [values] that holds its value.  Sifting moves only
+   ints, so a push or pop writes its value once, not once per level (a
+   write of a boxed value is a [caml_modify]), and neither allocates
+   (outside the occasional [grow]). *)
+type heap = {
   mutable times : int array;
   mutable seqs : int array;
-  mutable values : 'a array;
+  mutable slots : int array;
   mutable size : int;
 }
 
@@ -12,32 +15,47 @@ type 'a heap = {
    hold the same key, keys being unique) or when dead entries come to
    outnumber live ones and [live] is rebuilt without them.  So the top
    of [live] is always a live entry, and dead entries never hold more
-   than half of [live]. *)
-type 'a t = { live : 'a heap; dead : unit heap }
+   than half of [live].  A slot is freed when its entry leaves [live]
+   and reused by a later push. *)
+type 'a t = {
+  live : heap;
+  dead : heap;
+  mutable values : 'a array;
+  mutable free : int array; (* stack of free slots *)
+  mutable nfree : int;
+}
 
 let dummy () = Obj.magic 0
 
 let heap () =
-  { times = Array.make 16 0; seqs = Array.make 16 0; values = Array.make 16 (dummy ()); size = 0 }
+  { times = Array.make 16 0; seqs = Array.make 16 0; slots = Array.make 16 0; size = 0 }
 
-let create () = { live = heap (); dead = heap () }
+let create () =
+  {
+    live = heap ();
+    dead = heap ();
+    values = Array.make 16 (dummy ());
+    free = Array.init 16 (fun i -> 15 - i);
+    nfree = 16;
+  }
 
 let is_empty t = t.live.size = 0
 let length t = t.live.size - t.dead.size
 
+let grow_ints a n =
+  let b = Array.make n 0 in
+  Array.blit a 0 b 0 (Array.length a);
+  b
+
 let grow h =
   let n = 2 * Array.length h.times in
-  let times = Array.make n 0 and seqs = Array.make n 0 and values = Array.make n (dummy ()) in
-  Array.blit h.times 0 times 0 h.size;
-  Array.blit h.seqs 0 seqs 0 h.size;
-  Array.blit h.values 0 values 0 h.size;
-  h.times <- times;
-  h.seqs <- seqs;
-  h.values <- values
+  h.times <- grow_ints h.times n;
+  h.seqs <- grow_ints h.seqs n;
+  h.slots <- grow_ints h.slots n
 
-let heap_push h time seq value =
+let heap_push h time seq slot =
   if h.size = Array.length h.times then grow h;
-  let times = h.times and seqs = h.seqs and values = h.values in
+  let times = h.times and seqs = h.seqs and slots = h.slots in
   (* Sift the hole up from the end. *)
   let i = ref h.size in
   let moving = ref true in
@@ -47,20 +65,20 @@ let heap_push h time seq value =
     if time < pt || (time = pt && seq < seqs.(parent)) then begin
       times.(!i) <- pt;
       seqs.(!i) <- seqs.(parent);
-      values.(!i) <- values.(parent);
+      slots.(!i) <- slots.(parent);
       i := parent
     end
     else moving := false
   done;
   times.(!i) <- time;
   seqs.(!i) <- seq;
-  values.(!i) <- value;
+  slots.(!i) <- slot;
   h.size <- h.size + 1
 
 (* Sift the hole at [i] down through the first [h.size] entries, then
-   drop [(time, seq, value)] into it. *)
-let sift_down h i time seq value =
-  let times = h.times and seqs = h.seqs and values = h.values and n = h.size in
+   drop [(time, seq, slot)] into it. *)
+let sift_down h i time seq slot =
+  let times = h.times and seqs = h.seqs and slots = h.slots and n = h.size in
   let i = ref i in
   let moving = ref true in
   while !moving do
@@ -77,7 +95,7 @@ let sift_down h i time seq value =
       if ct < time || (ct = time && seqs.(c) < seq) then begin
         times.(!i) <- ct;
         seqs.(!i) <- seqs.(c);
-        values.(!i) <- values.(c);
+        slots.(!i) <- slots.(c);
         i := c
       end
       else moving := false
@@ -85,16 +103,23 @@ let sift_down h i time seq value =
   done;
   times.(!i) <- time;
   seqs.(!i) <- seq;
-  values.(!i) <- value
+  slots.(!i) <- slot
 
+(* Remove the top entry; returns its slot. *)
 let heap_pop h =
-  let min = h.values.(0) in
+  let top = h.slots.(0) in
   let n = h.size - 1 in
   h.size <- n;
-  let time = h.times.(n) and seq = h.seqs.(n) and value = h.values.(n) in
-  h.values.(n) <- dummy ();
-  if n > 0 then sift_down h 0 time seq value;
-  min
+  if n > 0 then sift_down h 0 h.times.(n) h.seqs.(n) h.slots.(n);
+  top
+
+(* Take the value out of [slot] and put the slot back on the free stack. *)
+let release t slot =
+  let v = t.values.(slot) in
+  t.values.(slot) <- dummy ();
+  t.free.(t.nfree) <- slot;
+  t.nfree <- t.nfree + 1;
+  v
 
 (* Rebuild [live] without its dead entries: filter, then heapify. *)
 let purge t =
@@ -111,18 +136,18 @@ let purge t =
   in
   let n = ref 0 in
   for i = 0 to live.size - 1 do
-    if not (is_dead live.seqs.(i)) then begin
+    if is_dead live.seqs.(i) then ignore (release t live.slots.(i))
+    else begin
       live.times.(!n) <- live.times.(i);
       live.seqs.(!n) <- live.seqs.(i);
-      live.values.(!n) <- live.values.(i);
+      live.slots.(!n) <- live.slots.(i);
       incr n
     end
   done;
-  Array.fill live.values !n (live.size - !n) (dummy ());
   live.size <- !n;
   t.dead.size <- 0;
   for i = (!n / 2) - 1 downto 0 do
-    sift_down live i live.times.(i) live.seqs.(i) live.values.(i)
+    sift_down live i live.times.(i) live.seqs.(i) live.slots.(i)
   done
 
 (* Restore the invariants after an entry left [live] or joined [dead]. *)
@@ -131,22 +156,35 @@ let settle t =
   while
     dead.size > 0 && live.times.(0) = dead.times.(0) && live.seqs.(0) = dead.seqs.(0)
   do
-    ignore (heap_pop live);
-    heap_pop dead
+    ignore (release t (heap_pop live));
+    ignore (heap_pop dead)
   done;
   if 2 * dead.size > live.size then purge t
 
-let push t ~time ~seq value = heap_push t.live time seq value
+let push t ~time ~seq value =
+  if t.nfree = 0 then begin
+    (* Every slot is taken: double [values], freeing the new half. *)
+    let n = Array.length t.values in
+    let values = Array.make (2 * n) (dummy ()) in
+    Array.blit t.values 0 values 0 n;
+    t.values <- values;
+    t.free <- Array.init (2 * n) (fun i -> (2 * n) - 1 - i);
+    t.nfree <- n
+  end;
+  t.nfree <- t.nfree - 1;
+  let slot = t.free.(t.nfree) in
+  t.values.(slot) <- value;
+  heap_push t.live time seq slot
 
 let min_time t = if t.live.size = 0 then max_int else t.live.times.(0)
 let min_seq t = if t.live.size = 0 then max_int else t.live.seqs.(0)
 
 let pop_min t =
   if t.live.size = 0 then invalid_arg "Pheap.pop_min: empty heap";
-  let min = heap_pop t.live in
+  let v = release t (heap_pop t.live) in
   if t.dead.size > 0 then settle t;
-  min
+  v
 
 let remove t ~time ~seq =
-  heap_push t.dead time seq ();
+  heap_push t.dead time seq 0;
   settle t

@@ -13,27 +13,28 @@ let push t s =
 let take t ~max =
   if max <= 0 || t.length = 0 then ""
   else begin
-    let buf = Buffer.create (min max t.length) in
-    let remaining = ref max in
-    let continue_ = ref true in
-    while !continue_ && !remaining > 0 && not (Queue.is_empty t.chunks) do
-      let head = Queue.peek t.chunks in
-      let avail = String.length head - t.offset in
-      if avail <= !remaining then begin
-        Buffer.add_substring buf head t.offset avail;
-        remaining := !remaining - avail;
-        t.offset <- 0;
-        ignore (Queue.pop t.chunks)
-      end
-      else begin
-        Buffer.add_substring buf head t.offset !remaining;
-        t.offset <- t.offset + !remaining;
-        remaining := 0;
-        continue_ := false
-      end
-    done;
-    let s = Buffer.contents buf in
-    t.length <- t.length - String.length s;
-    s
+    let n = min max t.length in
+    let head = Queue.peek t.chunks in
+    if t.offset = 0 && String.length head = n then begin
+      ignore (Queue.pop t.chunks);
+      t.length <- t.length - n;
+      head
+    end
+    else begin
+      let out = Bytes.create n in
+      let pos = ref 0 in
+      while !pos < n do
+        let head = Queue.peek t.chunks in
+        let k = min (String.length head - t.offset) (n - !pos) in
+        Bytes.blit_string head t.offset out !pos k;
+        pos := !pos + k;
+        if t.offset + k = String.length head then begin
+          t.offset <- 0;
+          ignore (Queue.pop t.chunks)
+        end
+        else t.offset <- t.offset + k
+      done;
+      t.length <- t.length - n;
+      Bytes.unsafe_to_string out
+    end
   end
-

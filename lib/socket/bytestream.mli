@@ -11,5 +11,7 @@ val push : t -> string -> unit
 (** Append a chunk (empty chunks are ignored). *)
 
 val take : t -> max:int -> string
-(** Remove and return up to [max] bytes ("" when empty). *)
+(** Remove and return up to [max] bytes ("" when empty).  A take of
+    exactly the head chunk returns that chunk itself; any other take
+    copies once. *)
 

@@ -8,11 +8,18 @@ exception Connection_closed
 
 let transport_port = 0
 
+(* Connection ids and ports are small ints: hash them as themselves. *)
+module Ids = Hashtbl.Make (struct
+  include Int
+
+  let hash c = c land max_int
+end)
+
 type conn = {
   cid : int;
   w : world;
-  local : Fabric.node;
-  remote : Fabric.node;
+  h : host;
+  peer : Fabric.endpoint; (* the remote node's transport *)
   rx : Bytestream.t;
   mutable eof : bool; (* peer closed or crashed *)
   mutable closed : bool; (* this side closed *)
@@ -21,21 +28,31 @@ type conn = {
 
 and listener = {
   lw : world;
-  lnode : Fabric.node;
+  lh : host;
   lport : int;
   backlog : conn Queue.t;
   accept_waiters : (unit -> bool) Queue.t;
   mutable lclosed : bool;
 }
 
+(* One node's transport: its open connections by id (both ends of a
+   connection share the id, and each end lives on its own node) and its
+   listeners by port.  The fabric handler of the node's transport port
+   holds this record, so a delivery finds its connection by the id
+   alone. *)
+and host = {
+  hname : Fabric.node;
+  hep : Fabric.endpoint;
+  hconns : conn Ids.t;
+  hlisteners : listener Ids.t;
+}
+
 and world = {
   fabric : Fabric.t;
   eng : Engine.t;
   mutable next_cid : int;
-  conns : (Fabric.node * int, conn) Hashtbl.t;
-  listeners : (Fabric.node * int, listener) Hashtbl.t;
-  pending_connects : (int, bool -> bool) Hashtbl.t;
-  bound : (Fabric.node, unit) Hashtbl.t;
+  hosts : (Fabric.node, host) Hashtbl.t;
+  pending_connects : (bool -> bool) Ids.t;
 }
 
 type Fabric.message +=
@@ -71,41 +88,46 @@ let ep node = { Fabric.node; port = transport_port }
 let rx_event w ~node rx ~cid ~bytes =
   if Engine.tracing w.eng then Engine.emit w.eng ~node (Trace.Rx { rx; conn = cid; bytes })
 
-let handle w ~node ~src msg =
-  let find cid = Hashtbl.find_opt w.conns (node, cid) in
+let new_conn w h ~cid ~peer =
+  let c =
+    {
+      cid;
+      w;
+      h;
+      peer;
+      rx = Bytestream.create ();
+      eof = false;
+      closed = false;
+      rx_waiters = Queue.create ();
+    }
+  in
+  Ids.replace h.hconns cid c;
+  c
+
+let handle w h ~src msg =
+  let node = h.hname in
+  let find cid = Ids.find_opt h.hconns cid in
   match msg with
   | Syn { cid; dst_port } -> (
-    match Hashtbl.find_opt w.listeners (node, dst_port) with
+    match Ids.find_opt h.hlisteners dst_port with
     | Some l when not l.lclosed ->
-      let c =
-        {
-          cid;
-          w;
-          local = node;
-          remote = src.Fabric.node;
-          rx = Bytestream.create ();
-          eof = false;
-          closed = false;
-          rx_waiters = Queue.create ();
-        }
-      in
-      Hashtbl.replace w.conns (node, cid) c;
+      let c = new_conn w h ~cid ~peer:src in
       rx_event w ~node Trace.Syn ~cid ~bytes:0;
       Queue.add c l.backlog;
       wake_one l.accept_waiters;
-      Fabric.send w.fabric ~src:(ep node) ~dst:src (Syn_ack { cid })
+      Fabric.send w.fabric ~src:h.hep ~dst:src (Syn_ack { cid })
     | Some _ | None ->
-      Fabric.send w.fabric ~src:(ep node) ~dst:src (Rst { cid }))
+      Fabric.send w.fabric ~src:h.hep ~dst:src (Rst { cid }))
   | Syn_ack { cid } -> (
-    match Hashtbl.find_opt w.pending_connects cid with
+    match Ids.find_opt w.pending_connects cid with
     | Some wake ->
-      Hashtbl.remove w.pending_connects cid;
+      Ids.remove w.pending_connects cid;
       ignore (wake true)
     | None -> ())
   | Rst { cid } -> (
-    match Hashtbl.find_opt w.pending_connects cid with
+    match Ids.find_opt w.pending_connects cid with
     | Some wake ->
-      Hashtbl.remove w.pending_connects cid;
+      Ids.remove w.pending_connects cid;
       ignore (wake false)
     | None -> ( match find cid with Some c -> mark_eof c | None -> ()))
   | Data { cid; payload } -> (
@@ -123,44 +145,53 @@ let handle w ~node ~src msg =
     | None -> ())
   | _ -> ()
 
-let ensure_bound w node =
-  if not (Hashtbl.mem w.bound node) then begin
-    Hashtbl.add w.bound node ();
-    Fabric.bind w.fabric (ep node) (fun ~src msg -> handle w ~node ~src msg)
-  end
+(* The node's transport, bound to the fabric on first use. *)
+let host w node =
+  match Hashtbl.find_opt w.hosts node with
+  | Some h -> h
+  | None ->
+    let h =
+      {
+        hname = node;
+        hep = ep node;
+        hconns = Ids.create 64;
+        hlisteners = Ids.create 4;
+      }
+    in
+    Hashtbl.add w.hosts node h;
+    Fabric.bind w.fabric h.hep (fun ~src msg -> handle w h ~src msg);
+    h
 
 let world fabric =
   {
     fabric;
     eng = Fabric.engine fabric;
     next_cid = 1;
-    conns = Hashtbl.create 256;
-    listeners = Hashtbl.create 16;
-    pending_connects = Hashtbl.create 16;
-    bound = Hashtbl.create 16;
+    hosts = Hashtbl.create 16;
+    pending_connects = Ids.create 16;
   }
 
 let listen w ~node ~port =
-  ensure_bound w node;
-  if Hashtbl.mem w.listeners (node, port) then
+  let h = host w node in
+  if Ids.mem h.hlisteners port then
     invalid_arg (Printf.sprintf "Sock.listen: %s:%d already bound" node port);
   let l =
     {
       lw = w;
-      lnode = node;
+      lh = h;
       lport = port;
       backlog = Queue.create ();
       accept_waiters = Queue.create ();
       lclosed = false;
     }
   in
-  Hashtbl.replace w.listeners (node, port) l;
+  Ids.replace h.hlisteners port l;
   l
 
 let close_listener l =
   if not l.lclosed then begin
     l.lclosed <- true;
-    Hashtbl.remove l.lw.listeners (l.lnode, l.lport);
+    Ids.remove l.lh.hlisteners l.lport;
     wake_all l.accept_waiters
   end
 
@@ -186,36 +217,24 @@ let rec accept l =
     accept l
 
 let connect w ~from ~node ~port =
-  ensure_bound w from;
+  let h = host w from in
   let cid = w.next_cid in
   w.next_cid <- cid + 1;
-  let c =
-    {
-      cid;
-      w;
-      local = from;
-      remote = node;
-      rx = Bytestream.create ();
-      eof = false;
-      closed = false;
-      rx_waiters = Queue.create ();
-    }
-  in
-  Hashtbl.replace w.conns (from, cid) c;
-  Fabric.send w.fabric ~src:(ep from) ~dst:(ep node) (Syn { cid; dst_port = port });
+  let c = new_conn w h ~cid ~peer:(ep node) in
+  Fabric.send w.fabric ~src:h.hep ~dst:c.peer (Syn { cid; dst_port = port });
   (* Connect timeout: a dead or partitioned server refuses after 1s. *)
   let ok =
     match
       Engine.suspend_timeout w.eng (Time.sec 1) (fun wake ->
-          Hashtbl.replace w.pending_connects cid wake)
+          Ids.replace w.pending_connects cid wake)
     with
     | Some ok -> ok
     | None ->
-      Hashtbl.remove w.pending_connects cid;
+      Ids.remove w.pending_connects cid;
       false
   in
   if not ok then begin
-    Hashtbl.remove w.conns (from, cid);
+    Ids.remove h.hconns cid;
     raise (Connection_refused (node, port))
   end;
   c
@@ -223,7 +242,7 @@ let connect w ~from ~node ~port =
 let send (c : conn) payload =
   if c.closed then raise Connection_closed;
   if (not c.eof) && String.length payload > 0 then
-    Fabric.send c.w.fabric ~src:(ep c.local) ~dst:(ep c.remote)
+    Fabric.send c.w.fabric ~src:c.h.hep ~dst:c.peer
       (Data { cid = c.cid; payload })
 
 let rec recv ?timeout (c : conn) ~max =
@@ -247,9 +266,9 @@ let rec recv ?timeout (c : conn) ~max =
 let close (c : conn) =
   if not c.closed then begin
     c.closed <- true;
-    Hashtbl.remove c.w.conns (c.local, c.cid);
+    Ids.remove c.h.hconns c.cid;
     if not c.eof then
-      Fabric.send c.w.fabric ~src:(ep c.local) ~dst:(ep c.remote)
+      Fabric.send c.w.fabric ~src:c.h.hep ~dst:c.peer
         (Fin { cid = c.cid });
     wake_all c.rx_waiters
   end
@@ -263,28 +282,24 @@ let closed (c : conn) = c.closed
    so the new instance starts from a clean table instead of inheriting
    half-open streams. *)
 let node_booted w node =
-  let stale =
-    Hashtbl.fold
-      (fun (n, cid) c acc -> if n = node then ((n, cid), c) :: acc else acc)
-      w.conns []
-  in
-  List.iter
-    (fun (key, c) ->
-      mark_eof c;
-      Hashtbl.remove w.conns key)
-    stale;
-  ensure_bound w node
+  let h = host w node in
+  let stale = Ids.fold (fun _ c acc -> c :: acc) h.hconns [] in
+  Ids.reset h.hconns;
+  List.iter mark_eof stale
 
 let node_crashed w node =
   (* Listeners on the node evaporate. *)
-  let doomed =
+  (match Hashtbl.find_opt w.hosts node with
+  | Some h ->
+    List.iter close_listener (Ids.fold (fun _ l acc -> l :: acc) h.hlisteners [])
+  | None -> ());
+  (* Peers of connections touching the node observe EOF, in connection
+     order. *)
+  let peers =
     Hashtbl.fold
-      (fun (n, p) l acc -> if n = node then (n, p, l) :: acc else acc)
-      w.listeners []
+      (fun _ h acc ->
+        if h.hname = node then acc
+        else Ids.fold (fun _ c acc -> if c.peer.node = node then c :: acc else acc) h.hconns acc)
+      w.hosts []
   in
-  List.iter (fun (_, _, l) -> close_listener l) doomed;
-  (* Peers of connections touching the node observe EOF. *)
-  Hashtbl.iter
-    (fun (n, _) c -> if n <> node && c.remote = node then mark_eof c)
-    w.conns;
-  ()
+  List.iter mark_eof (List.sort (fun a b -> Int.compare a.cid b.cid) peers)

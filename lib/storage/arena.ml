@@ -61,10 +61,24 @@ let get t loc = payload t loc Bytes.sub_string
 (* The bytes the record takes, its tag and length included. *)
 let span t loc = payload t loc (fun _ start len -> start + len - offset loc)
 
-let has_prefix t loc p =
+(* Whether the payload starts with [p] ([exact]: and is [p]), compared in
+   place. *)
+let matches ~exact t loc p =
   payload t loc (fun b start len ->
-      let rec from i = i = String.length p || (Bytes.get b (start + i) = p.[i] && from (i + 1)) in
-      len >= String.length p && from 0)
+      let n = String.length p in
+      let rec from i = i = n || (Bytes.get b (start + i) = p.[i] && from (i + 1)) in
+      (if exact then len = n else len >= n) && from 0)
+
+let has_prefix t loc p = matches ~exact:false t loc p
+let equal t loc s = matches ~exact:true t loc s
+
+(* Bytes appended so far, dead records included. *)
+let bytes t =
+  let n = ref 0 in
+  for c = 0 to t.last do
+    n := !n + t.ends.(c)
+  done;
+  !n
 
 let iter t f =
   for c = 0 to t.last do

@@ -5,6 +5,7 @@ module Rng = Crane_sim.Rng
 module Engine = Crane_sim.Engine
 module Fabric = Crane_net.Fabric
 module Sock = Crane_socket.Sock
+module Trace = Crane_trace.Trace
 
 type Fabric.message += Ping of int
 
@@ -96,6 +97,65 @@ let test_fabric_loss () =
   Engine.run eng;
   Alcotest.(check int) "full loss" 0 !got;
   Alcotest.(check int) "drops counted" 10 (Fabric.dropped fabric)
+
+(* Node state as sends and deliveries see it, told apart by the drop
+   reasons the flight recorder gets. *)
+let test_fabric_node_states () =
+  let eng, fabric = setup () in
+  Engine.set_trace eng (Trace.create ());
+  let got = ref [] in
+  Fabric.bind fabric (ep "b" 7) (fun ~src msg ->
+      match msg with Ping n -> got := (src.Fabric.node, n) :: !got | _ -> ());
+  (* "a" was never named: its first send brings it up, so the message
+     survives the delivery-time check of both ends. *)
+  Fabric.send fabric ~src:(ep "a" 1) ~dst:(ep "b" 7) (Ping 0);
+  Fabric.node_down fabric "c";
+  Fabric.send fabric ~src:(ep "c" 1) ~dst:(ep "b" 7) (Ping 1);
+  Fabric.send fabric ~src:(ep "a" 1) ~dst:(ep "never-bound" 7) (Ping 2);
+  Fabric.send fabric ~src:(ep "a" 1) ~dst:(ep "b" 8) (Ping 3);
+  Engine.run eng;
+  let reasons =
+    List.filter_map
+      (fun e -> match e.Trace.event with Trace.Drop { reason; _ } -> Some reason | _ -> None)
+      (Trace.events (Engine.trace eng))
+  in
+  Alcotest.(check (list (pair string int))) "only the first send arrives" [ ("a", 0) ] !got;
+  Alcotest.(check (list string)) "drop reasons" [ "partitioned"; "src_down"; "unbound" ]
+    (List.sort compare reasons);
+  Alcotest.(check int) "drops counted" 3 (Fabric.dropped fabric);
+  (* A node taken down stays down: sending does not revive it. *)
+  Fabric.node_down fabric "a";
+  Fabric.send fabric ~src:(ep "a" 1) ~dst:(ep "b" 7) (Ping 4);
+  Engine.run eng;
+  Alcotest.(check int) "a downed source drops" 4 (Fabric.dropped fabric);
+  Alcotest.(check int) "nothing more arrives" 1 (List.length !got)
+
+(* A link's jitter stream and FIFO floor are its own: the arrival times on
+   a -> b are the same whether or not other links carry traffic. *)
+let test_fabric_links_independent () =
+  let arrivals ~busy =
+    let eng, fabric = setup () in
+    let times = ref [] in
+    Fabric.bind fabric (ep "b" 7) (fun ~src msg ->
+        match msg with
+        | Ping _ when src.Fabric.node = "a" -> times := Engine.now eng :: !times
+        | _ -> ());
+    Fabric.bind fabric (ep "d" 7) (fun ~src:_ _ -> ());
+    for i = 1 to 20 do
+      Engine.at eng (Time.us (7 * i * i)) (fun () ->
+          if busy then begin
+            Fabric.send fabric ~src:(ep "c" 1) ~dst:(ep "b" 7) (Ping i);
+            Fabric.send fabric ~src:(ep "a" 1) ~dst:(ep "d" 7) (Ping i);
+            Fabric.send fabric ~src:(ep "b" 1) ~dst:(ep "a" 7) (Ping i)
+          end;
+          Fabric.send fabric ~src:(ep "a" 1) ~dst:(ep "b" 7) (Ping i))
+    done;
+    Engine.run eng;
+    List.rev !times
+  in
+  let quiet = arrivals ~busy:false in
+  Alcotest.(check int) "every send arrives" 20 (List.length quiet);
+  Alcotest.(check (list int)) "same arrival times" quiet (arrivals ~busy:true)
 
 let prop_fabric_fifo_per_link =
   QCheck.Test.make ~name:"fabric preserves per-link order under jitter"
@@ -401,22 +461,51 @@ let test_sock_lost_race_timeouts () =
 
 (* Bytestream *)
 
+(* Interleaved pushes and takes against a model of the queued chunks:
+   every take returns the next [min max length] bytes, a take covering
+   exactly the whole head chunk returns that very string, and a final
+   take with [max] past the total drains the rest. *)
 let prop_bytestream_roundtrip =
-  QCheck.Test.make ~name:"bytestream concatenates pushes" ~count:200
-    QCheck.(pair (small_list small_printable_string) (int_range 1 7))
-    (fun (chunks, max) ->
-      let b = Crane_socket.Bytestream.create () in
-      List.iter (Crane_socket.Bytestream.push b) chunks;
-      let buf = Buffer.create 16 in
-      let rec drain () =
-        let s = Crane_socket.Bytestream.take b ~max in
-        if s <> "" then begin
-          Buffer.add_string buf s;
-          drain ()
-        end
+  QCheck.Test.make ~name:"bytestream concatenates pushes" ~count:300
+    QCheck.(small_list (pair small_printable_string (int_range 0 24)))
+    (fun ops ->
+      let module B = Crane_socket.Bytestream in
+      let b = B.create () in
+      let queued = Queue.create () and offset = ref 0 in
+      let pending () =
+        let s = String.concat "" (List.of_seq (Queue.to_seq queued)) in
+        String.sub s !offset (String.length s - !offset)
       in
-      drain ();
-      Buffer.contents buf = String.concat "" chunks)
+      let take max =
+        let want = pending () in
+        let n = min (Int.max max 0) (String.length want) in
+        let exact =
+          match Queue.peek_opt queued with
+          | Some head when !offset = 0 && n > 0 && String.length head = n -> Some head
+          | _ -> None
+        in
+        let got = B.take b ~max in
+        let rec advance k =
+          if k > 0 then begin
+            let head = Queue.peek queued in
+            let avail = String.length head - !offset in
+            if avail <= k then (ignore (Queue.pop queued); offset := 0; advance (k - avail))
+            else offset := !offset + k
+          end
+        in
+        advance n;
+        got = String.sub want 0 n
+        && B.length b = String.length want - n
+        && match exact with Some head -> got == head | None -> true
+      in
+      List.for_all
+        (fun (chunk, max) ->
+          B.push b chunk;
+          if chunk <> "" then Queue.add chunk queued;
+          take max)
+        ops
+      && take (B.length b + 5)
+      && B.is_empty b)
 
 let qcheck = QCheck_alcotest.to_alcotest
 
@@ -430,6 +519,8 @@ let suite =
         Alcotest.test_case "one-way partition" `Quick test_fabric_partition_oneway;
         Alcotest.test_case "node down" `Quick test_fabric_node_down;
         Alcotest.test_case "loss" `Quick test_fabric_loss;
+        Alcotest.test_case "node states and drop reasons" `Quick test_fabric_node_states;
+        Alcotest.test_case "links independent" `Quick test_fabric_links_independent;
         qcheck prop_fabric_fifo_per_link;
       ] );
     ( "socket",

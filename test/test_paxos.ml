@@ -240,7 +240,7 @@ let test_no_progress_without_quorum () =
    Accepts for the pending window, n2 re-acks each duplicate, and every
    index commits.  Under the [Dup_accept] mutation n2 swallows the
    duplicates instead, so the commit index stalls below the batch. *)
-let run_lost_batch_acks ~mutation =
+let run_lost_batch_acks ?(before_heal = ignore) ~mutation () =
   let sim, nodes = G.start ~config:{ G.fast_config with Paxos.mutation } () in
   let p1 = (List.hd nodes).G.n_p in
   Engine.at sim.G.eng (Time.ms 20) (fun () -> G.kill_node sim "n3");
@@ -249,12 +249,14 @@ let run_lost_batch_acks ~mutation =
   Engine.at sim.G.eng (Time.ms 40) (fun () ->
       Alcotest.(check (option (pair int int))) "batch takes indices 1..4" (Some (1, 4))
         (Paxos.submit p1 [ "w1"; "w2"; "w3"; "w4" ]));
-  Engine.at sim.G.eng (Time.ms 180) (fun () -> Fabric.heal sim.G.fabric);
+  Engine.at sim.G.eng (Time.ms 180) (fun () ->
+      before_heal sim;
+      Fabric.heal sim.G.fabric);
   Engine.run ~until:(Time.sec 1) sim.G.eng;
   sim
 
 let test_retransmit_repairs_lost_batch_acks () =
-  let sim = run_lost_batch_acks ~mutation:Paxos.No_mutation in
+  let sim = run_lost_batch_acks ~mutation:Paxos.No_mutation () in
   let expected = [ "w1"; "w2"; "w3"; "w4" ] in
   List.iter
     (fun n ->
@@ -267,8 +269,24 @@ let test_retransmit_repairs_lost_batch_acks () =
   | Some n -> Alcotest.(check string) "no election" "n1" n.G.n_name
   | None -> Alcotest.fail "cluster has no primary"
 
+(* The retransmitted Accepts n2 receives after the heal carry the view
+   and bytes it already holds, so its log arena does not grow. *)
+let test_identical_retransmission_keeps_arena () =
+  let n2 sim = List.find (fun n -> n.G.n_name = "n2") sim.G.nodes in
+  let log_bytes sim = (Paxos.stats (n2 sim).G.n_p).Paxos.log_bytes in
+  let before = ref 0 in
+  let sim =
+    run_lost_batch_acks ~mutation:Paxos.No_mutation
+      ~before_heal:(fun sim -> before := log_bytes sim)
+      ()
+  in
+  Alcotest.(check int) "n2 committed the batch" 4 (Paxos.committed (n2 sim).G.n_p);
+  if !before = 0 then Alcotest.fail "n2 held no entries before the heal";
+  Alcotest.(check int) "n2's log arena unchanged by the retransmissions" !before
+    (log_bytes sim)
+
 let test_dup_accept_mutation_stalls_batch () =
-  let sim = run_lost_batch_acks ~mutation:Paxos.Dup_accept in
+  let sim = run_lost_batch_acks ~mutation:Paxos.Dup_accept () in
   (* Both survivors hold the batch (pending = 4) and commit none of it. *)
   List.iter
     (fun n ->
@@ -338,6 +356,8 @@ let suite =
         Alcotest.test_case "no quorum, no progress" `Quick test_no_progress_without_quorum;
         Alcotest.test_case "retransmit repairs lost batch acks" `Quick
           test_retransmit_repairs_lost_batch_acks;
+        Alcotest.test_case "identical retransmission keeps the arena" `Quick
+          test_identical_retransmission_keeps_arena;
         Alcotest.test_case "dup-accept mutation stalls batch" `Quick
           test_dup_accept_mutation_stalls_batch;
         qcheck prop_safety_under_nemesis;

@@ -52,7 +52,9 @@ let prop_pheap_sorted =
 
 (* Random pushes, removals of pushed entries and pops, against a model
    that keeps the surviving keys in a sorted list: every pop returns the
-   model's least key, and [length] and [min_time] always agree with it. *)
+   model's least key, and [length] and [min_time] always agree with it.
+   The ops run twice, each pass drained to empty, so the second pass
+   pushes after pops and removals and reuses their freed slots. *)
 type pheap_op = Push of int | Remove of int | Pop
 
 let prop_pheap_remove =
@@ -96,14 +98,13 @@ let prop_pheap_remove =
             model := rest;
             Pheap.pop_min h = key)
       in
-      List.for_all (fun op -> step op && agree ()) ops
-      &&
       let rec drain () =
         match !model with
         | [] -> Pheap.is_empty h
         | key :: rest -> model := rest; Pheap.pop_min h = key && agree () && drain ()
       in
-      drain ())
+      let pass () = List.for_all (fun op -> step op && agree ()) ops && drain () in
+      pass () && pass ())
 
 (* ------------------------------------------------------------------ *)
 (* Rng *)

@@ -201,6 +201,25 @@ let test_output_log_equal_and_normalize () =
   Alcotest.(check (option int)) "divergence index" (Some 1)
     (Output_log.first_divergence a b)
 
+(* Against the line filter it shortcuts: a timed line anywhere (first,
+   middle, last) is dropped, and a payload without one comes back as the
+   very same string. *)
+let test_output_log_normalize_cases () =
+  let reference p =
+    String.split_on_char '\n' p
+    |> List.filter (fun l ->
+           not (String.starts_with ~prefix:"Date:" l || String.starts_with ~prefix:"X-Time:" l))
+    |> String.concat "\n"
+  in
+  List.iter
+    (fun p ->
+      let got = Output_log.normalize_payload p in
+      Alcotest.(check string) (String.escaped p) (reference p) got;
+      if reference p = p && got != p then
+        Alcotest.failf "%S copied although nothing was stripped" p)
+    [ ""; "\n"; "OK 1\n"; "row id=3 c=5\n"; "Date: x"; "Date:"; "Dat"; "a\nDate: 1\nb";
+      "a\nX-Time: 2"; "X-Time: 1\n\nDate: 2\n"; " Date: not at line start"; "a\nDate:\n" ]
+
 let test_output_log_order_matters () =
   let a = Output_log.create () and b = Output_log.create () in
   Output_log.record a ~conn:1 "one";
@@ -264,6 +283,13 @@ let test_sql_roundtrip () =
   let db = Sqlkit.create_db () in
   let t = Sqlkit.create_table db "a" 10 in
   Sqlkit.update t ~id:3 ~value:999;
+  (* The blob's exact bytes: checkpoints and snapshots carry them. *)
+  let b = Sqlkit.create_table db "B" 2 in
+  Sqlkit.update b ~id:2 ~value:(-5);
+  ignore (Sqlkit.create_table db "" 0);
+  Alcotest.(check string) "blob layout"
+    ":;B:1=37,2=-5;a:1=37,2=74,3=999,4=148,5=185,6=222,7=259,8=296,9=333,10=370"
+    (Sqlkit.serialize db);
   let db' = Sqlkit.deserialize (Sqlkit.serialize db) in
   match Sqlkit.table db' "a" with
   | Some t' ->
@@ -330,6 +356,8 @@ let suite =
     ( "units.output_log",
       [
         Alcotest.test_case "normalize + equal" `Quick test_output_log_equal_and_normalize;
+        Alcotest.test_case "normalize strips only timed lines" `Quick
+          test_output_log_normalize_cases;
         Alcotest.test_case "order matters" `Quick test_output_log_order_matters;
       ] );
     ( "units.httpkit",
