@@ -431,10 +431,7 @@ let mc_seed_arg =
   Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Simulation seed.")
 
 let mc_mutate_arg =
-  let choice =
-    Arg.enum
-      [ ("hole-backfill", Mc.Hole_backfill); ("dup-accept", Mc.Dup_accept) ]
-  in
+  let choice = Arg.enum (List.filter (fun (_, m) -> m <> Mc.No_mutation) Mc.mutations) in
   Arg.(value & opt (some choice) None
        & info [ "mutate" ]
            ~doc:"Reintroduce a fixed paxos bug (hole-backfill, dup-accept) \

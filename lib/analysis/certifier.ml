@@ -174,11 +174,6 @@ let report st =
     violations = List.rev !violations;
   }
 
-let check_events evs ~resolve_node =
-  let st = create ~resolve_node in
-  List.iter (ingest st) evs;
-  report st
-
 let render (r : report) =
   let b = Buffer.create 512 in
   Printf.bprintf b

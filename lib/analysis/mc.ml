@@ -32,6 +32,7 @@ module Cluster = Crane_core.Cluster
 module Instance = Crane_core.Instance
 module Proxy = Crane_core.Proxy
 module Paxos = Crane_paxos.Paxos
+module Core = Crane_paxos.Paxos_core
 module Ledger = Crane_chaos.Ledger
 module Invariants = Crane_chaos.Invariants
 module Target = Crane_workload.Target
@@ -39,18 +40,66 @@ module Target = Crane_workload.Target
 (* ------------------------------------------------------------------ *)
 (* Configuration                                                       *)
 
-type mutation = Paxos.mutation = No_mutation | Hole_backfill | Dup_accept
+(* Mutation self-check: each non-default value reintroduces a fixed
+   paxos bug in every replica, as a wrapper around the protocol core's
+   step, so the checker can prove it would have caught the regression. *)
+type mutation = No_mutation | Hole_backfill | Dup_accept
 
-let mutation_name = function
-  | No_mutation -> "none"
-  | Hole_backfill -> "hole-backfill"
-  | Dup_accept -> "dup-accept"
+let mutations =
+  [ ("none", No_mutation); ("hole-backfill", Hole_backfill); ("dup-accept", Dup_accept) ]
 
-let mutation_of_name = function
-  | "none" -> No_mutation
-  | "hole-backfill" -> Hole_backfill
-  | "dup-accept" -> Dup_accept
-  | s -> invalid_arg ("unknown mutation " ^ s)
+let mutation_name m = fst (List.find (fun (_, m') -> m' = m) mutations)
+
+let mutation_of_name s =
+  try List.assoc s mutations with Not_found -> invalid_arg ("unknown mutation " ^ s)
+
+(* Run one step with every action it produces passed to [f] first. *)
+let filtering f (step : Core.step) (c : Core.t) ~now input =
+  let emit = c.emit in
+  c.emit <- f emit;
+  Fun.protect ~finally:(fun () -> c.emit <- emit) (fun () -> step c ~now input)
+
+exception Skipped_apply
+
+(* Hole backfill: the apply loop ran only when the commit index moved, so
+   a log hole filled below it (catch-up after a lossy window) left the
+   replica wedged at [applied < committed].  A delivery while the commit
+   index still stands where the message found it is that skipped apply:
+   undo it and end the step there, as the buggy handler did.  A snapshot
+   fast-forward applies unconditionally, then as now. *)
+let hole_backfill step (c : Core.t) ~now (input : Core.input) =
+  match input with
+  | Receive { msg = { body = Snapshot_resp _; _ }; _ } -> step c ~now input
+  | Receive _ -> (
+    let committed = c.committed in
+    let skip emit : Core.action -> unit = function
+      | Deliver _ when c.committed = committed -> raise Skipped_apply
+      | a -> emit a
+    in
+    try filtering skip step c ~now input
+    with Skipped_apply ->
+      c.applied <- c.applied - 1;
+      c.decisions <- c.decisions - 1)
+  | _ -> step c ~now input
+
+(* Duplicate Accept: a retransmitted Accept for entries already logged was
+   swallowed instead of re-acked, so a lost first ack stalled the round
+   forever.  Only the duplicate path acks without an fsync, so this drops
+   every Accept_ok an Accept sends on the spot. *)
+let dup_accept step c ~now (input : Core.input) =
+  match input with
+  | Receive { msg = { body = Accept _; _ }; _ } ->
+    let swallow emit : Core.action -> unit = function
+      | Send { msg = { body = Accept_ok _; _ }; _ } -> ()
+      | a -> emit a
+    in
+    filtering swallow step c ~now input
+  | _ -> step c ~now input
+
+let wrapper = function
+  | No_mutation -> Fun.id
+  | Hole_backfill -> hole_backfill
+  | Dup_accept -> dup_accept
 
 type config = {
   replicas : int;
@@ -139,7 +188,7 @@ let mc_paxos_config =
 let instance_config cfg =
   {
     Instance.default_config with
-    Instance.paxos = { mc_paxos_config with Paxos.mutation = cfg.mutation };
+    Instance.paxos = { mc_paxos_config with Paxos.wrap = wrapper cfg.mutation };
     (* Plan II (§7.2): DMT + PAXOS with bubbling off, so every delivery
        the enumerator explores is a client call and no bubble traffic
        heals the quiescent-tail bugs the mutation self-check reintroduces
@@ -680,38 +729,16 @@ let explore cfg =
    open the hole); dup-accept additionally needs a crashed backup so the
    survivor's ack is the quorum-critical one. *)
 let mutation_preset m =
+  let mutant =
+    { default with mutation = m; clients = 1; reads = 0; drop_budget = 1;
+      deliver_branch = false; horizon = Time.sec 3; max_branch = 32 }
+  in
   match m with
   | No_mutation -> default
-  | Hole_backfill ->
-    {
-      default with
-      mutation = m;
-      clients = 1;
-      writes = 2;
-      reads = 0;
-      drop_budget = 1;
-      crash_budget = 0;
-      deliver_branch = false;
-      horizon = Time.sec 3;
-      max_branch = 32;
-      max_runs = 2000;
-    }
+  | Hole_backfill -> { mutant with writes = 2; crash_budget = 0; max_runs = 2000 }
   | Dup_accept ->
-    {
-      default with
-      mutation = m;
-      clients = 1;
-      writes = 1;
-      reads = 0;
-      drop_budget = 1;
-      crash_budget = 1;
-      crash_window = 10;
-      restart_after = None;
-      deliver_branch = false;
-      horizon = Time.sec 3;
-      max_branch = 32;
-      max_runs = 4000;
-    }
+    { mutant with writes = 1; crash_budget = 1; crash_window = 10; restart_after = None;
+      max_runs = 4000 }
 
 (* ------------------------------------------------------------------ *)
 (* Counterexample traces                                               *)
@@ -816,20 +843,14 @@ let read_trace path =
   close_in ic;
   (!cfg, Array.of_list (List.rev !forced), !expect)
 
-(* Re-execute a recorded counterexample: one run, forced along the trace. *)
-let replay path =
+(* Re-execute a recorded counterexample: one run, forced along the trace,
+   optionally with its mutation overridden — e.g. with [No_mutation] to
+   confirm it is discriminating (the same schedule is clean on fixed
+   code). *)
+let replay ?mutation path =
   let cfg, forced, expect = read_trace path in
-  let exec = run_one cfg ~forced in
-  (cfg, expect, exec.x_verdict)
-
-(* Replay with the recorded mutation overridden — e.g. with
-   [No_mutation] to confirm a counterexample is discriminating (the same
-   schedule is clean on fixed code). *)
-let replay_with ~mutation path =
-  let cfg, forced, expect = read_trace path in
-  let cfg = { cfg with mutation } in
-  let exec = run_one cfg ~forced in
-  (cfg, expect, exec.x_verdict)
+  let cfg = { cfg with mutation = Option.value mutation ~default:cfg.mutation } in
+  (cfg, expect, (run_one cfg ~forced).x_verdict)
 
 (* ------------------------------------------------------------------ *)
 (* Checked exploration                                                 *)

@@ -18,29 +18,24 @@
 
     Failure detection follows the paper: the primary heartbeats every
     second; backups that miss heartbeats for three seconds elect a new
-    leader (with per-node jitter to avoid duels). *)
+    leader (with per-node jitter to avoid duels).
+
+    {b Core and driver.}  The protocol lives in {!Paxos_core}, a state
+    machine with no I/O: [Paxos_core.step] takes one input (a message, a
+    timer, a finished fsync, a submit) and hands each effect to the host
+    as an action value (send, persist, truncate, arm a timer, deliver an
+    index, demote, ...), in order.  Recovery is a pure function of the
+    durable records.  This module is the driver, the only consensus code
+    that touches the engine, the fabric and the WAL: it runs each action
+    the moment the core produces it, so an upcall sees the state as of
+    that action and may re-enter (the proxy submits from [on_commit]). *)
 
 type t
 
 val paxos_port : int
 (** Fabric port the consensus component binds on every member. *)
 
-type mutation =
-  | No_mutation
-  | Hole_backfill
-      (** reintroduce the hole-backfill bug: applying is skipped when a
-          catch-up fill does not advance the committed index, wedging the
-          replica at [applied < committed] *)
-  | Dup_accept
-      (** reintroduce the duplicate-Accept bug: a retransmitted Accept for
-          already-logged entries is not re-acked, so a lost first ack
-          stalls the round forever *)
-(** Fault injection for Crane-MC's mutation self-check — two historical
-    paxos bugs kept reintroducible per instance, as fixed targets the
-    model checker must prove it can find.  Only [crane_cli mc --mutate]
-    (and tests) set anything but [No_mutation]. *)
-
-type config = {
+type config = Paxos_core.config = {
   heartbeat_period : Crane_sim.Time.t;  (** default 1 s *)
   election_timeout : Crane_sim.Time.t;  (** default 3 s *)
   election_jitter : Crane_sim.Time.t;  (** extra per-node random delay, default 300 ms *)
@@ -63,7 +58,9 @@ type config = {
           backup makes by acking — withholding election votes for this
           long — always expires before an election it stalled can
           succeed.  Default 1.5 s *)
-  mutation : mutation;  (** default [No_mutation] *)
+  wrap : Paxos_core.step -> Paxos_core.step;
+      (** wraps every step of this replica's core, default the identity:
+          a checker wraps a replica to filter its inputs or actions *)
 }
 
 val default_config : config

@@ -175,10 +175,3 @@ let length t = t.len
 let writes t = t.writes
 let truncations t = t.truncations
 let dropped t = t.dropped
-
-let reset t =
-  t.recs <- Arena.create ();
-  t.len <- 0;
-  t.writes <- 0;
-  Hashtbl.reset t.inflight;
-  Hashtbl.reset t.pending_truncs

@@ -60,6 +60,3 @@ val truncations : t -> int
 
 val dropped : t -> int
 (** Total records physically removed by completed truncations. *)
-
-val reset : t -> unit
-(** Wipe the log (modelling disk replacement in tests). *)

@@ -116,7 +116,7 @@ let test_linearize_stale_non_prefix () =
 (* A trace with no execute windows checked nothing; the verdict must say
    so rather than claim conflict-serializability. *)
 let test_certifier_vacuous () =
-  let r = Certifier.check_events ~resolve_node:(fun e -> e.Crane_trace.Trace.node) [] in
+  let r = Certifier.report (Certifier.create ~resolve_node:(fun e -> e.Crane_trace.Trace.node)) in
   Alcotest.(check int) "no windows" 0 r.Certifier.windows;
   Alcotest.(check bool) "no violations either" true (r.Certifier.violations = []);
   Alcotest.(check bool) "verdict is vacuous" true
@@ -168,7 +168,7 @@ let mutation_killed m =
   let k = Mc.check ~trace:path (Mc.mutation_preset m) in
   Alcotest.(check bool) "killed, and the written trace replays to it" true
     (k.Mc.k_replay = Some Mc.Reproduced);
-  let _, _, fixed_verdict = Mc.replay_with ~mutation:Mc.No_mutation path in
+  let _, _, fixed_verdict = Mc.replay ~mutation:Mc.No_mutation path in
   Alcotest.(check bool) "fixed code is clean on the same schedule" true
     (fixed_verdict = None);
   Sys.remove path

@@ -23,6 +23,12 @@ module Output_log = Crane_core.Output_log
 module Sock = Crane_socket.Sock
 module Clients = Crane_workload.Clients
 
+(* The certifier's report over a finished event list. *)
+let certify ~resolve_node evs =
+  let st = Certifier.create ~resolve_node in
+  List.iter (Certifier.ingest st) evs;
+  Certifier.report st
+
 let check_no_failures eng =
   match Engine.failures eng with
   | [] -> ()
@@ -202,7 +208,7 @@ let test_sinks_equal_replay () =
   Alcotest.(check bool) "critical path reports equal" true
     (Critical_path.report cp = replayed);
   let replayed =
-    Certifier.check_events (Trace.events trace) ~resolve_node:(Trace.resolve_node trace)
+    certify (Trace.events trace) ~resolve_node:(Trace.resolve_node trace)
   in
   Alcotest.(check bool) "execute windows seen" true (replayed.Certifier.windows > 0);
   Alcotest.(check string) "certifier renders alike" (Certifier.render replayed)
@@ -408,7 +414,7 @@ let resolve (e : Trace.ev) = e.Trace.node
    threads), so the verdict is not confinement by accident. *)
 let test_certifier_true_negative () =
   let r =
-    Certifier.check_events ~resolve_node:resolve
+    certify ~resolve_node:resolve
       [
         exec_begin ~ts:10 ~tid:1 1;
         mem ~ts:11 ~tid:1 ~write:true 5;
@@ -428,7 +434,7 @@ let test_certifier_true_negative () =
    catch. *)
 let test_certifier_true_positive () =
   let r =
-    Certifier.check_events ~resolve_node:resolve
+    certify ~resolve_node:resolve
       [
         exec_begin ~ts:10 ~tid:2 2;
         mem ~ts:11 ~tid:2 ~write:true 5;
@@ -448,7 +454,7 @@ let test_certifier_true_positive () =
   (* the same out-of-order pair on a single thread is thread-confined:
      one worker's own program order carries no admission claim *)
   let confined =
-    Certifier.check_events ~resolve_node:resolve
+    certify ~resolve_node:resolve
       [
         exec_begin ~ts:10 ~tid:1 2;
         mem ~ts:11 ~tid:1 ~write:true 5;
@@ -466,7 +472,7 @@ let test_certifier_true_positive () =
    not. *)
 let test_certifier_read_write () =
   let clean =
-    Certifier.check_events ~resolve_node:resolve
+    certify ~resolve_node:resolve
       [
         exec_begin ~ts:10 ~tid:2 2;
         mem ~ts:11 ~tid:2 ~write:false 5;
@@ -479,7 +485,7 @@ let test_certifier_read_write () =
   Alcotest.(check bool) "read-read reorder certifies" true
     (Certifier.certified clean);
   let dirty =
-    Certifier.check_events ~resolve_node:resolve
+    certify ~resolve_node:resolve
       [
         exec_begin ~ts:10 ~tid:2 2;
         mem ~ts:11 ~tid:2 ~write:false 5;

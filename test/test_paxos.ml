@@ -9,6 +9,7 @@ module Engine = Crane_sim.Engine
 module Fabric = Crane_net.Fabric
 module Paxos = Crane_paxos.Paxos
 module G = Paxos_group
+module Mc = Crane_analysis.Mc
 
 (* ------------------------------------------------------------------ *)
 
@@ -241,7 +242,7 @@ let test_no_progress_without_quorum () =
    index commits.  Under the [Dup_accept] mutation n2 swallows the
    duplicates instead, so the commit index stalls below the batch. *)
 let run_lost_batch_acks ?(before_heal = ignore) ~mutation () =
-  let sim, nodes = G.start ~config:{ G.fast_config with Paxos.mutation } () in
+  let sim, nodes = G.start ~config:{ G.fast_config with Paxos.wrap = Mc.wrapper mutation } () in
   let p1 = (List.hd nodes).G.n_p in
   Engine.at sim.G.eng (Time.ms 20) (fun () -> G.kill_node sim "n3");
   Engine.at sim.G.eng (Time.ms 30) (fun () ->
@@ -256,7 +257,7 @@ let run_lost_batch_acks ?(before_heal = ignore) ~mutation () =
   sim
 
 let test_retransmit_repairs_lost_batch_acks () =
-  let sim = run_lost_batch_acks ~mutation:Paxos.No_mutation () in
+  let sim = run_lost_batch_acks ~mutation:Mc.No_mutation () in
   let expected = [ "w1"; "w2"; "w3"; "w4" ] in
   List.iter
     (fun n ->
@@ -276,7 +277,7 @@ let test_identical_retransmission_keeps_arena () =
   let log_bytes sim = (Paxos.stats (n2 sim).G.n_p).Paxos.log_bytes in
   let before = ref 0 in
   let sim =
-    run_lost_batch_acks ~mutation:Paxos.No_mutation
+    run_lost_batch_acks ~mutation:Mc.No_mutation
       ~before_heal:(fun sim -> before := log_bytes sim)
       ()
   in
@@ -286,7 +287,7 @@ let test_identical_retransmission_keeps_arena () =
     (log_bytes sim)
 
 let test_dup_accept_mutation_stalls_batch () =
-  let sim = run_lost_batch_acks ~mutation:Paxos.Dup_accept () in
+  let sim = run_lost_batch_acks ~mutation:Mc.Dup_accept () in
   (* Both survivors hold the batch (pending = 4) and commit none of it. *)
   List.iter
     (fun n ->
